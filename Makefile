@@ -85,17 +85,19 @@ bench-shards-json:
 # tier rides here too: budget-forced shedding, journal degraded mode and
 # re-arm, segment quarantine, sender-gate quarantine, and the combined
 # flood+disk-full+garbage scenario (TestChaosOverloadDegradedNeverWrong),
-# with the /healthz degradation surface checked in cmd/dcsd. All chaos
+# with the /healthz degradation surface checked in internal/daemon. All chaos
 # schedules are seeded in the tests themselves, so the run is reproducible.
 # The streaming tier rides here as well: incremental-vs-batch equivalence
 # under dup/late/tombstone churn at several worker counts, the sliding-window
 # straddle detection, and the accumulator memory-budget ledger. The shard
 # tier's chaos suite joins them: kill-one-shard Degraded-never-wrong, the
 # mid-span crash journal replay on a shard journal, and the scatter/gather
-# bit-identity contracts.
+# bit-identity contracts. The daemon assembly's own tier closes the list: the
+# hand-fed tick policy table, journal retirement under -slide, and the
+# kill -9 / replay-before-listen / drain-on-cancel run of the whole dcsd.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard' \
-		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./cmd/dcsd/...
+	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun' \
+		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/daemon/...
 
 # Short fuzz of the crash/byte-level decoders: the transport wire reader, the
 # UDP datagram decoder, the journal recovery scanner, and the trace replay

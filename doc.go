@@ -14,7 +14,9 @@
 //     public API (collectors per router + analysis per epoch).
 //   - internal/experiments: one harness per paper table/figure.
 //   - cmd/dcsbench: regenerate any artifact at test/default/paper scale.
-//   - cmd/dcsd + cmd/dcsnode: the distributed deployment over TCP.
+//   - cmd/dcsd + cmd/dcsnode: the distributed deployment over TCP and UDP;
+//     dcsd is a flag set over internal/daemon, the one assembly of the
+//     analysis-center pipeline (Node + Run).
 //   - cmd/dcstrace + cmd/dcsreplay: record and replay packet traces.
 //
 // DESIGN.md holds the system inventory and substitution notes;

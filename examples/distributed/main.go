@@ -32,14 +32,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"sync"
 	"time"
 
 	"dcstream/internal/aligned"
 	"dcstream/internal/center"
-	"dcstream/internal/journal"
+	"dcstream/internal/daemon"
 	"dcstream/internal/metrics"
 	"dcstream/internal/packet"
 	"dcstream/internal/stats"
@@ -57,24 +56,20 @@ func main() {
 		hashSeed = 31337
 	)
 
-	// The analysis center: epoch-keyed windowed ingest behind a TCP sink,
-	// with every digest journaled before it reaches the in-RAM window.
+	// The analysis center: a daemon.Node — the same assembly dcsd runs —
+	// behind a TCP sink, journaling every digest before it reaches the
+	// in-RAM window.
 	jdir, err := os.MkdirTemp("", "dcs-journal-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(jdir)
-	jr, err := journal.Open(jdir, journal.Options{})
-	if err != nil {
+	ccfg := center.Config{SubsetSize: 512, MaxEpochs: epochs}
+	first := daemon.NewNode(ccfg, nil)
+	if err := first.OpenJournal(jdir, false); err != nil {
 		log.Fatal(err)
 	}
-	c := center.New(center.Config{SubsetSize: 512, MaxEpochs: epochs})
-	srv, err := transport.Serve("127.0.0.1:0", func(m transport.Message, _ net.Addr) {
-		if err := jr.Append(m); err != nil {
-			log.Printf("journal append: %v", err)
-		}
-		c.Ingest(m)
-	})
+	srv, err := transport.Serve("127.0.0.1:0", first.Handle)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,11 +126,11 @@ func main() {
 	// clear the server's handler goroutines.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if a, _ := c.Pending(); a == routers*epochs {
+		if a, _ := first.Center.Pending(); a == routers*epochs {
 			break
 		}
 		if time.Now().After(deadline) {
-			a, _ := c.Pending()
+			a, _ := first.Center.Pending()
 			log.Fatalf("timed out waiting for digests (%d/%d)", a, routers*epochs)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -146,54 +141,30 @@ func main() {
 	// file is deliberately not closed either; recovery must cope with the
 	// state a kill -9 leaves behind.)
 	srv.Close()
-	c = nil
+	first = nil
 	fmt.Println("center crashed before analyzing; recovering from the journal...")
 
-	rec, err := journal.Open(jdir, journal.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rec.Close()
-	recovered := center.New(center.Config{SubsetSize: 512, MaxEpochs: epochs})
+	// The second life is a fresh Node over the same directory, logging to
+	// stdout what dcsd would log: opening the journal replays both epochs,
+	// and the shutdown drain analyzes them and tells the journal they are
+	// done so it can purge the frames.
+	recovered := daemon.NewNode(ccfg, log.New(os.Stdout, "", 0))
 	// One registry over every layer of the recovered deployment — exactly
 	// what `dcsd -http` serves at /metrics; here it is dumped to stdout at
 	// the end instead.
 	reg := metrics.NewRegistry()
-	recovered.RegisterMetrics(reg)
-	rec.RegisterMetrics(reg)
-	if err := rec.Replay(func(m transport.Message) error {
-		recovered.Ingest(m)
-		return nil
-	}); err != nil {
+	recovered.Center.RegisterMetrics(reg)
+	if err := recovered.OpenJournal(jdir, false); err != nil {
 		log.Fatal(err)
 	}
-	js := rec.Stats()
-	fmt.Printf("journal replay: %d digests recovered (%d torn tails truncated)\n",
-		js.FramesReplayed, js.TailsTruncated)
-
-	for epoch := 1; epoch <= epochs; epoch++ {
-		rep, err := recovered.Analyze(epoch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Telling the journal the epoch is done lets it purge the frames.
-		if err := rec.EpochAnalyzed(epoch); err != nil {
-			log.Fatal(err)
-		}
-		if rep.Aligned == nil {
-			fmt.Printf("epoch %d: nothing to correlate\n", epoch)
-			continue
-		}
-		if !rep.Aligned.Detection.Found {
-			fmt.Printf("epoch %d: no common content across %d routers\n", epoch, rep.Aligned.Routers)
-			continue
-		}
-		fmt.Printf("epoch %d: common content detected across the wire: %d routers implicated: %v\n",
-			epoch, len(rep.Aligned.RouterIDs), rep.Aligned.RouterIDs)
+	defer recovered.Close()
+	recovered.Journal.RegisterMetrics(reg)
+	if _, err := recovered.Drain(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("(ground truth: routers 0..%d carried the object, in epoch %d only)\n", carriers-1, epochs)
 
-	snap := recovered.Stats().Snapshot()
+	snap := recovered.Center.Stats().Snapshot()
 	fmt.Printf("recovered-center counters: ingested=%d late=%d dup=%d dropped=%d analyzed=%d\n",
 		snap.DigestsIngested, snap.LateDigests, snap.DuplicateDigests, snap.DroppedDigests,
 		snap.EpochsAnalyzed)

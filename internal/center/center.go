@@ -2,7 +2,7 @@
 // reusable library: accumulate digests per measurement epoch, then analyze a
 // closed epoch — the aligned ASID detector over stacked bitmaps, the
 // unaligned ER test plus core finder over merged array banks, or both.
-// cmd/dcsd wraps this in a TCP daemon; tests and embedders drive it
+// internal/daemon wraps this in the dcsd daemon; tests and embedders drive it
 // directly.
 //
 // Windowing is epoch-correct: digests are keyed by the Epoch field their
@@ -410,15 +410,7 @@ func (c *Center) RegisterMetrics(r *metrics.Registry) {
 		})
 	r.GaugeFunc("dcs_center_quorum_held_epochs",
 		"buffered epochs the quorum gate is holding open for missing live routers", func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			held := 0
-			for e := range c.windows {
-				if c.quorumLocked(e).Hold {
-					held++
-				}
-			}
-			return float64(held)
+			return float64(c.HeldEpochs())
 		})
 	r.GaugeFunc("dcs_center_buffered_bytes",
 		"byte-accounted size of all buffered epoch windows (what -mem-budget constrains)", func() float64 {
@@ -745,6 +737,20 @@ func (c *Center) quorumLocked(epoch int) QuorumState {
 	return st
 }
 
+// HeldEpochs counts the buffered epochs the quorum gate currently holds
+// open — the gauge above, and the HeldEpochs of a shard's report envelopes.
+func (c *Center) HeldEpochs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := 0
+	for e := range c.windows {
+		if c.quorumLocked(e).Hold {
+			held++
+		}
+	}
+	return held
+}
+
 // windowMeta is the quorum context captured (under c.mu) at the moment a
 // window detaches for analysis, so the report reflects the registry as it
 // stood when the epoch closed.
@@ -799,7 +805,7 @@ func (c *Center) Epochs() []int {
 }
 
 // EpochDigests returns the digest count buffered for each epoch — the
-// quiescence signal cmd/dcsd uses to close an idle epoch.
+// quiescence signal daemon.Node's tick policy uses to close an idle epoch.
 func (c *Center) EpochDigests() map[int]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

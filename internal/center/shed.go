@@ -163,7 +163,7 @@ func (c *Center) shedLocked(victim int) {
 }
 
 // TakeShedReports drains the tombstone reports of epochs shed since the
-// last call, oldest first. cmd/dcsd forwards them to the -events stream and
+// last call, oldest first. daemon.Node forwards them to its report sinks and
 // retires their journal frames; a report handed out here will no longer be
 // returned by Analyze.
 func (c *Center) TakeShedReports() []WindowReport {

@@ -3,7 +3,7 @@ package center
 import "dcstream/internal/metrics"
 
 // Stats counts ingest-path events with atomic counters so per-connection
-// handler goroutines can bump them locklessly and cmd/dcsd can report them
+// handler goroutines can bump them locklessly and the daemon can report them
 // live. The fields are registry-grade metrics (their Add/Load API matches
 // sync/atomic's), so Register can expose the same values on /metrics without
 // a second set of books: the scrape and the -stats log can never disagree.

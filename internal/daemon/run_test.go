@@ -1,0 +1,441 @@
+package daemon
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"log"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dcstream/internal/bitvec"
+	"dcstream/internal/center"
+	"dcstream/internal/metrics"
+	"dcstream/internal/transport"
+	"dcstream/internal/unaligned"
+)
+
+// childJournalEnv, when set, turns the test binary into a dcsd: TestMain
+// runs Run on that journal directory instead of the tests, so a test can
+// kill -9 a real daemon process mid-epoch.
+const childJournalEnv = "DCS_DAEMON_TEST_CHILD_JOURNAL"
+
+func TestMain(m *testing.M) {
+	if dir := os.Getenv(childJournalEnv); dir != "" {
+		if err := Run(context.Background(), crashConfig(dir)); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// crashConfig is the daemon of the crash-replay test: sliding spans, journal
+// with fsync, events beside the journal, and a window no run lasts.
+func crashConfig(dir string) Config {
+	return Config{
+		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", ShardOf: -1,
+		Window: time.Hour, ConnTimeout: time.Minute,
+		Center:  center.Config{SubsetSize: 64, MaxEpochs: 16, WindowSlide: 3, Parallelism: 2},
+		Journal: filepath.Join(dir, "journal"), JournalSync: true,
+		Events: filepath.Join(dir, "events.jsonl"),
+	}
+}
+
+// The lines bench/daemon.go reads to find a dcsd it started: one bare
+// address per listener on stdout, TCP first, and this one in the log.
+var httpLine = regexp.MustCompile(`dcsd http endpoints on (\S+)`)
+
+// digestLine is what bench counts as one per-digest log line.
+const digestLine = " digest from router "
+
+// logCapture is the process log during a Run under test. While a gate is
+// set, the first write containing it blocks until release is closed.
+type logCapture struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+
+	gate    string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (l *logCapture) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	l.buf.Write(p)
+	gated := l.gate != "" && bytes.Contains(p, []byte(l.gate))
+	if gated {
+		l.gate = ""
+	}
+	l.mu.Unlock()
+	if gated {
+		close(l.entered)
+		<-l.release
+	}
+	return len(p), nil
+}
+
+func (l *logCapture) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// waitFor polls until cond holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// running is a Run in flight inside the test process.
+type running struct {
+	tcp, udp, http string
+	logs           *logCapture
+	ticks          chan time.Time
+	cancel         context.CancelCauseFunc
+	done           chan error
+}
+
+// startRun starts Run on :0 listeners with hand-fed ticks and finds its
+// addresses the way a script does: from the stdout lines and the log.
+func startRun(t *testing.T, cfg Config) *running {
+	t.Helper()
+	r := &running{logs: &logCapture{}, ticks: make(chan time.Time, 1), done: make(chan error, 1)}
+	log.SetOutput(r.logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = pw
+	cfg.Listen, cfg.HTTP, cfg.Ticks = "127.0.0.1:0", "127.0.0.1:0", r.ticks
+	ctx, cancel := context.WithCancelCause(context.Background())
+	r.cancel = cancel
+	go func() { r.done <- Run(ctx, cfg) }()
+
+	lines := make(chan string)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	next := func() string {
+		select {
+		case line := <-lines:
+			return line
+		case err := <-r.done:
+			t.Fatalf("Run returned before it was up: %v\n%s", err, r.logs)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("no address line on stdout\n%s", r.logs)
+		}
+		return ""
+	}
+	r.tcp = next()
+	if cfg.UDP != "" {
+		r.udp = next()
+	}
+	waitFor(t, "the http endpoints line", func() bool { return httpLine.MatchString(r.logs.String()) })
+	r.http = httpLine.FindStringSubmatch(r.logs.String())[1]
+	// Run is past its last stdout write once the http line is logged.
+	os.Stdout = stdout
+	pw.Close()
+	for range lines {
+	}
+	pr.Close()
+	return r
+}
+
+// stop cancels the run and waits for its drain.
+func (r *running) stop(t *testing.T) {
+	t.Helper()
+	r.cancel(errors.New("test done"))
+	r.wait(t)
+}
+
+func (r *running) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case err := <-r.done:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("Run did not return\n%s", r.logs)
+	}
+}
+
+// send ships msgs over one TCP connection and waits until the daemon behind
+// it has filed them all.
+func send(t *testing.T, tcpAddr, httpAddr string, already int, msgs []transport.Message) {
+	t.Helper()
+	c, err := transport.Dial(tcpAddr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the digests to be ingested", func() bool {
+		resp, err := http.Get("http://" + httpAddr + "/metrics")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		samples, err := metrics.ParseText(resp.Body)
+		return err == nil && int(samples["dcs_center_digests_ingested_total"]) == already+len(msgs)
+	})
+}
+
+// runWorkload is a seeded stream with both digest kinds for every router in
+// every epoch, and a shared vector planted in every third router's unaligned
+// digest so the analyses have evidence to agree on.
+func runWorkload(routers, epochs int) []transport.Message {
+	seed := uint64(7)
+	word := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed
+	}
+	sparse := func(bits int) *bitvec.Vector {
+		v, w := bitvec.New(bits), bitvec.New(bits)
+		v.FillRandomHalf(word)
+		w.FillRandomHalf(word)
+		v.And(v, w)
+		w.FillRandomHalf(word)
+		v.And(v, w) // an eighth full
+		return v
+	}
+	shared := bitvec.New(512)
+	shared.FillRandomHalf(word)
+	var msgs []transport.Message
+	for e := 1; e <= epochs; e++ {
+		for r := 0; r < routers; r++ {
+			bm := bitvec.New(1024)
+			bm.FillRandomHalf(word)
+			msgs = append(msgs, transport.AlignedDigest{RouterID: r, Epoch: e, Bitmap: bm})
+			d := &unaligned.Digest{RouterID: r, Rows: make([][]*bitvec.Vector, 2)}
+			for g := range d.Rows {
+				for a := 0; a < 3; a++ {
+					v := sparse(512)
+					if g == 0 && r%3 == 0 {
+						v.Or(v, shared)
+					}
+					d.Rows[g] = append(d.Rows[g], v)
+				}
+			}
+			msgs = append(msgs, transport.UnalignedDigest{Epoch: e, Digest: d})
+		}
+	}
+	return msgs
+}
+
+// readEvents decodes an -events file, dropping the fields that are clock
+// readings rather than verdicts.
+func readEvents(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		ev := map[string]any{}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		for _, k := range []string{"wall_ms", "ingest_to_analyze_p50_ms", "ingest_to_analyze_p99_ms", "finalize_p50_ms", "finalize_p99_ms"} {
+			delete(ev, k)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// TestRunStartupContract pins what bench/daemon.go and scripts depend on: a
+// bare address per listener on stdout, TCP then UDP; the http line in the
+// log; a log line per digest; the registry namespaces; and the shutdown line
+// naming the cancellation cause.
+func TestRunStartupContract(t *testing.T) {
+	r := startRun(t, Config{UDP: "127.0.0.1:0", ShardOf: -1, Journal: t.TempDir(), Center: center.Config{SubsetSize: 64}})
+	for what, addr := range map[string]string{"tcp": r.tcp, "udp": r.udp, "http": r.http} {
+		if !regexp.MustCompile(`^127\.0\.0\.1:[1-9][0-9]*$`).MatchString(addr) {
+			t.Errorf("%s address line %q is not a bare host:port", what, addr)
+		}
+	}
+	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(2, 1)})
+	u, err := transport.DialUDP(r.udp, transport.UDPClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Send(dg(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	waitFor(t, "three per-digest log lines", func() bool { return strings.Count(r.logs.String(), digestLine) == 3 })
+
+	resp, err := http.Get("http://" + r.http + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		"dcs_center_digests_ingested_total": 3,
+		"dcs_journal_appends_total":         3,
+		"dcs_transport_frames_in_total":     2,
+		"dcs_transport_udp_frames_in_total": 1,
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("/metrics %s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	r.stop(t)
+	for _, line := range []string{
+		"dcsd analysis center listening on " + r.tcp,
+		"dcsd udp ingest on " + r.udp,
+		"test done: analyzing remaining epochs and shutting down",
+		"epoch 1 aligned: no pattern across 3 routers",
+	} {
+		if !strings.Contains(r.logs.String(), line) {
+			t.Errorf("log lacks %q\n%s", line, r.logs)
+		}
+	}
+}
+
+// TestRunCrashReplayBitIdentical: a dcsd killed -9 mid-span leaves its
+// journal as the crash left it; a second Run on the same directory replays
+// before it listens, takes the rest of the stream, and on cancellation —
+// today's SIGTERM — drains every span. Its events are bit-identical to those
+// of a run that was never interrupted.
+func TestRunCrashReplayBitIdentical(t *testing.T) {
+	const routers, epochs, crashAfter = 5, 8, 5
+	msgs := runWorkload(routers, epochs)
+	split := crashAfter * routers * 2
+
+	// The uninterrupted run.
+	dir := t.TempDir()
+	r := startRun(t, crashConfig(dir))
+	send(t, r.tcp, r.http, 0, msgs)
+	r.stop(t)
+	want := readEvents(t, filepath.Join(dir, "events.jsonl"))
+	if len(want) != epochs {
+		t.Fatalf("uninterrupted run emitted %d events, want %d\n%s", len(want), epochs, r.logs)
+	}
+
+	// Life one: a real process, fed the first epochs, then killed.
+	dir = t.TempDir()
+	child := exec.Command(os.Args[0])
+	child.Env = append(os.Environ(), childJournalEnv+"="+dir)
+	stdout, err := child.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	childLog := &logCapture{}
+	child.Stderr = childLog
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	killed := false
+	defer func() {
+		if !killed {
+			child.Process.Kill()
+			child.Wait()
+		}
+	}()
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() {
+		t.Fatalf("child printed no address line: %v", sc.Err())
+	}
+	childTCP := sc.Text()
+	waitFor(t, "the child's http line", func() bool { return httpLine.MatchString(childLog.String()) })
+	send(t, childTCP, httpLine.FindStringSubmatch(childLog.String())[1], 0, msgs[:split])
+	if err := child.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	child.Wait()
+	killed = true
+
+	// Life two.
+	r = startRun(t, crashConfig(dir))
+	logs := r.logs.String()
+	recovered, listening := strings.Index(logs, "journal: recovered 50 digests"), strings.Index(logs, "listening on")
+	if recovered < 0 || listening < recovered {
+		t.Fatalf("second life did not replay the journal before listening:\n%s", logs)
+	}
+	send(t, r.tcp, r.http, split, msgs[split:])
+	r.stop(t)
+	got := readEvents(t, filepath.Join(dir, "events.jsonl"))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed run diverged from the uninterrupted run:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestRunOnce: -once handles one tick, drains and returns by itself.
+func TestRunOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := crashConfig(dir)
+	cfg.Once = true
+	r := startRun(t, cfg)
+	send(t, r.tcp, r.http, 0, runWorkload(4, 3))
+	r.ticks <- time.Now()
+	r.wait(t)
+	if got := readEvents(t, cfg.Events); len(got) != 3 {
+		t.Fatalf("-once emitted %d events, want 3\n%s", len(got), r.logs)
+	}
+}
+
+// TestRunDropsTickQueuedBehindALongOne: a tick that arrives while the
+// previous one is still being handled is dropped, not taken the moment the
+// loop comes round — the next quiescence observation has to be a window
+// away from this one. Every handled tick logs one -stats line, as does the
+// shutdown.
+func TestRunDropsTickQueuedBehindALongOne(t *testing.T) {
+	r := startRun(t, Config{ShardOf: -1, Stats: true, Center: center.Config{SubsetSize: 64}})
+	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(1, 2)})
+	statsLines := func() int { return strings.Count(r.logs.String(), "stats: frames in=") }
+
+	// Tick 1 closes epoch 1 and sticks on its verdict line.
+	r.logs.mu.Lock()
+	r.logs.gate, r.logs.entered, r.logs.release = "epoch 1: fewer than two routers", make(chan struct{}), make(chan struct{})
+	r.logs.mu.Unlock()
+	r.ticks <- time.Now()
+	<-r.logs.entered
+	r.ticks <- time.Now() // tick 2 queues behind it, as a Ticker's would
+	close(r.logs.release)
+	waitFor(t, "tick 1 to finish", func() bool { return statsLines() >= 1 })
+	r.ticks <- time.Now() // tick 3
+	waitFor(t, "tick 3 to finish", func() bool { return statsLines() >= 2 })
+	r.stop(t)
+	if n := statsLines(); n != 3 || len(r.ticks) != 0 {
+		t.Fatalf("%d stats lines and %d ticks unread, want 3 and 0: ticks 1 and 3 and the shutdown — tick 2 queued behind tick 1 and must be dropped\n%s", n, len(r.ticks), r.logs)
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"dcstream/internal/bitvec"
 	"dcstream/internal/center"
+	"dcstream/internal/daemon"
 	"dcstream/internal/shard"
 	"dcstream/internal/stats"
 	"dcstream/internal/transport"
@@ -190,21 +191,21 @@ func runCriticalPath(p ShardsParams, ccfg center.Config, n int, msgs []transport
 		scfg := ccfg
 		scfg.OwnsEpoch = part.OwnsEpoch(i)
 		scfg.OwnsSpan = part.OwnsSpan(i)
-		c := center.New(scfg)
+		node := daemon.NewNode(scfg, nil)
 		// Collect the previous shard's garbage outside the timed sections:
 		// each shard models a separate host, and without this the later,
 		// narrower cells pay GC debt inherited from the earlier ones.
 		runtime.GC()
 		t0 := time.Now()
 		for _, m := range slices[i] {
-			c.Ingest(m)
+			node.Center.Ingest(m)
 		}
 		d := time.Since(t0)
 		if d > ingest {
 			ingest = d
 		}
 		t1 := time.Now()
-		shardReps, derr := shard.Drain(c)
+		shardReps, derr := node.Drain()
 		d = time.Since(t1)
 		if derr != nil {
 			return 0, 0, nil, 0, fmt.Errorf("shard %d drain: %v", i, derr)
@@ -229,7 +230,7 @@ func runCriticalPath(p ShardsParams, ccfg center.Config, n int, msgs []transport
 // and the merged reports. This is the verification path and the single-host
 // overhead column.
 func runClusterWall(ccfg center.Config, n int, msgs []transport.Message) (time.Duration, []center.WindowReport, error) {
-	cl, err := shard.NewCluster(shard.ClusterConfig{Shards: n, Center: ccfg})
+	cl, err := daemon.NewCluster(daemon.ClusterConfig{Shards: n, Center: ccfg})
 	if err != nil {
 		return 0, nil, fmt.Errorf("starting cluster: %v", err)
 	}
@@ -271,11 +272,11 @@ func RunShards(p ShardsParams) (*ShardsResult, error) {
 	// incomparable (each width would evict different epochs).
 	ccfg := center.Config{SubsetSize: p.Subset, Parallelism: p.Workers, MaxEpochs: p.Epochs + 2}
 
-	ref := center.New(ccfg)
+	ref := daemon.NewNode(ccfg, nil)
 	for _, m := range msgs {
-		ref.Ingest(m)
+		ref.Center.Ingest(m)
 	}
-	want, err := shard.Drain(ref)
+	want, err := ref.Drain()
 	if err != nil {
 		return nil, fmt.Errorf("shards: reference drain: %v", err)
 	}

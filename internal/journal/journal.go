@@ -78,7 +78,7 @@ var ErrDegraded = errors.New("journal: degraded, append suspended")
 type Options struct {
 	// SyncEveryAppend fsyncs the active segment after each Append. Digest
 	// frames arrive once per router per epoch, so the cost is negligible
-	// next to the loss of an un-synced epoch; cmd/dcsd enables it by
+	// next to the loss of an un-synced epoch; dcsd enables it by
 	// default. Without it an OS crash (not a process crash) can lose the
 	// tail of the active segment.
 	SyncEveryAppend bool

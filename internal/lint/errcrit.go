@@ -18,8 +18,11 @@ import (
 // feeds both of them. shard joined with the scatter/gather tier: a dropped
 // scatter Send or report-push error silently turns a routed digest into a
 // missing one — the coordinator would then merge a verdict that looks
-// healthy but never saw the data.
-var errcritPkgs = []string{"journal", "transport", "center", "metrics", "traceio", "packet", "shard"}
+// healthy but never saw the data. daemon joined when the dcsd assembly left
+// cmd/: it owns the journal's Close, the listeners' Closes and the event-log
+// file, and a dropped error there is the last chance lost to learn that a
+// buffered write never reached the disk or the coordinator.
+var errcritPkgs = []string{"journal", "transport", "center", "metrics", "traceio", "packet", "shard", "daemon"}
 
 // errcritMethods are the write-path method names whose error result must not
 // be discarded inside the scoped packages: writes, syncs, deadline arming,
@@ -58,7 +61,7 @@ var errcritOsFuncs = map[string]bool{
 // a //dcslint:ignore errcrit comment stating why the error cannot lose data.
 var errcritRule = Rule{
 	Name: "errcrit",
-	Doc:  "no discarded error results from write-path calls (Write/Sync/Flush/Close/Set*Deadline/Truncate, WriteToUDP/Set*Buffer, os.Remove/Rename/... and their journal.FS method forms) in journal, transport, center, metrics, traceio, packet",
+	Doc:  "no discarded error results from write-path calls (Write/Sync/Flush/Close/Set*Deadline/Truncate, WriteToUDP/Set*Buffer, os.Remove/Rename/... and their journal.FS method forms) in journal, transport, center, metrics, traceio, packet, shard, daemon",
 	Run:  runErrcrit,
 }
 

@@ -68,6 +68,9 @@ func TestGoldenErrcrit(t *testing.T) {
 	// shard pins the scatter/gather tier's scope entry: coordinator scatter
 	// writes, report-push closes, and the simulated-crash carve-out.
 	runGolden(t, "errcrit/shard", "errcrit")
+	// daemon pins the assembly's scope entry: the journal, listener and
+	// event-log closes that used to sit outside library scope in cmd/dcsd.
+	runGolden(t, "errcrit/daemon", "errcrit")
 }
 
 func TestGoldenWiretaint(t *testing.T) {

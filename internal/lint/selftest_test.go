@@ -127,22 +127,27 @@ var incrementalStateFiles = map[string][]string{
 }
 
 // shardCriticalFiles are the scatter/gather tier's write-path files. The
-// coordinator's scatter sends and the cluster's report pushes are exactly the
+// coordinator's scatter sends and the nodes' report pushes are exactly the
 // writes whose dropped errors turn routed digests into silently missing ones,
-// so internal/shard must stay inside the errcrit scope and inside the lint
-// load — this test fails on a scope-list edit or package rename that would
-// drop it out.
+// so internal/shard and internal/daemon — the assembly that owns the push,
+// the journal and the listeners, and the in-process Cluster — must stay
+// inside the errcrit scope and inside the lint load. This test fails on a
+// scope-list edit or package rename that would drop either out.
 var shardCriticalFiles = map[string][]string{
-	"dcstream/internal/shard": {"coordinator.go", "cluster.go", "report.go"},
+	"dcstream/internal/shard":  {"coordinator.go", "report.go"},
+	"dcstream/internal/daemon": {"node.go", "run.go", "cluster.go", "events.go"},
 }
 
-// TestErrcritCoversShardTier pins the shard package into the errcrit scope.
+// TestErrcritCoversShardTier pins the shard and daemon packages into the
+// errcrit scope.
 func TestErrcritCoversShardTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source; skipped in -short")
 	}
-	if !segmentIn("shard", errcritPkgs) {
-		t.Error("errcrit scope lost \"shard\"; dropped scatter/report-push write errors would go unlinted")
+	for _, seg := range []string{"shard", "daemon"} {
+		if !segmentIn(seg, errcritPkgs) {
+			t.Errorf("errcrit scope lost %q; dropped scatter, report-push and journal-close errors would go unlinted", seg)
+		}
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"fmt"
@@ -9,6 +9,8 @@ import (
 
 	"dcstream/internal/bitvec"
 	"dcstream/internal/center"
+	"dcstream/internal/daemon"
+	"dcstream/internal/shard"
 	"dcstream/internal/stats"
 	"dcstream/internal/transport"
 	"dcstream/internal/unaligned"
@@ -61,11 +63,11 @@ func buildShardWorkload(seed uint64, routers, epochs int) []transport.Message {
 // epoch — the ground truth every cluster configuration must reproduce.
 func referenceReports(t *testing.T, cfg center.Config, msgs []transport.Message) []center.WindowReport {
 	t.Helper()
-	c := center.New(cfg)
+	n := daemon.NewNode(cfg, nil)
 	for _, m := range msgs {
-		c.Ingest(m)
+		n.Center.Ingest(m)
 	}
-	reps, err := Drain(c)
+	reps, err := n.Drain()
 	if err != nil {
 		t.Fatalf("reference drain: %v", err)
 	}
@@ -79,9 +81,9 @@ func sortReports(reps []center.WindowReport) {
 
 // runCluster routes the stream through a fresh cluster and returns the merged
 // verdict stream.
-func runCluster(t *testing.T, cfg ClusterConfig, msgs []transport.Message) []MergedReport {
+func runCluster(t *testing.T, cfg daemon.ClusterConfig, msgs []transport.Message) []shard.MergedReport {
 	t.Helper()
-	cl, err := NewCluster(cfg)
+	cl, err := daemon.NewCluster(cfg)
 	if err != nil {
 		t.Fatalf("starting cluster: %v", err)
 	}
@@ -105,7 +107,7 @@ func runCluster(t *testing.T, cfg ClusterConfig, msgs []transport.Message) []Mer
 
 // mergedToReports strips the merge metadata, asserting along the way that the
 // stream is strictly epoch-ascending and nothing was synthesized.
-func mergedToReports(t *testing.T, merged []MergedReport, part Partition) []center.WindowReport {
+func mergedToReports(t *testing.T, merged []shard.MergedReport, part shard.Partition) []center.WindowReport {
 	t.Helper()
 	reps := make([]center.WindowReport, 0, len(merged))
 	for i, m := range merged {
@@ -134,8 +136,8 @@ func TestShardClusterOneShardBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("slide%d_workers%d", slide, workers), func(t *testing.T) {
 				cfg := center.Config{SubsetSize: 64, MaxEpochs: 16, Parallelism: workers, WindowSlide: slide}
 				want := referenceReports(t, cfg, msgs)
-				merged := runCluster(t, ClusterConfig{Shards: 1, Center: cfg}, msgs)
-				got := mergedToReports(t, merged, Partition{Shards: 1, Slide: slide})
+				merged := runCluster(t, daemon.ClusterConfig{Shards: 1, Center: cfg}, msgs)
+				got := mergedToReports(t, merged, shard.Partition{Shards: 1, Slide: slide})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("1-shard cluster diverged from single center:\n got %+v\nwant %+v", got, want)
 				}
@@ -167,8 +169,8 @@ func TestShardClusterScatterGatherBitIdentical(t *testing.T) {
 		want := clearRetired(referenceReports(t, cfg, msgs))
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("slide%d_shards%d", slide, shards), func(t *testing.T) {
-				merged := runCluster(t, ClusterConfig{Shards: shards, Center: cfg}, msgs)
-				got := clearRetired(mergedToReports(t, merged, Partition{Shards: shards, Slide: slide}))
+				merged := runCluster(t, daemon.ClusterConfig{Shards: shards, Center: cfg}, msgs)
+				got := clearRetired(mergedToReports(t, merged, shard.Partition{Shards: shards, Slide: slide}))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%d-shard cluster diverged from single center:\n got %+v\nwant %+v", shards, got, want)
 				}
@@ -193,7 +195,7 @@ func TestShardClusterKillOneShardChaos(t *testing.T) {
 		byEpoch[r.Epoch] = r
 	}
 
-	cl, err := NewCluster(ClusterConfig{Shards: shards, Center: cfg})
+	cl, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg})
 	if err != nil {
 		t.Fatalf("starting cluster: %v", err)
 	}

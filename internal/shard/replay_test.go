@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"reflect"
@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"dcstream/internal/center"
+	"dcstream/internal/daemon"
+	"dcstream/internal/shard"
 	"dcstream/internal/transport"
 )
 
@@ -30,11 +32,11 @@ func TestShardJournalReplayMidSpanCrash(t *testing.T) {
 		t.Fatal("workload never reached the crash epoch")
 	}
 	cfg := center.Config{SubsetSize: 64, MaxEpochs: 16, Parallelism: 2, WindowSlide: 3}
-	part := Partition{Shards: shards, Slide: 3}
+	part := shard.Partition{Shards: shards, Slide: 3}
 
 	// Uninterrupted run: one cluster, journal on (same config as the crash
 	// run, so the only variable is the crash), whole stream, one drain.
-	control := runCluster(t, ClusterConfig{
+	control := runCluster(t, daemon.ClusterConfig{
 		Shards: shards, Center: cfg, JournalDir: t.TempDir(), JournalSync: true,
 	}, msgs)
 	want := mergedToReports(t, control, part)
@@ -42,7 +44,7 @@ func TestShardJournalReplayMidSpanCrash(t *testing.T) {
 	// Crash run, life one: ingest the prefix, then kill every shard with no
 	// drain — reports unpushed, spans open, journals un-closed mid-span.
 	dir := t.TempDir()
-	cl, err := NewCluster(ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir, JournalSync: true})
+	cl, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir, JournalSync: true})
 	if err != nil {
 		t.Fatalf("starting first life: %v", err)
 	}
@@ -62,7 +64,7 @@ func TestShardJournalReplayMidSpanCrash(t *testing.T) {
 	// Life two: same journal directories. Replay runs before the servers
 	// accept a byte — the same replay-before-listen rule dcsd follows — then
 	// the rest of the stream arrives over the wire.
-	cl2, err := NewCluster(ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir, JournalSync: true})
+	cl2, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir, JournalSync: true})
 	if err != nil {
 		t.Fatalf("starting second life: %v", err)
 	}

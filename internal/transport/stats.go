@@ -4,7 +4,7 @@ import "dcstream/internal/metrics"
 
 // Stats counts transport-level events with atomic counters so the server's
 // per-connection goroutines and a ReconnectingClient's sender can bump them
-// without locks, and cmd/dcsd can snapshot them while traffic flows. The
+// without locks, and internal/daemon can snapshot them while traffic flows. The
 // fields are registry-grade metrics (their Add/Load API matches
 // sync/atomic's), so Register can expose the same values on /metrics without
 // a second set of books.
