@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BENCH_LABEL ?= local
 BENCH_SCALE ?= default
 
-.PHONY: build test lint verify bench bench-json bench-udp-json bench-streaming-json bench-shards-json chaos fuzz-smoke clean
+.PHONY: build test lint fmt-check verify bench bench-json bench-udp-json bench-shed-json bench-streaming-json bench-shards-json chaos fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,17 @@ LINTFLAGS ?=
 lint:
 	$(GO) run ./cmd/dcslint $(LINTFLAGS) ./...
 
-# Full verification tier: vet, dcslint, the race-enabled test run, and a
-# shuffled-order pass. The transport and center packages spin up real TCP
+# Formatting gate: gofmt -l prints the files it would rewrite; any is a
+# failure.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
+
+# Full verification tier: gofmt, vet, dcslint, the race-enabled test run, and
+# a shuffled-order pass. The transport and center packages spin up real TCP
 # servers and concurrent ingest, so the race detector is part of the
 # acceptance bar, not an optional extra; the shuffle run enforces that no test
 # depends on execution order or leaked global state.
-verify:
+verify: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/dcslint ./...
 	$(GO) test -race ./...
@@ -94,9 +99,12 @@ bench-shards-json:
 # mid-span crash journal replay on a shard journal, and the scatter/gather
 # bit-identity contracts. The daemon assembly's own tier closes the list: the
 # hand-fed tick policy table, journal retirement under -slide, and the
-# kill -9 / replay-before-listen / drain-on-cancel run of the whole dcsd.
+# kill -9 / replay-before-listen / drain-on-cancel run of the whole dcsd, plus
+# the completion path: the hand-fed wake policy table, its equivalence to the
+# tick-only policy over seeded fleets, the restart-never-re-reports cases, and
+# Handle/Wake/Tick under the race detector.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun' \
+	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster' \
 		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/daemon/...
 
 # Short fuzz of the crash/byte-level decoders: the transport wire reader, the

@@ -266,6 +266,16 @@ type window struct {
 	// accounted bytes ride in the center's bufferedBytes ledger (not in
 	// w.bytes, which stays the retained digest payload).
 	acc *aligned.Accumulator
+	// expect is what the window still waits for: the registry's (router, kind)
+	// pairs live under the MaxWait horizon when the window opened (a kindBits
+	// mask per router), minus every one stored since. complete latches when a
+	// stored digest empties a set that was not empty to begin with — the
+	// moment the close policy no longer has to wait for quiescence. A window
+	// opened on an empty registry (the fleet's first epoch) expects nothing
+	// and never completes. Bounded by the registry, so it rides outside the
+	// byte ledger like the registry itself. Mutated only under the center's mu.
+	expect   map[int]kindBits
+	complete bool
 }
 
 func (c *Center) newWindowLocked() *window {
@@ -317,11 +327,14 @@ type Center struct {
 	// analyzes degraded. Tombstones at or below the floor are pruned when it
 	// rises, so the set stays bounded by the ring width. guarded by mu
 	evicted map[int]bool
-	// lastSeen is the router registry: the newest epoch each router has
-	// ever stamped on a digest (late and duplicate digests count — the
-	// router is alive even when its data is unusable). Quorum liveness is
-	// derived from it.
-	lastSeen map[int]int // guarded by mu
+	// roster is the router registry: per router, the newest epoch it has ever
+	// stamped on each digest kind (late and duplicate digests count — the
+	// router is alive even when its data is unusable). Quorum liveness is its
+	// per-router view; the set a new window expects is its per-kind view.
+	roster map[int]rosterRow // guarded by mu
+	// wake is poked (never blocked on) when a window's last expected digest
+	// is stored. Immutable after New.
+	wake chan struct{}
 	// bufferedBytes is the byte-accounted size of every buffered window —
 	// what Config.MemoryBudgetBytes constrains. guarded by mu
 	bufferedBytes int64
@@ -378,7 +391,8 @@ func New(cfg Config) *Center {
 		cfg:          cfg.withDefaults(),
 		windows:      make(map[int]*window),
 		evicted:      make(map[int]bool),
-		lastSeen:     make(map[int]int),
+		roster:       make(map[int]rosterRow),
+		wake:         make(chan struct{}, 1),
 		lambdaTables: make(map[lambdaKey]*unaligned.LambdaTable),
 	}
 	if c.cfg.Analysis == AnalysisIncremental {
@@ -422,7 +436,7 @@ func (c *Center) RegisterMetrics(r *metrics.Registry) {
 		"distinct routers that have ever reported a digest", func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return float64(len(c.lastSeen))
+			return float64(len(c.roster))
 		})
 }
 
@@ -432,11 +446,12 @@ func (c *Center) RegisterMetrics(r *metrics.Registry) {
 // or evicted are counted late and dropped.
 func (c *Center) Ingest(m transport.Message) {
 	var epoch, router int
+	var kind digestKind
 	switch d := m.(type) {
 	case transport.AlignedDigest:
-		epoch, router = d.Epoch, d.RouterID
+		epoch, router, kind = d.Epoch, d.RouterID, kindAligned
 	case transport.UnalignedDigest:
-		epoch, router = d.Epoch, d.Digest.RouterID
+		epoch, router, kind = d.Epoch, d.Digest.RouterID, kindUnaligned
 	default:
 		c.cfg.Stats.UnknownMessages.Add(1)
 		return
@@ -451,13 +466,19 @@ func (c *Center) Ingest(m transport.Message) {
 		c.cfg.Stats.MisroutedDigests.Add(1)
 		return
 	}
-	if last, ok := c.lastSeen[router]; !ok || epoch > last {
-		c.lastSeen[router] = epoch
-	}
+	// Register first — a late digest still proves its router alive, and ring
+	// eviction below judges quorum holds by the registry including it.
+	prev := c.roster[router]
+	c.roster[router] = prev.stamped(kind, epoch)
+	_, buffered := c.windows[epoch]
 	w := c.windowFor(epoch)
 	if w == nil {
 		c.cfg.Stats.LateDigests.Add(1)
 		return
+	}
+	if !buffered {
+		// This digest opened the window: fix what it waits for.
+		w.expect = c.expectedLocked(epoch, router, prev)
 	}
 	// A DupKeepLast replacement mutates the window without growing it, so it
 	// counts in ReplacedDigests, not DigestsIngested — otherwise eviction's
@@ -548,11 +569,13 @@ func (c *Center) Ingest(m transport.Message) {
 			c.enforceBudgetLocked(epoch)
 		}
 		c.cfg.Stats.DigestsIngested.Add(1)
+		c.arrivedLocked(w, router, kind)
 		return
 	}
 	w.bytes += sz
 	c.bufferedBytes += sz
 	c.cfg.Stats.DigestsIngested.Add(1)
+	c.arrivedLocked(w, router, kind)
 }
 
 // rejectLocked records a budget rejection against the window the digest was
@@ -670,26 +693,6 @@ func (c *Center) raiseFloor(e int) {
 	}
 }
 
-// RouterStatus is one registry entry: a router and the newest epoch it has
-// stamped on any digest (late or duplicate digests count — they still prove
-// the router is alive).
-type RouterStatus struct {
-	RouterID  int
-	LastEpoch int
-}
-
-// Routers lists every router that has ever reported, sorted by id.
-func (c *Center) Routers() []RouterStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]RouterStatus, 0, len(c.lastSeen))
-	for id, last := range c.lastSeen {
-		out = append(out, RouterStatus{RouterID: id, LastEpoch: last})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RouterID < out[j].RouterID })
-	return out
-}
-
 // QuorumState describes how far one epoch's window is from quorum.
 type QuorumState struct {
 	// Epoch is the window asked about.
@@ -725,13 +728,7 @@ func (c *Center) quorumLocked(epoch int) QuorumState {
 	if c.cfg.MinRouters <= 0 {
 		return st
 	}
-	horizon := epoch - c.cfg.MaxWait
-	for id, last := range c.lastSeen {
-		if last >= horizon && !reporters[id] {
-			st.Missing = append(st.Missing, id)
-		}
-	}
-	sort.Ints(st.Missing)
+	st.Missing = c.absentLocked(epoch, reporters)
 	st.Hold = st.Reported < c.cfg.MinRouters && len(st.Missing) > 0 &&
 		c.maxSeen-epoch < c.cfg.MaxWait
 	return st
@@ -765,17 +762,11 @@ type windowMeta struct {
 // c.mu.
 func (c *Center) metaLocked(epoch int, w *window) windowMeta {
 	rep := w.reporters()
-	m := windowMeta{fleet: len(c.lastSeen), observed: len(rep)}
+	m := windowMeta{fleet: len(c.roster), observed: len(rep)}
 	if c.cfg.MinRouters <= 0 {
 		return m
 	}
-	horizon := epoch - c.cfg.MaxWait
-	for id, last := range c.lastSeen {
-		if last >= horizon && !rep[id] {
-			m.missing = append(m.missing, id)
-		}
-	}
-	sort.Ints(m.missing)
+	m.missing = c.absentLocked(epoch, rep)
 	m.degraded = m.observed < c.cfg.MinRouters
 	return m
 }
@@ -796,6 +787,11 @@ func (c *Center) Pending() (alignedCount, unalignedCount int) {
 func (c *Center) Epochs() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.epochsLocked()
+}
+
+// epochsLocked lists the buffered epochs, oldest first. Caller holds c.mu.
+func (c *Center) epochsLocked() []int {
 	out := make([]int, 0, len(c.windows))
 	for e := range c.windows {
 		out = append(out, e)

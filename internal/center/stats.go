@@ -53,6 +53,13 @@ type Stats struct {
 	// DegradedEpochs counts windows analyzed below the MinRouters quorum
 	// (a subset of EpochsAnalyzed; always 0 with quorum gating off).
 	DegradedEpochs metrics.Counter
+	// Closed counts analyzed windows by what closed them, indexed by
+	// CloseCause. The center analyzes what it is told to; the close policy
+	// (daemon.Node) knows why it asked and bumps the counter. A fleet on the
+	// fast path closes by CloseComplete; one whose closes move to
+	// CloseSuperseded and CloseQuiescent has a silent router or is losing
+	// digests.
+	Closed [numCloseCauses]metrics.Counter
 	// IngestToAnalyzeSeconds is the latency from a window's first ingested
 	// digest to the completion of its analysis — the operator's view of how
 	// far behind the fleet the center is running.
@@ -61,6 +68,27 @@ type Stats struct {
 	// once the span snapshot detaches — the cost the incremental path
 	// drives down from a full rebuild to a replay of maintained state.
 	FinalizeSeconds metrics.Histogram
+}
+
+// CloseCause says which rule of the close policy closed a window.
+type CloseCause int
+
+const (
+	// CloseComplete: every digest the window expected had been stored.
+	CloseComplete CloseCause = iota
+	// CloseSuperseded: a newer epoch had been seen and the quorum gate was
+	// not holding the window.
+	CloseSuperseded
+	// CloseQuiescent: the window sat out a full tick unchanged (including a
+	// quorum hold running out of ticks).
+	CloseQuiescent
+	// CloseDrain: the shutdown drain closed what was still buffered.
+	CloseDrain
+	numCloseCauses
+)
+
+func (c CloseCause) String() string {
+	return [numCloseCauses]string{"complete", "superseded", "quiescent", "drain"}[c]
 }
 
 // centerLatencyBuckets replaces metrics.DefBuckets on the center's latency
@@ -103,6 +131,10 @@ func (s *Stats) Register(r *metrics.Registry) {
 		"digests dropped because their epoch fails the shard partition predicate", &s.MisroutedDigests)
 	r.RegisterCounter("dcs_center_epochs_analyzed_total",
 		"epoch windows closed by analysis", &s.EpochsAnalyzed)
+	for cause := CloseCause(0); cause < numCloseCauses; cause++ {
+		r.RegisterCounter("dcs_center_epochs_closed_"+cause.String()+"_total",
+			"epoch windows closed by analysis, by the close-policy rule that closed them: "+cause.String(), &s.Closed[cause])
+	}
 	r.RegisterCounter("dcs_center_epochs_evicted_total",
 		"epoch windows evicted unanalyzed to make ring room", &s.EpochsEvicted)
 	r.RegisterCounter("dcs_center_epochs_degraded_total",

@@ -118,6 +118,19 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 	return s, nil
 }
 
+// RestoreSpanWatermark tells a fresh sliding-window center that the spans
+// ending at or below epoch were reported by a previous life, before their
+// still-buffered context epochs are replayed into it: those epochs then feed
+// the spans ahead and are never reported a second time on less context than
+// the first. A no-op outside sliding mode.
+func (c *Center) RestoreSpanWatermark(epoch int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cfg.WindowSlide > 1 && (!c.spanClosedValid || epoch > c.spanClosed) {
+		c.spanClosed, c.spanClosedValid = epoch, true
+	}
+}
+
 // snapshotAlignedLocked captures the span's aligned input. The incremental
 // matrix is usable when every span accumulator is clean and they agree on
 // width; otherwise the batch transposition runs on the buffered bitmaps,

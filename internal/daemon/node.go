@@ -24,7 +24,7 @@ import (
 
 // Node is one analysis center with its journal and report sinks. Handle is
 // safe for concurrent use (the transport servers call it from their own
-// goroutines); Tick and Drain belong to the one goroutine that runs the
+// goroutines); Tick, Wake and Drain belong to the one goroutine that runs the
 // node's clock.
 type Node struct {
 	Center  *center.Center
@@ -32,6 +32,7 @@ type Node struct {
 
 	log     *log.Logger
 	maxWait int          // quiescent ticks a below-quorum epoch may be held
+	sliding bool         // reports leave their own epoch buffered for the spans ahead
 	events  *eventLog    // nil = no event log
 	push    shard.Sender // nil = reports stay local
 	shard   int          // this node's index in the envelopes it pushes
@@ -44,7 +45,7 @@ type Node struct {
 	prev map[int]int // Tick: per-epoch digest counts at the start of the previous tick
 	held map[int]int // Tick: quiescent ticks each buffered epoch has been held below quorum
 
-	reps []center.WindowReport // what the running Tick or Drain has finished
+	reps []center.WindowReport // what the running Tick, Wake or Drain has finished
 	err  error                 // and the first fault it met
 }
 
@@ -55,19 +56,24 @@ func NewNode(cfg center.Config, logger *log.Logger) *Node {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	return &Node{Center: center.New(cfg), log: logger, maxWait: cfg.MaxWait, held: map[int]int{}}
+	return &Node{Center: center.New(cfg), log: logger, maxWait: cfg.MaxWait, sliding: cfg.WindowSlide > 1, held: map[int]int{}}
 }
 
 // OpenJournal attaches the crash journal in dir and replays every
-// un-analyzed epoch it holds into the center. Call it before serving:
-// replayed digests must not interleave with live ones from collectors that
-// reconnect immediately.
+// un-analyzed epoch it holds into the center, after telling the center which
+// sliding spans the previous life already reported: their epochs come back as
+// context for the spans ahead, not to be reported again. Call it before
+// serving: replayed digests must not interleave with live ones from
+// collectors that reconnect immediately.
 func (n *Node) OpenJournal(dir string, syncEveryAppend bool) error {
 	jr, err := journal.Open(dir, journal.Options{SyncEveryAppend: syncEveryAppend})
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	n.Journal = jr
+	if e, ok := jr.SpanWatermark(); ok {
+		n.Center.RestoreSpanWatermark(e)
+	}
 	if err := jr.Replay(func(m transport.Message) error {
 		n.Center.Ingest(m)
 		return nil
@@ -117,6 +123,20 @@ func (n *Node) Handle(m transport.Message, from net.Addr) {
 	}
 }
 
+// Wake runs when the center signals (Center.Completed) that some epoch's last
+// expected digest has been stored: the sequence a tick runs — shed tombstones,
+// then epochs superseded by a newer one — and then, oldest first, the
+// complete epochs, which a tick would have closed one to two windows later.
+// Everything short of complete is left to Tick. Returns as Tick does.
+func (n *Node) Wake() ([]center.WindowReport, error) {
+	n.drainShed()
+	n.drainComplete()
+	for _, e := range n.Center.CompleteEpochs() {
+		n.analyze(e, center.CloseComplete)
+	}
+	return n.take()
+}
+
 // Tick runs the epoch-close policy once per window tick: shed tombstones
 // first, then epochs superseded by a newer one, then, oldest first, every
 // epoch that sat out a full tick with no new digests. The quorum gate can
@@ -153,7 +173,7 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 			}
 			n.log.Printf("epoch %d exhausted quorum wait; analyzing degraded", e)
 		}
-		n.analyze(e)
+		n.analyze(e, center.CloseQuiescent)
 		delete(n.held, e)
 	}
 	// An epoch held once and then closed by a drain, shed or evicted never
@@ -174,7 +194,7 @@ func (n *Node) Drain() ([]center.WindowReport, error) {
 	n.drainShed()
 	n.drainComplete()
 	for _, e := range n.Center.Epochs() {
-		n.analyze(e)
+		n.analyze(e, center.CloseDrain)
 	}
 	n.drainShed()
 	return n.take()
@@ -215,11 +235,11 @@ func (n *Node) drainComplete() {
 			}
 			return
 		}
-		n.finish(rep, time.Since(start))
+		n.closed(rep, center.CloseSuperseded, time.Since(start))
 	}
 }
 
-func (n *Node) analyze(epoch int) {
+func (n *Node) analyze(epoch int, cause center.CloseCause) {
 	start := time.Now()
 	rep, err := n.Center.Analyze(epoch)
 	switch {
@@ -229,13 +249,22 @@ func (n *Node) analyze(epoch int) {
 	case err != nil:
 		n.fault("epoch %d analysis: %w", epoch, err)
 	default:
-		n.finish(rep, time.Since(start))
+		n.closed(rep, cause, time.Since(start))
 	}
 }
 
+// closed finishes the report of an epoch the center analyzed, and counts the
+// close under the policy rule that asked for it.
+func (n *Node) closed(rep center.WindowReport, cause center.CloseCause, wall time.Duration) {
+	n.Center.Stats().Closed[cause].Inc()
+	n.finish(rep, wall)
+}
+
 // finish delivers one report to every sink — the log, the event log, the
-// coordinator — and then lets the journal forget the epochs the report
-// retired.
+// coordinator — then records a sliding span as reported, and only then lets
+// the journal forget the epochs the report retired: a crash anywhere in
+// between can repeat this report on restart, identically, but never re-report
+// it from the context the retirement left behind.
 func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
 	logReport(n.log, rep)
 	if err := n.events.emit(rep, wall); err != nil {
@@ -245,6 +274,11 @@ func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
 		n.pushReport(rep)
 	}
 	if n.Journal != nil {
+		if n.sliding && !rep.Shed {
+			if err := n.Journal.SpanReported(rep.Epoch); err != nil {
+				n.fault("journal: marking span %d reported: %w", rep.Epoch, err)
+			}
+		}
 		// Only retired epochs may forget their journal frames: under a
 		// sliding window a report's own epoch stays buffered for the next
 		// overlapping spans, and purging it would lose those digests across

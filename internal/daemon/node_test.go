@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,7 +69,7 @@ func (p *parentPolicy) tick(n *Node) ([]center.WindowReport, error) {
 				continue
 			}
 		}
-		n.analyze(e)
+		n.analyze(e, center.CloseQuiescent)
 		delete(counts, e)
 		delete(p.heldTicks, e)
 	}
@@ -354,5 +356,116 @@ func TestShedTombstoneRetiresJournal(t *testing.T) {
 	cfg.MemoryBudgetBytes = 0
 	if got, want := replayedEpochs(t, dir, cfg), []int{2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("a restart replays epochs %v, want %v", got, want)
+	}
+}
+
+// spans names each report by its epoch and the epochs its span held data for,
+// the way the restart scenarios are written down: "5[3 4 5]".
+func spans(reps []center.WindowReport) []string {
+	out := []string{}
+	for _, rep := range reps {
+		out = append(out, fmt.Sprintf("%d%v", rep.Epoch, rep.SpanEpochs))
+	}
+	return out
+}
+
+// slidingLife opens a -slide 3 node on dir, feeds it the given epochs whole
+// and ticks until they are all reported; push, when not nil, runs in the
+// middle of every finish.
+func slidingLife(t *testing.T, dir string, push sendFunc, epochs ...int) (*Node, []center.WindowReport) {
+	t.Helper()
+	n := NewNode(center.Config{SubsetSize: 64, WindowSlide: 3, MaxEpochs: 8}, nil)
+	if err := n.OpenJournal(dir, false); err != nil {
+		t.Fatal(err)
+	}
+	if push != nil {
+		n.push = push
+	}
+	for _, e := range epochs {
+		n.Handle(dg(1, e), from)
+		n.Handle(dg(2, e), from)
+	}
+	var all []center.WindowReport
+	for i := 0; i < 3; i++ {
+		reps, err := n.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, reps...)
+	}
+	return n, all
+}
+
+// TestRestartNeverReReportsASpan: under -slide 3 the journal keeps the last
+// two reported epochs, because the spans ahead still need them. A restart
+// replays them as context; it must not report their spans a second time, on
+// the truncated context the retirements left — 4[4] and 5[4 5], a second and
+// different verdict for spans the first life already reported as 4[2 3 4]
+// and 5[3 4 5].
+func TestRestartNeverReReportsASpan(t *testing.T) {
+	dir := t.TempDir()
+	one, reps := slidingLife(t, dir, nil, 1, 2, 3, 4, 5)
+	if got, want := spans(reps), []string{"1[1]", "2[1 2]", "3[1 2 3]", "4[2 3 4]", "5[3 4 5]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("life one reported %v, want %v", got, want)
+	}
+	if err := one.Close(); err != nil {
+		t.Fatal(err)
+	}
+	two, reps := slidingLife(t, dir, nil, 6)
+	defer two.Close()
+	if got, want := spans(reps), []string{"6[4 5 6]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("life two reported %v, want %v: a span the first life reported came out again", got, want)
+	}
+}
+
+// TestCrashAfterReportRepeatsItIdentically: finish orders its steps report →
+// span mark → retirement, so the journal as a crash leaves it between any two
+// of them can only make the next life repeat the last report bit for bit. The
+// crash images are copies of the journal directory taken while report 5 is
+// being pushed (reported, not yet marked) and just after finish returns.
+func TestCrashAfterReportRepeatsItIdentically(t *testing.T) {
+	snapshot := func(from, to string) {
+		entries, err := os.ReadDir(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range entries {
+			if ent.IsDir() {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(from, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(to, ent.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dir, midFinish, afterFinish := t.TempDir(), t.TempDir(), t.TempDir()
+	pushes := 0
+	one, first := slidingLife(t, dir, func() {
+		if pushes++; pushes == 5 {
+			snapshot(dir, midFinish)
+		}
+	}, 1, 2, 3, 4, 5)
+	defer one.Close()
+	if len(first) != 5 {
+		t.Fatalf("life one reported %v, want five spans", spans(first))
+	}
+	snapshot(dir, afterFinish)
+
+	two, reps := slidingLife(t, midFinish, nil, 6)
+	defer two.Close()
+	if got, want := spans(reps), []string{"5[3 4 5]", "6[4 5 6]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a crash between report and span mark: life two reported %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(reps[0], first[4]) {
+		t.Fatalf("the repeated report differs from the first:\n got %+v\nwant %+v", reps[0], first[4])
+	}
+	three, reps := slidingLife(t, afterFinish, nil, 6)
+	defer three.Close()
+	if got, want := spans(reps), []string{"6[4 5 6]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a crash after finish: the next life reported %v, want %v", got, want)
 	}
 }

@@ -45,9 +45,14 @@ type Config struct {
 // role is everything that differs between dcsd's center role and its
 // coordinator role; the rest of Run is shared.
 type role struct {
-	name     string // for the startup line
-	handle   transport.Handler
-	tick     func()
+	name   string // for the startup line
+	handle transport.Handler
+	tick   func()
+	// wake is poked from the transport goroutines when there may be a report
+	// to finish without waiting for the next tick; woken finishes it, on the
+	// loop's goroutine like tick.
+	wake     <-chan struct{}
+	woken    func()
 	draining string // what drain does, for the shutdown line
 	drain    func()
 	stats    func(tcp *transport.Server, udp *transport.UDPServer)
@@ -153,6 +158,8 @@ func Run(ctx context.Context, cfg Config) error {
 			case <-ticks:
 			default:
 			}
+		case <-r.wake:
+			r.woken()
 		case <-ctx.Done():
 			log.Printf("%v: %s and shutting down", context.Cause(ctx), r.draining)
 			r.drain()
@@ -227,6 +234,8 @@ func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) 
 		name:     "analysis center",
 		handle:   n.Handle,
 		tick:     func() { n.Tick() },
+		wake:     n.Center.Completed(),
+		woken:    func() { n.Wake() },
 		draining: "analyzing remaining epochs",
 		drain:    func() { n.Drain() },
 		stats: func(tcp *transport.Server, udp *transport.UDPServer) {
@@ -304,6 +313,11 @@ func coordinatorRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, er
 			}
 			drain()
 		},
+		// A report gathered between ticks is merged at once: the shards close
+		// their epochs as they complete, and the coordinator must not
+		// re-quantise those reports to its own tick. Expiry stays on the tick.
+		wake:     co.Gathered(),
+		woken:    drain,
 		draining: "draining merge",
 		drain: func() {
 			co.ExpireStale(0)

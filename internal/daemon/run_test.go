@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -21,6 +22,7 @@ import (
 	"dcstream/internal/bitvec"
 	"dcstream/internal/center"
 	"dcstream/internal/metrics"
+	"dcstream/internal/shard"
 	"dcstream/internal/transport"
 	"dcstream/internal/unaligned"
 )
@@ -331,11 +333,14 @@ func TestRunStartupContract(t *testing.T) {
 	}
 }
 
-// TestRunCrashReplayBitIdentical: a dcsd killed -9 mid-span leaves its
+// TestRunCrashReplayBitIdentical: a dcsd killed -9 mid-stream leaves its
 // journal as the crash left it; a second Run on the same directory replays
 // before it listens, takes the rest of the stream, and on cancellation —
-// today's SIGTERM — drains every span. Its events are bit-identical to those
-// of a run that was never interrupted.
+// today's SIGTERM — drains every span. The first life reports its spans as
+// they complete (no tick ever fires: the window is an hour), so the event log
+// the two lives wrote together must read exactly as that of a run that was
+// never interrupted: every span once, bit-identical, none reported again from
+// the replayed context.
 func TestRunCrashReplayBitIdentical(t *testing.T) {
 	const routers, epochs, crashAfter = 5, 8, 5
 	msgs := runWorkload(routers, epochs)
@@ -378,6 +383,14 @@ func TestRunCrashReplayBitIdentical(t *testing.T) {
 	childTCP := sc.Text()
 	waitFor(t, "the child's http line", func() bool { return httpLine.MatchString(childLog.String()) })
 	send(t, childTCP, httpLine.FindStringSubmatch(childLog.String())[1], 0, msgs[:split])
+	// The kill lands once span 5 is reported, marked and its retired epoch
+	// forgotten — the last line finish writes — so what life two finds is
+	// fixed: epochs 4 and 5 as context, nothing left to report. (The crash
+	// points inside finish are TestCrashAfterReportRepeatsItIdentically's.)
+	waitFor(t, "life one to report span 5 and retire epoch 3, with no tick", func() bool {
+		marks, err := os.ReadFile(filepath.Join(dir, "journal", "ANALYZED"))
+		return err == nil && strings.Contains("\n"+string(marks), "\n3\n")
+	})
 	if err := child.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,15 +400,51 @@ func TestRunCrashReplayBitIdentical(t *testing.T) {
 	// Life two.
 	r = startRun(t, crashConfig(dir))
 	logs := r.logs.String()
-	recovered, listening := strings.Index(logs, "journal: recovered 50 digests"), strings.Index(logs, "listening on")
+	recovered, listening := strings.Index(logs, "journal: recovered 20 digests"), strings.Index(logs, "listening on")
 	if recovered < 0 || listening < recovered {
 		t.Fatalf("second life did not replay the journal before listening:\n%s", logs)
 	}
-	send(t, r.tcp, r.http, split, msgs[split:])
+	send(t, r.tcp, r.http, 20, msgs[split:])
 	r.stop(t)
 	got := readEvents(t, filepath.Join(dir, "events.jsonl"))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed run diverged from the uninterrupted run:\n got %v\nwant %v", got, want)
+		t.Fatalf("the two lives' events diverged from the uninterrupted run's:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestRunReportsOnCompletionWithoutTicks: the report of a complete epoch
+// arrives with no tick ever fired, and the shutdown has nothing left to do.
+func TestRunReportsOnCompletionWithoutTicks(t *testing.T) {
+	dir := t.TempDir()
+	r := startRun(t, crashConfig(dir))
+	send(t, r.tcp, r.http, 0, runWorkload(4, 3))
+	events := filepath.Join(dir, "events.jsonl")
+	waitFor(t, "three events with no tick", func() bool {
+		raw, err := os.ReadFile(events)
+		return err == nil && bytes.Count(raw, []byte("\n")) == 3
+	})
+	resp, err := http.Get("http://" + r.http + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first epoch expected nobody and closes superseded; so does epoch 2
+	// if epoch 3 landed before the loop got to the first wake. Epoch 3 can
+	// only have closed complete: nothing supersedes it and no tick fired.
+	complete, superseded := samples["dcs_center_epochs_closed_complete_total"], samples["dcs_center_epochs_closed_superseded_total"]
+	if complete < 1 || superseded < 1 || complete+superseded != 3 ||
+		samples["dcs_center_epochs_closed_quiescent_total"] != 0 || samples["dcs_center_epochs_closed_drain_total"] != 0 ||
+		samples["dcs_center_epochs_analyzed_total"] != 3 {
+		t.Errorf("/metrics close causes %v complete + %v superseded of %v analyzed, want 3 between them and none by tick or drain",
+			complete, superseded, samples["dcs_center_epochs_analyzed_total"])
+	}
+	r.stop(t)
+	if got := readEvents(t, events); len(got) != 3 {
+		t.Fatalf("%d events after the shutdown drain, want the same 3\n%s", len(got), r.logs)
 	}
 }
 
@@ -420,12 +469,13 @@ func TestRunOnce(t *testing.T) {
 // shutdown.
 func TestRunDropsTickQueuedBehindALongOne(t *testing.T) {
 	r := startRun(t, Config{ShardOf: -1, Stats: true, Center: center.Config{SubsetSize: 64}})
-	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(1, 2)})
+	// Epoch 2 still waits for router 2, so nothing closes until a tick does.
+	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(2, 1), dg(1, 2)})
 	statsLines := func() int { return strings.Count(r.logs.String(), "stats: frames in=") }
 
 	// Tick 1 closes epoch 1 and sticks on its verdict line.
 	r.logs.mu.Lock()
-	r.logs.gate, r.logs.entered, r.logs.release = "epoch 1: fewer than two routers", make(chan struct{}), make(chan struct{})
+	r.logs.gate, r.logs.entered, r.logs.release = "epoch 1 aligned: no pattern", make(chan struct{}), make(chan struct{})
 	r.logs.mu.Unlock()
 	r.ticks <- time.Now()
 	<-r.logs.entered
@@ -438,4 +488,35 @@ func TestRunDropsTickQueuedBehindALongOne(t *testing.T) {
 	if n := statsLines(); n != 3 || len(r.ticks) != 0 {
 		t.Fatalf("%d stats lines and %d ticks unread, want 3 and 0: ticks 1 and 3 and the shutdown — tick 2 queued behind tick 1 and must be dropped\n%s", n, len(r.ticks), r.logs)
 	}
+}
+
+// TestRunCoordinatorMergesOnGatherWithoutTicks: a shard's report envelope is
+// merged and logged when it is gathered, not at the coordinator's next tick.
+func TestRunCoordinatorMergesOnGatherWithoutTicks(t *testing.T) {
+	shardSink, err := transport.Serve("127.0.0.1:0", func(transport.Message, net.Addr) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shardSink.Close()
+	r := startRun(t, Config{ShardOf: -1, Shards: 1, Coordinator: shardSink.Addr()})
+	frame, err := shard.EncodeReport(shard.Envelope{Shard: 0, Report: center.WindowReport{Epoch: 1, Routers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := transport.Dial(r.tcp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []transport.Message{dg(1, 1), frame} {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the merged report with no tick", func() bool {
+		return strings.Contains(r.logs.String(), "epoch 1: fewer than two routers reported")
+	})
+	r.stop(t)
 }

@@ -57,8 +57,12 @@ const (
 	segSuffix = ".dcsj"
 	// analyzedName is the sidecar listing analyzed epochs, one decimal per
 	// line. A torn last line (crash mid-mark) is ignored on load, which only
-	// means one epoch is re-analyzed — never that one is lost.
+	// means one epoch is re-analyzed — never that one is lost. A line
+	// "span <epoch>" records instead that the sliding span ending at that
+	// epoch was reported (SpanReported); its epochs stay un-analyzed — later
+	// spans still need their frames — but it must not be reported again.
 	analyzedName = "ANALYZED"
+	spanPrefix   = "span "
 	// quarantineDir is the subdirectory that receives segments with
 	// mid-segment corruption: they are moved aside for forensics, replayed
 	// with resynchronization, and never purged automatically.
@@ -210,7 +214,11 @@ type Journal struct {
 	sealed       []segment    // guarded by mu
 	analyzed     map[int]bool // guarded by mu
 	analyzedF    File         // guarded by mu
-	closed       bool         // guarded by mu
+	// spanReported is the newest epoch SpanReported was told of, in this life
+	// or a previous one (spanValid false: none yet).
+	spanReported int  // guarded by mu
+	spanValid    bool // guarded by mu
+	closed       bool // guarded by mu
 
 	degraded      bool          // guarded by mu
 	degradedCause error         // guarded by mu; first or latest fault
@@ -301,6 +309,12 @@ func (j *Journal) loadAnalyzedLocked() error {
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
+			continue
+		}
+		if span, ok := strings.CutPrefix(line, spanPrefix); ok {
+			if e, err := strconv.Atoi(span); err == nil && (!j.spanValid || e > j.spanReported) {
+				j.spanReported, j.spanValid = e, true
+			}
 			continue
 		}
 		if e, err := strconv.Atoi(line); err == nil {
@@ -825,20 +839,13 @@ func (j *Journal) EpochAnalyzed(epoch int) error {
 		return ErrClosed
 	}
 	if !j.analyzed[epoch] {
-		j.analyzed[epoch] = true
-		if _, err := fmt.Fprintf(j.analyzedF, "%d\n", epoch); err != nil {
-			// The mark may be torn on disk; the loader ignores torn lines,
-			// and rolling back the in-memory mark keeps purge honest.
-			delete(j.analyzed, epoch)
-			j.degradeLocked(fmt.Errorf("mark epoch %d analyzed: %w", epoch, err))
-			return fmt.Errorf("%w: mark epoch %d: %w", ErrDegraded, epoch, err)
-		}
 		// The mark is what licenses deleting frames; it must be durable
-		// before any purge below acts on it.
-		if err := j.analyzedF.Sync(); err != nil {
+		// before any purge below acts on it. Rolling back the in-memory
+		// mark on failure keeps purge honest.
+		j.analyzed[epoch] = true
+		if err := j.markLocked(strconv.Itoa(epoch)); err != nil {
 			delete(j.analyzed, epoch)
-			j.degradeLocked(fmt.Errorf("sync %s: %w", analyzedName, err))
-			return fmt.Errorf("%w: sync %s: %w", ErrDegraded, analyzedName, err)
+			return err
 		}
 	}
 	if !j.degraded && len(j.activeEpochs) > 0 {
@@ -848,6 +855,53 @@ func (j *Journal) EpochAnalyzed(epoch int) error {
 		}
 	}
 	return j.purgeLocked()
+}
+
+// SpanReported durably records that the sliding span ending at epoch has
+// been reported. Under a sliding window a report's own epoch is not retired
+// with it — the next spans still need its frames — so the analyzed marks
+// alone would let a restart replay that epoch and report its span a second
+// time, on whatever context survived. Call it after the report is delivered
+// and before EpochAnalyzed for the epochs it retired: a crash in between then
+// repeats at most the identical report, never a truncated one. A failed mark
+// degrades the journal, as a failed analyzed mark does.
+func (j *Journal) SpanReported(epoch int) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	if j.spanValid && epoch <= j.spanReported {
+		return nil
+	}
+	if err := j.markLocked(spanPrefix + strconv.Itoa(epoch)); err != nil {
+		return err
+	}
+	j.spanReported, j.spanValid = epoch, true
+	return nil
+}
+
+// markLocked appends one line to the ANALYZED sidecar and fsyncs it. A
+// failure degrades the journal; the line may then be torn on disk, which the
+// loader ignores. Caller holds j.mu.
+func (j *Journal) markLocked(mark string) error {
+	if _, err := io.WriteString(j.analyzedF, mark+"\n"); err != nil {
+		j.degradeLocked(fmt.Errorf("write %s mark %q: %w", analyzedName, mark, err))
+		return fmt.Errorf("%w: write %s mark %q: %w", ErrDegraded, analyzedName, mark, err)
+	}
+	if err := j.analyzedF.Sync(); err != nil {
+		j.degradeLocked(fmt.Errorf("sync %s: %w", analyzedName, err))
+		return fmt.Errorf("%w: sync %s: %w", ErrDegraded, analyzedName, err)
+	}
+	return nil
+}
+
+// SpanWatermark returns the newest epoch SpanReported has recorded, in this
+// life or an earlier one, and whether there is one.
+func (j *Journal) SpanWatermark() (epoch int, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.spanReported, j.spanValid
 }
 
 // purgeLocked deletes sealed segments whose every epoch is analyzed, then

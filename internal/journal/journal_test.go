@@ -329,3 +329,61 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 	})
 }
+
+// TestSpanWatermarkSurvivesReopen: SpanReported is durable, monotone, and
+// leaves the analyzed marks alone — the epoch of a reported span is still
+// replayed, because later spans need its frames.
+func TestSpanWatermarkSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := j.SpanWatermark(); ok {
+		t.Fatal("a fresh journal has a span watermark")
+	}
+	for e := 1; e <= 3; e++ {
+		if err := j.Append(transport.AlignedDigest{RouterID: 1, Epoch: e, Bitmap: bitvec.New(64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []int{2, 3, 2} {
+		if err := j.SpanReported(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.EpochAnalyzed(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A torn last line, as a crash mid-mark leaves it, is ignored.
+	f, err := os.OpenFile(filepath.Join(dir, analyzedName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("span "); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if e, ok := j.SpanWatermark(); !ok || e != 3 {
+		t.Fatalf("watermark after reopen = %d (present %v), want 3", e, ok)
+	}
+	var replayed []int
+	if err := j.Replay(func(m transport.Message) error {
+		replayed = append(replayed, m.(transport.AlignedDigest).Epoch)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 2 || replayed[0] != 2 || replayed[1] != 3 {
+		t.Fatalf("replayed epochs %v, want [2 3]: a span mark must not retire its epoch", replayed)
+	}
+}

@@ -149,9 +149,13 @@ type Coordinator struct {
 	emittedValid bool // guarded by mu
 	// maxRouted is the newest epoch ever routed — the fleet clock
 	// ExpireStale measures staleness against. guarded by mu
-	maxRouted      int  // guarded by mu
-	maxRoutedValid bool // guarded by mu
+	maxRouted      int   // guarded by mu
+	maxRoutedValid bool  // guarded by mu
 	stats          Stats // guarded by mu
+
+	// wake is poked (never blocked on) when Gather files a report the merge
+	// might now emit. Immutable after New.
+	wake chan struct{}
 }
 
 // NewCoordinator builds a coordinator scattering over the given senders,
@@ -169,6 +173,7 @@ func NewCoordinator(part Partition, senders []Sender) *Coordinator {
 		health:   make([]healthState, part.Shards),
 		pending:  make(map[int]*pendingEpoch),
 		gathered: make(map[int]gatheredReport),
+		wake:     make(chan struct{}, 1),
 	}
 }
 
@@ -264,7 +269,18 @@ func (co *Coordinator) Gather(m transport.Report) {
 		}
 	}
 	co.gathered[e] = gatheredReport{shard: env.Shard, report: env.Report}
+	// Cannot block (capacity 1, dropped while a poke is pending), so sending
+	// under co.mu is safe.
+	select {
+	case co.wake <- struct{}{}:
+	default:
+	}
 }
+
+// Gathered is poked whenever Gather has filed a report: TakeMerged may have
+// something to emit without waiting for the owner of the merge's clock to
+// tick. One pending poke stands for any number of reports.
+func (co *Coordinator) Gathered() <-chan struct{} { return co.wake }
 
 // MarkDead declares a shard gone: its pending spans synthesize on the next
 // TakeMerged instead of blocking the merge, and its health row reports

@@ -270,3 +270,37 @@ func TestCoordinatorDuplicateAndBadReports(t *testing.T) {
 		t.Fatalf("unknown messages %d, want 1", s.UnknownMessages)
 	}
 }
+
+// TestCoordinatorGatherPokes: a filed report pokes Gathered, so whoever owns
+// the merge's clock can drain it without waiting for a tick; a report that
+// files nothing (bad, or worse than the incumbent) does not.
+func TestCoordinatorGatherPokes(t *testing.T) {
+	ss, _ := fakeSenders(2)
+	co := NewCoordinator(Partition{Shards: 2}, ss)
+	poked := func() bool {
+		select {
+		case <-co.Gathered():
+			return true
+		default:
+			return false
+		}
+	}
+	co.Gather(transport.Report{Payload: []byte("not json")})
+	if poked() {
+		t.Fatal("a bad report poked the merge")
+	}
+	co.Route(mkAligned(1, 2))
+	owner := co.Partition().Owner(1)
+	co.Gather(mkReport(t, owner, center.WindowReport{Epoch: 1, Routers: 3}))
+	co.Gather(mkReport(t, owner, center.WindowReport{Epoch: 1, Routers: 3}))
+	if !poked() || poked() {
+		t.Fatal("want exactly one pending poke for any number of filed reports")
+	}
+	co.Gather(mkReport(t, owner, center.WindowReport{Epoch: 1, Routers: 1, Degraded: true}))
+	if poked() {
+		t.Fatal("a report worse than the incumbent filed nothing and still poked")
+	}
+	if got := co.TakeMerged(); len(got) != 1 || got[0].Report.Routers != 3 {
+		t.Fatalf("merged %+v, want the 3-router verdict", got)
+	}
+}
