@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BENCH_LABEL ?= local
 BENCH_SCALE ?= default
 
-.PHONY: build test lint fmt-check verify bench bench-json bench-udp-json bench-shed-json bench-streaming-json bench-shards-json chaos fuzz-smoke clean
+.PHONY: build test lint fmt-check verify bench bench-json bench-shards-json chaos fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -42,35 +42,19 @@ verify: fmt-check
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Tracked benchmark baseline: run every experiment driver through dcsbench
-# and record per-experiment wall time plus the environment (GOMAXPROCS,
+# Tracked benchmark baseline: run every entry of experiments.All through
+# dcsbench and record per-experiment wall time plus the environment (GOMAXPROCS,
 # goos/goarch) in BENCH_$(BENCH_LABEL).json. Timing records from different
 # environments are not comparable — the environment block is there so nobody
 # compares them blindly.
 bench-json:
 	$(GO) run ./cmd/dcsbench -exp all -scale $(BENCH_SCALE) -json -label $(BENCH_LABEL) > BENCH_$(BENCH_LABEL).json
 
-# Transport ingest baseline: the batched-UDP-versus-framed-TCP throughput
-# comparison, committed as BENCH_udp.json. The human table (rates and the
-# udp/tcp speedup) goes to the json file too so the committed baseline is
-# self-describing.
-bench-udp-json:
-	$(GO) run ./cmd/dcsbench -exp ingest -scale $(BENCH_SCALE) -json -label udp > BENCH_udp.json
-
-# Admission-control baseline: ingest throughput and the shed/reject ledger
-# at 1x/2x/4x memory-budget pressure under both shedding policies,
-# committed as BENCH_shed.json. The run fails if the digest ledger does not
-# balance exactly, so the baseline doubles as an accounting regression check.
-bench-shed-json:
-	$(GO) run ./cmd/dcsbench -exp shed -scale $(BENCH_SCALE) -json -label shed > BENCH_shed.json
-
-# Incremental-analysis baseline: per-Analyze finalize latency, batch vs
-# incremental, on the same digest stream, committed as BENCH_streaming.json.
-# The run itself enforces the equivalence contract — it fails if the two
-# modes' reports are not bit-identical — so the committed speedup is always
-# a speedup of the same computation.
-bench-streaming-json:
-	$(GO) run ./cmd/dcsbench -exp streaming -scale $(BENCH_SCALE) -json -label streaming > BENCH_streaming.json
+# The system benchmark is not a dcsbench experiment: `go run ./bench` drives
+# the real dcsd end to end on the workloads BENCHMARK.json declares, and
+# `go run ./bench -compare parent.json change.json` is the paired A/B
+# procedure (bench/README.md). Transport, overload and finalize numbers are
+# its per-layer rows; dcsbench has no per-layer system experiments.
 
 # Shard-tier scaling baseline: per-shard critical path (slowest shard, each
 # measured in isolation — the wall time of a one-host-per-shard deployment)
@@ -78,7 +62,8 @@ bench-streaming-json:
 # Every width's merged verdicts are checked against a single un-sharded
 # center inside the run, so the committed scaling is scaling of the same
 # computation; the span-share column carries the hash-partition bound the
-# speedups are read against.
+# speedups are read against. This is the one system number dcsbench still
+# owns: it stays until `go run ./bench` has a sharded workload to succeed it.
 bench-shards-json:
 	$(GO) run ./cmd/dcsbench -exp shards -scale $(BENCH_SCALE) -json -label shards > BENCH_shards.json
 

@@ -1,16 +1,16 @@
-// Package dcstream's root benchmarks regenerate each of the paper's tables
-// and figures once per benchmark iteration at ScaleDefault sizing. Run the
-// full suite with
+// Package dcstream's root benchmark regenerates every entry of
+// experiments.All once per iteration at ScaleDefault sizing. Run the suite
+// with
 //
 //	go test -bench=. -benchmem
 //
 // or regenerate a single artifact, e.g.
 //
-//	go test -bench=BenchmarkFig13ERTest -benchtime=1x -v
+//	go test -bench='BenchmarkExperiments/fig13$' -benchtime=1x -v
 //
-// The rendered tables are printed once per benchmark (guarded by b.N's first
-// iteration) so `-benchtime=1x -v` doubles as a report generator; cmd/dcsbench
-// offers the same with scale/seed control.
+// Under -v each experiment's table is printed on its first iteration, so
+// `-benchtime=1x -v` doubles as a report generator; cmd/dcsbench offers the
+// same with scale/seed control. The system benchmark is `go run ./bench`.
 package dcstream
 
 import (
@@ -19,140 +19,18 @@ import (
 	"dcstream/internal/experiments"
 )
 
-// report prints a rendered table once per benchmark run.
-func report(b *testing.B, first bool, t interface{ Table() string }) {
-	b.Helper()
-	if first && testing.Verbose() {
-		b.Log("\n" + t.Table())
-	}
-}
-
-func BenchmarkFig7WeightLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(experiments.Fig7ParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkFig11DetectionRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig11(experiments.Fig11ParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkFig12Thresholds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig12(experiments.Fig12ParamsFor(experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkFig13ERTest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13(experiments.Fig13ParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkTable1CoreSizes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(experiments.Table1ParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkTable2NonNatural(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable2(experiments.Table2ParamsFor(experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkTable3Detectable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable3(experiments.Table3ParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkStressBursty(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunStress(experiments.StressParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkAblationOffsets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationOffsets(experiments.AblationOffsetsParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkAblationHopefuls(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationHopefuls(experiments.AblationHopefulsParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkAblationSampling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationSampling(experiments.AblationSamplingParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkPersistence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunPersistence(experiments.PersistenceParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
-	}
-}
-
-func BenchmarkComplexityNaiveVsRefined(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunComplexity(experiments.ComplexityParamsFor(uint64(i+1), experiments.ScaleDefault))
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, i == 0, res)
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(uint64(i+1), experiments.ScaleDefault, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && testing.Verbose() {
+					b.Log("\n" + res.Table())
+				}
+			}
+		})
 	}
 }

@@ -1,13 +1,13 @@
-// Command dcsbench regenerates the paper's tables and figures.
+// Command dcsbench regenerates the paper's tables and figures, plus the
+// shard-tier scaling table (BENCH_shards.json). It does not measure the
+// system: `go run ./bench` drives the real dcsd end to end for that.
 //
 //	dcsbench -exp all -scale default
 //	dcsbench -exp fig13,table2 -scale paper -seed 7
 //	dcsbench -exp complexity,fig13 -scale test -json -label ci > BENCH_ci.json
 //
-// Experiments: fig7, fig11, fig12, fig13, table1, table2, table3, stress,
-// complexity, persistence, ablation-offsets, ablation-hopefuls,
-// ablation-sampling, ingest, shed, streaming, shards, all.
-// Scales: test (seconds), default (tens of seconds), paper (minutes).
+// The experiments are the entries of experiments.All; `dcsbench -h` lists
+// them. Scales: test (seconds), default (tens of seconds), paper (minutes).
 //
 // With -json the human tables are suppressed and a machine-readable
 // benchmark record (label, environment, per-experiment wall time) is
@@ -20,148 +20,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"dcstream/internal/experiments"
 )
-
-type runner struct {
-	name string
-	run  func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error)
-}
-
-// tabler adapts the experiments' Table() convention to fmt.Stringer.
-type tabler struct{ t interface{ Table() string } }
-
-func (t tabler) String() string { return t.t.Table() }
-
-func wrap[T interface{ Table() string }](f func() (T, error)) (fmt.Stringer, error) {
-	r, err := f()
-	if err != nil {
-		return nil, err
-	}
-	return tabler{r}, nil
-}
-
-var runners = []runner{
-	{"fig7", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Fig7Result, error) {
-			p := experiments.Fig7ParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunFig7(p)
-		})
-	}},
-	{"fig11", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Fig11Result, error) {
-			p := experiments.Fig11ParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunFig11(p)
-		})
-	}},
-	{"fig12", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Fig12Result, error) {
-			return experiments.RunFig12(experiments.Fig12ParamsFor(s))
-		})
-	}},
-	{"fig13", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Fig13Result, error) {
-			p := experiments.Fig13ParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunFig13(p)
-		})
-	}},
-	{"table1", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Table1Result, error) {
-			p := experiments.Table1ParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunTable1(p)
-		})
-	}},
-	{"table2", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Table2Result, error) {
-			return experiments.RunTable2(experiments.Table2ParamsFor(s))
-		})
-	}},
-	{"table3", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.Table3Result, error) {
-			p := experiments.Table3ParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunTable3(p)
-		})
-	}},
-	{"stress", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.StressResult, error) {
-			p := experiments.StressParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunStress(p)
-		})
-	}},
-	{"complexity", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.ComplexityResult, error) {
-			p := experiments.ComplexityParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunComplexity(p)
-		})
-	}},
-	{"persistence", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.PersistenceResult, error) {
-			p := experiments.PersistenceParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunPersistence(p)
-		})
-	}},
-	{"ablation-offsets", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.AblationOffsetsResult, error) {
-			p := experiments.AblationOffsetsParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunAblationOffsets(p)
-		})
-	}},
-	{"ablation-hopefuls", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.AblationHopefulsResult, error) {
-			p := experiments.AblationHopefulsParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunAblationHopefuls(p)
-		})
-	}},
-	{"ablation-sampling", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.AblationSamplingResult, error) {
-			p := experiments.AblationSamplingParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunAblationSampling(p)
-		})
-	}},
-	{"ingest", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.IngestResult, error) {
-			return experiments.RunIngest(experiments.IngestParamsFor(seed, s))
-		})
-	}},
-	{"shed", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.ShedResult, error) {
-			return experiments.RunShed(experiments.ShedParamsFor(seed, s))
-		})
-	}},
-	{"streaming", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.StreamingResult, error) {
-			p := experiments.StreamingParamsFor(seed, s)
-			p.Workers = workers
-			return experiments.RunStreaming(p)
-		})
-	}},
-	{"shards", func(seed uint64, s experiments.Scale, workers int) (fmt.Stringer, error) {
-		return wrap(func() (*experiments.ShardsResult, error) {
-			p := experiments.ShardsParamsFor(seed, s)
-			if workers != 0 {
-				// The default keeps per-span analysis serial so the scaling
-				// column isolates the shard fan-out; an explicit -workers
-				// overrides that for oversubscription studies.
-				p.Workers = workers
-			}
-			return experiments.RunShards(p)
-		})
-	}},
-}
 
 // benchRecord is the -json document. Millis values are wall time and thus
 // environment-dependent; everything identifying the environment rides along
@@ -187,8 +51,13 @@ type benchEntry struct {
 }
 
 func main() {
+	names := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		names[i] = e.Name
+	}
+	valid := strings.Join(names, ", ")
 	var (
-		expFlag     = flag.String("exp", "all", "comma-separated experiment list, or 'all'")
+		expFlag     = flag.String("exp", "all", "comma-separated experiment list, or 'all'; experiments: "+valid)
 		scaleFlag   = flag.String("scale", "default", "test | default | paper")
 		seedFlag    = flag.Uint64("seed", 42, "random seed")
 		workersFlag = flag.Int("workers", 0, "trial/scan goroutines per experiment (0 = GOMAXPROCS, negative = serial)")
@@ -202,20 +71,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	want := map[string]bool{}
+	selected := experiments.All
 	if *expFlag != "all" {
+		want := map[string]bool{}
 		for _, name := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
+			name = strings.TrimSpace(strings.ToLower(name))
+			if !slices.Contains(names, name) {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, all)\n", name, valid)
+				os.Exit(2)
+			}
+			want[name] = true
 		}
-	}
-	known := map[string]bool{}
-	for _, r := range runners {
-		known[r.name] = true
-	}
-	for name := range want {
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+		selected = nil
+		for _, e := range experiments.All {
+			if want[e.Name] {
+				selected = append(selected, e)
+			}
 		}
 	}
 
@@ -228,35 +99,23 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 	}
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.name] {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
-		res, err := r.run(*seedFlag, scale, *workersFlag)
+		res, err := e.Run(*seedFlag, scale, *workersFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		elapsed := time.Since(start)
+		entry := benchEntry{Name: e.Name, Millis: float64(elapsed.Microseconds()) / 1000}
 		if *jsonFlag {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, elapsed.Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, elapsed.Round(time.Millisecond))
+			entry.Table = strings.Split(strings.TrimRight(res.Table(), "\n"), "\n")
 		} else {
-			fmt.Println(res.String())
-			fmt.Printf("(%s finished in %v at scale %s)\n\n", r.name, elapsed.Round(time.Millisecond), scale)
-		}
-		entry := benchEntry{
-			Name:   r.name,
-			Millis: float64(elapsed.Microseconds()) / 1000,
-		}
-		if *jsonFlag {
-			entry.Table = strings.Split(strings.TrimRight(res.String(), "\n"), "\n")
+			fmt.Println(res.Table())
+			fmt.Printf("(%s finished in %v at scale %s)\n\n", e.Name, elapsed.Round(time.Millisecond), scale)
 		}
 		record.Experiments = append(record.Experiments, entry)
-	}
-	if len(record.Experiments) == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments selected")
-		os.Exit(2)
 	}
 	if *jsonFlag {
 		enc := json.NewEncoder(os.Stdout)

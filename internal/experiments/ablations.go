@@ -58,6 +58,12 @@ type AblationOffsetsResult struct {
 	Rows   []AblationOffsetsRow
 }
 
+func ablationOffsets(seed uint64, s Scale, workers int) (Result, error) {
+	p := AblationOffsetsParamsFor(seed, s)
+	p.Workers = workers
+	return RunAblationOffsets(p)
+}
+
 // RunAblationOffsets executes the sweep.
 func RunAblationOffsets(p AblationOffsetsParams) (*AblationOffsetsResult, error) {
 	setupRng := stats.NewRand(p.Seed)
@@ -185,6 +191,12 @@ type AblationHopefulsResult struct {
 	Rows   []AblationHopefulsRow
 }
 
+func ablationHopefuls(seed uint64, s Scale, workers int) (Result, error) {
+	p := AblationHopefulsParamsFor(seed, s)
+	p.Workers = workers
+	return RunAblationHopefuls(p)
+}
+
 // RunAblationHopefuls executes the sweep.
 func RunAblationHopefuls(p AblationHopefulsParams) (*AblationHopefulsResult, error) {
 	res := &AblationHopefulsResult{Params: p}
@@ -302,6 +314,12 @@ type AblationSamplingRow struct {
 type AblationSamplingResult struct {
 	Params AblationSamplingParams
 	Rows   []AblationSamplingRow
+}
+
+func ablationSampling(seed uint64, s Scale, workers int) (Result, error) {
+	p := AblationSamplingParamsFor(seed, s)
+	p.Workers = workers
+	return RunAblationSampling(p)
 }
 
 // RunAblationSampling executes the sweep. The sampled-core strategy: find a

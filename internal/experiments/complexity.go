@@ -59,6 +59,12 @@ type ComplexityResult struct {
 	Rows   []ComplexityRow
 }
 
+func complexity(seed uint64, s Scale, workers int) (Result, error) {
+	p := ComplexityParamsFor(seed, s)
+	p.Workers = workers
+	return RunComplexity(p)
+}
+
 // RunComplexity executes the sweep.
 func RunComplexity(p ComplexityParams) (*ComplexityResult, error) {
 	if p.Trials <= 0 {

@@ -1,9 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V). Each experiment has a parameter struct with three
-// constructors — TestParams (seconds, used by the test suite), DefaultParams
-// (tens of seconds, used by `go test -bench` and dcsbench), and PaperParams
-// (the paper's full dimensions, minutes) — and returns a result value whose
-// Table method renders rows directly comparable to the paper's.
+// evaluation (§V), plus the shard-tier scaling table. Each experiment is one
+// file: a parameter struct, an XParamsFor constructor that sizes it for a
+// Scale (test: seconds, used by the test suite; default: tens of seconds;
+// paper: the paper's full dimensions, minutes), a RunX driver, and a result
+// whose Table method renders rows directly comparable to the paper's. All is
+// the one list of them; dcsbench and the root BenchmarkExperiments iterate it.
+//
+// System performance is not measured here: `go run ./bench` drives the real
+// dcsd end to end and attributes its time layer by layer (bench/README.md).
 //
 // EXPERIMENTS.md records paper-versus-measured values and discusses the two
 // places where the paper's published constants are not recoverable from its
@@ -54,6 +58,40 @@ func ParseScale(s string) (Scale, error) {
 		return ScalePaper, nil
 	}
 	return 0, fmt.Errorf("experiments: unknown scale %q (want test|default|paper)", s)
+}
+
+// Result is what every driver returns: the rows of one table or figure.
+type Result interface{ Table() string }
+
+// Experiment is one registry entry: the name `dcsbench -exp` and
+// BenchmarkExperiments/<name> select, and the driver at its standard sizing
+// for a scale. workers is the trial/scan fan-out (0 = GOMAXPROCS, negative =
+// serial). The Result is meaningful only when the error is nil.
+type Experiment struct {
+	Name string
+	Run  func(seed uint64, s Scale, workers int) (Result, error)
+}
+
+// All is every experiment, in the order `dcsbench -exp all` runs them. Adding
+// one is its own file plus one line here: dcsbench (and its -exp usage
+// string), BenchmarkExperiments and TestRegistry all iterate this slice.
+// TestRegistry also makes each entry either prove worker independence or say
+// why it is exempt.
+var All = []Experiment{
+	{"fig7", fig7},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"table1", table1},
+	{"table2", table2},
+	{"table3", table3},
+	{"stress", stress},
+	{"complexity", complexity},
+	{"persistence", persistence},
+	{"ablation-offsets", ablationOffsets},
+	{"ablation-hopefuls", ablationHopefuls},
+	{"ablation-sampling", ablationSampling},
+	{"shards", shards},
 }
 
 // table renders an ASCII table with a header row.

@@ -57,6 +57,12 @@ type Fig11Result struct {
 	Cells  []Fig11Cell
 }
 
+func fig11(seed uint64, s Scale, workers int) (Result, error) {
+	p := Fig11ParamsFor(seed, s)
+	p.Workers = workers
+	return RunFig11(p)
+}
+
 // RunFig11 executes the experiment.
 func RunFig11(p Fig11Params) (*Fig11Result, error) {
 	det := aligned.DetectableConfig{Rows: p.Rows, Cols: p.Cols, SubsetSize: p.SubsetSize}

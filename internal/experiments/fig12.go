@@ -53,6 +53,10 @@ type Fig12Result struct {
 	Points []Fig12Point
 }
 
+func fig12(_ uint64, s Scale, _ int) (Result, error) {
+	return RunFig12(Fig12ParamsFor(s))
+}
+
 // RunFig12 executes the computation.
 func RunFig12(p Fig12Params) (*Fig12Result, error) {
 	det := aligned.DetectableConfig{

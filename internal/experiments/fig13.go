@@ -75,6 +75,12 @@ type Fig13Result struct {
 	FalseNegative map[int]float64
 }
 
+func fig13(seed uint64, s Scale, workers int) (Result, error) {
+	p := Fig13ParamsFor(seed, s)
+	p.Workers = workers
+	return RunFig13(p)
+}
+
 // RunFig13 executes the experiment.
 func RunFig13(p Fig13Params) (*Fig13Result, error) {
 	if err := p.Model.Validate(); err != nil {

@@ -69,6 +69,12 @@ type Fig7Result struct {
 	Found bool
 }
 
+func fig7(seed uint64, s Scale, workers int) (Result, error) {
+	p := Fig7ParamsFor(seed, s)
+	p.Workers = workers
+	return RunFig7(p)
+}
+
 // RunFig7 executes the experiment.
 func RunFig7(p Fig7Params) (*Fig7Result, error) {
 	rng := stats.NewRand(p.Seed)

@@ -73,6 +73,12 @@ type PersistenceResult struct {
 	MeanLatency float64
 }
 
+func persistence(seed uint64, s Scale, workers int) (Result, error) {
+	p := PersistenceParamsFor(seed, s)
+	p.Workers = workers
+	return RunPersistence(p)
+}
+
 // RunPersistence executes the experiment.
 func RunPersistence(p PersistenceParams) (*PersistenceResult, error) {
 	if err := p.Model.Validate(); err != nil {

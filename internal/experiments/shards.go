@@ -261,6 +261,17 @@ func runClusterWall(ccfg center.Config, n int, msgs []transport.Message) (time.D
 	return wall, reps, nil
 }
 
+func shards(seed uint64, s Scale, workers int) (Result, error) {
+	p := ShardsParamsFor(seed, s)
+	if workers != 0 {
+		// The default keeps per-span analysis serial so the scaling column
+		// isolates the shard fan-out; an explicit -workers overrides that
+		// for oversubscription studies.
+		p.Workers = workers
+	}
+	return RunShards(p)
+}
+
 // RunShards measures every configured cluster width over one shared workload.
 func RunShards(p ShardsParams) (*ShardsResult, error) {
 	if len(p.Shards) == 0 {

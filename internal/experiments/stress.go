@@ -93,6 +93,12 @@ type StressResult struct {
 	MinCarriersEven, MinCarriersBursty int
 }
 
+func stress(seed uint64, s Scale, workers int) (Result, error) {
+	p := StressParamsFor(seed, s)
+	p.Workers = workers
+	return RunStress(p)
+}
+
 // RunStress executes the experiment.
 func RunStress(p StressParams) (*StressResult, error) {
 	if p.Trials <= 0 {

@@ -83,6 +83,12 @@ type Table1Result struct {
 	Rows   []Table1Row
 }
 
+func table1(seed uint64, s Scale, workers int) (Result, error) {
+	p := Table1ParamsFor(seed, s)
+	p.Workers = workers
+	return RunTable1(p)
+}
+
 // RunTable1 executes the experiment.
 func RunTable1(p Table1Params) (*Table1Result, error) {
 	if err := p.Model.Validate(); err != nil {

@@ -51,6 +51,10 @@ type Table2Result struct {
 	Rows   []Table2Row
 }
 
+func table2(_ uint64, s Scale, _ int) (Result, error) {
+	return RunTable2(Table2ParamsFor(s))
+}
+
 // RunTable2 executes the computation.
 func RunTable2(p Table2Params) (*Table2Result, error) {
 	res := &Table2Result{Params: p}

@@ -76,6 +76,12 @@ type Table3Result struct {
 	Rows   []Table3Row
 }
 
+func table3(seed uint64, s Scale, workers int) (Result, error) {
+	p := Table3ParamsFor(seed, s)
+	p.Workers = workers
+	return RunTable3(p)
+}
+
 // RunTable3 executes the experiment.
 func RunTable3(p Table3Params) (*Table3Result, error) {
 	if err := p.Model.Validate(); err != nil {
