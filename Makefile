@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BENCH_LABEL ?= local
 BENCH_SCALE ?= default
 
-.PHONY: build test lint fmt-check verify bench bench-json bench-shards-json chaos fuzz-smoke clean
+.PHONY: build test lint fmt-check verify bench bench-json bench-ab bench-shards-json chaos fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,15 @@ bench-json:
 # `go run ./bench -compare parent.json change.json` is the paired A/B
 # procedure (bench/README.md). Transport, overload and finalize numbers are
 # its per-layer rows; dcsbench has no per-layer system experiments.
+#
+# bench-ab is that procedure as one command: PARENT=<rev> is exported beside
+# the working tree, both sides run seeds 1..PAIRS alternating which goes first,
+# and the compare table plus every run's value per row is printed. ~4.5 min a
+# pair.
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [PAIRS=10]"; exit 2; }
+	scripts/bench-ab.sh $(PARENT) $(PAIRS)
 
 # Shard-tier scaling baseline: per-shard critical path (slowest shard, each
 # measured in isolation — the wall time of a one-host-per-shard deployment)
@@ -87,9 +96,11 @@ bench-shards-json:
 # kill -9 / replay-before-listen / drain-on-cancel run of the whole dcsd, plus
 # the completion path: the hand-fed wake policy table, its equivalence to the
 # tick-only policy over seeded fleets, the restart-never-re-reports cases, and
-# Handle/Wake/Tick under the race detector.
+# Handle/Wake/Tick under the race detector. Group commit's contract rides last:
+# the power-cut images taken at every report and after every tick, the failed
+# barrier's accounting, and the never-closed-dirty segment paths.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster' \
+	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster|PowerCut|Barrier|SyncFault|ClosedDirty' \
 		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/daemon/...
 
 # Short fuzz of the crash/byte-level decoders: the transport wire reader, the

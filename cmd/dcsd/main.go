@@ -16,7 +16,10 @@
 // restart with the same -journal replays every un-analyzed epoch into the
 // center, so buffered windows survive the process. Epochs are marked in the
 // journal as they are analyzed and their segments deleted once fully
-// covered, bounding disk use to the in-flight windows.
+// covered, bounding disk use to the in-flight windows. The log is fsynced as
+// a group commit — before each report leaves the daemon and once per window
+// tick — so a power cut (a process crash loses nothing written) can only take
+// digests of epochs not yet reported, a window's worth at most.
 //
 // With -http <addr> the daemon serves /metrics (Prometheus text exposition
 // of every transport/center/journal counter), /healthz (JSON quorum state
@@ -89,7 +92,6 @@ func main() {
 	flag.BoolVar(&cfg.Once, "once", false, "analyze one window tick and exit (for scripting)")
 	flag.BoolVar(&cfg.Stats, "stats", false, "log transport/ingest counters every window tick")
 	flag.StringVar(&cfg.Journal, "journal", "", "directory for the crash-safe digest journal (empty = no journal)")
-	flag.BoolVar(&cfg.JournalSync, "journal-sync", true, "fsync the journal after every append (crash-safe but slower)")
 	flag.IntVar(&c.MinRouters, "min-routers", 0, "quorum: hold an epoch open until this many routers reported (0 = off)")
 	flag.IntVar(&c.MaxWait, "max-wait", 2, "epochs (and idle ticks) a below-quorum window may be held open")
 	flag.StringVar(&cfg.HTTP, "http", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")

@@ -66,7 +66,7 @@ func main() {
 	defer os.RemoveAll(jdir)
 	ccfg := center.Config{SubsetSize: 512, MaxEpochs: epochs}
 	first := daemon.NewNode(ccfg, nil)
-	if err := first.OpenJournal(jdir, false); err != nil {
+	if err := first.OpenJournal(jdir); err != nil {
 		log.Fatal(err)
 	}
 	srv, err := transport.Serve("127.0.0.1:0", first.Handle)
@@ -139,7 +139,9 @@ func main() {
 	// Crash. The first center dies here with both epochs still buffered in
 	// RAM and nothing analyzed — everything it knew is gone. (The journal's
 	// file is deliberately not closed either; recovery must cope with the
-	// state a kill -9 leaves behind.)
+	// state a kill -9 leaves behind — every frame written, synced or not. A
+	// power cut would keep only what a barrier covered: DESIGN.md "Crash
+	// safety".)
 	srv.Close()
 	first = nil
 	fmt.Println("center crashed before analyzing; recovering from the journal...")
@@ -154,7 +156,7 @@ func main() {
 	// the end instead.
 	reg := metrics.NewRegistry()
 	recovered.Center.RegisterMetrics(reg)
-	if err := recovered.OpenJournal(jdir, false); err != nil {
+	if err := recovered.OpenJournal(jdir); err != nil {
 		log.Fatal(err)
 	}
 	defer recovered.Close()

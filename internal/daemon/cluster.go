@@ -30,8 +30,6 @@ type ClusterConfig struct {
 	// <JournalDir>/shard-<i>, replayed into the shard's center before the
 	// cluster starts serving.
 	JournalDir string
-	// JournalSync enables fsync-per-append on the shard journals.
-	JournalSync bool
 }
 
 // clusterShard is one shard's in-process incarnation: a Node behind a TCP
@@ -93,7 +91,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sh.alive.Store(true)
 		cl.shards = append(cl.shards, sh)
 		if dir != "" {
-			if err := sh.node.OpenJournal(dir, cfg.JournalSync); err != nil {
+			if err := sh.node.OpenJournal(dir); err != nil {
 				return fail(fmt.Errorf("shard %d: %w", i, err))
 			}
 		}

@@ -65,8 +65,8 @@ func NewNode(cfg center.Config, logger *log.Logger) *Node {
 // context for the spans ahead, not to be reported again. Call it before
 // serving: replayed digests must not interleave with live ones from
 // collectors that reconnect immediately.
-func (n *Node) OpenJournal(dir string, syncEveryAppend bool) error {
-	jr, err := journal.Open(dir, journal.Options{SyncEveryAppend: syncEveryAppend})
+func (n *Node) OpenJournal(dir string) error {
+	jr, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -95,24 +95,13 @@ func (n *Node) Close() error {
 	return n.Journal.Close()
 }
 
-// Handle is the ingest handler: journal first, then the in-memory window,
-// then a per-digest log line.
+// Handle is the ingest handler: journal first — a write, made durable by the
+// next barrier — then the in-memory window, then a per-digest log line.
 func (n *Node) Handle(m transport.Message, from net.Addr) {
 	if n.Journal != nil {
-		if err := n.Journal.Append(m); err != nil {
-			// The digest still reaches the in-memory window; only its crash
-			// durability is lost.
-			if errors.Is(err, journal.ErrDegraded) {
-				if n.jrDegraded.CompareAndSwap(false, true) {
-					n.log.Printf("journal DEGRADED: %v; ingest continues without crash durability", err)
-				}
-			} else {
-				n.log.Printf("journal append: %v", err)
-			}
-		} else if n.jrDegraded.CompareAndSwap(true, false) {
-			n.log.Printf("journal re-armed: appends durable again (%d digests unjournaled while degraded)",
-				n.Journal.Stats().UnjournaledFrames)
-		}
+		// On a fault the digest still reaches the in-memory window; only its
+		// crash durability is lost.
+		n.journaled("append", n.Journal.Append(m))
 	}
 	n.Center.Ingest(m)
 	switch d := m.(type) {
@@ -120,6 +109,30 @@ func (n *Node) Handle(m transport.Message, from net.Addr) {
 		n.log.Printf("aligned digest from router %d (%s), epoch %d, %d bits", d.RouterID, from, d.Epoch, d.Bitmap.Len())
 	case transport.UnalignedDigest:
 		n.log.Printf("unaligned digest from router %d (%s), epoch %d", d.Digest.RouterID, from, d.Epoch)
+	}
+}
+
+// journaled files the outcome of a journal append or barrier under the
+// degraded latch.
+func (n *Node) journaled(op string, err error) {
+	switch {
+	case errors.Is(err, journal.ErrDegraded):
+		if n.jrDegraded.CompareAndSwap(false, true) {
+			n.log.Printf("journal DEGRADED: %v; ingest continues without crash durability", err)
+		}
+	case err != nil:
+		n.log.Printf("journal %s: %v", op, err)
+	case n.jrDegraded.CompareAndSwap(true, false):
+		n.log.Printf("journal re-armed: appends durable again (%d digests unjournaled while degraded)",
+			n.Journal.Stats().UnjournaledFrames)
+	}
+}
+
+// sync is the durability barrier (DESIGN.md "Crash safety"): every digest
+// Handle has returned for is durable, or counted unjournaled, when it returns.
+func (n *Node) sync() {
+	if n.Journal != nil {
+		n.journaled("sync", n.Journal.Sync())
 	}
 }
 
@@ -148,7 +161,11 @@ func (n *Node) Wake() ([]center.WindowReport, error) {
 // the drains: a count taken after them lands as late in its tick as the
 // analyses ran long, and a burst still in flight then looks idle to the next
 // tick. Tick returns the reports it finished and the first fault it logged.
+//
+// It opens with the barrier, so the digests of an epoch nothing closes — held
+// below quorum, short of a digest — are exposed to an OS crash for one window.
 func (n *Node) Tick() ([]center.WindowReport, error) {
+	n.sync()
 	start := n.Center.EpochDigests()
 	n.drainShed()
 	n.drainComplete()
@@ -260,12 +277,15 @@ func (n *Node) closed(rep center.WindowReport, cause center.CloseCause, wall tim
 	n.finish(rep, wall)
 }
 
-// finish delivers one report to every sink — the log, the event log, the
-// coordinator — then records a sliding span as reported, and only then lets
-// the journal forget the epochs the report retired: a crash anywhere in
-// between can repeat this report on restart, identically, but never re-report
-// it from the context the retirement left behind.
+// finish makes every digest the report counted durable — the analysis has its
+// snapshot, so the barrier covers at least those — then delivers the report to
+// every sink — the log, the event log, the coordinator — then records a
+// sliding span as reported, and only then lets the journal forget the epochs
+// the report retired: a crash anywhere in between, of the process or of the
+// machine, can repeat this report on restart, identically, but never re-report
+// it from fewer digests or from the context the retirement left behind.
 func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
+	n.sync()
 	logReport(n.log, rep)
 	if err := n.events.emit(rep, wall); err != nil {
 		n.fault("events: epoch %d: %w", rep.Epoch, err)

@@ -285,7 +285,7 @@ func TestDrainOrder(t *testing.T) {
 func replayedEpochs(t *testing.T, dir string, cfg center.Config) []int {
 	t.Helper()
 	n := NewNode(cfg, nil)
-	if err := n.OpenJournal(dir, false); err != nil {
+	if err := n.OpenJournal(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
@@ -299,7 +299,7 @@ func TestFinishRetiresOnlyRetiredEpochs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := center.Config{WindowSlide: 3, MaxEpochs: 8}
 	n := NewNode(cfg, nil)
-	if err := n.OpenJournal(dir, false); err != nil {
+	if err := n.OpenJournal(dir); err != nil {
 		t.Fatal(err)
 	}
 	for e := 1; e <= 4; e++ {
@@ -336,7 +336,7 @@ func TestShedTombstoneRetiresJournal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := center.Config{MemoryBudgetBytes: probe.BufferedBytes() * 3 / 2}
 	n := NewNode(cfg, nil)
-	if err := n.OpenJournal(dir, false); err != nil {
+	if err := n.OpenJournal(dir); err != nil {
 		t.Fatal(err)
 	}
 	for e := 1; e <= 2; e++ {
@@ -375,7 +375,7 @@ func spans(reps []center.WindowReport) []string {
 func slidingLife(t *testing.T, dir string, push sendFunc, epochs ...int) (*Node, []center.WindowReport) {
 	t.Helper()
 	n := NewNode(center.Config{SubsetSize: 64, WindowSlide: 3, MaxEpochs: 8}, nil)
-	if err := n.OpenJournal(dir, false); err != nil {
+	if err := n.OpenJournal(dir); err != nil {
 		t.Fatal(err)
 	}
 	if push != nil {

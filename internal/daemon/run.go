@@ -28,7 +28,6 @@ type Config struct {
 	Center       center.Config
 	Once, Stats  bool    // -once, -stats
 	Journal      string  // -journal (empty = no journal)
-	JournalSync  bool    // -journal-sync
 	HTTP, Events string  // -http, -events (empty = off; events "-" = stdout)
 	RateLimit    float64 // -rate-limit (0 = no admission gate)
 	Shards       int     // -shards
@@ -216,7 +215,7 @@ func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) 
 		n.events = ev
 	}
 	if dir != "" {
-		if err := n.OpenJournal(dir, cfg.JournalSync); err != nil {
+		if err := n.OpenJournal(dir); err != nil {
 			return nil, err
 		}
 		n.Journal.RegisterMetrics(reg)

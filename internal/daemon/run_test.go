@@ -49,8 +49,8 @@ func crashConfig(dir string) Config {
 		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", ShardOf: -1,
 		Window: time.Hour, ConnTimeout: time.Minute,
 		Center:  center.Config{SubsetSize: 64, MaxEpochs: 16, WindowSlide: 3, Parallelism: 2},
-		Journal: filepath.Join(dir, "journal"), JournalSync: true,
-		Events: filepath.Join(dir, "events.jsonl"),
+		Journal: filepath.Join(dir, "journal"),
+		Events:  filepath.Join(dir, "events.jsonl"),
 	}
 }
 
@@ -313,6 +313,11 @@ func TestRunStartupContract(t *testing.T) {
 	for name, want := range map[string]float64{
 		"dcs_center_digests_ingested_total": 3,
 		"dcs_journal_appends_total":         3,
+		// No tick has fired and epoch 1 is nobody's to complete: three frames
+		// written, none yet covered by a barrier.
+		"dcs_journal_unsynced_frames":       3,
+		"dcs_journal_sync_frames_count":     0,
+		"dcs_journal_fsync_seconds_count":   0,
 		"dcs_transport_frames_in_total":     2,
 		"dcs_transport_udp_frames_in_total": 1,
 	} {

@@ -3,6 +3,7 @@ package fsfault
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"dcstream/internal/journal"
@@ -48,6 +49,12 @@ const (
 // Operations performed before the corresponding arm call are untouched, so
 // a test can let Open succeed normally and then script faults against the
 // running journal.
+//
+// Besides failed syscalls the FS models lost page cache: for every file
+// opened through OpenAppend it tracks how many bytes the last successful
+// File.Sync covered, and PowerCut materialises the directory as a power loss
+// would leave it — the difference between a process crash (everything
+// written survives) and an OS crash (only what was synced does).
 type FS struct {
 	inner journal.FS
 
@@ -56,14 +63,18 @@ type FS struct {
 	errs  [numFSFaults]error // guarded by mu; error to return per class
 	short int                // guarded by mu; remaining short writes
 	ops   [numFSFaults]int   // guarded by mu; operations seen per class
+	files map[string]*extent // guarded by mu; by the path OpenAppend was given
 }
+
+// extent is one tracked file's length and the prefix of it known durable.
+type extent struct{ size, synced int64 }
 
 // NewFS wraps inner (nil means the real filesystem) with no faults armed.
 func NewFS(inner journal.FS) *FS {
 	if inner == nil {
 		inner = journal.OSFS{}
 	}
-	return &FS{inner: inner}
+	return &FS{inner: inner, files: map[string]*extent{}}
 }
 
 // FailNext arms the next n operations of the given class to return err.
@@ -132,23 +143,112 @@ func (f *FS) OpenAppend(name string) (journal.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := f.track(name); err != nil {
+		return nil, errors.Join(err, inner.Close())
+	}
 	return &faultFile{fs: f, name: name, inner: inner}, nil
 }
 
-func (f *FS) Remove(name string) error { return f.inner.Remove(name) }
+// track starts following name's synced extent, unless it is followed already.
+// Bytes a file holds when this FS first sees it are a previous life's, and
+// count as synced.
+func (f *FS) track(name string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.files[name] != nil {
+		return nil
+	}
+	data, err := f.inner.ReadFile(name)
+	if err != nil {
+		return err
+	}
+	f.files[name] = &extent{size: int64(len(data)), synced: int64(len(data))}
+	return nil
+}
+
+// withExtent runs fn on name's extent if the FS follows it.
+func (f *FS) withExtent(name string, fn func(*extent)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ext := f.files[name]; ext != nil {
+		fn(ext)
+	}
+}
+
+// moved re-files oldname's extent under newname; an empty newname drops it.
+func (f *FS) moved(oldname, newname string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ext := f.files[oldname]; ext != nil && newname != "" {
+		f.files[newname] = ext
+	}
+	delete(f.files, oldname)
+}
+
+func (f *FS) Remove(name string) error {
+	err := f.inner.Remove(name)
+	if err == nil {
+		f.moved(name, "")
+	}
+	return err
+}
 
 func (f *FS) Rename(oldname, newname string) error {
 	if err := f.take(FaultRename); err != nil {
 		return &os.LinkError{Op: "rename", Old: oldname, New: newname, Err: err}
 	}
-	return f.inner.Rename(oldname, newname)
+	err := f.inner.Rename(oldname, newname)
+	if err == nil {
+		f.moved(oldname, newname)
+	}
+	return err
 }
 
 func (f *FS) Truncate(name string, size int64) error {
 	if err := f.take(FaultTruncate); err != nil {
 		return &os.PathError{Op: "truncate", Path: name, Err: err}
 	}
-	return f.inner.Truncate(name, size)
+	err := f.inner.Truncate(name, size)
+	if err == nil {
+		f.withExtent(name, func(ext *extent) {
+			ext.size = size
+			ext.synced = min(ext.synced, size)
+		})
+	}
+	return err
+}
+
+// PowerCut writes into dst what a power loss right now would leave of the
+// directory src: every file, cut back to the length its last successful Sync
+// covered if it was opened through this FS, whole otherwise (a previous
+// life's). Directory entries are taken as they stand — entry durability is
+// FaultSyncDir's subject, not this model's — and subdirectories are followed.
+func (f *FS) PowerCut(src, dst string) error {
+	entries, err := f.inner.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		from, to := filepath.Join(src, ent.Name()), filepath.Join(dst, ent.Name())
+		if ent.IsDir() {
+			if err := f.PowerCut(from, to); err != nil {
+				return err
+			}
+			continue
+		}
+		data, err := f.inner.ReadFile(from)
+		if err != nil {
+			return err
+		}
+		f.withExtent(from, func(ext *extent) { data = data[:min(ext.synced, int64(len(data)))] })
+		if err := os.WriteFile(to, data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (f *FS) SyncDir(dir string) error {
@@ -170,7 +270,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	if f.fs.takeShort() {
 		// Half the bytes land before the "disk" fails: the torn-frame shape
 		// offset reconciliation must repair.
-		n, err := f.inner.Write(p[:len(p)/2])
+		n, err := f.write(p[:len(p)/2])
 		if err != nil {
 			return n, err
 		}
@@ -179,14 +279,28 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	if err := f.fs.take(FaultWrite); err != nil {
 		return 0, &os.PathError{Op: "write", Path: f.name, Err: err}
 	}
-	return f.inner.Write(p)
+	return f.write(p)
+}
+
+// write passes p to the real file and grows the tracked length by what
+// landed.
+func (f *faultFile) write(p []byte) (int, error) {
+	n, err := f.inner.Write(p)
+	f.fs.withExtent(f.name, func(ext *extent) { ext.size += int64(n) })
+	return n, err
 }
 
 func (f *faultFile) Sync() error {
 	if err := f.fs.take(FaultSync); err != nil {
 		return &os.PathError{Op: "sync", Path: f.name, Err: err}
 	}
-	return f.inner.Sync()
+	err := f.inner.Sync()
+	if err == nil {
+		// The journal never writes a file while syncing it, so everything
+		// written so far is what the fsync covered.
+		f.fs.withExtent(f.name, func(ext *extent) { ext.synced = ext.size })
+	}
+	return err
 }
 
 func (f *faultFile) Close() error { return f.inner.Close() }

@@ -1,0 +1,205 @@
+package journal_test
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"dcstream/internal/bitvec"
+	"dcstream/internal/faultinject/fsfault"
+	"dcstream/internal/journal"
+	"dcstream/internal/transport"
+	"dcstream/internal/unaligned"
+)
+
+func openFaulty(t *testing.T) (*journal.Journal, *fsfault.FS, string) {
+	t.Helper()
+	dir, fs := t.TempDir(), fsfault.NewFS(nil)
+	j, err := journal.Open(dir, journal.Options{FS: fs, RetryInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j, fs, dir
+}
+
+// afterPowerCut is how many frames a restart replays from what a power loss
+// right now would leave of dir.
+func afterPowerCut(t *testing.T, fs *fsfault.FS, dir string) int {
+	t.Helper()
+	img := filepath.Join(t.TempDir(), "journal")
+	if err := fs.PowerCut(dir, img); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(img, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	frames := 0
+	if err := j.Replay(func(transport.Message) error { frames++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// TestAppendIsOneWriteAndNoSync pins the group-commit cost model and the
+// segment format together: a frame reaches the file in one write with no
+// fsync, the bytes are exactly transport.Write's, one Sync covers the batch,
+// and a Sync with nothing new costs no syscall.
+func TestAppendIsOneWriteAndNoSync(t *testing.T) {
+	j, fs, dir := openFaulty(t)
+	row := func(seed uint64) *bitvec.Vector {
+		v := bitvec.New(128)
+		v.FillRandomHalf(func() uint64 { seed = seed*6364136223846793005 + 1; return seed })
+		return v
+	}
+	msgs := []transport.Message{
+		degMsg(1, 1),
+		transport.UnalignedDigest{Epoch: 1, Digest: &unaligned.Digest{RouterID: 2, Rows: [][]*bitvec.Vector{{row(1), row(2)}, {row(3), row(4)}}}},
+		degMsg(3, 1),
+	}
+	writes, syncs := fs.Ops(fsfault.FaultWrite), fs.Ops(fsfault.FaultSync)
+	var wire bytes.Buffer
+	for _, m := range msgs {
+		if err := j.Append(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := transport.Write(&wire, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, s := fs.Ops(fsfault.FaultWrite)-writes, fs.Ops(fsfault.FaultSync)-syncs; w != len(msgs) || s != 0 {
+		t.Fatalf("%d appends cost %d writes and %d fsyncs, want one write each and no fsync", len(msgs), w, s)
+	}
+	if got := afterPowerCut(t, fs, dir); got != 0 {
+		t.Fatalf("%d frames survive a power cut before any Sync; the model is not cutting", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := fs.Ops(fsfault.FaultSync) - syncs; s != 1 {
+		t.Fatalf("two Syncs over one batch cost %d fsyncs, want 1: the second had nothing to make durable", s)
+	}
+	if got := afterPowerCut(t, fs, dir); got != len(msgs) {
+		t.Fatalf("%d frames survive a power cut after Sync, want %d", got, len(msgs))
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.dcsj"))
+	if len(segs) != 1 {
+		t.Fatalf("segments on disk: %v", segs)
+	}
+	if data, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(data, wire.Bytes()) {
+		t.Fatalf("the segment is not the concatenation of the wire frames (err %v, %d bytes on disk, %d on the wire)", err, len(data), wire.Len())
+	}
+}
+
+// TestSyncFaultCountsTheBatch: a failed barrier degrades the journal and
+// counts every frame written since the last good one — UnjournaledFrames
+// stays an upper bound on what a crash can now take.
+func TestSyncFaultCountsTheBatch(t *testing.T) {
+	j, fs, dir := openFaulty(t)
+	for r := 0; r < 2; r++ {
+		if err := j.Append(degMsg(r, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 2; r < 7; r++ {
+		if err := j.Append(degMsg(r, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eio := errors.New("input/output error")
+	fs.FailNext(fsfault.FaultSync, 1, eio)
+	if err := j.Sync(); !errors.Is(err, journal.ErrDegraded) || !errors.Is(err, eio) {
+		t.Fatalf("failed Sync returned %v, want ErrDegraded wrapping the cause", err)
+	}
+	s := j.Stats()
+	if !s.Degraded || s.FramesAppended != 7 || s.UnjournaledFrames != 5 || s.UnsyncedFrames != 0 {
+		t.Fatalf("after the failed Sync: %+v, want degraded with the 5 frames of the batch unjournaled", s)
+	}
+	if err := j.Sync(); !errors.Is(err, journal.ErrDegraded) {
+		t.Fatalf("Sync while degraded returned %v", err)
+	}
+	if lost := 7 - afterPowerCut(t, fs, dir); lost > s.UnjournaledFrames {
+		t.Fatalf("a power cut now loses %d frames, the books admit %d", lost, s.UnjournaledFrames)
+	}
+}
+
+// TestNoSegmentIsClosedDirty: every path that stops writing a segment —
+// rotation, the re-arm that abandons a faulted one, Close — syncs what it
+// holds first, so frames never depend on a writeback no barrier covers; and
+// where that sync fails the frames are counted.
+func TestNoSegmentIsClosedDirty(t *testing.T) {
+	t.Run("rotate", func(t *testing.T) {
+		j, fs, dir := openFaulty(t)
+		if err := j.Append(degMsg(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.EpochAnalyzed(2); err != nil { // rotates; epoch 1 stays live
+			t.Fatal(err)
+		}
+		if got := afterPowerCut(t, fs, dir); got != 1 {
+			t.Fatalf("%d frames survive a power cut after a rotation, want 1", got)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		j, fs, dir := openFaulty(t)
+		if err := j.Append(degMsg(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := afterPowerCut(t, fs, dir); got != 1 {
+			t.Fatalf("%d frames survive a power cut after Close, want 1", got)
+		}
+	})
+	t.Run("re-arm", func(t *testing.T) {
+		j, fs, dir := openFaulty(t)
+		for r := 0; r < 2; r++ {
+			if err := j.Append(degMsg(r, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.FailNext(fsfault.FaultWrite, 1, errors.New("no space left on device"))
+		if err := j.Append(degMsg(2, 1)); !errors.Is(err, journal.ErrDegraded) {
+			t.Fatalf("append on a full disk returned %v", err)
+		}
+		if s := j.Stats(); s.UnsyncedFrames != 2 || s.UnjournaledFrames != 1 {
+			t.Fatalf("degraded with two good frames unsynced: %+v", s)
+		}
+		if !j.TryRearm() {
+			t.Fatal("re-arm failed")
+		}
+		if got := afterPowerCut(t, fs, dir); got != 2 {
+			t.Fatalf("%d frames of the abandoned segment survive a power cut, want 2", got)
+		}
+	})
+	t.Run("re-arm, sync failing", func(t *testing.T) {
+		j, fs, _ := openFaulty(t)
+		for r := 0; r < 2; r++ {
+			if err := j.Append(degMsg(r, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.FailNext(fsfault.FaultWrite, 1, errors.New("no space left on device"))
+		if err := j.Append(degMsg(2, 1)); !errors.Is(err, journal.ErrDegraded) {
+			t.Fatalf("append on a full disk returned %v", err)
+		}
+		fs.FailNext(fsfault.FaultSync, 1, errors.New("input/output error"))
+		if !j.TryRearm() {
+			t.Fatal("re-arm failed: the abandoned segment's sync fault is counted, not fatal")
+		}
+		if s := j.Stats(); s.UnjournaledFrames != 3 || s.UnsyncedFrames != 0 {
+			t.Fatalf("after abandoning a segment whose sync failed: %+v, want 3 unjournaled (the refused frame and the two unsynced)", s)
+		}
+	})
+}

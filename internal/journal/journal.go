@@ -18,11 +18,19 @@
 // every sealed segment whose recorded epochs are all analyzed, so the journal
 // directory stays proportional to the un-analyzed backlog, not to uptime.
 //
+// Durability is a group commit: Append is one write(2) with no fsync, and
+// Sync makes every frame appended since the last one durable at once. The
+// owner places that barrier — daemon.Node syncs before a report reaches any
+// sink and once per window tick — so a burst of N digests costs one fsync and
+// what an OS crash (a process crash loses nothing written) can take is set by
+// the barrier's contract. A segment is never closed with unsynced frames.
+//
 // Disk faults do not kill the journal: an append, rotate, or fsync failure
 // (ENOSPC, EIO) flips it to a Degraded state that absorbs the failure —
 // appends are suspended and counted in UnjournaledFrames instead of written,
 // so the ingest path keeps serving while crash durability is honestly
-// suspended — and re-arming is retried on a capped exponential backoff.
+// suspended — and re-arming is retried on a capped exponential backoff. A
+// failed Sync counts every frame written since the last good one.
 // Mid-segment corruption found at recovery quarantines the damaged segment
 // into a quarantine/ subdirectory and rescues every frame that still decodes
 // on both sides of the corrupt gap, instead of losing everything after the
@@ -80,11 +88,11 @@ var ErrDegraded = errors.New("journal: degraded, append suspended")
 
 // Options tunes a journal. The zero value is usable.
 type Options struct {
-	// SyncEveryAppend fsyncs the active segment after each Append. Digest
-	// frames arrive once per router per epoch, so the cost is negligible
-	// next to the loss of an un-synced epoch; dcsd enables it by
-	// default. Without it an OS crash (not a process crash) can lose the
-	// tail of the active segment.
+	// SyncEveryAppend runs the Sync barrier inside every Append: one fsync
+	// per digest, on the receive path — the whole of a 256-router burst's
+	// report lag when it was dcsd's default. Nothing in the daemon sets it;
+	// it survives for bench/replica.go alone and goes with the replica
+	// (ROADMAP item 1). Callers batch with Sync instead.
 	SyncEveryAppend bool
 	// RetryInterval is the base backoff between re-arm attempts after the
 	// journal degrades; each failed attempt doubles the wait, capped at
@@ -108,7 +116,9 @@ func (o Options) withDefaults() Options {
 
 // Stats are the journal's lifetime counters, snapshotted by Stats().
 type Stats struct {
-	// FramesAppended counts frames written to the active segment.
+	// FramesAppended counts frames written to the active segment. Fault free,
+	// it and UnjournaledFrames sum to the frames handed to Append (bench's
+	// ledger checks that); a frame written whose Sync then failed is in both.
 	FramesAppended int
 	// FramesReplayed and FramesSkipped count Replay outcomes: fed to the
 	// callback vs dropped because their epoch was already analyzed.
@@ -126,7 +136,8 @@ type Stats struct {
 	DirSyncs int
 	// UnjournaledFrames counts digests that passed through ingest while the
 	// journal could not durably record them: the append that triggered a
-	// degradation and every append absorbed while degraded. This is the
+	// degradation, every append absorbed while degraded, and every frame
+	// written since the last good Sync when a Sync fails. This is the
 	// replay-honesty ledger — after a crash, at most this many frames are
 	// missing from the replayed state, and the operator knows it.
 	UnjournaledFrames int
@@ -140,6 +151,9 @@ type Stats struct {
 	// FramesRescued counts frames recovered from beyond a corrupt gap by
 	// the resynchronizing scan of a quarantined segment.
 	FramesRescued int
+	// UnsyncedFrames is how many appended frames the next Sync will make
+	// durable: the current exposure to an OS crash.
+	UnsyncedFrames int
 	// Degraded reports whether appends are currently suspended.
 	Degraded bool
 }
@@ -160,13 +174,14 @@ type counters struct {
 	segmentsQuarantined metrics.Counter
 	framesRescued       metrics.Counter
 	degraded            metrics.Gauge
+	unsynced            metrics.Gauge // frames written to the active segment since its last good fsync
 }
 
 // fsyncDir makes a batch of directory-entry mutations (segment creates and
 // deletes, the ANALYZED sidecar's creation) durable: fsyncing a file
 // persists its contents, not the directory entry naming it, so without this
 // a crash can resurrect purged segments — re-replaying analyzed epochs — or
-// lose a freshly rotated segment entirely, even with SyncEveryAppend on. A
+// lose a freshly rotated segment entirely, however often its contents are synced. A
 // package variable so crash-simulation tests can observe and fail it; it is
 // the OSFS implementation of FS.SyncDir.
 var fsyncDir = func(dir string) error {
@@ -211,6 +226,7 @@ type Journal struct {
 	// instead of leaving a torn frame (or worse, assuming the write
 	// happened and desynchronizing every frame after it).
 	activeOffset int64        // guarded by mu
+	frame        []byte       // guarded by mu; Append's encode buffer, reused so a frame is one write(2)
 	sealed       []segment    // guarded by mu
 	analyzed     map[int]bool // guarded by mu
 	analyzedF    File         // guarded by mu
@@ -225,10 +241,11 @@ type Journal struct {
 	nextRetry     time.Time     // guarded by mu; earliest next re-arm attempt
 	retryWait     time.Duration // guarded by mu; current backoff step
 
-	// ctr and fsync are atomic; they are read by scrapes and RegisterMetrics
-	// gauges without taking mu.
-	ctr   counters
-	fsync metrics.Histogram
+	// ctr, fsync and syncFrames are atomic; they are read by scrapes and
+	// RegisterMetrics gauges without taking mu.
+	ctr        counters
+	fsync      metrics.Histogram
+	syncFrames metrics.Histogram // frames one active-segment fsync made durable
 }
 
 // Open opens (creating if needed) the journal in dir. Existing segments are
@@ -246,6 +263,7 @@ func Open(dir string, opt Options) (*Journal, error) {
 		activeEpochs: make(map[int]bool),
 		analyzed:     make(map[int]bool),
 	}
+	j.syncFrames.SetBuckets([]float64{1, 4, 16, 64, 256, 1024, 4096}) // frames per fsync
 	if err := j.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -508,22 +526,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countingWriter tracks how many bytes actually reached the underlying file,
-// so a failed append knows the exact on-disk damage: the frame encoder may
-// have written the header before the payload write failed, or the file may
-// have taken a short write, and reconciling the segment offset with reality
-// is what keeps every frame after the failure decodable.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // scanFrames decodes consecutive transport frames from r, invoking fn on
 // each. It returns the offset just past the last well-formed frame and
 // whether the stream was torn — ended mid-frame or with bytes the decoder
@@ -594,12 +596,13 @@ func resyncFrames(data []byte, fn func(transport.Message) error) (int, error) {
 	return rescued, nil
 }
 
-// Append writes one digest frame to the active segment. Call it before (or
-// concurrently with) Center.Ingest — the duplicate policy makes the ordering
-// immaterial.
+// Append writes one digest frame to the active segment, in one write(2) and
+// with no fsync: the frame is durable once the next Sync returns. Call it
+// before (or concurrently with) Center.Ingest — the duplicate policy makes the
+// ordering immaterial.
 //
-// Failures never propagate as fatal: a write, sync, or rotate failure flips
-// the journal to Degraded — the frame is counted in UnjournaledFrames, the
+// Failures never propagate as fatal: a write or rotate failure flips the
+// journal to Degraded — the frame is counted in UnjournaledFrames, the
 // on-disk segment is reconciled back to the last whole-frame boundary, and
 // Append returns ErrDegraded (wrapping the fault) for this and every
 // subsequent frame until a backoff-timed re-arm succeeds. Callers keep
@@ -620,13 +623,20 @@ func (j *Journal) Append(m transport.Message) error {
 			return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
 		}
 	}
-	cw := &countingWriter{w: j.active}
-	if err := transport.Write(cw, m); err != nil {
-		// Reconcile the on-disk offset with what actually happened: cw.n
-		// bytes of a torn frame may follow the last good boundary. Cutting
-		// them back keeps the segment's surviving prefix cleanly framed; if
-		// even the truncate fails, Open-time recovery will do the same cut.
-		if cw.n > 0 {
+	frame, err := transport.AppendFrame(j.frame[:0], m)
+	if err != nil {
+		// The encoder rejected it: the disk is fine, but ingest has a frame
+		// the log does not.
+		j.ctr.unjournaled.Inc()
+		return err
+	}
+	j.frame = frame
+	if n, err := j.active.Write(frame); err != nil {
+		// Reconcile the on-disk offset with what actually happened: n bytes
+		// of a torn frame may follow the last good boundary. Cutting them
+		// back keeps the segment's surviving prefix cleanly framed; if even
+		// the truncate fails, Open-time recovery will do the same cut.
+		if n > 0 {
 			if terr := j.fs.Truncate(j.segPath(j.activeSeq), j.activeOffset); terr == nil {
 				j.ctr.tailsTruncated.Inc()
 			}
@@ -635,23 +645,17 @@ func (j *Journal) Append(m transport.Message) error {
 		j.ctr.unjournaled.Inc()
 		return fmt.Errorf("%w: %w", ErrDegraded, err)
 	}
-	j.activeOffset += cw.n
+	j.activeOffset += int64(len(frame))
 	if e, ok := epochOf(m); ok {
 		j.activeEpochs[e] = true
 	}
 	j.ctr.framesAppended.Inc()
-	// A successful durable append is the all-clear that resets the re-arm
-	// backoff to its base for the next incident.
+	j.ctr.unsynced.Add(1)
+	// A successful append is the all-clear that resets the re-arm backoff to
+	// its base for the next incident.
 	j.retryWait = 0
 	if j.opt.SyncEveryAppend {
-		if err := j.syncActiveLocked(); err != nil {
-			// The frame reached the file but its durability is unknown; an
-			// OS crash could lose it, so it counts as unjournaled and the
-			// fault degrades the journal like any other.
-			j.degradeLocked(err)
-			j.ctr.unjournaled.Inc()
-			return fmt.Errorf("%w: %w", ErrDegraded, err)
-		}
+		return j.syncLocked()
 	}
 	return nil
 }
@@ -681,6 +685,9 @@ func (j *Journal) degradeLocked(cause error) {
 func (j *Journal) rearmLocked() {
 	j.ctr.rearmAttempts.Inc()
 	if j.active != nil {
+		if err := j.flushLocked(); err != nil {
+			j.degradedCause = err // its frames are counted; the cause names the latest fault
+		}
 		//dcslint:ignore errcrit degraded-mode teardown of an already-failed segment file; its cleanly framed prefix is sealed below and Open-time recovery re-truncates any torn tail a failed close leaves
 		j.active.Close()
 		j.active = nil
@@ -761,42 +768,63 @@ func (j *Journal) DegradedCause() error {
 	return j.degradedCause
 }
 
-// syncActiveLocked fsyncs the active segment, feeding the latency histogram.
-// Caller holds j.mu.
-func (j *Journal) syncActiveLocked() error {
+// flushLocked fsyncs the active segment if frames were written to it since
+// its last good fsync. On failure the durability of every one of them is
+// unknown, so they all count as unjournaled; the caller degrades the journal
+// or, when it is abandoning the segment anyway, goes on. Caller holds j.mu.
+func (j *Journal) flushLocked() error {
+	n := j.ctr.unsynced.Load()
+	if n == 0 {
+		return nil
+	}
 	start := time.Now()
 	err := j.active.Sync()
 	j.fsync.Observe(time.Since(start).Seconds())
+	j.ctr.unsynced.Set(0)
 	if err != nil {
+		j.ctr.unjournaled.Add(n)
 		return fmt.Errorf("journal: sync: %w", err)
+	}
+	j.syncFrames.Observe(float64(n))
+	return nil
+}
+
+// syncLocked is the barrier: flush, degrade on a failed flush, and report
+// ErrDegraded whenever the journal is degraded on return. Caller holds j.mu.
+func (j *Journal) syncLocked() error {
+	if err := j.flushLocked(); err != nil {
+		j.degradeLocked(err)
+	}
+	if j.degraded {
+		return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
 	}
 	return nil
 }
 
-// Sync flushes the active segment to stable storage (for callers batching
-// appends with SyncEveryAppend off). A failure degrades the journal like a
-// failed append — by the time Sync fails the data may already be lost, and
-// pretending otherwise is what degraded mode exists to avoid.
+// Sync is the durability barrier: every frame Append has written is on
+// stable storage when it returns nil, and it costs nothing when none was
+// written since the last Sync. A failure degrades the journal like a failed
+// append — the data may already be lost, and pretending otherwise is what
+// degraded mode exists to avoid — and counts every frame since the last good
+// Sync unjournaled. While degraded it still flushes, and returns ErrDegraded.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	if j.degraded {
-		return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
-	}
-	if err := j.syncActiveLocked(); err != nil {
-		j.degradeLocked(err)
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
-	}
-	return nil
+	return j.syncLocked()
 }
 
 // rotateLocked seals the active segment and starts a new one. Caller holds
 // j.mu.
 func (j *Journal) rotateLocked() error {
-	//dcslint:ignore errcrit appends are unbuffered write(2)s (sync per policy), and Open-time recovery truncates any tail a failed close tears
+	// A segment is never closed dirty: a sealed segment's frames would
+	// otherwise wait on a writeback no barrier covers.
+	if err := j.flushLocked(); err != nil {
+		return err
+	}
+	//dcslint:ignore errcrit appends are unbuffered write(2)s just flushed above, and Open-time recovery truncates any tail a failed close tears
 	j.active.Close()
 	if len(j.activeEpochs) == 0 {
 		//dcslint:ignore errcrit best-effort cleanup of an epochless segment; a survivor is removed at the next Open
@@ -818,8 +846,8 @@ func (j *Journal) rotateLocked() error {
 	j.active = f
 	j.activeOffset = 0
 	// The new active segment's directory entry (and any epochless-segment
-	// removal above) must be durable before appends land in it: SyncEveryAppend
-	// fsyncs file contents, which cannot save a file whose name a crash
+	// removal above) must be durable before appends land in it: Sync makes
+	// file contents durable, which cannot save a file whose name a crash
 	// erased.
 	return j.syncDirLocked()
 }
@@ -1026,13 +1054,15 @@ func (j *Journal) Stats() Stats {
 		Rearms:              int(j.ctr.rearms.Load()),
 		SegmentsQuarantined: int(j.ctr.segmentsQuarantined.Load()),
 		FramesRescued:       int(j.ctr.framesRescued.Load()),
+		UnsyncedFrames:      int(j.ctr.unsynced.Load()),
 		Degraded:            j.ctr.degraded.Load() != 0,
 	}
 }
 
 // RegisterMetrics exposes the journal on a metrics registry: lifetime
-// counters, the per-fsync latency histogram, the degraded-state gauge, and a
-// live-segments gauge (the un-purged backlog the next restart would replay).
+// counters, the per-fsync latency and batch-size histograms, the degraded and
+// unsynced-frames gauges, and a live-segments gauge (the un-purged backlog the
+// next restart would replay).
 func (j *Journal) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterCounter("dcs_journal_appends_total",
 		"digest frames appended to the active segment", &j.ctr.framesAppended)
@@ -1060,13 +1090,17 @@ func (j *Journal) RegisterMetrics(r *metrics.Registry) {
 		"1 while a disk fault has appends suspended, else 0", &j.ctr.degraded)
 	r.RegisterHistogram("dcs_journal_fsync_seconds",
 		"latency of active-segment fsyncs", &j.fsync)
+	r.RegisterHistogram("dcs_journal_sync_frames",
+		"frames one active-segment fsync made durable (the group-commit batching factor)", &j.syncFrames)
+	r.RegisterGauge("dcs_journal_unsynced_frames",
+		"frames written to the active segment since its last good fsync (what an OS crash now would cost)", &j.ctr.unsynced)
 	r.GaugeFunc("dcs_journal_live_segments",
 		"sealed on-disk segments still holding un-analyzed epochs", func() float64 {
 			return float64(j.Segments())
 		})
 }
 
-// Close syncs and closes the journal. An empty active segment is removed so
+// Close syncs (if anything is unsynced) and closes the journal. An empty active segment is removed so
 // clean restarts do not accumulate zero-length files.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -1077,7 +1111,7 @@ func (j *Journal) Close() error {
 	j.closed = true
 	var firstErr error
 	if j.active != nil {
-		if err := j.active.Sync(); err != nil {
+		if err := j.flushLocked(); err != nil {
 			firstErr = err
 		}
 		if err := j.active.Close(); err != nil && firstErr == nil {

@@ -37,14 +37,14 @@ func TestShardJournalReplayMidSpanCrash(t *testing.T) {
 	// Uninterrupted run: one cluster, journal on (same config as the crash
 	// run, so the only variable is the crash), whole stream, one drain.
 	control := runCluster(t, daemon.ClusterConfig{
-		Shards: shards, Center: cfg, JournalDir: t.TempDir(), JournalSync: true,
+		Shards: shards, Center: cfg, JournalDir: t.TempDir(),
 	}, msgs)
 	want := mergedToReports(t, control, part)
 
 	// Crash run, life one: ingest the prefix, then kill every shard with no
 	// drain — reports unpushed, spans open, journals un-closed mid-span.
 	dir := t.TempDir()
-	cl, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir, JournalSync: true})
+	cl, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("starting first life: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestShardJournalReplayMidSpanCrash(t *testing.T) {
 	// Life two: same journal directories. Replay runs before the servers
 	// accept a byte — the same replay-before-listen rule dcsd follows — then
 	// the rest of the stream arrives over the wire.
-	cl2, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir, JournalSync: true})
+	cl2, err := daemon.NewCluster(daemon.ClusterConfig{Shards: shards, Center: cfg, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("starting second life: %v", err)
 	}

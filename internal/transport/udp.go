@@ -434,7 +434,7 @@ func (c *BatchingUDPClient) Send(m Message) error {
 	if len(c.buf)+n > c.cfg.MaxDatagramBytes {
 		c.flushLocked()
 	}
-	buf, err := appendFrame(c.buf, m)
+	buf, err := AppendFrame(c.buf, m)
 	if err != nil {
 		return err
 	}

@@ -233,12 +233,12 @@ func TestUDPCorruptFrameCountedBad(t *testing.T) {
 
 	buf := make([]byte, udpHeaderLen)
 	putDatagramHeader(buf, DatagramHeader{Sender: 1, Seq: 1, Count: 2})
-	buf, err = appendFrame(buf, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(1, 256)})
+	buf, err = AppendFrame(buf, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(1, 256)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cut := len(buf)
-	buf, err = appendFrame(buf, AlignedDigest{RouterID: 2, Epoch: 1, Bitmap: randomVector(2, 256)})
+	buf, err = AppendFrame(buf, AlignedDigest{RouterID: 2, Epoch: 1, Bitmap: randomVector(2, 256)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestUDPSequenceAccounting(t *testing.T) {
 		t.Helper()
 		buf := make([]byte, udpHeaderLen)
 		putDatagramHeader(buf, DatagramHeader{Sender: sender, Seq: seq, Count: 1})
-		buf, err := appendFrame(buf, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(seq, 64)})
+		buf, err := AppendFrame(buf, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(seq, 64)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestUDPPeerMapBoundedUnderSenderChurn(t *testing.T) {
 	for i := 0; i < churn; i++ {
 		buf := make([]byte, udpHeaderLen)
 		putDatagramHeader(buf, DatagramHeader{Sender: uint32(i + 1), Seq: 1, Count: 1})
-		buf, err := appendFrame(buf, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(uint64(i+1), 64)})
+		buf, err := AppendFrame(buf, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(uint64(i+1), 64)})
 		if err != nil {
 			t.Fatal(err)
 		}

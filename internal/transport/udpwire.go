@@ -94,14 +94,15 @@ func parseDatagramHeader(buf []byte) DatagramHeader {
 	}
 }
 
-// appendFrame encodes m as one frame appended to buf — the in-memory
-// counterpart of Write, used to pack several frames into one datagram.
+// AppendFrame encodes m as one frame appended to buf — the in-memory
+// counterpart of Write, byte for byte, used to pack several frames into one
+// datagram and by the journal to hand a frame to its segment in one write.
 // Malformed digests are rejected before any bytes are appended. Aligned
 // digests (the per-packet hot path: one tiny frame per digest, hundreds per
 // datagram) are serialized straight into buf with no intermediate payload
 // allocation; the header is back-patched once the payload length and CRC are
 // known.
-func appendFrame(buf []byte, m Message) ([]byte, error) {
+func AppendFrame(buf []byte, m Message) ([]byte, error) {
 	start := len(buf)
 	var hdr [headerLen]byte
 	switch d := m.(type) {

@@ -13,7 +13,7 @@ func buildDatagram(t testing.TB, h DatagramHeader, msgs ...Message) []byte {
 	putDatagramHeader(buf, h)
 	var err error
 	for _, m := range msgs {
-		if buf, err = appendFrame(buf, m); err != nil {
+		if buf, err = AppendFrame(buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,9 +82,9 @@ func isUDPHeader(data []byte) bool {
 		data[4] == udpVersion && data[5] == 0
 }
 
-// reencode checks a decoded message still satisfies appendFrame's
+// reencode checks a decoded message still satisfies AppendFrame's
 // invariants.
 func reencode(m Message) error {
-	_, err := appendFrame(nil, m)
+	_, err := AppendFrame(nil, m)
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"dcstream/internal/stats"
 )
@@ -16,13 +17,23 @@ import (
 // fills differ, which is what makes the induced graph Erdős–Rényi.
 //
 // Entries are computed lazily and memoized; a table is safe for concurrent
-// readers.
+// readers. The tracker asks tens of thousands of times per digest, so rows of
+// ordinary width memoize in a dense triangle read with one atomic load; only
+// rows too wide for that pay a lock and a hash.
 type LambdaTable struct {
 	n     int
 	pstar float64
+	// dense holds λ+1 for weights i ≤ j at i*(n+1) - i*(i-1)/2 + (j-i), zero
+	// meaning not yet computed; nil (memo instead) past maxDenseBits.
+	dense []atomic.Int32
 	mu    sync.Mutex
-	memo  map[uint32]int
+	memo  map[uint64]int // guarded by mu
 }
+
+// maxDenseBits is the widest row given a dense triangle: (n+1)(n+2)/2 entries
+// stay within 1<<22, 16 MiB of zero pages untouched until asked for. Row width
+// arrives off the wire, millions of bits at worst, so it cannot size the table.
+const maxDenseBits = 2894
 
 // NewLambdaTable returns a table for rows of n bits with per-row-pair tail
 // probability pstar.
@@ -33,7 +44,13 @@ func NewLambdaTable(n int, pstar float64) (*LambdaTable, error) {
 	if pstar <= 0 || pstar >= 1 {
 		return nil, fmt.Errorf("unaligned: pstar %v outside (0,1)", pstar)
 	}
-	return &LambdaTable{n: n, pstar: pstar, memo: make(map[uint32]int)}, nil
+	t := &LambdaTable{n: n, pstar: pstar}
+	if n <= maxDenseBits {
+		t.dense = make([]atomic.Int32, (n+1)*(n+2)/2)
+	} else {
+		t.memo = make(map[uint64]int)
+	}
+	return t, nil
 }
 
 // N returns the row width the table was built for.
@@ -51,7 +68,17 @@ func (t *LambdaTable) Threshold(i, j int) int {
 	if i > j {
 		i, j = j, i // X(i,j) is symmetric in the two weights
 	}
-	key := uint32(i)<<16 | uint32(j)
+	if t.dense != nil {
+		slot := &t.dense[i*(t.n+1)-i*(i-1)/2+(j-i)]
+		if v := slot.Load(); v != 0 {
+			return int(v - 1)
+		}
+		// Two readers racing here compute and store the same value.
+		v := stats.HyperThreshold(t.n, i, j, t.pstar)
+		slot.Store(int32(v + 1))
+		return v
+	}
+	key := uint64(i)<<32 | uint64(j)
 	t.mu.Lock()
 	v, ok := t.memo[key]
 	t.mu.Unlock()

@@ -1,0 +1,118 @@
+package unaligned
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"dcstream/internal/stats"
+)
+
+// lambdaPaths returns two tables for the same (n, p*): one memoizing in the
+// dense triangle, one forced onto the mutex+map path that rows wider than
+// maxDenseBits take.
+func lambdaPaths(t *testing.T, n int, pstar float64) map[string]*LambdaTable {
+	t.Helper()
+	dense, err := NewLambdaTable(n, pstar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.dense == nil {
+		t.Fatalf("a %d-bit table did not get the dense triangle", n)
+	}
+	wide, err := NewLambdaTable(n, pstar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide.dense, wide.memo = nil, map[uint64]int{}
+	return map[string]*LambdaTable{"dense": dense, "map": wide}
+}
+
+// TestLambdaThresholdIsHyperThreshold: on both memo paths, Threshold(i, j) is
+// stats.HyperThreshold(n, min, max, p*) — for every ordered pair of a small
+// n, asked twice so the second answer comes from the memo, and for a seeded
+// sample at the widths the daemon sees.
+func TestLambdaThresholdIsHyperThreshold(t *testing.T) {
+	const pstar = 1e-4
+	check := func(name string, tab *LambdaTable, i, j int) {
+		t.Helper()
+		lo, hi := min(i, j), max(i, j)
+		want := stats.HyperThreshold(tab.N(), lo, hi, pstar)
+		for pass := 0; pass < 2; pass++ {
+			if got := tab.Threshold(i, j); got != want {
+				t.Fatalf("%s path, n=%d: Threshold(%d, %d) = %d on pass %d, HyperThreshold says %d", name, tab.N(), i, j, got, pass, want)
+			}
+		}
+	}
+	for name, tab := range lambdaPaths(t, 40, pstar) {
+		for i := 0; i <= 40; i++ {
+			for j := 0; j <= 40; j++ {
+				check(name, tab, i, j)
+			}
+		}
+	}
+	for _, n := range []int{512, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		for name, tab := range lambdaPaths(t, n, pstar) {
+			check(name, tab, 0, 0)
+			check(name, tab, n, n) // the triangle's last slot
+			check(name, tab, 0, n)
+			for k := 0; k < 300; k++ {
+				check(name, tab, rng.Intn(n+1), rng.Intn(n+1))
+			}
+		}
+	}
+}
+
+// TestLambdaDenseBound: the widest dense table indexes its last slot in
+// range, and one bit wider falls back to the map without allocating a
+// triangle an attacker-sized row width could make arbitrarily large.
+func TestLambdaDenseBound(t *testing.T) {
+	tab, err := NewLambdaTable(maxDenseBits, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.dense) > 1<<22 {
+		t.Fatalf("the widest dense triangle has %d entries, over the 1<<22 cap", len(tab.dense))
+	}
+	if got, want := tab.Threshold(maxDenseBits, maxDenseBits), stats.HyperThreshold(maxDenseBits, maxDenseBits, maxDenseBits, 1e-4); got != want {
+		t.Fatalf("last slot: got %d, want %d", got, want)
+	}
+	wide, err := NewLambdaTable(1<<26, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.dense != nil || wide.memo == nil {
+		t.Fatal("a 64-Mbit row got a dense triangle")
+	}
+	// Weights past 1<<16 used to share a memo key with smaller ones.
+	a, b := wide.Threshold(3, 1<<16|5), wide.Threshold(3, 5)
+	if wa, wb := stats.HyperThreshold(1<<26, 3, 1<<16|5, 1e-4), stats.HyperThreshold(1<<26, 3, 5, 1e-4); a != wa || b != wb {
+		t.Fatalf("wide path: got %d and %d, want %d and %d", a, b, wa, wb)
+	}
+}
+
+// TestLambdaConcurrentReaders: one table, many readers filling and reading
+// overlapping slots at once. Run it under -race.
+func TestLambdaConcurrentReaders(t *testing.T) {
+	const n, pstar, readers = 512, 1e-4, 8
+	for name, tab := range lambdaPaths(t, n, pstar) {
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				// Two readers per seed, so every slot is raced for.
+				rng := rand.New(rand.NewSource(int64(r / 2)))
+				for k := 0; k < 400; k++ {
+					i, j := rng.Intn(n+1), rng.Intn(n+1)
+					if got, want := tab.Threshold(i, j), stats.HyperThreshold(n, min(i, j), max(i, j), pstar); got != want {
+						t.Errorf("%s path: Threshold(%d, %d) = %d, want %d", name, i, j, got, want)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+	}
+}
