@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BENCH_LABEL ?= local
 BENCH_SCALE ?= default
 
-.PHONY: build test lint fmt-check verify bench bench-json bench-ab bench-shards-json chaos fuzz-smoke clean
+.PHONY: build test lint fmt-check verify bench bench-json bench-ab bench-shards-json chaos fuzz-smoke loc clean
 
 build:
 	$(GO) build ./...
@@ -103,16 +103,22 @@ chaos:
 	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster|PowerCut|Barrier|SyncFault|ClosedDirty' \
 		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/daemon/...
 
-# Short fuzz of the crash/byte-level decoders: the transport wire reader, the
-# UDP datagram decoder, the journal recovery scanner, and the trace replay
-# reader (the fourth wiretaint decode surface; its seeds carry the hostile
-# length geometries the rule checks for). Native Go fuzzing only supports one
-# target per invocation.
+# Short fuzz of the crash/byte-level decoders. The first three targets enter
+# the one frame decoder (transport.ReadFrame) three ways: as a stream and as a
+# buffer, differentially; packed in a UDP datagram; and through the journal's
+# recovery scan. The fourth is the trace replay reader (the other wiretaint
+# decode surface; its seeds carry the hostile length geometries the rule
+# checks for). Native Go fuzzing only supports one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadDatagram -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) ./internal/traceio
+
+# Lines of Go per package (non-test, test) and the totals outside and inside
+# bench/: the numbers ROADMAP's "Size:" line and the CHANGES.md ledgers quote.
+loc:
+	@scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -24,6 +24,7 @@ import (
 
 	"dcstream/internal/aligned"
 	"dcstream/internal/bitvec"
+	"dcstream/internal/graph"
 	"dcstream/internal/metrics"
 	"dcstream/internal/transport"
 	"dcstream/internal/unaligned"
@@ -894,31 +895,47 @@ func scaledThreshold(configured, observed, fleet int) int {
 	return t
 }
 
+// analyzeUnaligned is the batch unaligned path, and the reference the
+// incremental one is tested against: merge the digests and run the
+// O(vertices²·k²) correlation pass once per λ table.
 func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) (*UnalignedOutcome, error) {
 	gm, err := unaligned.Merge(digests)
 	if err != nil {
 		return nil, err
 	}
-	n := gm.NumVertices()
 	// Merge guarantees a uniform array count, so k² is well-defined.
-	rows := gm.ArraysPerGroup()
-	rowPairs := rows * rows
+	return c.unalignedVerdict(gm.NumVertices(), gm.ArrayBits(), gm.ArraysPerGroup(), len(digests), meta, gm.Vertex,
+		func(lt *unaligned.LambdaTable) (*graph.Graph, error) {
+			return gm.BuildGraphParallel(lt, c.cfg.Parallelism)
+		})
+}
+
+// unalignedVerdict is the unaligned decision, shared by the batch and the
+// incremental path: they differ only in how build produces the correlation
+// graph a λ table admits over the n vertices (arrays per group, bits per
+// array) that vertex names. The ER test runs on the graph at the target edge
+// probability; only on a detection is the denser core graph built and the
+// pattern's vertices folded into routers.
+func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
+	vertex func(int) unaligned.Vertex,
+	build func(*unaligned.LambdaTable) (*graph.Graph, error)) (*UnalignedOutcome, error) {
+	rowPairs := arrays * arrays
 
 	p1 := c.cfg.TargetP1
 	if p1 == 0 {
 		p1 = 0.5 / float64(n)
 	}
-	lt, err := c.lambdaTable(gm.ArrayBits(), unaligned.PStarForEdgeProbability(p1, rowPairs))
+	lt, err := c.lambdaTable(bits, unaligned.PStarForEdgeProbability(p1, rowPairs))
 	if err != nil {
 		return nil, err
 	}
-	g, err := gm.BuildGraphParallel(lt, c.cfg.Parallelism)
+	g, err := build(lt)
 	if err != nil {
 		return nil, err
 	}
 	threshold := c.cfg.ComponentThreshold
-	if c.cfg.MinRouters > 0 && meta.fleet > 0 && len(digests) < meta.fleet {
-		threshold = scaledThreshold(threshold, len(digests), meta.fleet)
+	if c.cfg.MinRouters > 0 && meta.fleet > 0 && digests < meta.fleet {
+		threshold = scaledThreshold(threshold, digests, meta.fleet)
 	}
 	out := &UnalignedOutcome{
 		Vertices: n,
@@ -932,11 +949,11 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 	if coreP1 == 0 {
 		coreP1 = 8 / float64(n)
 	}
-	coreTable, err := c.lambdaTable(gm.ArrayBits(), unaligned.PStarForEdgeProbability(coreP1, rowPairs))
+	coreTable, err := c.lambdaTable(bits, unaligned.PStarForEdgeProbability(coreP1, rowPairs))
 	if err != nil {
 		return nil, err
 	}
-	cg, err := gm.BuildGraphParallel(coreTable, c.cfg.Parallelism)
+	cg, err := build(coreTable)
 	if err != nil {
 		return nil, err
 	}
@@ -946,7 +963,7 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 	}
 	routerSeen := map[int]bool{}
 	for _, v := range found {
-		vert := gm.Vertex(v)
+		vert := vertex(v)
 		out.PatternVertices = append(out.PatternVertices, vert)
 		if !routerSeen[vert.RouterID] {
 			routerSeen[vert.RouterID] = true

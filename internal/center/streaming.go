@@ -368,58 +368,14 @@ func (c *Center) analyzeAlignedMatrix(ids []rowID, m *aligned.Matrix, weights, r
 // bit-identical to the batch path's.
 func (c *Center) analyzeUnalignedEv(ev *unaligned.SpanEvidence, digests int, meta windowMeta) (*UnalignedOutcome, error) {
 	n := ev.NumVertices()
-	rowPairs := ev.Arrays() * ev.Arrays()
-
-	p1 := c.cfg.TargetP1
-	if p1 == 0 {
-		p1 = 0.5 / float64(n)
-	}
-	lt, err := c.lambdaTable(ev.Bits(), unaligned.PStarForEdgeProbability(p1, rowPairs))
-	if err != nil {
-		return nil, err
-	}
-	g := graph.New(n)
-	for _, e := range ev.Edges(lt) {
-		g.AddEdge(int(e[0]), int(e[1]))
-	}
-	threshold := c.cfg.ComponentThreshold
-	if c.cfg.MinRouters > 0 && meta.fleet > 0 && digests < meta.fleet {
-		threshold = scaledThreshold(threshold, digests, meta.fleet)
-	}
-	out := &UnalignedOutcome{
-		Vertices: n,
-		ER:       unaligned.ERTest(g, threshold),
-	}
-	if !out.ER.PatternDetected {
-		return out, nil
-	}
-
-	coreP1 := c.cfg.CoreP1
-	if coreP1 == 0 {
-		coreP1 = 8 / float64(n)
-	}
-	coreTable, err := c.lambdaTable(ev.Bits(), unaligned.PStarForEdgeProbability(coreP1, rowPairs))
-	if err != nil {
-		return nil, err
-	}
-	cg := graph.New(n)
-	for _, e := range ev.Edges(coreTable) {
-		cg.AddEdge(int(e[0]), int(e[1]))
-	}
-	found, err := unaligned.FindPattern(cg, unaligned.PatternConfig{Beta: c.cfg.Beta, D: c.cfg.D})
-	if err != nil {
-		return nil, err
-	}
-	routerSeen := map[int]bool{}
-	for _, v := range found {
-		vert := ev.Vertex(v)
-		out.PatternVertices = append(out.PatternVertices, vert)
-		if !routerSeen[vert.RouterID] {
-			routerSeen[vert.RouterID] = true
-			out.Routers = append(out.Routers, vert.RouterID)
-		}
-	}
-	return out, nil
+	return c.unalignedVerdict(n, ev.Bits(), ev.Arrays(), digests, meta, ev.Vertex,
+		func(lt *unaligned.LambdaTable) (*graph.Graph, error) {
+			g := graph.New(n)
+			for _, e := range ev.Edges(lt) {
+				g.AddEdge(int(e[0]), int(e[1]))
+			}
+			return g, nil
+		})
 }
 
 // releaseLocked drops one epoch's buffered state and returns every

@@ -436,12 +436,12 @@ func (j *Journal) loadSegmentLocked(seq int, path string, quarantined bool) erro
 		}
 		return nil
 	}
-	valid, torn, _ := scanFrames(bytes.NewReader(data), collect)
+	valid, torn, _ := scanFrames(data, collect)
 	rescued := 0
 	if torn || quarantined {
 		// Look past the corruption: frames that still decode (each one CRC
 		// verified) prove the damage is mid-segment, not a torn tail.
-		rescued, _ = resyncFrames(data[minInt64(valid+1, int64(len(data))):], collect)
+		rescued, _ = resyncFrames(data[valid:], collect)
 	}
 	switch {
 	case quarantined:
@@ -458,7 +458,7 @@ func (j *Journal) loadSegmentLocked(seq int, path string, quarantined bool) erro
 			// The move failed (the disk may be the very thing that is
 			// broken); fall back to the old lose-the-tail truncation so
 			// recovery still converges.
-			if terr := j.fs.Truncate(path, valid); terr != nil {
+			if terr := j.fs.Truncate(path, int64(valid)); terr != nil {
 				return fmt.Errorf("journal: quarantine %s failed (%v) and truncate failed: %w", path, err, terr)
 			}
 			j.ctr.tailsTruncated.Inc()
@@ -475,7 +475,7 @@ func (j *Journal) loadSegmentLocked(seq int, path string, quarantined bool) erro
 		j.sealed = append(j.sealed, segment{seq: seq, path: qpath, epochs: epochs, quarantined: true})
 		return nil
 	case torn:
-		if err := j.fs.Truncate(path, valid); err != nil {
+		if err := j.fs.Truncate(path, int64(valid)); err != nil {
 			return fmt.Errorf("journal: truncate torn tail of %s: %w", path, err)
 		}
 		j.ctr.tailsTruncated.Inc()
@@ -495,13 +495,6 @@ func (j *Journal) loadSegmentLocked(seq int, path string, quarantined bool) erro
 	return nil
 }
 
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // epochOf extracts the measurement epoch a digest message is stamped with.
 func epochOf(m transport.Message) (int, bool) {
 	switch d := m.(type) {
@@ -513,59 +506,41 @@ func epochOf(m transport.Message) (int, bool) {
 	return 0, false
 }
 
-// countingReader tracks how many bytes the frame decoder consumed, so the
-// scan knows the exact offset of the last well-formed frame boundary.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// scanFrames decodes consecutive transport frames from r, invoking fn on
-// each. It returns the offset just past the last well-formed frame and
-// whether the stream was torn — ended mid-frame or with bytes the decoder
-// rejects (bad magic, bad CRC, implausible geometry). Framing cannot
-// resynchronize blindly past corruption — that is resyncFrames's job, which
-// hunts for the next CRC-verified frame — and a digest with a valid frame
-// but corrupt payload would silently perturb the correlation statistics,
-// which is exactly what the CRC exists to prevent. fn errors abort the scan
-// and are returned verbatim.
-func scanFrames(r io.Reader, fn func(transport.Message) error) (valid int64, torn bool, err error) {
-	cr := &countingReader{r: r}
-	for {
-		m, rerr := transport.Read(cr)
+// scanFrames decodes the consecutive transport frames data opens with,
+// invoking fn on each. It returns the offset just past the last well-formed
+// frame and whether data is torn there — ends mid-frame or goes on with bytes
+// the decoder rejects (bad magic, bad CRC, implausible geometry). Framing
+// cannot resynchronize blindly past corruption — that is resyncFrames's job,
+// which hunts for the next CRC-verified frame — and a digest with a valid
+// frame but corrupt payload would silently perturb the correlation
+// statistics, which is exactly what the CRC exists to prevent. fn errors
+// abort the scan and are returned verbatim.
+func scanFrames(data []byte, fn func(transport.Message) error) (valid int, torn bool, err error) {
+	for valid < len(data) {
+		m, rest, rerr := transport.ReadFrame(data[valid:])
 		if rerr != nil {
-			if rerr == io.EOF && cr.n == valid {
-				return valid, false, nil // clean end at a frame boundary
-			}
 			return valid, true, nil
 		}
-		if fn != nil {
-			if ferr := fn(m); ferr != nil {
-				return valid, false, ferr
-			}
+		if ferr := fn(m); ferr != nil {
+			return valid, false, ferr
 		}
-		valid = cr.n
+		valid = len(data) - len(rest)
 	}
+	return valid, false, nil // clean end at a frame boundary
 }
 
 // frameMagic is the on-disk byte pattern opening every frame ("DCS1",
 // little-endian), the needle the resynchronizing scan hunts for.
 var frameMagic = []byte("DCS1")
 
-// resyncFrames rescues decodable frames from data, which starts at (or
-// somewhere inside) a corrupt region: it searches for the next frame-magic
-// candidate, decodes consecutive frames from there, and on further
-// corruption repeats the hunt. Every rescued frame passed its CRC-32C, so a
-// false-positive magic inside garbage is rejected rather than delivered
-// (the odds of random bytes passing the checksum are 2^-32 per candidate —
-// rescue can lose frames, it cannot invent them). Returns how many frames fn
-// accepted; fn errors abort the scan.
+// resyncFrames rescues decodable frames from data, which starts at the frame
+// boundary where scanFrames gave up (or somewhere inside a corrupt region):
+// it searches for the next frame-magic candidate, decodes consecutive frames
+// from there, and on further corruption repeats the hunt. Every rescued frame
+// passed its CRC-32C, so a false-positive magic inside garbage is rejected
+// rather than delivered (the odds of random bytes passing the checksum are
+// 2^-32 per candidate — rescue can lose frames, it cannot invent them).
+// Returns how many frames it handed fn; fn errors abort the scan.
 func resyncFrames(data []byte, fn func(transport.Message) error) (int, error) {
 	rescued := 0
 	off := 0
@@ -575,20 +550,15 @@ func resyncFrames(data []byte, fn func(transport.Message) error) (int, error) {
 			return rescued, nil
 		}
 		start := off + idx
-		n := 0
-		valid, _, err := scanFrames(bytes.NewReader(data[start:]), func(m transport.Message) error {
-			n++
-			if fn != nil {
-				return fn(m)
-			}
-			return nil
+		valid, _, err := scanFrames(data[start:], func(m transport.Message) error {
+			rescued++
+			return fn(m)
 		})
-		rescued += n
 		if err != nil {
 			return rescued, err
 		}
 		if valid > 0 {
-			off = start + int(valid)
+			off = start + valid
 		} else {
 			off = start + 1 // false-positive magic; step past it
 		}
@@ -1017,12 +987,12 @@ func (j *Journal) Replay(fn func(transport.Message) error) error {
 		if err != nil {
 			return fmt.Errorf("journal: replay %s: %w", s.path, err)
 		}
-		valid, torn, err := scanFrames(bytes.NewReader(data), deliver)
+		valid, torn, err := scanFrames(data, deliver)
 		if err != nil {
 			return err
 		}
 		if torn && s.quarantined {
-			if _, err := resyncFrames(data[minInt64(valid+1, int64(len(data))):], deliver); err != nil {
+			if _, err := resyncFrames(data[valid:], deliver); err != nil {
 				return err
 			}
 		}

@@ -290,21 +290,23 @@ func FuzzSegmentScan(f *testing.F) {
 	f.Add(truncated)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		count := 0
-		valid, torn, err := scanFrames(bytes.NewReader(data), func(transport.Message) error {
+		valid, torn, err := scanFrames(data, func(transport.Message) error {
 			count++
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("scan error with non-failing fn: %v", err)
 		}
-		if valid < 0 || valid > int64(len(data)) {
+		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d outside input of %d bytes", valid, len(data))
 		}
-		if !torn && valid != int64(len(data)) && count == 0 && valid != 0 {
-			t.Fatalf("clean scan stopped early: valid=%d len=%d", valid, len(data))
+		// A segment is a buffer, not a stream: it is torn exactly when bytes
+		// are left past the last whole frame, a tail cut mid-frame included.
+		if torn != (valid != len(data)) {
+			t.Fatalf("torn=%v with valid=%d of %d bytes", torn, valid, len(data))
 		}
 		count2 := 0
-		valid2, torn2, _ := scanFrames(bytes.NewReader(data[:valid]), func(transport.Message) error {
+		valid2, torn2, _ := scanFrames(data[:valid], func(transport.Message) error {
 			count2++
 			return nil
 		})
@@ -314,13 +316,14 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 		// The rescue scan the quarantine path runs over everything past the
 		// corruption point: no panics, deterministic, and every rescued
-		// frame decodes (delivery happens only through transport.Read).
-		rest := data[minInt64(valid+1, int64(len(data))):]
-		rescued, err := resyncFrames(rest, func(transport.Message) error { return nil })
+		// frame decodes (delivery happens only through transport.ReadFrame).
+		rest := data[valid:]
+		accept := func(transport.Message) error { return nil }
+		rescued, err := resyncFrames(rest, accept)
 		if err != nil {
 			t.Fatalf("resync error with non-failing fn: %v", err)
 		}
-		rescued2, _ := resyncFrames(rest, nil)
+		rescued2, _ := resyncFrames(rest, accept)
 		if rescued2 != rescued {
 			t.Fatalf("resync not deterministic: %d then %d frames", rescued, rescued2)
 		}

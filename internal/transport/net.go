@@ -200,6 +200,7 @@ type Client struct {
 	conn         net.Conn      // guarded by mu
 	writeTimeout time.Duration // guarded by mu
 	err          error         // guarded by mu; first write failure, sticky
+	frame        []byte        // guarded by mu; Send's encode buffer, reused so a frame is one write
 	stats        *Stats
 }
 
@@ -243,14 +244,18 @@ func (c *Client) Send(m Message) error {
 			return fmt.Errorf("transport: arm write deadline: %w", err)
 		}
 	}
-	if err := Write(c.conn, m); err != nil {
-		// Write validates the digest before any bytes hit the wire, so an
-		// encoding rejection leaves the stream aligned — only an actual
-		// stream write failure (possible partial frame) breaks the client.
-		if errors.Is(err, errStreamWrite) {
-			c.err = err
-		}
+	frame, err := AppendFrame(c.frame[:0], m)
+	if err != nil {
+		// The encoder rejected the digest before any byte reached the
+		// connection: the stream is still frame-aligned, the client usable.
 		return err
+	}
+	c.frame = frame
+	// One write per frame: header and payload in separate writes would be
+	// two segments under TCP_NODELAY and two chances to tear the frame.
+	if _, err := c.conn.Write(frame); err != nil {
+		c.err = fmt.Errorf("transport: write frame: %w", err)
+		return c.err
 	}
 	c.stats.FramesOut.Add(1)
 	return nil

@@ -71,6 +71,8 @@ func (c ReconnectConfig) withDefaults() ReconnectConfig {
 type ReconnectingClient struct {
 	addr string
 	cfg  ReconnectConfig
+	// dial is net.DialTimeout, except in tests that count the sender's writes.
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -91,9 +93,14 @@ type ReconnectingClient struct {
 // NewReconnectingClient starts a client for the given center address. It
 // never dials eagerly, so a collector may start before its center.
 func NewReconnectingClient(addr string, cfg ReconnectConfig) *ReconnectingClient {
+	return newReconnectingClient(addr, cfg, net.DialTimeout)
+}
+
+func newReconnectingClient(addr string, cfg ReconnectConfig, dial func(network, addr string, timeout time.Duration) (net.Conn, error)) *ReconnectingClient {
 	c := &ReconnectingClient{
 		addr:     addr,
 		cfg:      cfg.withDefaults(),
+		dial:     dial,
 		closedCh: make(chan struct{}),
 		done:     make(chan struct{}),
 		wakeCh:   make(chan struct{}, 1),
@@ -255,6 +262,7 @@ func (c *ReconnectingClient) run() {
 	backoff := c.cfg.InitialBackoff
 	everConnected := false
 	headAttempted := false // head already written (possibly partially) on a dead conn?
+	var frame []byte       // encode buffer, reused so a frame is one write
 	for {
 		m, ok := c.head()
 		if !ok {
@@ -283,7 +291,7 @@ func (c *ReconnectingClient) run() {
 			default:
 			}
 			c.cfg.Stats.DialAttempts.Add(1)
-			nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+			nc, err := c.dial("tcp", c.addr, c.cfg.DialTimeout)
 			if err != nil {
 				if !c.sleep(backoff) {
 					return
@@ -317,17 +325,18 @@ func (c *ReconnectingClient) run() {
 				continue
 			}
 		}
+		f, err := AppendFrame(frame[:0], m)
+		if err != nil {
+			// Encoding rejection: no bytes hit the wire and no retry can
+			// ever succeed, so drop the message instead of redialing
+			// forever on an unserializable head.
+			c.cfg.Stats.DroppedSends.Add(1)
+			c.pop()
+			continue
+		}
+		frame = f
 		headAttempted = true
-		if err := Write(conn, m); err != nil {
-			if !errors.Is(err, errStreamWrite) {
-				// Encoding rejection: no bytes hit the wire and no retry can
-				// ever succeed, so drop the message instead of redialing
-				// forever on an unserializable head.
-				headAttempted = false
-				c.cfg.Stats.DroppedSends.Add(1)
-				c.pop()
-				continue
-			}
+		if _, err := conn.Write(frame); err != nil {
 			//dcslint:ignore errcrit the write already failed and is being retried; the close error adds nothing
 			conn.Close()
 			conn = nil

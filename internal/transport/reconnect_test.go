@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -273,8 +274,9 @@ func TestFlushReportsAbandonedOnClose(t *testing.T) {
 	}
 }
 
-// scriptedConn is a net.Conn whose Write fails from a chosen call number on;
-// the embedded nil net.Conn panics on anything a test should not touch.
+// scriptedConn is a net.Conn that counts its Writes and fails them from a
+// chosen call number on, part-way through the bytes; the embedded nil
+// net.Conn panics on anything a test should not touch.
 type scriptedConn struct {
 	net.Conn
 	writes   int
@@ -284,7 +286,7 @@ type scriptedConn struct {
 func (c *scriptedConn) Write(p []byte) (int, error) {
 	c.writes++
 	if c.failFrom > 0 && c.writes >= c.failFrom {
-		return 0, errors.New("synthetic connection failure")
+		return len(p) / 2, errors.New("synthetic connection failure")
 	}
 	return len(p), nil
 }
@@ -294,9 +296,9 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 // later Send must refuse with ErrClientBroken instead of writing frames the
 // center will misparse.
 func TestSendStickyAfterWriteFailure(t *testing.T) {
-	// Write #1 (header) succeeds, write #2 (payload) dies: the wire now
-	// holds a headless partial frame.
-	c := &Client{conn: &scriptedConn{failFrom: 2}, stats: new(Stats)}
+	// The frame's one write dies half-way: the wire now holds a partial frame.
+	conn := &scriptedConn{failFrom: 1}
+	c := &Client{conn: conn, stats: new(Stats)}
 	d := AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(1, 256)}
 	err := c.Send(d)
 	if err == nil || errors.Is(err, ErrClientBroken) {
@@ -310,15 +312,92 @@ func TestSendStickyAfterWriteFailure(t *testing.T) {
 	if n := c.Stats().FramesOut.Load(); n != 0 {
 		t.Fatalf("broken client counted %d frames out", n)
 	}
+	if conn.writes != 1 {
+		t.Fatalf("broken client wrote to its connection %d times, want only the write that failed", conn.writes)
+	}
 
 	// An encoding rejection never touches the wire, so it must NOT latch:
 	// the stream is still aligned and the next valid digest goes through.
-	c2 := &Client{conn: &scriptedConn{}, stats: new(Stats)}
+	conn2 := &scriptedConn{}
+	c2 := &Client{conn: conn2, stats: new(Stats)}
 	if err := c2.Send(AlignedDigest{RouterID: 2}); err == nil || errors.Is(err, ErrClientBroken) {
 		t.Fatalf("nil bitmap: %v", err)
 	}
-	if err := c2.Send(d); err != nil {
-		t.Fatalf("encoding rejection latched the client: %v", err)
+	if conn2.writes != 0 {
+		t.Fatalf("a rejected digest cost the connection %d writes", conn2.writes)
+	}
+	// A frame is one write — header and payload apart would be two TCP
+	// segments and two chances to tear it — from a buffer the client keeps.
+	var m Message = d
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := c2.Send(m); err != nil {
+			t.Fatalf("encoding rejection latched the client: %v", err)
+		}
+	})
+	if conn2.writes != 11 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("11 sends made %d writes, want one per frame", conn2.writes)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm Send allocates %v times, want 0", allocs)
+	}
+}
+
+// writeLog is a net.Conn that records every Write — a copy of the bytes, and
+// which buffer they came from — on its way to the real connection.
+type writeLog struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+	starts []*byte
+}
+
+func (c *writeLog) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.starts = append(c.starts, &p[0])
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestReconnectingClientOneWritePerFrame: the queued sender, too, hands the
+// kernel each frame whole, out of one reused buffer.
+func TestReconnectingClientOneWritePerFrame(t *testing.T) {
+	cs := startCollect(t, "127.0.0.1:0", ServerConfig{})
+	defer cs.srv.Close()
+	var log *writeLog
+	client := newReconnectingClient(cs.addr, ReconnectConfig{}, func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout(network, addr, timeout)
+		log = &writeLog{Conn: conn}
+		return log, err
+	})
+	defer client.Close()
+
+	const n = 5
+	var frames [n][]byte
+	for r := range frames {
+		d := AlignedDigest{RouterID: r, Epoch: 1, Bitmap: randomVector(uint64(r+1), 256)}
+		frames[r] = encodeFrame(t, d)
+		if err := client.Send(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left := client.Flush(5 * time.Second); left != 0 {
+		t.Fatalf("%d digests undelivered", left)
+	}
+	cs.waitFor(t, n, 5*time.Second)
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if len(log.writes) != n {
+		t.Fatalf("%d frames took %d writes, want one each", n, len(log.writes))
+	}
+	for i, w := range log.writes {
+		if !bytes.Equal(w, frames[i]) {
+			t.Fatalf("write %d carried %d bytes, want frame %d whole (%d bytes)", i, len(w), i, len(frames[i]))
+		}
+		if log.starts[i] != log.starts[0] {
+			t.Fatalf("write %d came from a new buffer; the sender keeps one", i)
+		}
 	}
 }
 
@@ -397,5 +476,52 @@ func TestBadFrameClosesOnlyOffender(t *testing.T) {
 	cs.waitFor(t, 3, 5*time.Second)
 	if n := cs.srv.Stats().FramesIn.Load(); n != 3 {
 		t.Fatalf("frames in = %d, want 3", n)
+	}
+}
+
+// TestTornStreamIsNotABadFrame: a collector whose connection dies inside a
+// frame — header sent, half the payload, close — did not lie to the center,
+// so it costs no BadFrames count and no gate strike; the same bytes followed
+// by garbage where the rest of the payload belonged do. The stream decoder
+// has to keep that distinction, which reading the connection into a buffer
+// and decoding the buffer would lose.
+func TestTornStreamIsNotABadFrame(t *testing.T) {
+	cs := startCollect(t, "127.0.0.1:0", ServerConfig{Gate: GateConfig{MaxStrikes: 3}})
+	defer cs.srv.Close()
+	frame := encodeFrame(t, AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: randomVector(1, 256)})
+	torn := frame[:headerLen+(len(frame)-headerLen)/2]
+
+	// send writes b, ends the stream, and waits for the server to hang up —
+	// which it does after it has counted whatever it is going to count.
+	send := func(b []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", cs.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var one [1]byte
+		if _, err := conn.Read(one[:]); err == nil {
+			t.Fatal("server sent data on a one-way channel")
+		}
+	}
+
+	send(torn)
+	if s := cs.srv.Stats().Snapshot(); s.BadFrames != 0 || s.Strikes != 0 {
+		t.Fatalf("a connection that died mid-frame cost bad=%d strikes=%d, want 0/0", s.BadFrames, s.Strikes)
+	}
+	send(append(append([]byte(nil), torn...), bytes.Repeat([]byte{0xAA}, len(frame)-len(torn))...))
+	if s := cs.srv.Stats().Snapshot(); s.BadFrames != 1 || s.Strikes != 1 {
+		t.Fatalf("a frame completed with garbage cost bad=%d strikes=%d, want 1/1", s.BadFrames, s.Strikes)
+	}
+	if n := cs.srv.Stats().FramesIn.Load(); n != 0 {
+		t.Fatalf("%d frames delivered from two connections that never sent a whole one", n)
 	}
 }

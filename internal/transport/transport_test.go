@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -128,18 +127,13 @@ func TestReadDetectsBitFlip(t *testing.T) {
 func TestTailBitsRejectedEvenWithValidChecksum(t *testing.T) {
 	// A peer that *deliberately* sends tail garbage with a matching
 	// checksum must still be rejected by the vector decoder.
-	dg := AlignedDigest{RouterID: 1, Bitmap: bitvec.New(4)}
-	payload, err := encodeAligned(dg)
+	frame, err := AppendFrame(nil, AlignedDigest{RouterID: 1, Bitmap: bitvec.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload[len(payload)-1] = 0xf0
-	var buf bytes.Buffer
-	hdr := make([]byte, headerLen)
-	binaryPut(hdr, payload)
-	buf.Write(hdr)
-	buf.Write(payload)
-	if _, err := Read(&buf); !errors.Is(err, ErrBadFrame) {
+	frame[len(frame)-1] = 0xf0
+	rewriteChecksum(frame)
+	if _, err := Read(bytes.NewReader(frame)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("valid-checksum tail garbage accepted: %v", err)
 	}
 }
@@ -246,14 +240,4 @@ func TestServeValidation(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", 50*time.Millisecond); err == nil {
 		t.Fatal("dial to dead port succeeded")
 	}
-}
-
-// binaryPut fills a frame header for hand-crafted test frames.
-func binaryPut(hdr, payload []byte) {
-	hdr[0], hdr[1], hdr[2], hdr[3] = 'D', 'C', 'S', '1'
-	hdr[4] = typeAligned
-	hdr[5] = byte(len(payload))
-	hdr[6], hdr[7], hdr[8] = byte(len(payload)>>8), byte(len(payload)>>16), byte(len(payload)>>24)
-	crc := crc32.Checksum(payload, castagnoli)
-	hdr[9], hdr[10], hdr[11], hdr[12] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
 }

@@ -57,30 +57,6 @@ func (c UDPServerConfig) withDefaults() UDPServerConfig {
 	return c
 }
 
-// batchReceiver abstracts the receive syscall so the read loop is written
-// once against a batch: the stdlib implementation fills one datagram per
-// call, and a recvmmsg-style implementation can fill many without the
-// decode path changing.
-type batchReceiver interface {
-	// recv reads up to len(bufs) datagrams, each bufs[i] sized maxDatagram.
-	// It records datagram lengths in lens and senders in addrs, returning
-	// how many entries it filled. An error means the socket is closed.
-	recv(bufs [][]byte, lens []int, addrs []net.Addr) (int, error)
-}
-
-// singleReceiver is the portable stdlib receiver: one ReadFromUDP per recv.
-type singleReceiver struct{ conn *net.UDPConn }
-
-func (r singleReceiver) recv(bufs [][]byte, lens []int, addrs []net.Addr) (int, error) {
-	n, addr, err := r.conn.ReadFromUDP(bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	lens[0] = n
-	addrs[0] = addr
-	return 1, nil
-}
-
 // UDPServer is the analysis center's datagram sink: the lossy, cheap
 // counterpart of Server. Every datagram passing the prefilter has its frames
 // decoded and fed to the handler; sequence numbers per sender feed the loss
@@ -88,7 +64,6 @@ func (r singleReceiver) recv(bufs [][]byte, lens []int, addrs []net.Addr) (int, 
 // while the center's quorum gate keeps the verdicts honest under that loss.
 type UDPServer struct {
 	conn    *net.UDPConn
-	rx      batchReceiver
 	handler Handler
 	cfg     UDPServerConfig
 	gate    *senderGate // nil when the gate is disabled
@@ -149,7 +124,6 @@ func ServeUDPConfig(addr string, handler Handler, cfg UDPServerConfig) (*UDPServ
 	}
 	s := &UDPServer{
 		conn:    conn,
-		rx:      singleReceiver{conn: conn},
 		handler: handler,
 		cfg:     cfg,
 		gate:    newSenderGate(cfg.Gate, cfg.Stats),
@@ -175,25 +149,15 @@ func (s *UDPServer) QuarantinedSenders() []string { return s.gate.Quarantined() 
 
 func (s *UDPServer) readLoop() {
 	defer s.wg.Done()
-	// One backing allocation reused for the socket's whole life: the batch
-	// geometry matches what a recvmmsg receiver wants, and the stdlib
-	// receiver simply fills one slot per call.
-	const batch = 32
-	backing := make([]byte, batch*maxDatagram)
-	bufs := make([][]byte, batch)
-	for i := range bufs {
-		bufs[i] = backing[i*maxDatagram : (i+1)*maxDatagram]
-	}
-	lens := make([]int, batch)
-	addrs := make([]net.Addr, batch)
+	// One buffer for the socket's whole life: a decoded message aliases
+	// nothing in it, so the next datagram may overwrite the last.
+	buf := make([]byte, maxDatagram)
 	for {
-		n, err := s.rx.recv(bufs, lens, addrs)
+		n, from, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
-		for i := 0; i < n; i++ {
-			s.handleDatagram(bufs[i][:lens[i]], addrs[i])
-		}
+		s.handleDatagram(buf[:n], from)
 	}
 }
 
@@ -396,7 +360,9 @@ func DialUDP(addr string, cfg UDPClientConfig) (*BatchingUDPClient, error) {
 	c := &BatchingUDPClient{
 		conn: conn,
 		cfg:  cfg,
-		buf:  make([]byte, udpHeaderLen, cfg.MaxDatagramBytes),
+		// Room for a full datagram plus the frame that overflowed it, so a
+		// Send within the budget never reallocates.
+		buf:  make([]byte, udpHeaderLen, 2*cfg.MaxDatagramBytes),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -412,31 +378,30 @@ func DialUDP(addr string, cfg UDPClientConfig) (*BatchingUDPClient, error) {
 // Stats returns the client's counters.
 func (c *BatchingUDPClient) Stats() *Stats { return c.cfg.Stats }
 
-// Send appends one digest frame to the current datagram, emitting the
-// datagram first if the frame would not fit. Errors report only local
-// conditions — a malformed digest, a frame too large for the datagram
-// budget (use TCP for digests that big), or a closed client; transmit
-// failures surface in Stats.DroppedSends, not here.
+// Send encodes one digest frame onto the end of the current datagram; if that
+// overflows the budget, the frames staged before it are emitted and it opens
+// the next datagram. Errors report only local conditions — a malformed
+// digest, a frame too large for the datagram budget (use TCP for digests that
+// big), or a closed client; transmit failures surface in Stats.DroppedSends,
+// not here.
 func (c *BatchingUDPClient) Send(m Message) error {
-	n, err := frameWireLen(m)
-	if err != nil {
-		return err
-	}
-	if udpHeaderLen+n > c.cfg.MaxDatagramBytes {
-		return fmt.Errorf("transport: %d-byte frame exceeds the %d-byte datagram budget; raise MaxDatagramBytes or use the TCP path",
-			n, c.cfg.MaxDatagramBytes)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClientClosed
 	}
-	if len(c.buf)+n > c.cfg.MaxDatagramBytes {
-		c.flushLocked()
-	}
+	staged := len(c.buf)
 	buf, err := AppendFrame(c.buf, m)
 	if err != nil {
 		return err
+	}
+	if n := len(buf) - staged; udpHeaderLen+n > c.cfg.MaxDatagramBytes {
+		return fmt.Errorf("transport: %d-byte frame exceeds the %d-byte datagram budget; raise MaxDatagramBytes or use the TCP path",
+			n, c.cfg.MaxDatagramBytes)
+	}
+	if len(buf) > c.cfg.MaxDatagramBytes {
+		c.flushLocked() // emits c.buf, which still ends where the staged frames do
+		buf = append(c.buf, buf[staged:]...)
 	}
 	c.buf = buf
 	c.frames++

@@ -140,6 +140,8 @@ func TestUDPSendSplitsAtBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	sent := &writeLog{Conn: c.conn}
+	c.conn = sent // no flush timer is running to race with
 
 	// Each frame is 13+8+4+16*8 = 153 bytes; two fit a 400-byte budget with
 	// the 20-byte header, three do not.
@@ -154,6 +156,20 @@ func TestUDPSendSplitsAtBudget(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return len(got()) == 6 })
 	if out := c.Stats().Snapshot().DatagramsOut; out != 3 {
 		t.Fatalf("sent %d datagrams, want 3 (two 153-byte frames per 400-byte budget)", out)
+	}
+	// The frame that overflowed a datagram opens the next one, in order, and
+	// the encode-then-check never lets an over-budget datagram out.
+	for i, dg := range sent.writes {
+		if len(dg) > 400 {
+			t.Fatalf("datagram %d is %d bytes, over the 400-byte budget", i, len(dg))
+		}
+		var routers []int
+		if _, _, err := decodeDatagram(dg, func(m Message) { routers = append(routers, m.(AlignedDigest).RouterID) }); err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if len(routers) != 2 || routers[0] != 2*i || routers[1] != 2*i+1 {
+			t.Fatalf("datagram %d carries routers %v, want [%d %d]", i, routers, 2*i, 2*i+1)
+		}
 	}
 	if lost := srv.Stats().Snapshot().DatagramsLost; lost != 0 {
 		t.Fatalf("loopback delivery counted %d lost datagrams", lost)

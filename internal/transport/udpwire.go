@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
 // Datagram layout (little-endian):
@@ -94,129 +93,6 @@ func parseDatagramHeader(buf []byte) DatagramHeader {
 	}
 }
 
-// AppendFrame encodes m as one frame appended to buf — the in-memory
-// counterpart of Write, byte for byte, used to pack several frames into one
-// datagram and by the journal to hand a frame to its segment in one write.
-// Malformed digests are rejected before any bytes are appended. Aligned
-// digests (the per-packet hot path: one tiny frame per digest, hundreds per
-// datagram) are serialized straight into buf with no intermediate payload
-// allocation; the header is back-patched once the payload length and CRC are
-// known.
-func AppendFrame(buf []byte, m Message) ([]byte, error) {
-	start := len(buf)
-	var hdr [headerLen]byte
-	switch d := m.(type) {
-	case AlignedDigest:
-		if d.Bitmap == nil {
-			return buf, fmt.Errorf("transport: aligned digest for router %d has nil bitmap", d.RouterID)
-		}
-		var fixed [8]byte
-		binary.LittleEndian.PutUint32(fixed[0:], uint32(d.RouterID))
-		binary.LittleEndian.PutUint32(fixed[4:], uint32(d.Epoch))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, fixed[:]...)
-		buf = putVector(buf, d.Bitmap)
-		payload := buf[start+headerLen:]
-		binary.LittleEndian.PutUint32(buf[start:], magic)
-		buf[start+4] = typeAligned
-		binary.LittleEndian.PutUint32(buf[start+5:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+9:], crc32.Checksum(payload, castagnoli))
-		return buf, nil
-	case UnalignedDigest:
-		payload, err := encodeUnaligned(d)
-		if err != nil {
-			return buf, err
-		}
-		binary.LittleEndian.PutUint32(hdr[0:], magic)
-		hdr[4] = typeUnaligned
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[9:], crc32.Checksum(payload, castagnoli))
-		buf = append(buf, hdr[:]...)
-		return append(buf, payload...), nil
-	case Report:
-		if len(d.Payload) > maxFrame {
-			return buf, fmt.Errorf("transport: report payload of %d bytes exceeds the %d-byte frame limit", len(d.Payload), maxFrame)
-		}
-		binary.LittleEndian.PutUint32(hdr[0:], magic)
-		hdr[4] = typeReport
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(d.Payload)))
-		binary.LittleEndian.PutUint32(hdr[9:], crc32.Checksum(d.Payload, castagnoli))
-		buf = append(buf, hdr[:]...)
-		return append(buf, d.Payload...), nil
-	default:
-		return buf, fmt.Errorf("transport: unknown message type %T", m)
-	}
-}
-
-// frameWireLen is how many datagram bytes m will occupy once framed, or an
-// error for digests Write itself would reject.
-func frameWireLen(m Message) (int, error) {
-	switch d := m.(type) {
-	case AlignedDigest:
-		if d.Bitmap == nil {
-			return 0, fmt.Errorf("transport: aligned digest for router %d has nil bitmap", d.RouterID)
-		}
-		return headerLen + 8 + 4 + len(d.Bitmap.Words())*8, nil
-	case UnalignedDigest:
-		if d.Digest == nil {
-			return 0, fmt.Errorf("transport: unaligned digest message has nil digest")
-		}
-		n := headerLen + 16
-		for _, group := range d.Digest.Rows {
-			for _, row := range group {
-				if row == nil {
-					return 0, fmt.Errorf("transport: unaligned digest from router %d has nil array", d.Digest.RouterID)
-				}
-				n += 4 + len(row.Words())*8
-			}
-		}
-		return n, nil
-	case Report:
-		return headerLen + len(d.Payload), nil
-	default:
-		return 0, fmt.Errorf("transport: unknown message type %T", m)
-	}
-}
-
-// readFrame decodes one frame at the start of buf and returns the message
-// and the remaining bytes — the in-memory counterpart of Read for frames
-// already sitting in a received datagram.
-func readFrame(buf []byte) (Message, []byte, error) {
-	if len(buf) < headerLen {
-		return nil, nil, fmt.Errorf("%w: truncated frame header", ErrBadFrame)
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != magic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	length := binary.LittleEndian.Uint32(buf[5:])
-	if length > maxFrame {
-		return nil, nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, length)
-	}
-	if uint32(len(buf)-headerLen) < length {
-		return nil, nil, fmt.Errorf("%w: truncated frame payload", ErrBadFrame)
-	}
-	payload := buf[headerLen : headerLen+int(length)]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(buf[9:]); got != want {
-		return nil, nil, fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrBadFrame, got, want)
-	}
-	rest := buf[headerLen+int(length):]
-	switch buf[4] {
-	case typeAligned:
-		m, err := decodeAligned(payload)
-		return m, rest, err
-	case typeUnaligned:
-		m, err := decodeUnaligned(payload)
-		return m, rest, err
-	case typeReport:
-		// The payload aliases the receive buffer, which the read loop reuses
-		// for the next datagram; a report is retained past this frame walk, so
-		// it must own its bytes.
-		return Report{Payload: append([]byte(nil), payload...)}, rest, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, buf[4])
-	}
-}
-
 // decodeDatagram walks a prefiltered datagram's frames, calling emit for
 // each decoded message in order. It returns the envelope, how many frames
 // decoded cleanly, and the first frame error (frames before the error were
@@ -227,7 +103,7 @@ func decodeDatagram(buf []byte, emit func(Message)) (DatagramHeader, int, error)
 	h := parseDatagramHeader(buf)
 	rest := buf[udpHeaderLen:]
 	for i := 0; i < h.Count; i++ {
-		m, r, err := readFrame(rest)
+		m, r, err := ReadFrame(rest)
 		if err != nil {
 			return h, i, fmt.Errorf("frame %d/%d: %w", i+1, h.Count, err)
 		}

@@ -52,12 +52,6 @@ const (
 // ErrBadFrame reports a malformed or oversized frame.
 var ErrBadFrame = errors.New("transport: malformed frame")
 
-// errStreamWrite marks a frame write that failed after bytes may have hit
-// the connection — as opposed to an encoding rejection, which never touches
-// it. Client.Send uses the distinction to decide whether the byte stream is
-// still frame-aligned.
-var errStreamWrite = errors.New("transport: stream write failed")
-
 // Message is a value that can travel over the digest channel.
 type Message interface{ isMessage() }
 
@@ -91,70 +85,70 @@ type Report struct {
 
 func (Report) isMessage() {}
 
-// Write encodes a message as one frame on w. Malformed digests (nil
-// bitmaps, ragged unaligned geometry) are rejected before any bytes hit the
-// wire — a half-written frame would desynchronize the whole stream.
-func Write(w io.Writer, m Message) error {
+// castagnoli is the CRC-32C table shared by the encoder and the decoder.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendFrame encodes m as one frame appended to buf. It is the only frame
+// encoder: the TCP clients, the datagram batcher and the journal all hand
+// its bytes to their carrier in one write, which is what makes a journal
+// segment byte-identical to the wire. The header is reserved first, the
+// payload serialized straight into buf behind it (no intermediate payload
+// allocation, whatever the kind), and the header back-patched once the
+// payload length and CRC are known. Malformed digests (nil bitmaps, ragged
+// unaligned geometry) are rejected with buf returned exactly as it came — a
+// half-written frame would desynchronize every frame after it.
+func AppendFrame(buf []byte, m Message) ([]byte, error) {
+	start := len(buf)
+	var hdr [headerLen]byte
+	out := append(buf, hdr[:]...)
 	var kind byte
-	var payload []byte
 	var err error
 	switch d := m.(type) {
 	case AlignedDigest:
 		kind = typeAligned
-		payload, err = encodeAligned(d)
+		out, err = appendAligned(out, d)
 	case UnalignedDigest:
 		kind = typeUnaligned
-		payload, err = encodeUnaligned(d)
+		out, err = appendUnaligned(out, d)
 	case Report:
 		kind = typeReport
 		if len(d.Payload) > maxFrame {
-			return fmt.Errorf("transport: report payload of %d bytes exceeds the %d-byte frame limit", len(d.Payload), maxFrame)
+			return buf, fmt.Errorf("transport: report payload of %d bytes exceeds the %d-byte frame limit", len(d.Payload), maxFrame)
 		}
-		payload = d.Payload
+		out = append(out, d.Payload...)
 	default:
-		return fmt.Errorf("transport: unknown message type %T", m)
+		return buf, fmt.Errorf("transport: unknown message type %T", m)
 	}
 	if err != nil {
-		return err
+		return buf, err
 	}
-	hdr := make([]byte, headerLen)
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[9:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("%w: header: %w", errStreamWrite, err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("%w: payload: %w", errStreamWrite, err)
-	}
-	return nil
+	payload := out[start+headerLen:]
+	binary.LittleEndian.PutUint32(out[start:], magic)
+	out[start+4] = kind
+	binary.LittleEndian.PutUint32(out[start+5:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[start+9:], crc32.Checksum(payload, castagnoli))
+	return out, nil
 }
 
-// castagnoli is the CRC-32C table shared by Write and Read.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Read decodes the next frame from r. io.EOF is returned unwrapped when the
-// stream ends cleanly at a frame boundary.
-func Read(r io.Reader) (Message, error) {
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("transport: read header: %w", err)
-	}
+// frameLen validates a frame header's magic and returns the payload length
+// it declares, bounded by maxFrame.
+func frameLen(hdr []byte) (int, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
+		return 0, fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
 	length := binary.LittleEndian.Uint32(hdr[5:])
 	if length > maxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, length)
+		return 0, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("transport: read payload: %w", err)
-	}
+	return int(length), nil
+}
+
+// decodeFrame checks payload against the header's checksum and decodes it as
+// the header's message kind. The message aliases nothing in payload: vectors
+// are copied out word by word, and a report — retained long past the frame
+// walk, while a receive buffer is reused for the next datagram — gets its own
+// copy.
+func decodeFrame(hdr, payload []byte) (Message, error) {
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[9:]); got != want {
 		return nil, fmt.Errorf("%w: payload checksum %08x, header says %08x", ErrBadFrame, got, want)
 	}
@@ -164,19 +158,74 @@ func Read(r io.Reader) (Message, error) {
 	case typeUnaligned:
 		return decodeUnaligned(payload)
 	case typeReport:
-		return Report{Payload: payload}, nil
+		return Report{Payload: append([]byte(nil), payload...)}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, hdr[4])
 	}
 }
 
+// ReadFrame decodes the frame at the start of buf — a received datagram's
+// frames, a journal segment — and returns the message and the bytes after
+// it. It is the only frame decoder. A buffer that ends inside a frame is
+// ErrBadFrame: unlike a stream, there is nothing more to wait for.
+func ReadFrame(buf []byte) (Message, []byte, error) {
+	if len(buf) < headerLen {
+		return nil, nil, fmt.Errorf("%w: truncated frame header", ErrBadFrame)
+	}
+	n, err := frameLen(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(buf)-headerLen < n {
+		return nil, nil, fmt.Errorf("%w: truncated frame payload", ErrBadFrame)
+	}
+	end := headerLen + n
+	m, err := decodeFrame(buf[:headerLen], buf[headerLen:end])
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, buf[end:], nil
+}
+
+// Write encodes a message as one frame on w, in one w.Write; a message the
+// encoder rejects costs w no write at all.
+func Write(w io.Writer, m Message) error {
+	frame, err := AppendFrame(nil, m)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
+}
+
+// Read decodes the next frame from r. io.EOF is returned unwrapped when the
+// stream ends cleanly at a frame boundary; a stream that ends inside a frame
+// is a read error, not ErrBadFrame — the peer died, it did not lie.
+func Read(r io.Reader) (Message, error) {
+	hdr := make([]byte, headerLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("transport: read header: %w", err)
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("transport: read payload: %w", err)
+	}
+	return decodeFrame(hdr, payload)
+}
+
 func putVector(buf []byte, v *bitvec.Vector) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(v.Len()))
-	buf = append(buf, tmp[:4]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Len()))
 	for _, w := range v.Words() {
-		binary.LittleEndian.PutUint64(tmp[:], w)
-		buf = append(buf, tmp[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
 }
@@ -207,13 +256,12 @@ func getVector(buf []byte) (*bitvec.Vector, []byte, error) {
 	return v, buf, nil
 }
 
-func encodeAligned(d AlignedDigest) ([]byte, error) {
+func appendAligned(buf []byte, d AlignedDigest) ([]byte, error) {
 	if d.Bitmap == nil {
-		return nil, fmt.Errorf("transport: aligned digest for router %d has nil bitmap", d.RouterID)
+		return buf, fmt.Errorf("transport: aligned digest for router %d has nil bitmap", d.RouterID)
 	}
-	buf := make([]byte, 8, 12+len(d.Bitmap.Words())*8)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(d.RouterID))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(d.Epoch))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.RouterID))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Epoch))
 	return putVector(buf, d.Bitmap), nil
 }
 
@@ -236,9 +284,9 @@ func decodeAligned(buf []byte) (Message, error) {
 	return d, nil
 }
 
-func encodeUnaligned(d UnalignedDigest) ([]byte, error) {
+func appendUnaligned(buf []byte, d UnalignedDigest) ([]byte, error) {
 	if d.Digest == nil {
-		return nil, fmt.Errorf("transport: unaligned digest message has nil digest")
+		return buf, fmt.Errorf("transport: unaligned digest message has nil digest")
 	}
 	// The frame header states one array count for the whole digest, so a
 	// ragged Rows slice would serialize more (or fewer) vectors than the
@@ -250,21 +298,20 @@ func encodeUnaligned(d UnalignedDigest) ([]byte, error) {
 	}
 	for g, group := range d.Digest.Rows {
 		if len(group) != arrays {
-			return nil, fmt.Errorf("transport: ragged unaligned digest from router %d: group %d has %d arrays, group 0 has %d",
+			return buf, fmt.Errorf("transport: ragged unaligned digest from router %d: group %d has %d arrays, group 0 has %d",
 				d.Digest.RouterID, g, len(group), arrays)
 		}
 		for a, row := range group {
 			if row == nil {
-				return nil, fmt.Errorf("transport: unaligned digest from router %d: nil array (%d,%d)",
+				return buf, fmt.Errorf("transport: unaligned digest from router %d: nil array (%d,%d)",
 					d.Digest.RouterID, g, a)
 			}
 		}
 	}
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(d.Digest.RouterID))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(d.Epoch))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(d.Digest.Rows)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(arrays))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Digest.RouterID))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Epoch))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Digest.Rows)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(arrays))
 	for _, group := range d.Digest.Rows {
 		for _, row := range group {
 			buf = putVector(buf, row)

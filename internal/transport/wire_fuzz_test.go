@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -93,32 +94,47 @@ func TestQuickUnalignedRoundTrip(t *testing.T) {
 	}
 }
 
+// bogusMessage is a Message kind the codec has no type byte for.
+type bogusMessage struct{}
+
+func (bogusMessage) isMessage() {}
+
 // TestWriteRejectsRaggedUnaligned is the headline wire bugfix: a digest
-// whose groups disagree on array count must fail loudly at Write instead of
-// serializing a frame that misparses on decode.
+// whose groups disagree on array count must fail loudly at the encoder
+// instead of serializing a frame that misparses on decode. It and every
+// other message the encoder rejects must leave the carrier untouched: Write
+// makes no write, AppendFrame returns the buffer it was given.
 func TestWriteRejectsRaggedUnaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := randomUnaligned(rng, 7, 3, 4, 128)
-	d.Rows[1] = d.Rows[1][:2] // ragged: group 1 has 2 arrays, others 4
-	var buf bytes.Buffer
-	if err := Write(&buf, UnalignedDigest{Epoch: 1, Digest: d}); err == nil {
-		t.Fatal("ragged digest serialized")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("ragged digest wrote %d bytes before failing", buf.Len())
-	}
-	// Nil rows are rejected too.
-	d2 := randomUnaligned(rng, 7, 2, 2, 128)
-	d2.Rows[0][1] = nil
-	if err := Write(&buf, UnalignedDigest{Digest: d2}); err == nil {
-		t.Fatal("nil array serialized")
-	}
-	// And nil digests/bitmaps.
-	if err := Write(&buf, UnalignedDigest{}); err == nil {
-		t.Fatal("nil digest serialized")
-	}
-	if err := Write(&buf, AlignedDigest{RouterID: 1}); err == nil {
-		t.Fatal("nil bitmap serialized")
+	ragged := randomUnaligned(rng, 7, 3, 4, 128)
+	ragged.Rows[1] = ragged.Rows[1][:2] // group 1 has 2 arrays, others 4
+	nilArray := randomUnaligned(rng, 7, 2, 2, 128)
+	nilArray.Rows[1][1] = nil // the last one: everything before it serializes
+	for _, tc := range []struct {
+		name string
+		msg  Message
+	}{
+		{"ragged groups", UnalignedDigest{Epoch: 1, Digest: ragged}},
+		{"nil array", UnalignedDigest{Digest: nilArray}},
+		{"nil digest", UnalignedDigest{}},
+		{"nil bitmap", AlignedDigest{RouterID: 1}},
+		{"unknown type", bogusMessage{}},
+	} {
+		var w scriptedConn // counts the writes it takes
+		if err := Write(&w, tc.msg); err == nil {
+			t.Errorf("%s: serialized", tc.name)
+		}
+		if w.writes != 0 {
+			t.Errorf("%s: %d writes before failing", tc.name, w.writes)
+		}
+		prefix := []byte("frames already staged")
+		got, err := AppendFrame(prefix, tc.msg)
+		if err == nil {
+			t.Errorf("%s: appended", tc.name)
+		}
+		if !bytes.Equal(got, []byte("frames already staged")) {
+			t.Errorf("%s: AppendFrame returned %q, want the %q it was given", tc.name, got, prefix)
+		}
 	}
 }
 
@@ -230,9 +246,12 @@ func rewriteChecksum(frame []byte) {
 	binary.LittleEndian.PutUint32(frame[9:], crc)
 }
 
-// FuzzReadFrame feeds arbitrary bytes to the frame decoder; the engine
-// grows the corpus from the seeded valid frames. Read must never panic or
-// allocate unboundedly, only return a message or an error.
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder through both of
+// its entry points; the engine grows the corpus from the seeded valid frames.
+// Neither may panic or allocate unboundedly, and the stream adaptor and the
+// buffer decoder must agree frame for frame on accept or reject and on the
+// message. The one difference allowed is the error class when the input ends
+// inside a frame: a read error from Read, ErrBadFrame from ReadFrame.
 func FuzzReadFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(29))
 	var buf bytes.Buffer
@@ -247,13 +266,25 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(hostileGeometryFrame(0xFFFFFFFF, 0xFFFFFFFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		rest := data
 		for {
 			m, err := Read(r)
+			bm, brest, berr := ReadFrame(rest)
 			if err != nil {
+				if !errors.Is(berr, ErrBadFrame) {
+					t.Fatalf("Read rejected (%v) what ReadFrame answered with %v", err, berr)
+				}
+				if !errors.Is(err, ErrBadFrame) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("Read failed with %v: neither ErrBadFrame nor an input that ended", err)
+				}
 				return
 			}
+			if berr != nil || !reflect.DeepEqual(m, bm) || len(brest) != r.Len() {
+				t.Fatalf("Read decoded %+v with %d bytes left; ReadFrame (%+v, %d bytes left, %v)", m, r.Len(), bm, len(brest), berr)
+			}
+			rest = brest
 			// Decoded messages must re-encode cleanly: decode output always
-			// satisfies the invariants Write checks.
+			// satisfies the invariants the encoder checks.
 			if err := Write(io.Discard, m); err != nil {
 				t.Fatalf("decoded message fails re-encode: %v", err)
 			}
