@@ -12,12 +12,10 @@ test:
 	$(GO) test ./...
 
 # Project-invariant static analysis: seeded RNG discipline, wall-clock bans in
-# deterministic packages, lock discipline, atomic hygiene, write-path error
-# handling, and the dataflow rules (wire-taint, map-order determinism,
-# goroutine lifecycle). Exits non-zero on any unsuppressed finding; see
-# DESIGN.md for the rules and the //dcslint:ignore escape hatch. LINTFLAGS
-# passes extra dcslint flags through, e.g.
-#   make lint LINTFLAGS='-json'            machine-readable findings
+# deterministic packages, lock discipline, write-path error handling,
+# map-order determinism and goroutine lifecycle. Exits non-zero on any
+# unsuppressed finding; see DESIGN.md for the rules and the //dcslint:ignore
+# escape hatch. LINTFLAGS passes extra dcslint flags through, e.g.
 #   make lint LINTFLAGS='-show-suppressed' audit the escape hatches
 LINTFLAGS ?=
 lint:
@@ -106,9 +104,11 @@ chaos:
 # Short fuzz of the crash/byte-level decoders. The first three targets enter
 # the one frame decoder (transport.ReadFrame) three ways: as a stream and as a
 # buffer, differentially; packed in a UDP datagram; and through the journal's
-# recovery scan. The fourth is the trace replay reader (the other wiretaint
-# decode surface; its seeds carry the hostile length geometries the rule
-# checks for). Native Go fuzzing only supports one target per invocation.
+# recovery scan. The fourth is the trace replay reader, the other decode
+# surface. Their seeds carry the hostile lengths the hostile-frame table
+# (TestGeometryOverflowRejected, TestReaderRejectsCorrupt) pins; the fuzzers
+# look for the ones it does not. Native Go fuzzing only supports one target
+# per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadDatagram -fuzztime $(FUZZTIME) ./internal/transport

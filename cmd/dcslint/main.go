@@ -1,27 +1,23 @@
 // Command dcslint runs the project's invariant checks (internal/lint) over
 // the whole module: seed-reproducibility (seededrand, walltime), lock
-// discipline on the annotated concurrent structs (lockdiscipline,
-// atomicmix), crash-safety error handling on the write paths (errcrit), and
-// the dataflow rules (wiretaint, maporder, gorolifecycle). It prints findings
-// in the standard file:line:col format and exits 1 when any unsuppressed
-// finding remains, so `make lint` and CI fail the build on a violated
-// invariant.
+// discipline on the annotated concurrent structs (lockdiscipline),
+// crash-safety error handling on the write paths (errcrit), order-independent
+// results from map iteration (maporder) and a join or stop path for every
+// library goroutine (gorolifecycle). It prints findings in the standard
+// file:line:col format and exits 1 when any unsuppressed finding remains, so
+// `make lint` and CI fail the build on a violated invariant.
 //
 // Usage:
 //
-//	dcslint [-C dir] [-json] [-show-suppressed] [-list] [packages]
+//	dcslint [-C dir] [-show-suppressed] [-list] [packages]
 //
-// -json replaces the text output with a machine-readable array of every
-// finding (suppressed ones included, so dashboards can audit the escape
-// hatches); the exit status is unchanged. Package arguments are accepted for
-// muscle-memory compatibility ("./...") but the tool always analyzes the
-// whole module containing -C (default: the current directory): the
-// invariants are module-global, and partial runs would let a violation hide
-// in an unlisted package.
+// Package arguments are accepted for muscle-memory compatibility ("./...")
+// but the tool always analyzes the whole module containing -C (default: the
+// current directory): the invariants are module-global, and partial runs
+// would let a violation hide in an unlisted package.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,23 +25,10 @@ import (
 	"dcstream/internal/lint"
 )
 
-// jsonFinding is the stable -json schema; field renames here break CI
-// artifact consumers.
-type jsonFinding struct {
-	File           string `json:"file"`
-	Line           int    `json:"line"`
-	Col            int    `json:"col"`
-	Rule           string `json:"rule"`
-	Message        string `json:"message"`
-	Suppressed     bool   `json:"suppressed"`
-	SuppressReason string `json:"suppress_reason,omitempty"`
-}
-
 func main() {
 	var (
 		chdir          = flag.String("C", ".", "analyze the module containing this directory")
-		jsonOut        = flag.Bool("json", false, "emit findings (including suppressed) as a JSON array instead of text")
-		showSuppressed = flag.Bool("show-suppressed", false, "also print suppressed findings with their reasons (text mode)")
+		showSuppressed = flag.Bool("show-suppressed", false, "also print suppressed findings with their reasons")
 		list           = flag.Bool("list", false, "list the registered rules and exit")
 	)
 	flag.Parse()
@@ -69,42 +52,12 @@ func main() {
 	}
 
 	rules := lint.Rules()
-	var all []lint.Finding
-	for _, pkg := range pkgs {
-		all = append(all, lint.RunRules(pkg, rules)...)
-	}
-
 	failed := false
-	for _, f := range all {
-		if !f.Suppressed {
-			failed = true
-			break
-		}
-	}
-
-	if *jsonOut {
-		out := make([]jsonFinding, 0, len(all)) // 0-finding runs emit [], not null
-		for _, f := range all {
-			out = append(out, jsonFinding{
-				File:           f.Pos.Filename,
-				Line:           f.Pos.Line,
-				Col:            f.Pos.Column,
-				Rule:           f.Rule,
-				Message:        f.Message,
-				Suppressed:     f.Suppressed,
-				SuppressReason: f.SuppressReason,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "dcslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range all {
+	for _, pkg := range pkgs {
+		for _, f := range lint.RunRules(pkg, rules) {
 			switch {
 			case !f.Suppressed:
+				failed = true
 				fmt.Println(f)
 			case *showSuppressed:
 				fmt.Printf("%s [suppressed: %s]\n", f, f.SuppressReason)

@@ -92,7 +92,8 @@ func TestChaosOverloadDegradedNeverWrong(t *testing.T) {
 	var mu sync.Mutex
 	delivered := map[int]int{} // epoch -> digests the handler saw
 	srv, err := transport.ServeUDPConfig("127.0.0.1:0", func(m transport.Message, _ net.Addr) {
-		//dcslint:ignore errcrit degraded-mode chaos: append failures are the scenario; the gap is asserted via UnjournaledFrames below
+		// Degraded-mode chaos: append failures are the scenario; the gap is
+		// asserted via UnjournaledFrames below.
 		jr.Append(m)
 		if d, ok := m.(transport.AlignedDigest); ok {
 			mu.Lock()

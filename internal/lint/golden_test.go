@@ -46,10 +46,6 @@ func TestGoldenLockdiscipline(t *testing.T) {
 	runGolden(t, "lockdiscipline", "lockdiscipline")
 }
 
-func TestGoldenAtomicmix(t *testing.T) {
-	runGolden(t, "atomicmix", "atomicmix")
-}
-
 func TestGoldenErrcrit(t *testing.T) {
 	// journal and metrics are in errcrit's crash-safety scope (the registry
 	// because a dropped exposition-write error truncates /metrics silently);
@@ -71,14 +67,6 @@ func TestGoldenErrcrit(t *testing.T) {
 	// daemon pins the assembly's scope entry: the journal, listener and
 	// event-log closes that used to sit outside library scope in cmd/dcsd.
 	runGolden(t, "errcrit/daemon", "errcrit")
-}
-
-func TestGoldenWiretaint(t *testing.T) {
-	// transport is in wiretaint's decode-surface scope and reintroduces the
-	// PR 6 groups*arrays overflow; other is the out-of-scope negative where
-	// the same shapes are silent.
-	runGolden(t, "wiretaint/transport", "wiretaint")
-	runGolden(t, "wiretaint/other", "wiretaint")
 }
 
 func TestGoldenMaporder(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -62,9 +63,7 @@ func Rules() []Rule {
 		seededrandRule,
 		walltimeRule,
 		lockdisciplineRule,
-		atomicmixRule,
 		errcritRule,
-		wiretaintRule,
 		maporderRule,
 		gorolifecycleRule,
 	}
@@ -333,4 +332,32 @@ func inspectSkipFuncLits(body *ast.BlockStmt, fn func(ast.Node) bool) {
 		}
 		return fn(n)
 	})
+}
+
+// exprString renders a selector/identifier chain for diagnostics.
+func exprString(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		return exprString(v.X) + "." + v.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(v.X) + "[...]"
+	case *ast.StarExpr:
+		return "*" + exprString(v.X)
+	}
+	return "expression"
+}
+
+// typeFromPackage reports whether t (or its pointee) is declared in pkgPath.
+func typeFromPackage(t types.Type, pkgPath string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }

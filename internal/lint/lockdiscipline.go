@@ -214,6 +214,15 @@ func checkMutexCopies(pass *Pass, file *ast.File) {
 	}
 }
 
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+func typeString(t types.Type) string {
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
+}
+
 // collectUnitEvents gathers, in source order, the unit's mutex operations,
 // guarded-field accesses, returns, and block scopes. Nested function
 // literals are excluded — they are their own units.

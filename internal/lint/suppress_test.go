@@ -100,35 +100,30 @@ func TestSuppressionMechanics(t *testing.T) {
 	}
 }
 
-// taintedBefore is a decode-scope file whose unchecked wire-sized make is
-// excused by a suppression; taintedAfter is the same file after the fix lands
-// (a bounds comparison sanitizes the length) with the suppression left
-// behind. The lifecycle contract: the moment the sanitizer makes the
-// suppression unnecessary, the leftover comment must flip from "used" to a
-// stale-suppression finding — suppressions cannot quietly outlive the code
-// they excused.
-const taintedBefore = `package transport
+// closeBefore is a write-path file whose discarded Close error is excused by
+// a suppression; closeAfter is the same file after the fix lands (the error
+// is returned) with the suppression left behind. The lifecycle contract: the
+// moment the fix makes the suppression unnecessary, the leftover comment must
+// flip from "used" to a stale-suppression finding — suppressions cannot
+// quietly outlive the code they excused.
+const closeBefore = `package transport
 
-import "encoding/binary"
+import "net"
 
-func decode(buf []byte) []byte {
-	n := binary.LittleEndian.Uint32(buf)
-	//dcslint:ignore wiretaint frame length is pre-validated by the caller
-	return make([]byte, n)
+func teardown(conn net.Conn) error {
+	//dcslint:ignore errcrit read-side teardown; nothing was written to this connection
+	conn.Close()
+	return nil
 }
 `
 
-const taintedAfter = `package transport
+const closeAfter = `package transport
 
-import "encoding/binary"
+import "net"
 
-func decode(buf []byte) []byte {
-	n := binary.LittleEndian.Uint32(buf)
-	if n > 1<<20 {
-		return nil
-	}
-	//dcslint:ignore wiretaint frame length is pre-validated by the caller
-	return make([]byte, n)
+func teardown(conn net.Conn) error {
+	//dcslint:ignore errcrit read-side teardown; nothing was written to this connection
+	return conn.Close()
 }
 `
 
@@ -139,8 +134,8 @@ func TestSuppressionGoesStaleWhenSanitizerAdded(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The "transport" segment puts the package in wiretaint's scope, as
-		// in the real module.
+		// The "transport" segment puts the package in errcrit's scope, as in
+		// the real module.
 		pkg, err := LoadDir(dir, "supp/transport")
 		if err != nil {
 			t.Fatal(err)
@@ -148,10 +143,10 @@ func TestSuppressionGoesStaleWhenSanitizerAdded(t *testing.T) {
 		return RunRules(pkg, Rules())
 	}
 
-	before := load(taintedBefore)
+	before := load(closeBefore)
 	usedSuppression, staleBefore := false, false
 	for _, f := range before {
-		if f.Rule == "wiretaint" && f.Suppressed && f.SuppressReason == "frame length is pre-validated by the caller" {
+		if f.Rule == "errcrit" && f.Suppressed && f.SuppressReason == "read-side teardown; nothing was written to this connection" {
 			usedSuppression = true
 		}
 		if f.Rule == "dcslint" && strings.Contains(f.Message, "stale suppression") {
@@ -159,24 +154,24 @@ func TestSuppressionGoesStaleWhenSanitizerAdded(t *testing.T) {
 		}
 	}
 	if !usedSuppression {
-		t.Errorf("before the fix: expected a suppressed wiretaint finding, got %v", before)
+		t.Errorf("before the fix: expected a suppressed errcrit finding, got %v", before)
 	}
 	if staleBefore {
 		t.Errorf("before the fix: suppression wrongly reported stale: %v", before)
 	}
 
-	after := load(taintedAfter)
-	var wiretaintAfter, staleAfter []Finding
+	after := load(closeAfter)
+	var errcritAfter, staleAfter []Finding
 	for _, f := range after {
-		if f.Rule == "wiretaint" {
-			wiretaintAfter = append(wiretaintAfter, f)
+		if f.Rule == "errcrit" {
+			errcritAfter = append(errcritAfter, f)
 		}
 		if f.Rule == "dcslint" && strings.Contains(f.Message, "stale suppression") {
 			staleAfter = append(staleAfter, f)
 		}
 	}
-	if len(wiretaintAfter) != 0 {
-		t.Errorf("after the fix: bounds check should sanitize the make, got %v", wiretaintAfter)
+	if len(errcritAfter) != 0 {
+		t.Errorf("after the fix: a returned Close error is not discarded, got %v", errcritAfter)
 	}
 	if len(staleAfter) != 1 {
 		t.Errorf("after the fix: want exactly one stale-suppression finding, got %v", after)

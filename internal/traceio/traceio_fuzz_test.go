@@ -11,9 +11,9 @@ import (
 )
 
 // hostileTraceRecord builds a 12-byte record header claiming length payload
-// bytes, followed by however much of it the attacker bothered to send —
-// wiretaint's hostile-geometry class: the length field is wire-controlled and
-// the reader must bound it before allocating.
+// bytes, followed by however much of it the attacker bothered to send: the
+// length field is file-controlled and the reader must bound it before
+// allocating.
 func hostileTraceRecord(flow uint64, length uint32, supplied int) []byte {
 	buf := make([]byte, 12+supplied)
 	binary.LittleEndian.PutUint64(buf[0:], flow)
@@ -23,8 +23,8 @@ func hostileTraceRecord(flow uint64, length uint32, supplied int) []byte {
 
 // FuzzTraceRead feeds arbitrary bytes through the trace replay pipeline
 // cmd/dcsreplay runs per file. Invariants: no panic and no unbounded
-// allocation on any input (the maxPayload guard is the wiretaint sanitizer
-// for this decoder), a corrupt record surfaces as ErrCorrupt rather than a
+// allocation on any input (the maxPayload guard is this decoder's one
+// bound), a corrupt record surfaces as ErrCorrupt rather than a
 // silent short trace, and every record read back survives a write/read
 // round-trip bit-identically.
 func FuzzTraceRead(f *testing.F) {

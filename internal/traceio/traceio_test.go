@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -76,19 +77,26 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 	if _, err := r.Read(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated header: %v", err)
 	}
-	// Oversized length field.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Write(packet.Packet{Flow: 1, Payload: []byte("xy")})
-	w.Flush()
-	b := buf.Bytes()
-	b[8], b[9], b[10], b[11] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := NewReader(bytes.NewReader(b)).Read(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("oversize: %v", err)
+	// Oversized length field: a 12-byte record claiming more than maxPayload
+	// is refused and the claim never allocated — held the way transport's
+	// hostile-frame table holds the wire's bounds. The reader's own 4 KiB
+	// buffer fits under the 64 KiB ceiling; the smallest hostile claim
+	// (1 MiB + 1) does not. TotalAlloc is process-wide: no t.Parallel here.
+	for _, length := range []uint32{0xFFFFFFFF, maxPayload + 1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewReader(bytes.NewReader(hostileTraceRecord(1, length, 0))).Read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("oversize %#x: %v", length, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("oversize %#x: allocated %d bytes, ceiling %d", length, got, 64<<10)
+		}
 	}
 	// Truncated payload.
-	buf.Reset()
-	w = NewWriter(&buf)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
 	w.Write(packet.Packet{Flow: 1, Payload: make([]byte, 100)})
 	w.Flush()
 	if _, err := NewReader(bytes.NewReader(buf.Bytes()[:50])).Read(); !errors.Is(err, ErrCorrupt) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -195,6 +196,36 @@ func TestBadGeometryRejected(t *testing.T) {
 	}
 }
 
+// hostileFrame wraps payload in a frame of the given kind with a valid CRC,
+// so what a hostile payload meets is the decoder, not the checksum.
+func hostileFrame(kind byte, payload []byte) []byte {
+	frame := make([]byte, headerLen, headerLen+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:], magic)
+	frame[4] = kind
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(payload)))
+	frame = append(frame, payload...)
+	rewriteChecksum(frame)
+	return frame
+}
+
+// hostileLengthFrame is a bare 13-byte header declaring length payload bytes
+// it does not carry.
+func hostileLengthFrame(length uint32) []byte {
+	frame := hostileFrame(typeAligned, nil)
+	binary.LittleEndian.PutUint32(frame[5:], length)
+	return frame
+}
+
+// hostileVectorFrame is an aligned digest whose bitmap declares bits bits and
+// carries body for them.
+func hostileVectorFrame(bits uint32, body []byte) []byte {
+	payload := make([]byte, 12, 12+len(body))
+	binary.LittleEndian.PutUint32(payload[0:], 1) // router
+	binary.LittleEndian.PutUint32(payload[4:], 1) // epoch
+	binary.LittleEndian.PutUint32(payload[8:], bits)
+	return hostileFrame(typeAligned, append(payload, body...))
+}
+
 // hostileGeometryFrame builds the 16-byte-payload unaligned frame that used
 // to panic the decoder: groups and arrays both 0xFFFFFFFF, whose product
 // wraps int64 to a negative number and slipped past the old single-product
@@ -205,37 +236,91 @@ func hostileGeometryFrame(groups, arrays uint32) []byte {
 	binary.LittleEndian.PutUint32(payload[4:], 1) // epoch
 	binary.LittleEndian.PutUint32(payload[8:], groups)
 	binary.LittleEndian.PutUint32(payload[12:], arrays)
-	frame := make([]byte, headerLen, headerLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], magic)
-	frame[4] = typeUnaligned
-	binary.LittleEndian.PutUint32(frame[5:], uint32(len(payload)))
-	frame = append(frame, payload...)
-	rewriteChecksum(frame)
-	return frame
+	return hostileFrame(typeUnaligned, payload)
 }
 
-// TestGeometryOverflowRejected is the decoder-hardening regression test: a
-// hostile frame whose dimensions multiply past int64 must be rejected as
-// ErrBadFrame, not drive a gigabyte allocation or a makeslice panic.
-func TestGeometryOverflowRejected(t *testing.T) {
-	for _, dims := range [][2]uint32{
-		{0xFFFFFFFF, 0xFFFFFFFF}, // product wraps int64 negative
-		{0x10000, 0x10000},       // product 2^32: positive but wraps uint32 to 0
-		{1 << 21, 1},             // single dimension over the per-dim bound
-		{1, 1 << 21},
-		{1 << 13, 1 << 13}, // dims in bound, product over the vector bound
-	} {
-		frame := hostileGeometryFrame(dims[0], dims[1])
-		m, err := Read(bytes.NewReader(frame))
-		if !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("geometry %dx%d: got (%v, %v), want ErrBadFrame", dims[0], dims[1], m, err)
+// allocCeiling is what rejecting one hostile frame may allocate: a header
+// buffer, a reader and an error, with room for the race detector's shadow —
+// and hundreds of times under the smallest allocation (24 MiB) a missing bound
+// lets one of the frames below size.
+const allocCeiling = 64 << 10
+
+// rejectsCheaply holds one decode of a hostile input to the whole contract:
+// ErrBadFrame, no panic, under allocCeiling bytes allocated. TotalAlloc is
+// process-wide, so its callers must not run in parallel.
+func rejectsCheaply(t *testing.T, what string, decode func() error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s: panic: %v", what, r)
 		}
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Errorf("%s: got %v, want ErrBadFrame", what, err)
 	}
-	// A plausible geometry with too few payload bytes for even the vector
-	// length prefixes is rejected before any per-group allocation.
-	frame := hostileGeometryFrame(1<<10, 1<<10)
-	if _, err := Read(bytes.NewReader(frame)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("undersized payload: %v", err)
+	if got := after.TotalAlloc - before.TotalAlloc; got > allocCeiling {
+		t.Errorf("%s: allocated %d bytes, ceiling %d", what, got, allocCeiling)
+	}
+}
+
+// TestGeometryOverflowRejected is the hostile-frame table: it holds, for the
+// one frame decoder and every way into it, that no length read off the wire
+// sizes anything before it is bounded. Each frame is a few dozen bytes with a
+// valid CRC, lies about one length, and must be refused — by the stream
+// adaptor, by the buffer decoder, and packed in a datagram with an honest
+// envelope — as ErrBadFrame, without a panic and without the allocation the
+// lie asks for. Every bound in frameLen, getVector and decodeUnaligned whose
+// removal an input can observe has a frame here that observes it.
+func TestGeometryOverflowRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"frame length 0xFFFFFFFF", hostileLengthFrame(0xFFFFFFFF)},
+		{"frame length maxFrame+1", hostileLengthFrame(maxFrame + 1)},
+		{"vector bits 0xFFFFFFFF", hostileVectorFrame(0xFFFFFFFF, nil)},
+		// CRC-valid and in bound, but one word short of the bits it declares:
+		// an unchecked copy loop indexes past the payload.
+		{"vector body shorter than its bits", hostileVectorFrame(128, make([]byte, 8))},
+		{"geometry 0xFFFFFFFF x 0xFFFFFFFF (product wraps int64 negative)", hostileGeometryFrame(0xFFFFFFFF, 0xFFFFFFFF)},
+		{"geometry 2^31 x 2^31 (groups*arrays*4 wraps uint64 to 0)", hostileGeometryFrame(1<<31, 1<<31)},
+		{"geometry 2^16 x 2^16 (product 2^32 wraps uint32 to 0)", hostileGeometryFrame(1<<16, 1<<16)},
+		{"geometry 2^21 x 1 (one dimension over the per-dim bound)", hostileGeometryFrame(1<<21, 1)},
+		{"geometry 1 x 2^21 (one dimension over the per-dim bound)", hostileGeometryFrame(1, 1<<21)},
+		{"geometry 2^13 x 2^13 (dims in bound, product over the vector bound)", hostileGeometryFrame(1<<13, 1<<13)},
+		// Plausible geometries with no payload behind them, not even the
+		// vector length prefixes: rejected before any per-group allocation
+		// (2^20 group slots would be 24 MiB).
+		{"geometry 2^20 x 2^4, no payload", hostileGeometryFrame(1<<20, 1<<4)},
+		{"geometry 2^10 x 2^10, no payload", hostileGeometryFrame(1<<10, 1<<10)},
+	} {
+		rejectsCheaply(t, tc.name+" via Read", func() error {
+			_, err := Read(bytes.NewReader(tc.frame))
+			return err
+		})
+		rejectsCheaply(t, tc.name+" via ReadFrame", func() error {
+			_, _, err := ReadFrame(tc.frame)
+			return err
+		})
+		dg := make([]byte, udpHeaderLen)
+		putDatagramHeader(dg, DatagramHeader{Sender: 1, Seq: 1, Count: 1})
+		dg = append(dg, tc.frame...)
+		rejectsCheaply(t, tc.name+" in a datagram", func() error {
+			if !prefilterDatagram(dg) {
+				t.Errorf("%s: prefilter refused an honest envelope; the frame walk never ran", tc.name)
+			}
+			_, decoded, err := decodeDatagram(dg, func(m Message) {
+				t.Errorf("%s: datagram walk emitted a %T", tc.name, m)
+			})
+			if decoded != 0 {
+				t.Errorf("%s: datagram walk counted %d frames decoded", tc.name, decoded)
+			}
+			return err
+		})
 	}
 }
 
