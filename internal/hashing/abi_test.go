@@ -30,64 +30,64 @@ var abiSums = []struct {
 	sum   uint64
 	index int
 }{
-	{0x0, 0, 0xf52a15e9a9b5e89b, 4016773},
-	{0x0, 1, 0x97a987310a3efe10, 2484833},
-	{0x0, 7, 0x00c4d206d70caf4f, 12596},
-	{0x0, 8, 0x776dd53a452bc201, 1956725},
-	{0x0, 9, 0x2730dd08ad0ceb6f, 642103},
-	{0x0, 31, 0x042d910bf830afb7, 68452},
-	{0x0, 32, 0x4efb47a77e7c0ce2, 1294033},
-	{0x0, 33, 0xd56d42c36c1b7b48, 3496784},
-	{0x0, 63, 0x01fa42a0b6fcd59b, 32400},
-	{0x0, 64, 0x30637427ed5be581, 792797},
-	{0x0, 65, 0xad21af62cdbfba11, 2836587},
-	{0x0, 535, 0x147b02082f0e441c, 335552},
-	{0x0, 536, 0x7bb1d6242273558c, 2026613},
-	{0x0, 1460, 0xf39e6a602314514f, 3991450},
-	{0x1, 0, 0x2e541971216cda38, 759046},
-	{0x1, 1, 0xe1e7f2da8fe8ee47, 3701244},
-	{0x1, 7, 0x743a57d506416d02, 1904277},
-	{0x1, 8, 0x08ea9d55b1fa52be, 146087},
-	{0x1, 9, 0xc3d2e374c08dbb54, 3208376},
-	{0x1, 31, 0x17cba925e79cc67e, 389866},
-	{0x1, 32, 0x8c95d54f1c2d0ee4, 2303349},
-	{0x1, 33, 0x0f16eae26b5eab91, 247226},
-	{0x1, 63, 0xc451c55d8f9a87bf, 3216497},
-	{0x1, 64, 0x490f4e5ed22c2ff3, 1197011},
-	{0x1, 65, 0xcb3fae8b5cda1f72, 3330027},
-	{0x1, 535, 0x944219069cedc8a6, 2429062},
-	{0x1, 536, 0x17785e666bcec32d, 384535},
-	{0x1, 1460, 0x19affa221c9964b9, 420862},
-	{0xf10f10f1, 0, 0x7357392688ea0b51, 1889742},
-	{0xf10f10f1, 1, 0x7de950143f666185, 2062932},
-	{0xf10f10f1, 7, 0xff11bf823f585254, 4179055},
-	{0xf10f10f1, 8, 0xcc876622312bf06d, 3351001},
-	{0xf10f10f1, 9, 0x524107e1bc0ad9c2, 1347649},
-	{0xf10f10f1, 31, 0x9ab5c4a3d2535cc8, 2534769},
-	{0xf10f10f1, 32, 0x2f26e31df9070502, 772536},
-	{0xf10f10f1, 33, 0xa91490c2531c1d25, 2770212},
-	{0xf10f10f1, 63, 0x2cfbfecdf1061015, 737023},
-	{0xf10f10f1, 64, 0xf0b3f314c6f0454d, 3943676},
-	{0xf10f10f1, 65, 0xd40954253d59f234, 3474005},
-	{0xf10f10f1, 535, 0x49178810cfbc47c6, 1197538},
-	{0xf10f10f1, 536, 0x919b33aed622f1f6, 2385612},
-	{0xf10f10f1, 1460, 0xb985377d56bdf9ca, 3039565},
+	{0x0, 0, 0x8bbdf6df0c739036, 2289533},
+	{0x0, 1, 0xf57680b02b08cab6, 4021664},
+	{0x0, 7, 0x283986f380290bd1, 659041},
+	{0x0, 8, 0x9cc477e530a28485, 2568477},
+	{0x0, 9, 0x5bf81f54b48fb107, 1506823},
+	{0x0, 31, 0x5139b5606f79a253, 1330797},
+	{0x0, 32, 0x42998cd10c1d9ed8, 1091171},
+	{0x0, 33, 0x618e4b501df30c82, 1598354},
+	{0x0, 63, 0x09c260c4da9e397b, 159896},
+	{0x0, 64, 0xd23e0bd6dd20a211, 3444610},
+	{0x0, 65, 0x94e30c3ec2941d8b, 2439363},
+	{0x0, 535, 0x88b13a271a066cda, 2239566},
+	{0x0, 536, 0xc837a5c64a4f9e42, 3280361},
+	{0x0, 1460, 0xc903a9e931792a3d, 3293418},
+	{0x1, 0, 0xcf4635ef717b3684, 3395981},
+	{0x1, 1, 0x6c9ab5bb0087ab07, 1779373},
+	{0x1, 7, 0xd9cd68eee42d4752, 3568474},
+	{0x1, 8, 0xd0e6d7661e03659b, 3422645},
+	{0x1, 9, 0xd664072cbe478aa2, 3512577},
+	{0x1, 31, 0x4d4b81f1b6982e02, 1266400},
+	{0x1, 32, 0x77cd43d7cfe4f248, 1962832},
+	{0x1, 33, 0x3c35bbe786ef67dc, 986478},
+	{0x1, 63, 0x0a6fb2733c96fdc3, 170988},
+	{0x1, 64, 0xd701d4de7a8ffe63, 3522677},
+	{0x1, 65, 0xd7bd38674ec47f22, 3534670},
+	{0x1, 535, 0xb31b49f071e4f67d, 2934482},
+	{0x1, 536, 0xd681dbb4e148dddc, 3514486},
+	{0x1, 1460, 0x57f18a2de590f85d, 1440866},
+	{0xf10f10f1, 0, 0x5817d26c23498777, 1443316},
+	{0xf10f10f1, 1, 0x3a82245d15659d99, 958601},
+	{0xf10f10f1, 7, 0xa8389331e0746210, 2756132},
+	{0xf10f10f1, 8, 0xb88a7c380cd98af3, 3023519},
+	{0xf10f10f1, 9, 0x00d5da29f1420c1a, 13686},
+	{0xf10f10f1, 31, 0x1a5362df5c96cff5, 431320},
+	{0xf10f10f1, 32, 0x1dedf95bceb1b25d, 490366},
+	{0xf10f10f1, 33, 0x0943f9bef875841f, 151806},
+	{0xf10f10f1, 63, 0x37776708b2e9f2fa, 908761},
+	{0xf10f10f1, 64, 0xc093467dd44f2a5f, 3155153},
+	{0xf10f10f1, 65, 0xc3b12bc752aa06a2, 3206218},
+	{0xf10f10f1, 535, 0x3ff3acf633aae68b, 1047787},
+	{0xf10f10f1, 536, 0x1ba6621edb694ddb, 453016},
+	{0xf10f10f1, 1460, 0xd8b899b6d5d93652, 3550758},
 }
 
 // abiUint64 pins SumUint64, the flow-label and 8-byte-fragment path.
 var abiUint64 = []struct{ seed, v, sum uint64 }{
-	{0x0, 0x0, 0x813f0174a2367c13},
-	{0x0, 0x1, 0x5ca6bbcbb1e85355},
-	{0x0, 0x123456789abcdef, 0xd78b5e1386861b93},
-	{0x0, 0xffffffffffffffff, 0x9795737c4a2dacd5},
-	{0x1, 0x0, 0x1bc426ae44534d76},
-	{0x1, 0x1, 0x9b640a2abd293693},
-	{0x1, 0x123456789abcdef, 0x3a3f83c4047319c8},
-	{0x1, 0xffffffffffffffff, 0x450df4ef4140d26c},
-	{0xf10f10f1, 0x0, 0x288df06f2b02f69e},
-	{0xf10f10f1, 0x1, 0x15c797edb2840478},
-	{0xf10f10f1, 0x123456789abcdef, 0xe1a112ece0d843d3},
-	{0xf10f10f1, 0xffffffffffffffff, 0x6a097018f8a9ecb1},
+	{0x0, 0x0, 0x75a13b2a2e663bfc},
+	{0x0, 0x1, 0x82bd3fd340f5ad35},
+	{0x0, 0x123456789abcdef, 0xa9399a9f20ac743a},
+	{0x0, 0xffffffffffffffff, 0xd97c61dade7ff85e},
+	{0x1, 0x0, 0x7776f57a7b5751cf},
+	{0x1, 0x1, 0x351832829c0f13f3},
+	{0x1, 0x123456789abcdef, 0x467163562725ab33},
+	{0x1, 0xffffffffffffffff, 0x95695e894f300c85},
+	{0xf10f10f1, 0x0, 0xae61c7d39f8bbea8},
+	{0xf10f10f1, 0x1, 0x8a57eb2780ae47d6},
+	{0xf10f10f1, 0x123456789abcdef, 0x562d4b582b2710bf},
+	{0xf10f10f1, 0xffffffffffffffff, 0x5b42893179937d77},
 }
 
 // TestABI fixes the function's output. In the aligned case the center
@@ -206,6 +206,15 @@ func TestOrderCounts(t *testing.T) {
 			if h.Sum(swap(p, c.i, c.j, c.n)) == base {
 				t.Errorf("len %d: swapping %s leaves the sum unchanged", n, c.what)
 			}
+		}
+		// Each lane handed the other's words throughout: the rearrangement
+		// that collides when nothing but position tells the lanes apart.
+		q := p
+		for o := 0; o+32 <= n; o += 32 {
+			q = swap(q, o, o+16, 16)
+		}
+		if h.Sum(q) == base {
+			t.Errorf("len %d: exchanging the halves of every stripe leaves the sum unchanged", n)
 		}
 	}
 }
