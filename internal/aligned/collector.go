@@ -85,16 +85,20 @@ func (c *Collector) Update(p packet.Packet) {
 	if len(p.Payload) == 0 {
 		return
 	}
-	data := p.Payload
-	if c.cfg.PrefixLen > 0 && c.cfg.PrefixLen < len(data) {
-		data = data[:c.cfg.PrefixLen]
-	}
-	idx := c.hash.Index(data, c.cfg.Bits)
-	if !c.bitmap.Test(idx) {
-		c.bitmap.Set(idx)
+	if !c.bitmap.TestAndSet(c.Column(p.Payload)) {
 		c.ones++
 	}
 	c.packets++
+}
+
+// Column returns the bitmap index a payload maps to: the shared hash of the
+// payload, or of its first PrefixLen bytes, reduced to the bitmap width. Update
+// and every ground truth for a planted content take the mapping from here.
+func (c *Collector) Column(payload []byte) int {
+	if c.cfg.PrefixLen > 0 && c.cfg.PrefixLen < len(payload) {
+		payload = payload[:c.cfg.PrefixLen]
+	}
+	return c.hash.Index(payload, c.cfg.Bits)
 }
 
 // Packets returns the number of payload-bearing packets processed this epoch.

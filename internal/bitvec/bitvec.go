@@ -76,6 +76,19 @@ func (v *Vector) Test(i int) bool {
 	return v.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// TestAndSet sets bit i to 1 and reports whether it was 1 already. It is the
+// collectors' per-packet store: one word access where Test then Set is two,
+// and small enough to inline, which Set (through check) is not.
+func (v *Vector) TestAndSet(i int) bool {
+	if uint(i) >= uint(v.n) {
+		panic("bitvec: index out of range")
+	}
+	w, mask := &v.words[uint(i)/wordBits], uint64(1)<<(uint(i)%wordBits)
+	was := *w&mask != 0
+	*w |= mask
+	return was
+}
+
 // Reset zeroes every bit, keeping the allocation.
 func (v *Vector) Reset() {
 	for i := range v.words {

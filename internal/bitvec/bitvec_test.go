@@ -38,6 +38,36 @@ func TestSetTestClear(t *testing.T) {
 	}
 }
 
+// TestTestAndSet holds the fused form to Test followed by Set, bit for bit,
+// and to the same range check: an index inside the last word but past Len
+// must not set a tail bit.
+func TestTestAndSet(t *testing.T) {
+	v, ref := New(130), New(130)
+	for _, i := range []int{0, 63, 64, 129, 64, 0, 65} {
+		was := ref.Test(i)
+		ref.Set(i)
+		if got := v.TestAndSet(i); got != was {
+			t.Fatalf("TestAndSet(%d) = %v, Test said %v", i, got, was)
+		}
+		if !Equal(v, ref) {
+			t.Fatalf("after TestAndSet(%d) the vector differs from Test+Set", i)
+		}
+	}
+	for _, i := range []int{130, 191, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("TestAndSet(%d) on 130 bits did not panic", i)
+				}
+			}()
+			v.TestAndSet(i)
+		}()
+	}
+	if !Equal(v, ref) {
+		t.Fatal("a rejected index changed the vector")
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	v := New(10)
 	for _, f := range []func(){

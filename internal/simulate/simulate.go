@@ -11,7 +11,6 @@ import (
 
 	"dcstream/internal/aligned"
 	"dcstream/internal/bitvec"
-	"dcstream/internal/hashing"
 	"dcstream/internal/packet"
 	"dcstream/internal/stats"
 	"dcstream/internal/trafficgen"
@@ -113,16 +112,15 @@ func RunAligned(sc AlignedScenario) (*AlignedResult, error) {
 	res.Matrix = aligned.FromDigests(res.Digests)
 
 	if sc.ContentPackets > 0 && len(sc.Carriers) > 0 {
-		// Ground truth: the content packets' hash indices under the shared
-		// collector hash.
-		h := hashing.New(sc.Collector.HashSeed)
+		// Ground truth: the columns a collector of this fleet maps the
+		// content's packets to.
+		col, err := aligned.NewCollector(sc.Collector)
+		if err != nil {
+			return nil, err
+		}
 		seen := map[int]bool{}
 		for _, p := range content.PlantAligned(0, sc.SegmentSize) {
-			data := p.Payload
-			if sc.Collector.PrefixLen > 0 && sc.Collector.PrefixLen < len(data) {
-				data = data[:sc.Collector.PrefixLen]
-			}
-			idx := h.Index(data, sc.Collector.Bits)
+			idx := col.Column(p.Payload)
 			if !seen[idx] {
 				seen[idx] = true
 				res.ContentColumns = append(res.ContentColumns, idx)

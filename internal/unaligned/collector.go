@@ -8,6 +8,7 @@
 package unaligned
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -157,27 +158,30 @@ func (c *Collector) Update(p packet.Packet) {
 		c.skipped++
 		return
 	}
-	g := c.flowHash.IndexUint64(uint64(p.Flow), c.cfg.Groups)
-	group := c.rows[g]
-	for a, off := range c.offsets {
-		end := off + c.cfg.FragmentLen
-		if end > len(p.Payload) {
-			continue // short final packet: this offset has no full fragment
-		}
-		idx := c.fragHash.Index(p.Payload[off:end], c.cfg.ArrayBits)
-		group[a].Set(idx)
-	}
+	group := c.rows[c.GroupOf(p.Flow)]
+	c.sample(group, c.offsets, p.Payload)
 	if c.largeOffsets != nil && len(p.Payload) >= c.cfg.LargePayload {
-		for a, off := range c.largeOffsets {
-			end := off + c.cfg.FragmentLen
-			if end > len(p.Payload) {
-				continue
-			}
-			idx := c.fragHash.Index(p.Payload[off:end], c.cfg.ArrayBits)
-			group[a].Set(idx)
-		}
+		c.sample(group, c.largeOffsets, p.Payload)
 	}
 	c.packets++
+}
+
+// sample sets, in each array of the group, the bit its offset's fragment
+// hashes to. The default 8-byte fragment is one load hashed as a word, which
+// SumUint64 defines to be the hash of those eight bytes; TestAndSet is used
+// for its inlined store, where Set is a call.
+func (c *Collector) sample(group []*bitvec.Vector, offsets []int, payload []byte) {
+	for a, off := range offsets {
+		end := off + c.cfg.FragmentLen
+		if end > len(payload) {
+			continue // short final packet: this offset has no full fragment
+		}
+		if c.cfg.FragmentLen == 8 {
+			group[a].TestAndSet(c.fragHash.IndexUint64(binary.LittleEndian.Uint64(payload[off:]), c.cfg.ArrayBits))
+		} else {
+			group[a].TestAndSet(c.fragHash.Index(payload[off:end], c.cfg.ArrayBits))
+		}
+	}
 }
 
 // Packets returns the number of packets sampled (post MinPayload filter).
