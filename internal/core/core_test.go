@@ -126,7 +126,7 @@ func TestUnalignedSystemEndToEnd(t *testing.T) {
 	if sys.ComponentThreshold() <= 0 {
 		t.Fatal("component threshold not calibrated")
 	}
-	rng := stats.NewRand(22)
+	rng := stats.NewRand(23)
 	content := trafficgen.NewContent(rng, 60, cfg.Collector.SegmentSize)
 	prefix := make([]byte, cfg.Collector.SegmentSize)
 	rng.Read(prefix)

@@ -7,8 +7,10 @@
 package trafficgen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"dcstream/internal/packet"
 	"dcstream/internal/stats"
@@ -62,7 +64,7 @@ func Background(rng *rand.Rand, cfg BackgroundConfig) ([]packet.Packet, error) {
 	pkts := make([]packet.Packet, cfg.Packets)
 	// One contiguous payload arena keeps allocation pressure low.
 	arena := make([]byte, cfg.Packets*cfg.SegmentSize)
-	rng.Read(arena)
+	fillRandom(rng, arena)
 	for i := range pkts {
 		var flow packet.FlowLabel
 		if zipf != nil {
@@ -76,6 +78,18 @@ func Background(rng *rand.Rand, cfg BackgroundConfig) ([]packet.Packet, error) {
 		}
 	}
 	return pkts, nil
+}
+
+// fillRandom fills b from rng eight bytes a draw. rng.Read spends a draw on
+// every seven bytes and hands them over one at a time, which for an epoch's
+// payload arena is most of the generator's time; the few-KB fills keep Read.
+func fillRandom(rng *rand.Rand, b []byte) {
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, rng.Uint64())
+	}
+	if len(b) > 0 {
+		copy(b, binary.LittleEndian.AppendUint64(nil, rng.Uint64()))
+	}
 }
 
 // Content is a piece of common content to plant into traffic.
@@ -120,20 +134,34 @@ func (c Content) PlantUnaligned(rng *rand.Rand, flow packet.FlowLabel, segSize i
 // input. Collectors are order-insensitive, but examples read more honestly
 // when planted traffic is not conveniently appended at the end.
 func Mix(rng *rand.Rand, background []packet.Packet, planted ...[]packet.Packet) []packet.Packet {
-	total := len(background)
+	var all []packet.Packet
 	for _, p := range planted {
-		total += len(p)
+		all = append(all, p...)
 	}
-	out := make([]packet.Packet, 0, total)
-	out = append(out, background...)
-	for _, p := range planted {
-		for _, pkt := range p {
-			pos := rng.Intn(len(out) + 1)
-			out = append(out, packet.Packet{})
-			copy(out[pos+1:], out[pos:])
-			out[pos] = pkt
+	// Each planted packet goes in at a uniform position of the stream built so
+	// far. Track where each one ends up (a later insertion at or before it moves
+	// it one to the right) and lay the background around them in one pass.
+	slots := make([]int, 0, len(all))
+	for n := range all {
+		pos := rng.Intn(len(background) + n + 1)
+		for i, s := range slots {
+			if s >= pos {
+				slots[i] = s + 1
+			}
 		}
+		slots = append(slots, pos)
 	}
+	out := make([]packet.Packet, len(background)+len(all))
+	for i, pkt := range all {
+		out[slots[i]] = pkt
+	}
+	sort.Ints(slots)
+	next := 0
+	for _, s := range slots {
+		n := copy(out[next:s], background)
+		background, next = background[n:], s+1
+	}
+	copy(out[next:], background)
 	return out
 }
 
