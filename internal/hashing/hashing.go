@@ -22,8 +22,8 @@ import (
 // another.)
 type Hash64 struct {
 	// The start state and the two lane keys: SplitMix64's first three outputs
-	// from the seed. A word that zeroes a multiply's operand, or lanes made to
-	// cancel, take knowing the keys, and so the seed.
+	// from the seed. No constant is fixed, so building a collision (a word that
+	// zeroes a multiply's operand, lanes made to cancel) takes knowing the seed.
 	s, keyA, keyB uint64
 }
 

@@ -87,11 +87,13 @@ func RunAligned(sc AlignedScenario) (*AlignedResult, error) {
 	}
 
 	res := &AlignedResult{Digests: make([]*bitvec.Vector, sc.Routers)}
+	// One collector stands in for every router in turn: they share the
+	// configuration, and Digest is a snapshot.
+	col, err := aligned.NewCollector(sc.Collector)
+	if err != nil {
+		return nil, err
+	}
 	for r := 0; r < sc.Routers; r++ {
-		col, err := aligned.NewCollector(sc.Collector)
-		if err != nil {
-			return nil, err
-		}
 		bg, err := trafficgen.Background(rng, trafficgen.BackgroundConfig{
 			Packets: sc.BackgroundPackets, SegmentSize: sc.SegmentSize,
 		})
@@ -108,16 +110,13 @@ func RunAligned(sc AlignedScenario) (*AlignedResult, error) {
 			}
 		}
 		res.Digests[r] = col.Digest()
+		col.Reset()
 	}
 	res.Matrix = aligned.FromDigests(res.Digests)
 
 	if sc.ContentPackets > 0 && len(sc.Carriers) > 0 {
-		// Ground truth: the columns a collector of this fleet maps the
-		// content's packets to.
-		col, err := aligned.NewCollector(sc.Collector)
-		if err != nil {
-			return nil, err
-		}
+		// Ground truth: the columns the fleet's collectors map the content's
+		// packets to.
 		seen := map[int]bool{}
 		for _, p := range content.PlantAligned(0, sc.SegmentSize) {
 			idx := col.Column(p.Payload)
