@@ -11,14 +11,11 @@ import (
 // convention: a deterministic, slightly generous estimate of the Go runtime
 // footprint, so the memory budget sees accumulator state the same way it sees
 // buffered digests.
-const (
-	accVecHeaderBytes = 48 // bitvec.Vector struct + slice header
-	accSlotBytes      = 64 // slots map entry + slotRouters element + weight
-)
+const accSlotBytes = 64 // slots map entry + slotRouters element + weight
 
 // initialCapRows is the row capacity columns start with; growth doubles it,
 // so a window that ends up with r routers reallocates the arena at most
-// ceil(log2(r/64)) times.
+// ceil(log2(r/64)) times. Capacity is always a whole number of words.
 const initialCapRows = 64
 
 // Accumulator maintains the aligned detection state of one window
@@ -33,10 +30,10 @@ const initialCapRows = 64
 // The accumulator is not self-synchronizing: the center mutates and reads it
 // under its own mutex.
 type Accumulator struct {
-	width   int // bitmap width, fixed by the first applied digest
-	rows    int // used slots
-	capRows int // allocated bits per column (arena capacity)
-	cols    []*bitvec.Vector
+	width   int      // bitmap width, fixed by the first applied digest
+	rows    int      // used slots
+	capRows int      // allocated bits per column (arena capacity)
+	words   []uint64 // the arena: column j is the capRows/64 words at j*capRows/64
 	weights []int32
 	slots   map[int]int // router -> slot
 	slotIDs []int       // slot -> router, arrival order
@@ -70,7 +67,6 @@ func (a *Accumulator) structBytes() int64 {
 	}
 	capWords := int64((a.capRows + 63) / 64)
 	return int64(a.width)*capWords*8 + // arena words
-		int64(a.width)*accVecHeaderBytes + // column headers
 		int64(a.width)*4 + // weights
 		int64(len(a.slotIDs))*accSlotBytes // slot bookkeeping
 }
@@ -95,7 +91,6 @@ func (a *Accumulator) EstimateAdd(router int, bm *bitvec.Vector) int64 {
 	}
 	capWords := int64((capRows + 63) / 64)
 	next := int64(width)*capWords*8 +
-		int64(width)*accVecHeaderBytes +
 		int64(width)*4 +
 		int64(slotCount)*accSlotBytes
 	return next - cur
@@ -115,7 +110,7 @@ func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
 	if a.width == 0 {
 		a.width = bm.Len()
 		a.capRows = initialCapRows
-		a.cols = bitvec.NewArena(a.width, a.capRows)
+		a.words = make([]uint64, a.width*a.capRows/64)
 		a.weights = make([]int32, a.width)
 	}
 	slot, ok := a.slots[router]
@@ -128,8 +123,9 @@ func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
 		a.slots[router] = slot
 		a.slotIDs = append(a.slotIDs, router)
 	}
+	stride, mask := a.capRows/64, uint64(1)<<uint(slot%64)
 	for _, j := range bm.Indices() {
-		a.cols[j].Set(slot)
+		a.words[j*stride+slot/64] |= mask
 		a.weights[j]++
 	}
 	delta := a.structBytes() - before
@@ -150,9 +146,10 @@ func (a *Accumulator) Remove(router int, bm *bitvec.Vector) {
 	if !ok {
 		return
 	}
+	stride, mask := a.capRows/64, uint64(1)<<uint(slot%64)
 	for _, j := range bm.Indices() {
-		if a.cols[j].Test(slot) {
-			a.cols[j].Clear(slot)
+		if w := &a.words[j*stride+slot/64]; *w&mask != 0 {
+			*w &^= mask
 			a.weights[j]--
 		}
 	}
@@ -160,47 +157,76 @@ func (a *Accumulator) Remove(router int, bm *bitvec.Vector) {
 
 // grow doubles the arena row capacity, copying each column's words.
 func (a *Accumulator) grow() {
-	newCap := a.capRows * 2
-	next := bitvec.NewArena(a.width, newCap)
-	for j, c := range a.cols {
-		bitvec.Blit(next[j], 0, c, a.capRows)
+	stride := a.capRows / 64
+	next := make([]uint64, 2*len(a.words))
+	for j := 0; j < a.width; j++ {
+		copy(next[2*j*stride:], a.words[j*stride:(j+1)*stride])
 	}
-	a.cols, a.capRows = next, newCap
+	a.words, a.capRows = next, 2*a.capRows
 }
 
-// Matrix returns the accumulated matrix (rows in slot order, shared storage —
-// do not mutate the accumulator while the detection runs) together with the
-// maintained column weights. It panics when the accumulator is empty or
-// mixed; callers gate on Rows and Mixed.
+// Matrix returns the accumulated matrix — a view of the arena, rows in slot
+// order; do not mutate the accumulator while the detection runs — together
+// with the maintained column weights. It panics when the accumulator is
+// empty or mixed; callers gate on Rows and Mixed.
 func (a *Accumulator) Matrix() (*Matrix, []int) {
 	if a.mixed {
 		panic("aligned: Matrix on mixed-width accumulator")
 	}
-	cols := make([]*bitvec.Vector, a.width)
-	for j, c := range a.cols {
-		cols[j] = c.Shrink(a.rows)
-	}
 	w := make([]int, a.width)
-	for j, x := range a.weights {
-		w[j] = int(x)
-	}
-	return ColumnMatrix(a.rows, cols), w
+	a.AddWeightsInto(w)
+	return &Matrix{rows: a.rows, cols: a.width, stride: a.capRows / 64, words: a.words}, w
 }
 
 // SlotRouters returns the router id occupying each slot, in slot order. The
 // slice is shared; treat read-only.
 func (a *Accumulator) SlotRouters() []int { return a.slotIDs }
 
+// blit ORs the first nbits of src, whose later bits are zero, into dst
+// starting at bit position at: a shifted word copy.
+func blit(dst []uint64, at int, src []uint64, nbits int) {
+	base, off := at/64, uint(at%64)
+	for i := 0; i < (nbits+63)/64; i++ {
+		dst[base+i] |= src[i] << off
+		if hi := src[i] >> (64 - off); hi != 0 { // a shift by 64 yields 0
+			dst[base+i+1] |= hi
+		}
+	}
+}
+
+// StitchSpan builds a sliding-window span's matrix and column weights out of
+// its epochs' accumulators, which must agree on width: one allocation, then
+// each epoch's rows are word-shifted into place below the previous epoch's.
+func StitchSpan(accs []*Accumulator) (*Matrix, []int) {
+	total := 0
+	for _, a := range accs {
+		total += a.rows
+	}
+	m := NewMatrix(total, accs[0].width)
+	weights := make([]int, m.cols)
+	at := 0
+	for _, a := range accs {
+		a.AddWeightsInto(weights)
+		for j := 0; j < m.cols; j++ {
+			blit(m.col(j), at, a.words[j*a.capRows/64:], a.rows)
+		}
+		at += a.rows
+	}
+	return m, weights
+}
+
 // BlitInto ORs the first Rows() bits of every column into dst (one vector per
-// column, offset at), and AddWeightsInto accumulates the column weights; the
-// two stitch a sliding-window span matrix out of per-epoch accumulators in
-// O(columns·words) without touching individual bits.
+// column, offset at). bench/layers.go only, until ROADMAP item 1; the center
+// uses StitchSpan.
 func (a *Accumulator) BlitInto(dst []*bitvec.Vector, at int) {
 	if len(dst) != a.width {
 		panic(fmt.Sprintf("aligned: blit %d columns into %d", a.width, len(dst)))
 	}
-	for j, c := range a.cols {
-		bitvec.Blit(dst[j], at, c, a.rows)
+	for j, d := range dst {
+		if at < 0 || at+a.rows > d.Len() {
+			panic(fmt.Sprintf("aligned: blit [%d,%d) outside %d-bit destination", at, at+a.rows, d.Len()))
+		}
+		blit(d.Words(), at, a.words[j*a.capRows/64:], a.rows)
 	}
 }
 

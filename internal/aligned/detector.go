@@ -1,10 +1,11 @@
 package aligned
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,9 +46,9 @@ type DetectorConfig struct {
 	FullTrace bool
 	// Workers is the number of goroutines scanning candidate extensions at
 	// each level. Zero means GOMAXPROCS; negative means serial. The result
-	// is bit-identical at every worker count: each worker keeps a bounded
-	// top-k heap over a strided slice of the hopefuls and the merge resolves
-	// ties under the total order (weight desc, hopeful asc, column asc).
+	// is bit-identical at every worker count: each worker selects its own top
+	// k over a strided slice of the hopefuls and the merge resolves ties under
+	// the total order (weight desc, hopeful asc, column asc).
 	Workers int
 }
 
@@ -117,18 +118,13 @@ type Detection struct {
 	WeightTrace []int
 }
 
-// product is one entry of the hopeful list: an AND of |members| columns.
-type product struct {
-	vec     *bitvec.Vector
-	weight  int
-	members []int32 // positions within the sorted S₁ ordering, ascending
-	// owned marks vectors allocated by extend, which return to the free
-	// list when their level is dropped. Level-1 products borrow the matrix
-	// columns themselves and must never be recycled.
-	owned bool
+// hopeful is one entry of a level's hopeful list, an AND of b′ columns of S₁:
+// its weight, the last (largest) S₁ position it took in, and the entry of the
+// level below it extends (-1 at level 1). Its words sit at the same index of
+// the level's flat word array.
+type hopeful struct {
+	weight, last, parent int32
 }
-
-func (p *product) maxMember() int32 { return p.members[len(p.members)-1] }
 
 // candidate scores a prospective extension of hopeful hi by column cj.
 type candidate struct {
@@ -150,49 +146,11 @@ func (c candidate) better(o candidate) bool {
 	return c.cj < o.cj
 }
 
-// candHeap is a bounded top-k heap whose root is the *worst* kept candidate
-// under the better order, so Pop evicts deterministically on weight ties.
-type candHeap []candidate
-
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[j].better(h[i]) }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(candidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// vecPool recycles the product vectors of dropped hopeful levels. Every
-// vector in the aligned search has the same length (the matrix row count)
-// and AndInto overwrites every word, so recycled vectors need no reset.
-// extend builds products serially after the parallel scan, so the pool is
-// only ever touched from one goroutine.
-type vecPool struct {
-	free []*bitvec.Vector
-	n    int
-}
-
-func (vp *vecPool) get() *bitvec.Vector {
-	if k := len(vp.free); k > 0 {
-		v := vp.free[k-1]
-		vp.free = vp.free[:k-1]
-		return v
-	}
-	return bitvec.New(vp.n)
-}
-
-// recycle returns a level's owned vectors to the pool. Callers must not do
-// this before the next level is built: its AndInto reads these vectors.
-func (vp *vecPool) recycle(level []*product) {
-	for _, p := range level {
-		if p.owned {
-			vp.free = append(vp.free, p.vec)
-		}
-	}
+// scanner is one scan worker's storage, reused level after level.
+type scanner struct {
+	count []int32     // candidates seen at each weight, 0..rows
+	seen  []candidate // every candidate that beat the floor of its moment, in enumeration order
+	top   []candidate // the selection, in final order
 }
 
 // logNaturalOccurrence generalizes the paper's equation (1) bound to
@@ -254,23 +212,22 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 	// finalize once the weights themselves are maintained incrementally.
 	s1 := topColumns(weights, cfg.SubsetSize)
 
-	// Level 1: every column of S₁ is a 1-product.
-	hopefuls := make([]*product, len(s1))
-	for pos, j := range s1 {
-		hopefuls[pos] = &product{
-			vec:     m.Col(j),
-			weight:  weights[j],
-			members: []int32{int32(pos)},
-		}
-	}
-	trace := []int{hopefuls[0].weight}
-
-	s1Weights := make([]int, len(s1))
+	// S₁'s columns gathered once, in screening order, wpc words each: with
+	// the current level's products this is the scan's whole working set.
+	// Level 1 is those columns themselves.
+	wpc := (m.rows + 63) / 64
+	cols := make([]uint64, len(s1)*wpc)
+	colW := make([]int32, len(s1))
+	cur := make([]hopeful, len(s1))
 	sumW := 0
 	for pos, j := range s1 {
-		s1Weights[pos] = weights[j]
+		copy(cols[pos*wpc:], m.col(j))
+		colW[pos] = int32(weights[j])
+		cur[pos] = hopeful{weight: colW[pos], last: int32(pos), parent: -1}
 		sumW += weights[j]
 	}
+	trace := []int{weights[s1[0]]}
+
 	// The S₁ columns are the *heaviest* of the matrix, so their bit density
 	// exceeds one half; equation (1) must use the conditioned density or the
 	// screening bias masquerades as signal on small instances.
@@ -279,37 +236,56 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 		density = 0.5
 	}
 	logEps := math.Log(cfg.Epsilon)
-	score := func(p *product) float64 {
-		if p.weight == 0 {
+	score := func(weight int32, order int) float64 {
+		if weight == 0 {
 			return math.Inf(1)
 		}
-		return logNaturalOccurrence(m.Rows(), cfg.SubsetSize, p.weight, len(p.members), density)
+		return logNaturalOccurrence(m.Rows(), cfg.SubsetSize, int(weight), order, density)
 	}
 
 	// Track the most significant (least naturally occurring) product across
 	// all levels; the weight-loss plateau ends exactly where this score is
-	// minimized, which is the paper's "right number of iterations".
-	best := cloneProduct(hopefuls[0])
-	bestScore := score(best)
-	prevW := hopefuls[0].weight
+	// minimized, which is the paper's "right number of iterations". Its words
+	// are copied out, because a level's words are overwritten two levels on;
+	// its members are read back through the parent links at the end.
+	levels := [][]hopeful{cur}
+	bestLevel, bestScore := 0, score(cur[0].weight, 1)
+	best := append([]uint64(nil), cols[:wpc]...)
+	prevW := int(cur[0].weight)
 	flatSeen := false
-	pool := &vecPool{n: m.Rows()}
+	curWords := cols
+	var pingPong [2][]uint64
+	scanners := make([]scanner, min(workers, len(s1)))
+	for i := range scanners {
+		scanners[i].count = make([]int32, m.rows+1)
+	}
 
 	for level := 2; level <= cfg.MaxIterations; level++ {
-		next := extend(m, s1, s1Weights, hopefuls, cfg.Hopefuls, workers, pool)
-		if len(next) == 0 {
+		cands := topExtensions(scanners, cfg.Hopefuls, cur, curWords, cols, colW, wpc)
+		if len(cands) == 0 {
 			break
 		}
-		// The new level is fully materialized, so the old level's owned
-		// vectors (best is a clone, nothing else escapes) can be reused.
-		pool.recycle(hopefuls)
-		hopefuls = next
-		w := hopefuls[0].weight
+		// Materialize the survivors, in final order (heaviest first, ties
+		// already resolved by the total order), into the buffer the level
+		// before last no longer needs.
+		if pingPong[level%2] == nil {
+			pingPong[level%2] = make([]uint64, cfg.Hopefuls*wpc)
+		}
+		next, nextWords := make([]hopeful, len(cands)), pingPong[level%2]
+		for i, c := range cands {
+			next[i] = hopeful{weight: c.weight, last: c.cj, parent: c.hi}
+			for x := 0; x < wpc; x++ {
+				nextWords[i*wpc+x] = curWords[int(c.hi)*wpc+x] & cols[int(c.cj)*wpc+x]
+			}
+		}
+		cur, curWords = next, nextWords
+		levels = append(levels, cur)
+		w := int(cur[0].weight)
 		trace = append(trace, w)
 
-		if s := score(hopefuls[0]); s < bestScore {
-			bestScore = s
-			best = cloneProduct(hopefuls[0])
+		if s := score(cur[0].weight, level); s < bestScore {
+			bestScore, bestLevel = s, level-1
+			copy(best, curWords[:wpc])
 		}
 		// Termination procedure (§III-B): once the curve has flattened and
 		// then takes its second exponential dive, the plateau end is behind
@@ -334,23 +310,27 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 	if bestScore > logEps {
 		return det, nil
 	}
-	concluded := best
 	det.Found = true
-	det.Iterations = len(concluded.members)
-	det.Rows = concluded.vec.Indices()
-	det.CoreCols = make([]int, 0, len(concluded.members))
-	for _, pos := range concluded.members {
-		det.CoreCols = append(det.CoreCols, s1[pos])
+	det.Iterations = bestLevel + 1
+	for x, w := range best {
+		for ; w != 0; w &= w - 1 {
+			det.Rows = append(det.Rows, x*64+bits.TrailingZeros64(w))
+		}
+	}
+	// The concluded product heads its level; its members are the last
+	// positions along its parent links.
+	inCore := make(map[int]bool, det.Iterations)
+	for l, i := bestLevel, int32(0); l >= 0; l-- {
+		h := levels[l][i]
+		det.CoreCols = append(det.CoreCols, s1[h.last])
+		inCore[s1[h.last]] = true
+		i = h.parent
 	}
 	sort.Ints(det.CoreCols)
 
 	// Expansion (lines 10–14 of Figure 6): any column sharing at least
 	// weight(core)−γ ones with the core vector joins the pattern.
-	inCore := make(map[int]bool, len(det.CoreCols))
-	for _, j := range det.CoreCols {
-		inCore[j] = true
-	}
-	thresh := concluded.weight - cfg.Gamma
+	thresh := int(levels[bestLevel][0].weight) - cfg.Gamma
 	if thresh < 1 {
 		thresh = 1
 	}
@@ -359,7 +339,7 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 		if inCore[j] {
 			continue
 		}
-		if bitvec.AndCount(concluded.vec, m.Col(j)) >= thresh {
+		if bitvec.AndCountWords(best, m.col(j)) >= thresh {
 			det.Cols = append(det.Cols, j)
 		}
 	}
@@ -419,107 +399,111 @@ func topColumns(weights []int, k int) []int {
 	return heap
 }
 
-func cloneProduct(p *product) *product {
-	return &product{
-		vec:     p.vec.Clone(),
-		weight:  p.weight,
-		members: append([]int32(nil), p.members...),
-	}
-}
-
-// extend generates the next level of hopefuls: the k heaviest (b′+1)-products
-// v·w with v a current hopeful and w a column of S₁ beyond v's largest
-// member (each column set is enumerated exactly once, in ascending member
-// order). Hopefuls and S₁ are weight-sorted, so the scan prunes with the
-// bound weight(v·w) ≤ min(weight(v), weight(w)).
+// topExtensions generates the next level of hopefuls: the k heaviest
+// (b′+1)-products v·w with v a current hopeful and w a column of S₁ beyond v's
+// largest member (each column set is enumerated exactly once, in ascending
+// member order), heaviest first under the candidate total order. The result
+// aliases the scanners' storage.
 //
-// With workers > 1 the candidate scan fans out over strided slices of the
-// hopefuls, each worker keeping its own bounded top-k heap. A strided slice
-// of a weight-descending list is itself weight-descending, so every pruning
-// rule stays valid per worker, and the union of per-worker top-k sets is a
+// With more than one scanner the candidate scan fans out over strided slices
+// of the hopefuls, each worker selecting its own top k. A strided slice of a
+// weight-descending list is itself weight-descending, so every pruning rule
+// stays valid per worker, and the union of per-worker top-k sets is a
 // superset of the global top-k — merging, sorting under the candidate total
 // order, and truncating therefore yields exactly the serial result.
-func extend(m *Matrix, s1 []int, s1Weights []int, hopefuls []*product, k, workers int, pool *vecPool) []*product {
-	if workers > len(hopefuls) {
-		workers = len(hopefuls)
+func topExtensions(scs []scanner, k int, cur []hopeful, curWords, cols []uint64, colW []int32, wpc int) []candidate {
+	workers := min(len(scs), len(cur))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			scs[w].scan(k, cur, curWords, cols, colW, wpc, w, workers)
+		}(w)
 	}
-	var cands []candidate
-	if workers <= 1 {
-		cands = scanCandidates(m, s1, s1Weights, hopefuls, k, 0, 1)
-	} else {
-		parts := make([][]candidate, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				parts[w] = scanCandidates(m, s1, s1Weights, hopefuls, k, w, workers)
-			}(w)
-		}
-		wg.Wait()
-		for _, p := range parts {
-			cands = append(cands, p...)
-		}
+	scs[0].scan(k, cur, curWords, cols, colW, wpc, 0, workers)
+	wg.Wait()
+	if workers == 1 {
+		return scs[0].top
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].better(cands[j]) })
-	if len(cands) > k {
-		cands = cands[:k]
+	for _, sc := range scs[1:workers] {
+		scs[0].top = append(scs[0].top, sc.top...)
 	}
-	// Build the surviving products serially, in final order (heaviest first,
-	// ties already resolved by the total order), reusing pooled vectors.
-	next := make([]*product, len(cands))
-	for i, c := range cands {
-		p := hopefuls[c.hi]
-		vec := pool.get()
-		weight := bitvec.AndInto(vec, p.vec, m.Col(s1[c.cj]))
-		members := make([]int32, len(p.members)+1)
-		copy(members, p.members)
-		members[len(p.members)] = c.cj
-		next[i] = &product{vec: vec, weight: weight, members: members, owned: true}
-	}
-	return next
-}
-
-// scanCandidates scores the extensions of hopefuls[offset], [offset+stride],
-// ... and returns the top-k among them under the candidate total order. The
-// weight-only comparisons against the heap floor are exact despite ties:
-// enumeration visits (hi, cj) in strictly ascending order, so a newcomer
-// whose weight merely equals the floor is always worse under the total order
-// than every incumbent and may be skipped outright.
-func scanCandidates(m *Matrix, s1 []int, s1Weights []int, hopefuls []*product, k, offset, stride int) []candidate {
-	h := make(candHeap, 0, k+1)
-	heapMin := func() int32 {
-		if len(h) < k {
+	slices.SortFunc(scs[0].top, func(a, b candidate) int {
+		if a.better(b) {
 			return -1
 		}
-		return h[0].weight
-	}
-	for hi := offset; hi < len(hopefuls); hi += stride {
-		p := hopefuls[hi]
-		if int32(p.weight) <= heapMin() {
+		return 1
+	})
+	return scs[0].top[:min(k, len(scs[0].top))]
+}
+
+// scan scores the extensions of cur[offset], cur[offset+stride], ... and
+// leaves the top k among them in sc.top, in order. Cur and S₁ are
+// weight-sorted, so the scan prunes with the bound
+// weight(v·w) ≤ min(weight(v), weight(w)) against the floor: the weight of the
+// k-th best candidate so far, which a count per weight tracks (a weight never
+// exceeds the row count). The weight-only comparisons are exact despite ties:
+// enumeration visits (hi, cj) in strictly ascending order, so a newcomer whose
+// weight merely equals the floor is worse under the total order than k
+// candidates already seen and may be skipped outright. For the same reason the
+// selection needs neither heap nor sort: it is everything heavier than the
+// final floor plus the earliest-seen at the floor, and a stable counting sort
+// by weight of a list already in (hi, cj) order is the total order.
+func (sc *scanner) scan(k int, cur []hopeful, curWords, cols []uint64, colW []int32, wpc, offset, stride int) {
+	clear(sc.count)
+	seen := sc.seen[:0]
+	floor, above := int32(-1), 0 // above counts seen candidates heavier than floor; it stays below k
+	for hi := offset; hi < len(cur); hi += stride {
+		p := cur[hi]
+		if p.weight <= floor {
 			break // later hopefuls are lighter still
 		}
-		for pos := int(p.maxMember()) + 1; pos < len(s1); pos++ {
+		pw := curWords[hi*wpc : (hi+1)*wpc]
+		for pos := int(p.last) + 1; pos < len(colW); pos++ {
 			// Columns are weight-sorted descending; once the bound falls to
-			// the heap floor nothing further in this row can qualify.
-			if len(h) == k {
-				bound := s1Weights[pos]
-				if p.weight < bound {
-					bound = p.weight
-				}
-				if int32(bound) <= heapMin() {
-					break
-				}
+			// the floor nothing further in this row can qualify.
+			if min(colW[pos], p.weight) <= floor {
+				break
 			}
-			w := int32(bitvec.AndCount(p.vec, m.Col(s1[pos])))
-			if w <= heapMin() {
+			w := int32(bits.OnesCount64(pw[0] & cols[pos*wpc]))
+			for x := 1; x < wpc; x++ {
+				w += int32(bits.OnesCount64(pw[x] & cols[pos*wpc+x]))
+			}
+			if w <= floor {
 				continue
 			}
-			heap.Push(&h, candidate{hi: int32(hi), cj: int32(pos), weight: w})
-			if len(h) > k {
-				heap.Pop(&h)
+			seen = append(seen, candidate{hi: int32(hi), cj: int32(pos), weight: w})
+			sc.count[w]++
+			for above++; above >= k; above -= int(sc.count[floor]) {
+				floor++
 			}
 		}
+		if len(seen) > 8*k { // what fell below the floor is out for good
+			kept := seen[:0]
+			for _, c := range seen {
+				if c.weight >= floor {
+					kept = append(kept, c)
+				}
+			}
+			seen = kept
+		}
 	}
-	return h
+	sc.seen = seen
+	// Each weight above the floor gets its run of the output, heaviest first;
+	// the floor's own run is whatever room is left.
+	at := int32(0)
+	for w := len(sc.count) - 1; w > int(floor); w-- {
+		sc.count[w], at = at, at+sc.count[w]
+	}
+	sc.top = slices.Grow(sc.top[:0], k)[:min(k, len(seen))]
+	for _, c := range seen {
+		if c.weight > floor {
+			sc.top[sc.count[c.weight]] = c
+			sc.count[c.weight]++
+		} else if c.weight == floor && int(at) < len(sc.top) {
+			sc.top[at] = c
+			at++
+		}
+	}
 }

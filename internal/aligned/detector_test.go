@@ -302,3 +302,30 @@ func TestQuickDetectionInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectAllocatesPerLevel: the scan's working set is flat arrays reused
+// level after level, so a detection allocates a few objects a level — the
+// level's hopeful list, growth of the scanner's lists — and nothing per
+// candidate, of which every level keeps Hopefuls and scores many more.
+func TestDetectAllocatesPerLevel(t *testing.T) {
+	rng := stats.NewRand(57)
+	m := RandomMatrix(rng, 48, 2048)
+	m.PlantPattern(rng, 18, 12)
+	weights := m.ColumnWeights()
+	cfg := RefinedConfig(256)
+	cfg.Workers = -1
+	var det Detection
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if det, err = DetectWithWeights(m, weights, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	levels := len(det.WeightTrace)
+	if !det.Found || levels < 10 {
+		t.Fatalf("scenario broken: found=%v after %d levels", det.Found, levels)
+	}
+	if limit := float64(6*levels + 40); allocs > limit || allocs > float64(cfg.SubsetSize) {
+		t.Fatalf("%v allocations for %d levels of %d hopefuls, want at most %v", allocs, levels, cfg.SubsetSize, limit)
+	}
+}

@@ -2,6 +2,7 @@ package aligned
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"dcstream/internal/bitvec"
@@ -9,12 +10,14 @@ import (
 )
 
 // Matrix is the m×n 0-1 matrix the analysis center assembles by stacking m
-// router digests of n bits each (§III-B). It is stored column-major: each
-// column is an m-bit vector over routers, because the detection algorithms
-// work entirely on column AND-products.
+// router digests of n bits each (§III-B). It is stored column-major in one
+// flat word array, because the detection algorithms work entirely on column
+// AND-products: column j is the ⌈rows/64⌉ words at words[j*stride:], and
+// every bit at row position ≥ rows is zero. stride exceeds the column's own
+// word count only when the matrix is a view of an accumulator's arena.
 type Matrix struct {
-	rows int
-	cols []*bitvec.Vector
+	rows, cols, stride int
+	words              []uint64
 }
 
 // NewMatrix returns an all-zero matrix with the given shape.
@@ -22,27 +25,45 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows <= 0 || cols < 0 {
 		panic(fmt.Sprintf("aligned: invalid matrix shape %dx%d", rows, cols))
 	}
-	m := &Matrix{rows: rows, cols: make([]*bitvec.Vector, cols)}
-	for j := range m.cols {
-		m.cols[j] = bitvec.New(rows)
-	}
-	return m
+	wpc := (rows + 63) / 64
+	return &Matrix{rows: rows, cols: cols, stride: wpc, words: make([]uint64, cols*wpc)}
 }
 
 // Rows returns the number of rows (routers).
 func (m *Matrix) Rows() int { return m.rows }
 
 // Cols returns the number of columns (bitmap width).
-func (m *Matrix) Cols() int { return len(m.cols) }
+func (m *Matrix) Cols() int { return m.cols }
 
-// Col returns column j as an m-bit vector (shared storage; treat read-only).
-func (m *Matrix) Col(j int) *bitvec.Vector { return m.cols[j] }
+// col returns column j's words (shared storage).
+func (m *Matrix) col(j int) []uint64 {
+	return m.words[j*m.stride : j*m.stride+(m.rows+63)/64]
+}
+
+// Col returns a copy of column j as an m-bit vector.
+func (m *Matrix) Col(j int) *bitvec.Vector {
+	v := bitvec.New(m.rows)
+	copy(v.Words(), m.col(j))
+	return v
+}
+
+func (m *Matrix) check(i, j int) {
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(fmt.Sprintf("aligned: entry (%d,%d) outside %dx%d", i, j, m.rows, m.cols))
+	}
+}
 
 // Set sets entry (row i, column j) to 1.
-func (m *Matrix) Set(i, j int) { m.cols[j].Set(i) }
+func (m *Matrix) Set(i, j int) {
+	m.check(i, j)
+	m.words[j*m.stride+i/64] |= 1 << uint(i%64)
+}
 
 // Test reports entry (i, j).
-func (m *Matrix) Test(i, j int) bool { return m.cols[j].Test(i) }
+func (m *Matrix) Test(i, j int) bool {
+	m.check(i, j)
+	return m.words[j*m.stride+i/64]&(1<<uint(i%64)) != 0
+}
 
 // FromDigests transposes m router digests (each an n-bit row) into the
 // column-major matrix used for detection. All digests must share one width.
@@ -65,29 +86,31 @@ func FromDigests(digests []*bitvec.Vector) *Matrix {
 	return m
 }
 
-// ColumnMatrix wraps pre-built column vectors as a matrix without copying:
-// the incremental accumulator maintains columns across a whole window and
-// hands them to the detector at finalize time. Every column must be rows bits
-// long; the matrix shares the columns' storage, so callers must not mutate
-// them while a detection runs.
+// ColumnMatrix copies pre-built column vectors, each rows bits long, into a
+// matrix. bench/layers.go only, until ROADMAP item 1: the center stitches a
+// span with StitchSpan and no longer holds a vector per column.
 func ColumnMatrix(rows int, cols []*bitvec.Vector) *Matrix {
-	if rows <= 0 {
-		panic(fmt.Sprintf("aligned: invalid matrix shape %dx%d", rows, len(cols)))
-	}
+	m := NewMatrix(rows, len(cols))
 	for j, c := range cols {
 		if c.Len() != rows {
 			panic(fmt.Sprintf("aligned: column %d length %d, want %d", j, c.Len(), rows))
 		}
+		copy(m.col(j), c.Words())
 	}
-	return &Matrix{rows: rows, cols: cols}
+	return m
 }
 
 // RandomMatrix fills an m×n matrix with independent fair coin flips — the
 // Monte-Carlo null model of §V-A (half 1's, half 0's).
 func RandomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
-	for _, c := range m.cols {
-		c.FillRandomHalf(rng.Uint64)
+	for i := range m.words {
+		m.words[i] = rng.Uint64()
+	}
+	if rem := uint(rows % 64); rem != 0 {
+		for j := 0; j < cols; j++ {
+			m.words[(j+1)*m.stride-1] &= 1<<rem - 1
+		}
 	}
 	return m
 }
@@ -97,14 +120,14 @@ func RandomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 // chosen rows and columns, each sorted ascending by construction order of
 // SampleDistinct (no particular order guaranteed).
 func (m *Matrix) PlantPattern(rng *rand.Rand, a, b int) (rows, cols []int) {
-	if a <= 0 || a > m.rows || b <= 0 || b > len(m.cols) {
-		panic(fmt.Sprintf("aligned: pattern %dx%d does not fit %dx%d", a, b, m.rows, len(m.cols)))
+	if a <= 0 || a > m.rows || b <= 0 || b > m.cols {
+		panic(fmt.Sprintf("aligned: pattern %dx%d does not fit %dx%d", a, b, m.rows, m.cols))
 	}
 	rows = stats.SampleDistinct(rng, m.rows, a)
-	cols = stats.SampleDistinct(rng, len(m.cols), b)
+	cols = stats.SampleDistinct(rng, m.cols, b)
 	for _, j := range cols {
 		for _, i := range rows {
-			m.cols[j].Set(i)
+			m.Set(i, j)
 		}
 	}
 	return rows, cols
@@ -112,9 +135,11 @@ func (m *Matrix) PlantPattern(rng *rand.Rand, a, b int) (rows, cols []int) {
 
 // ColumnWeights returns the weight (number of 1's) of every column.
 func (m *Matrix) ColumnWeights() []int {
-	w := make([]int, len(m.cols))
-	for j, c := range m.cols {
-		w[j] = c.OnesCount()
+	w := make([]int, m.cols)
+	for j := range w {
+		for _, x := range m.col(j) {
+			w[j] += bits.OnesCount64(x)
+		}
 	}
 	return w
 }

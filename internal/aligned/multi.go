@@ -16,10 +16,9 @@ func DetectAll(m *Matrix, cfg DetectorConfig, maxPatterns int) ([]Detection, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Work on a copy: column vectors are shared storage.
 	work := NewMatrix(m.Rows(), m.Cols())
 	for j := 0; j < m.Cols(); j++ {
-		work.cols[j] = m.cols[j].Clone()
+		copy(work.col(j), m.col(j))
 	}
 	var out []Detection
 	for maxPatterns == 0 || len(out) < maxPatterns {
@@ -33,7 +32,7 @@ func DetectAll(m *Matrix, cfg DetectorConfig, maxPatterns int) ([]Detection, err
 		out = append(out, det)
 		// Remove the found pattern so the next round sees only what's left.
 		for _, j := range det.Cols {
-			work.cols[j].Reset()
+			clear(work.col(j))
 		}
 	}
 	return out, nil
@@ -52,10 +51,9 @@ func SeparateClusters(m *Matrix, det Detection) [][]int {
 	byKey := make(map[string][]int)
 	var keys []string
 	for _, j := range det.Cols {
-		col := m.Col(j)
 		key := make([]byte, len(rowSet))
 		for i, r := range rowSet {
-			if col.Test(r) {
+			if m.Test(r, j) {
 				key[i] = 1
 			}
 		}

@@ -131,22 +131,21 @@ func SampleHeavyColumns(rng *rand.Rand, cfg VirtualConfig) (*VirtualSample, erro
 		}
 	}
 	for j, c := range cands {
-		col := out.Matrix.Col(j)
 		if c.pattern {
 			for _, r := range patternRows {
-				col.Set(r)
+				out.Matrix.Set(r, j)
 			}
 			extra := c.weight - a
 			if extra > 0 {
 				for _, k := range stats.SampleDistinct(rng, len(others), extra) {
-					col.Set(others[k])
+					out.Matrix.Set(others[k], j)
 				}
 			}
 			out.PatternColsInS1 = append(out.PatternColsInS1, j)
 			continue
 		}
 		for _, r := range stats.SampleDistinct(rng, m, c.weight) {
-			col.Set(r)
+			out.Matrix.Set(r, j)
 		}
 	}
 	return out, nil

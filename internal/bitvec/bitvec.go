@@ -152,8 +152,14 @@ func (v *Vector) Or(a, b *Vector) {
 // like OnesCount it runs four words per iteration.
 func AndCount(a, b *Vector) int {
 	a.sameLen(b)
-	aw := a.words
-	bw := b.words[:len(aw)]
+	return AndCountWords(a.words, b.words)
+}
+
+// AndCountWords is AndCount over bare words: the popcount of aw AND the first
+// len(aw) words of bw. The tracker and the aligned matrix keep their rows in
+// flat arrays and call it on sub-slices.
+func AndCountWords(aw, bw []uint64) int {
+	bw = bw[:len(aw)]
 	c := 0
 	i := 0
 	for ; i+4 <= len(aw); i += 4 {

@@ -137,13 +137,10 @@ func (c *Center) RestoreSpanWatermark(epoch int) {
 // which also reproduces the batch path's mixed-width error. Caller holds
 // c.mu.
 func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
-	type accEpoch struct {
-		epoch int
-		acc   *aligned.Accumulator
-	}
 	total, width := 0, 0
 	usable := c.cfg.Analysis == AnalysisIncremental
-	var accs []accEpoch
+	var accs []*aligned.Accumulator
+	var accEpochs []int
 	for _, e := range s.epochs {
 		sw := c.windows[e]
 		total += len(sw.aligned)
@@ -161,7 +158,8 @@ func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
 			usable = false
 			continue
 		}
-		accs = append(accs, accEpoch{e, sw.acc})
+		accs = append(accs, sw.acc)
+		accEpochs = append(accEpochs, e)
 	}
 	if total < 2 {
 		return
@@ -188,14 +186,14 @@ func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
 	// be translated afterwards (everything else in a Detection is invariant
 	// under row permutation).
 	refBase := 0
-	for _, ae := range accs {
-		slotRouters := ae.acc.SlotRouters()
+	for a, acc := range accs {
+		slotRouters := acc.SlotRouters()
 		sorted := append([]int(nil), slotRouters...)
 		sort.Ints(sorted)
 		pos := make(map[int]int, len(sorted))
 		for i, r := range sorted {
 			pos[r] = i
-			s.alignedIDs = append(s.alignedIDs, rowID{epoch: ae.epoch, router: r})
+			s.alignedIDs = append(s.alignedIDs, rowID{epoch: accEpochs[a], router: r})
 		}
 		for _, r := range slotRouters {
 			s.alignedRank = append(s.alignedRank, refBase+pos[r])
@@ -206,19 +204,10 @@ func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
 		// The lone window is retired with this span, so the detector can run
 		// on the accumulator's storage directly — zero copies on the hot
 		// single-epoch path.
-		s.alignedMatrix, s.alignedWeights = accs[0].acc.Matrix()
+		s.alignedMatrix, s.alignedWeights = accs[0].Matrix()
 		return
 	}
-	cols := bitvec.NewArena(width, total)
-	weights := make([]int, width)
-	at := 0
-	for _, ae := range accs {
-		ae.acc.BlitInto(cols, at)
-		ae.acc.AddWeightsInto(weights)
-		at += ae.acc.Rows()
-	}
-	s.alignedMatrix = aligned.ColumnMatrix(total, cols)
-	s.alignedWeights = weights
+	s.alignedMatrix, s.alignedWeights = aligned.StitchSpan(accs)
 }
 
 // snapshotUnalignedLocked captures the span's unaligned input: the tracker's
