@@ -18,22 +18,24 @@ import (
 //
 // Entries are computed lazily and memoized; a table is safe for concurrent
 // readers. The tracker asks tens of thousands of times per digest, so rows of
-// ordinary width memoize in a dense triangle read with one atomic load; only
-// rows too wide for that pay a lock and a hash.
+// ordinary width memoize in a dense square whose row i — λ(i, ·), contiguous —
+// the tracker fetches once per outer row and reads with one atomic load a
+// pair; only rows too wide for that pay a lock and a hash.
 type LambdaTable struct {
 	n     int
 	pstar float64
-	// dense holds λ+1 for weights i ≤ j at i*(n+1) - i*(i-1)/2 + (j-i), zero
-	// meaning not yet computed; nil (memo instead) past maxDenseBits.
+	// dense holds λ+1 for weights (i, j) at i*(n+1)+j, zero meaning not yet
+	// computed; each pair is computed once and stored at (i, j) and (j, i).
+	// nil (memo instead) past maxDenseBits.
 	dense []atomic.Int32
 	mu    sync.Mutex
 	memo  map[uint64]int // guarded by mu
 }
 
-// maxDenseBits is the widest row given a dense triangle: (n+1)(n+2)/2 entries
-// stay within 1<<22, 16 MiB of zero pages untouched until asked for. Row width
+// maxDenseBits is the widest row given a dense square: (n+1)² entries stay
+// within 1<<22, 16 MiB of zero pages untouched until asked for. Row width
 // arrives off the wire, millions of bits at worst, so it cannot size the table.
-const maxDenseBits = 2894
+const maxDenseBits = 2047
 
 // NewLambdaTable returns a table for rows of n bits with per-row-pair tail
 // probability pstar.
@@ -46,7 +48,7 @@ func NewLambdaTable(n int, pstar float64) (*LambdaTable, error) {
 	}
 	t := &LambdaTable{n: n, pstar: pstar}
 	if n <= maxDenseBits {
-		t.dense = make([]atomic.Int32, (n+1)*(n+2)/2)
+		t.dense = make([]atomic.Int32, (n+1)*(n+1))
 	} else {
 		t.memo = make(map[uint64]int)
 	}
@@ -65,17 +67,19 @@ func (t *LambdaTable) Threshold(i, j int) int {
 	if i < 0 || i > t.n || j < 0 || j > t.n {
 		panic(fmt.Sprintf("unaligned: row weight (%d,%d) outside [0,%d]", i, j, t.n))
 	}
+	if t.dense != nil {
+		if v := t.dense[i*(t.n+1)+j].Load(); v != 0 {
+			return int(v - 1)
+		}
+	}
 	if i > j {
 		i, j = j, i // X(i,j) is symmetric in the two weights
 	}
 	if t.dense != nil {
-		slot := &t.dense[i*(t.n+1)-i*(i-1)/2+(j-i)]
-		if v := slot.Load(); v != 0 {
-			return int(v - 1)
-		}
 		// Two readers racing here compute and store the same value.
 		v := stats.HyperThreshold(t.n, i, j, t.pstar)
-		slot.Store(int32(v + 1))
+		t.dense[i*(t.n+1)+j].Store(int32(v + 1))
+		t.dense[j*(t.n+1)+i].Store(int32(v + 1))
 		return v
 	}
 	key := uint64(i)<<32 | uint64(j)
@@ -90,6 +94,15 @@ func (t *LambdaTable) Threshold(i, j int) int {
 	t.memo[key] = v
 	t.mu.Unlock()
 	return v
+}
+
+// row returns λ(i, ·)+1 for every second weight, zero where Threshold(i, j)
+// has not been asked yet, or nil when the table memoizes in a map.
+func (t *LambdaTable) row(i int) []atomic.Int32 {
+	if t.dense == nil {
+		return nil
+	}
+	return t.dense[i*(t.n+1) : (i+1)*(t.n+1)]
 }
 
 // PStarForEdgeProbability converts a target per-vertex-pair edge probability

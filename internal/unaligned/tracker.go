@@ -1,7 +1,9 @@
 package unaligned
 
 import (
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"dcstream/internal/bitvec"
 )
@@ -34,13 +36,19 @@ type MemberRef struct {
 	Router int
 }
 
+// trMember is one digest as the tracker keeps it: its own copy of the rows,
+// flat and group-major — row (g, a) is the ⌈bits/64⌉ words at index
+// g*arrays+a — beside their weights, so nothing a caller does to the digest
+// after Add can part the cached weights from the bits they count.
 type trMember struct {
 	ref     MemberRef
-	rows    [][]*bitvec.Vector
-	weights [][]int
-	bad     bool // internally malformed (empty group); Merge would error
-	bits    int  // -1 until a row fixes it
-	arrays  int  // -1 until a group fixes it
+	groups  int
+	words   []uint64
+	weights []int32
+	bad     bool  // internally malformed (empty or ragged group); Merge would error
+	bits    int   // -1 until a row fixes it
+	arrays  int   // -1 until a group fixes it
+	bytes   int64 // accounted footprint
 }
 
 type trPairKey struct{ a, b MemberRef }
@@ -77,6 +85,7 @@ type Tracker struct {
 	maxVerts map[int]int         // historical high-water mark per epoch
 	pairs    map[trPairKey]*trPair
 	tables   map[uint64]*LambdaTable // prune tables keyed by (bits, arrays, pow2 n-low)
+	scratch  []rowEvidence           // correlate's working list, reused pair after pair
 	bytes    int64
 }
 
@@ -105,14 +114,6 @@ func (k trPairKey) canonical() trPairKey {
 		k.a, k.b = k.b, k.a
 	}
 	return k
-}
-
-func memberBytes(m *trMember) int64 {
-	b := int64(trMemberBytes)
-	for _, g := range m.rows {
-		b += trGroupBytes + int64(len(g))*trRowBytes
-	}
-	return b
 }
 
 // pruneTable returns the loose λ table for a pair whose final span is
@@ -160,9 +161,9 @@ func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
 // previous digest for the same (epoch, router) first.
 func (t *Tracker) Add(epoch int, d *Digest) int64 {
 	ref := MemberRef{Epoch: epoch, Router: d.RouterID}
-	m := &trMember{ref: ref, rows: d.Rows, bits: -1, arrays: -1}
-	m.weights = make([][]int, len(d.Rows))
-	for g, rows := range d.Rows {
+	m := &trMember{ref: ref, groups: len(d.Rows), bits: -1, arrays: -1, bytes: trMemberBytes}
+	for _, rows := range d.Rows {
+		m.bytes += trGroupBytes + int64(len(rows))*trRowBytes
 		if len(rows) == 0 {
 			m.bad = true
 			continue
@@ -172,24 +173,33 @@ func (t *Tracker) Add(epoch int, d *Digest) int64 {
 		} else if len(rows) != m.arrays {
 			m.bad = true
 		}
-		w := make([]int, len(rows))
-		for a, r := range rows {
+		for _, r := range rows {
 			if m.bits == -1 {
 				m.bits = r.Len()
 			} else if r.Len() != m.bits {
 				m.bad = true
 			}
-			w[a] = r.OnesCount()
 		}
-		m.weights[g] = w
+	}
+	if !m.bad && m.groups > 0 {
+		wpr := (m.bits + 63) / 64
+		m.words = make([]uint64, m.groups*m.arrays*wpr)
+		m.weights = make([]int32, m.groups*m.arrays)
+		for g, rows := range d.Rows {
+			for a, r := range rows {
+				copy(m.words[(g*m.arrays+a)*wpr:], r.Words())
+				m.weights[g*m.arrays+a] = int32(r.OnesCount())
+			}
+		}
+		m.bytes += int64(len(m.words)) * 8
 	}
 	t.members[ref] = m
 	t.byEpoch[epoch] = append(t.byEpoch[epoch], ref)
-	t.verts[epoch] += len(d.Rows)
+	t.verts[epoch] += m.groups
 	if t.verts[epoch] > t.maxVerts[epoch] {
 		t.maxVerts[epoch] = t.verts[epoch]
 	}
-	delta := memberBytes(m)
+	delta := m.bytes
 
 	if !m.bad {
 		// Intra-member group pairs: the induced graph correlates every pair
@@ -226,45 +236,48 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 	if key.a != x.ref {
 		x, y = o, m
 	}
-	var entries []rowEvidence
-	for ga, ra := range x.rows {
+	// One pass over each row pair: the λ row for the outer row's weight is
+	// fetched once, the pair's threshold is one load from it (-1, which keeps
+	// everything, when there is no prune table), and the AND-popcount that
+	// decides survival is the exact overlap the evidence stores.
+	k, wpr := x.arrays, (x.bits+63)/64
+	entries := t.scratch[:0]
+	for ga := 0; ga < x.groups; ga++ {
 		gbStart := 0
 		if o == m {
 			gbStart = ga + 1
 		}
-		for gb := gbStart; gb < len(y.rows); gb++ {
-			rb := y.rows[gb]
-			for a := range ra {
-				wa := x.weights[ga][a]
-				for b := range rb {
-					wb := y.weights[gb][b]
-					if tab != nil {
-						lam := tab.Threshold(wa, wb)
-						minW := wa
-						if wb < minW {
-							minW = wb
-						}
-						if minW <= lam {
-							continue
-						}
-						if !bitvec.AndCountAtLeast(ra[a], rb[b], lam+1) {
-							continue
-						}
+		for gb := gbStart; gb < y.groups; gb++ {
+			for a := ga * k; a < (ga+1)*k; a++ {
+				wa, ra := x.weights[a], x.words[a*wpr:(a+1)*wpr]
+				var lamRow []atomic.Int32
+				if tab != nil {
+					lamRow = tab.row(int(wa))
+				}
+				for b := gb * k; b < (gb+1)*k; b++ {
+					wb, lam := y.weights[b], int32(-1)
+					if lamRow != nil {
+						lam = lamRow[wb].Load() - 1
 					}
-					entries = append(entries, rowEvidence{
-						ga: uint32(ga), gb: uint32(gb),
-						wa: int32(wa), wb: int32(wb),
-						count: int32(bitvec.AndCount(ra[a], rb[b])),
-					})
+					if lam < 0 && tab != nil {
+						lam = int32(tab.Threshold(int(wa), int(wb)))
+					}
+					if min(wa, wb) <= lam {
+						continue // the overlap cannot exceed the lighter row
+					}
+					if count := int32(bitvec.AndCountWords(ra, y.words[b*wpr:])); count > lam {
+						entries = append(entries, rowEvidence{ga: uint32(ga), gb: uint32(gb), wa: wa, wb: wb, count: count})
+					}
 				}
 			}
 		}
 	}
+	t.scratch = entries
 	if len(entries) == 0 {
 		return 0
 	}
 	// The caller guarantees stale pairs were purged, so the slot is fresh.
-	t.pairs[key] = &trPair{entries: entries}
+	t.pairs[key] = &trPair{entries: slices.Clone(entries)}
 	return trPairBytes + int64(len(entries))*trEntryBytes
 }
 
@@ -276,7 +289,7 @@ func (t *Tracker) Remove(epoch, router int) int64 {
 	if !ok {
 		return 0
 	}
-	delta := -memberBytes(m)
+	delta := -m.bytes
 	delete(t.members, ref)
 	refs := t.byEpoch[epoch]
 	for i, r := range refs {
@@ -285,7 +298,7 @@ func (t *Tracker) Remove(epoch, router int) int64 {
 			break
 		}
 	}
-	t.verts[epoch] -= len(m.rows)
+	t.verts[epoch] -= m.groups
 	for key, p := range t.pairs {
 		if key.a == ref || key.b == ref {
 			delta -= trPairBytes + int64(len(p.entries))*trEntryBytes
@@ -358,7 +371,7 @@ func (t *Tracker) Snapshot(order []MemberRef) *SpanEvidence {
 			}
 		}
 		base[ref] = int32(len(s.vertices))
-		for g := range m.rows {
+		for g := 0; g < m.groups; g++ {
 			s.vertices = append(s.vertices, Vertex{RouterID: ref.Router, Group: g})
 		}
 	}

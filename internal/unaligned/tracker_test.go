@@ -1,11 +1,11 @@
 package unaligned
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dcstream/internal/bitvec"
-	"math/rand"
-
 	"dcstream/internal/graph"
 	"dcstream/internal/stats"
 )
@@ -142,16 +142,18 @@ func TestTrackerRetraction(t *testing.T) {
 		order[r] = MemberRef{Epoch: 4, Router: r}
 	}
 	trPlantShared(rng, digests[1], digests[6], 1, 0)
+	// Router 3 will be replaced with a fresh digest (same group count) and
+	// router 6 with one correlated to router 2 instead. Everything is planted
+	// before the first Add: the tracker keeps its own copy of a digest's rows,
+	// so what is done to a digest afterwards is not seen.
+	repl3 := trDigest(rng, 3, 2)
+	repl6 := trDigest(rng, 6, 2)
+	trPlantShared(rng, digests[2], repl6, 0, 1)
 
 	tr := NewTracker(TrackerConfig{Reach: 1})
 	for _, d := range digests {
 		tr.Add(4, d)
 	}
-	// Replace router 3 with a fresh digest (same group count) and router 6
-	// with one correlated to router 2 instead.
-	repl3 := trDigest(rng, 3, 2)
-	repl6 := trDigest(rng, 6, 2)
-	trPlantShared(rng, digests[2], repl6, 0, 1)
 	for _, rep := range []struct {
 		r int
 		d *Digest
@@ -170,6 +172,38 @@ func TestTrackerRetraction(t *testing.T) {
 	}
 	er, _ := finalTables(t, gm.NumVertices())
 	trCompareGraphs(t, "after-retraction", trIncGraph(tr, order, er), trBatchGraph(t, digests, er))
+}
+
+// TestTrackerOwnsItsRows: mutating a digest after Add changes no stored
+// evidence and no later correlation — the tracker correlates the rows it was
+// given, whose weights it counted then.
+func TestTrackerOwnsItsRows(t *testing.T) {
+	build := func(mutate bool) *Tracker {
+		rng := stats.NewRand(36)
+		tr := NewTracker(TrackerConfig{Reach: 1})
+		var digests []*Digest
+		for r := 0; r < 10; r++ {
+			digests = append(digests, trDigest(rng, r, 2))
+		}
+		trPlantShared(rng, digests[0], digests[9], 0, 1)
+		for r, d := range digests {
+			tr.Add(1, d)
+			if mutate && r == 0 {
+				d.Rows[0][0].Reset()                  // bits under a cached weight
+				d.Rows[1][1] = bitvec.New(trTestBits) // a row swapped out
+			}
+		}
+		return tr
+	}
+	want, got := build(false), build(true)
+	if len(want.pairs) == 0 || len(got.pairs) != len(want.pairs) {
+		t.Fatalf("%d pairs after mutating a stored digest, %d without", len(got.pairs), len(want.pairs))
+	}
+	for key, p := range want.pairs {
+		if q, ok := got.pairs[key]; !ok || !reflect.DeepEqual(q.entries, p.entries) {
+			t.Fatalf("pair %v: evidence moved after its digest was mutated\n got %v\nwant %v", key, q, p.entries)
+		}
+	}
 }
 
 func TestTrackerCrossEpoch(t *testing.T) {
@@ -259,5 +293,37 @@ func TestTrackerFallbackFlags(t *testing.T) {
 	tr3.Add(3, narrow)
 	if tr3.Snapshot([]MemberRef{{3, 0}, {3, 1}}).Usable() {
 		t.Fatal("mixed-width span usable")
+	}
+}
+
+// TestTrackerAddAllocatesPerEvidencePair: in steady state an Add allocates the
+// member's two flat arrays and, for each pair that keeps evidence, its record
+// and its entries — nothing per row pair compared.
+func TestTrackerAddAllocatesPerEvidencePair(t *testing.T) {
+	rng := stats.NewRand(37)
+	tr := NewTracker(TrackerConfig{Reach: 1})
+	var last *Digest
+	for r := 0; r < 30; r++ {
+		last = bankDigest(rng, r, 4, 10, 512, 0.42)
+		if r%3 == 0 {
+			plantRow(rng, last, last, 0, 1)
+		}
+		tr.Add(1, last)
+	}
+	ref := MemberRef{Epoch: 1, Router: last.RouterID}
+	evidence := 0
+	for key := range tr.pairs {
+		if key.a == ref || key.b == ref {
+			evidence++
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		tr.Remove(1, last.RouterID)
+		tr.Add(1, last)
+	})
+	// 29 × 1 600 + 600 row pairs are compared; the member is three objects,
+	// each evidence pair two, and the maps may grow a bucket.
+	if limit := float64(2*evidence + 8); evidence == 0 || allocs > limit {
+		t.Fatalf("%v allocations re-adding a digest with %d evidence pairs, want at most %v", allocs, evidence, limit)
 	}
 }
