@@ -207,8 +207,9 @@ func StitchSpan(accs []*Accumulator) (*Matrix, []int) {
 	at := 0
 	for _, a := range accs {
 		a.AddWeightsInto(weights)
+		stride := a.capRows / 64
 		for j := 0; j < m.cols; j++ {
-			blit(m.col(j), at, a.words[j*a.capRows/64:], a.rows)
+			blit(m.col(j), at, a.words[j*stride:], a.rows)
 		}
 		at += a.rows
 	}

@@ -71,16 +71,15 @@ func (t *LambdaTable) Threshold(i, j int) int {
 		if v := t.dense[i*(t.n+1)+j].Load(); v != 0 {
 			return int(v - 1)
 		}
-	}
-	if i > j {
-		i, j = j, i // X(i,j) is symmetric in the two weights
-	}
-	if t.dense != nil {
-		// Two readers racing here compute and store the same value.
-		v := stats.HyperThreshold(t.n, i, j, t.pstar)
+		// X(i,j) is symmetric in the two weights. Two readers racing here
+		// compute and store the same value.
+		v := stats.HyperThreshold(t.n, min(i, j), max(i, j), t.pstar)
 		t.dense[i*(t.n+1)+j].Store(int32(v + 1))
 		t.dense[j*(t.n+1)+i].Store(int32(v + 1))
 		return v
+	}
+	if i > j {
+		i, j = j, i
 	}
 	key := uint64(i)<<32 | uint64(j)
 	t.mu.Lock()
