@@ -11,8 +11,9 @@
 //
 // Entry points:
 //
-//   - internal/core: AlignedSystem and UnalignedSystem, the end-to-end
-//     public API (collectors per router + analysis per epoch).
+//   - internal/aligned and internal/unaligned: the per-router collectors;
+//     internal/center: the analysis of every epoch's digests. The examples
+//     wire one to the other directly.
 //   - internal/experiments: one harness per paper table/figure, listed in
 //     the experiments.All registry.
 //   - cmd/dcsbench: regenerate any artifact at test/default/paper scale.

@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"log"
 
+	"dcstream/internal/aligned"
 	"dcstream/internal/baseline"
-	"dcstream/internal/core"
+	"dcstream/internal/center"
 	"dcstream/internal/packet"
 	"dcstream/internal/stats"
 	"dcstream/internal/trafficgen"
+	"dcstream/internal/transport"
 )
 
 func main() {
@@ -30,12 +32,8 @@ func main() {
 		localAlarm = 5 // EarlyBird-style local repetition threshold
 	)
 
-	sys, err := core.NewAligned(core.AlignedConfig{
-		Routers: routers, BitmapBits: 1 << 16, HashSeed: 77,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cen := center.New(center.Config{SubsetSize: 1024})
+	var digestBytes int64
 	agg := baseline.NewRawAggregator(77)
 	locals := make([]*baseline.LocalDetector, routers)
 
@@ -43,6 +41,10 @@ func main() {
 	hotFile := trafficgen.NewContent(rng, fileChunks, segment)
 
 	for r := 0; r < routers; r++ {
+		col, err := aligned.NewCollector(aligned.CollectorConfig{Bits: 1 << 16, HashSeed: 77})
+		if err != nil {
+			log.Fatal(err)
+		}
 		locals[r] = baseline.NewLocalDetector(77, localAlarm)
 		// Zipf-skewed flow mix, like real backbone traffic.
 		bg, err := trafficgen.Background(rng, trafficgen.BackgroundConfig{
@@ -57,10 +59,13 @@ func main() {
 			pkts = trafficgen.Mix(rng, pkts, hotFile.PlantAligned(packet.FlowLabel(1<<40|uint64(r)), segment))
 		}
 		for _, p := range pkts {
-			sys.Router(r).Update(p)
+			col.Update(p)
 			locals[r].Observe(p)
 			agg.Observe(r, p)
 		}
+		d := col.Digest()
+		digestBytes += int64(len(d.Words()) * 8)
+		cen.Ingest(transport.AlignedDigest{RouterID: r, Epoch: 1, Bitmap: d})
 	}
 
 	// 1. Single-vantage baseline: does any router alarm on the hot file?
@@ -86,23 +91,24 @@ func main() {
 		len(common), carriers, float64(agg.BytesShipped())/1e6)
 
 	// 3. DCS: same answer from kilobytes of digests.
-	report, err := sys.EndEpoch()
+	report, err := cen.Analyze(1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	outcome := report.Aligned
 	fmt.Printf("DCS: shipped %.1f KB of digests (%.0fx less than raw)\n",
-		float64(report.DigestBytes)/1e3,
-		float64(agg.BytesShipped())/float64(report.DigestBytes))
-	if !report.Detection.Found {
+		float64(digestBytes)/1e3,
+		float64(agg.BytesShipped())/float64(digestBytes))
+	if !outcome.Detection.Found {
 		fmt.Println("DCS: no common content found (unexpected for this scenario)")
 		return
 	}
 	hit := 0
-	for _, r := range report.Detection.Rows {
+	for _, r := range outcome.RouterIDs {
 		if r < carriers {
 			hit++
 		}
 	}
 	fmt.Printf("DCS: hot object detected; %d/%d carrier links identified (%d total flagged)\n",
-		hit, carriers, len(report.Detection.Rows))
+		hit, carriers, len(outcome.RouterIDs))
 }

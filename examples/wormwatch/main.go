@@ -4,9 +4,10 @@
 // SMTP header ("From", "To", "Subject" differ per victim), so the same
 // content packetizes differently at every router: the paper's unaligned
 // case (§IV). Each router runs the offset-sampling + flow-splitting
-// collector; the analysis center merges the digests, induces the random
-// graph, runs the Erdős–Rényi phase-transition test, and — when it fires —
-// identifies the infected paths with the greedy core finder.
+// collector; the analysis center (the one dcsd runs) merges the digests,
+// induces the random graph, runs the Erdős–Rényi phase-transition test, and
+// — when it fires — identifies the infected paths with the greedy core
+// finder.
 //
 //	go run ./examples/wormwatch
 package main
@@ -14,11 +15,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
-	"dcstream/internal/core"
+	"dcstream/internal/center"
 	"dcstream/internal/packet"
 	"dcstream/internal/stats"
 	"dcstream/internal/trafficgen"
+	"dcstream/internal/transport"
 	"dcstream/internal/unaligned"
 )
 
@@ -45,23 +48,27 @@ func main() {
 		SegmentSize: segment, FragmentLen: 8, MinPayload: 400,
 		HashSeed: 4242,
 	}
-	sys, err := core.NewUnaligned(core.UnalignedConfig{
-		Routers:   routers,
-		Collector: collectorCfg,
+	cen := center.New(center.Config{
 		// At this small scale the default 0.5/n background edge probability
 		// leaves fat subcritical tails; a quarter of the phase-transition
-		// point keeps the null quiet (cf. core.CalibrateComponentThreshold).
-		TargetP1: 0.25 / float64(routers*4),
-		Seed:     1234,
+		// point keeps the null quiet. The threshold is the largest component
+		// in 20 null-model draws of G(96, 0.25/96), 6, plus half again plus 2.
+		TargetP1:           0.25 / float64(routers*collectorCfg.Groups),
+		ComponentThreshold: 11,
+		D:                  3,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	rng := stats.NewRand(99)
 	worm := trafficgen.NewContent(rng, wormLen, segment) // the fixed attachment
 
 	for r := 0; r < routers; r++ {
+		// Each router draws its own sampling offsets (§IV-A).
+		cfg := collectorCfg
+		cfg.OffsetSeed = 1234 ^ (uint64(r+1) * 0x9e3779b97f4a7c15)
+		col, err := unaligned.NewCollector(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		// Background: ≈30% array fill of ordinary traffic.
 		bg, err := trafficgen.Background(rng, trafficgen.BackgroundConfig{
 			Packets: 365 * collectorCfg.Groups, SegmentSize: segment,
@@ -70,7 +77,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, p := range bg {
-			sys.Router(r).Update(p)
+			col.Update(p)
 		}
 		if r < infected {
 			// One worm email crosses this link: variable SMTP header, then
@@ -80,23 +87,26 @@ func main() {
 			obj := append(append([]byte(nil), hdr...), worm.Data...)
 			flow := packet.FlowLabel(1<<50 | uint64(r))
 			for _, p := range packet.Packetize(flow, obj, segment) {
-				sys.Router(r).Update(p)
+				col.Update(p)
 			}
 		}
+		cen.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: col.Digest(r)})
 	}
 
-	report, err := sys.EndEpoch()
+	report, err := cen.Analyze(1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	outcome := report.Unaligned
 	fmt.Printf("ER test: largest connected component %d (threshold %d)\n",
-		report.ER.LargestComponent, report.ER.Threshold)
-	if !report.ER.PatternDetected {
+		outcome.ER.LargestComponent, outcome.ER.Threshold)
+	if !outcome.ER.PatternDetected {
 		fmt.Println("no wide-spread common content this epoch")
 		return
 	}
 	fmt.Println("ALERT: statistically impossible correlation across links — likely worm or spam campaign")
-	fmt.Printf("  implicated routers: %v\n", report.RouterIDs)
+	sort.Ints(outcome.Routers) // pattern order → ascending
+	fmt.Printf("  implicated routers: %v\n", outcome.Routers)
 	fmt.Printf("  (ground truth: the worm crossed routers 0..%d)\n", infected-1)
 	fmt.Println("  next step per §IV-B: enable packet logging at these routers to extract the signature")
 }

@@ -1,7 +1,5 @@
 package bitvec
 
-import "fmt"
-
 // NewArena returns count zeroed vectors of n bits each, all backed by one
 // flat word array. The incremental aligned accumulator keeps thousands of
 // short column vectors alive per window; carving them from a single
@@ -21,60 +19,4 @@ func NewArena(count, n int) []*Vector {
 		out[i] = &vecs[i]
 	}
 	return out
-}
-
-// Shrink returns a view of the first n bits of v sharing v's storage: writes
-// through either alias are visible in both. It panics if any bit at position
-// >= n is set — a truncation that would silently drop ones is always a
-// programming error here (the accumulator only shrinks capacity padding,
-// which is zero by invariant). The returned view keeps the tail-bits-zero
-// invariant because the dropped region was verified zero.
-func (v *Vector) Shrink(n int) *Vector {
-	if n < 0 || n > v.n {
-		panic(fmt.Sprintf("bitvec: shrink to %d outside [0,%d]", n, v.n))
-	}
-	nw := (n + wordBits - 1) / wordBits
-	for i := nw; i < len(v.words); i++ {
-		if v.words[i] != 0 {
-			panic(fmt.Sprintf("bitvec: shrink to %d drops set bit in word %d", n, i))
-		}
-	}
-	if rem := n % wordBits; rem != 0 && nw > 0 {
-		if v.words[nw-1]>>uint(rem) != 0 {
-			panic(fmt.Sprintf("bitvec: shrink to %d drops set bit at >= %d", n, n))
-		}
-	}
-	return &Vector{words: v.words[:nw:nw], n: n}
-}
-
-// Blit ORs the first nbits of src into dst starting at bit position at; dst
-// bits outside [at, at+nbits) are untouched. Word-shift based, so stitching a
-// sliding-window span matrix out of per-epoch columns costs O(words) instead
-// of O(bits) per column even when epoch row counts are not multiples of 64.
-func Blit(dst *Vector, at int, src *Vector, nbits int) {
-	if nbits < 0 || nbits > src.n {
-		panic(fmt.Sprintf("bitvec: blit %d bits from %d-bit source", nbits, src.n))
-	}
-	if at < 0 || at+nbits > dst.n {
-		panic(fmt.Sprintf("bitvec: blit [%d,%d) outside %d-bit destination", at, at+nbits, dst.n))
-	}
-	if nbits == 0 {
-		return
-	}
-	words := (nbits + wordBits - 1) / wordBits
-	base, off := at/wordBits, uint(at%wordBits)
-	for i := 0; i < words; i++ {
-		w := src.words[i]
-		if i == words-1 {
-			if rem := nbits % wordBits; rem != 0 {
-				w &= (1 << uint(rem)) - 1
-			}
-		}
-		dst.words[base+i] |= w << off
-		if off != 0 {
-			if hi := w >> (wordBits - off); hi != 0 {
-				dst.words[base+i+1] |= hi
-			}
-		}
-	}
 }

@@ -2,15 +2,6 @@ package bitvec
 
 import "testing"
 
-// lcg is a tiny deterministic word source for the property tests.
-func lcg(seed uint64) func() uint64 {
-	s := seed
-	return func() uint64 {
-		s = s*6364136223846793005 + 1442695040888963407
-		return s
-	}
-}
-
 func TestNewArenaIsolation(t *testing.T) {
 	cols := NewArena(5, 130)
 	if len(cols) != 5 {
@@ -37,94 +28,5 @@ func TestNewArenaIsolation(t *testing.T) {
 	}
 	if v := NewArena(0, 64); len(v) != 0 {
 		t.Fatalf("empty arena not empty")
-	}
-}
-
-func TestShrinkSharesStorage(t *testing.T) {
-	v := New(200)
-	v.Set(0)
-	v.Set(63)
-	v.Set(64)
-	v.Set(99)
-	s := v.Shrink(100)
-	if s.Len() != 100 || s.OnesCount() != 4 {
-		t.Fatalf("shrink view len=%d weight=%d", s.Len(), s.OnesCount())
-	}
-	// Writes through the parent are visible in the view: shared storage, not
-	// a copy.
-	v.Set(50)
-	if !s.Test(50) {
-		t.Fatal("shrink view is a copy, want a shared-storage view")
-	}
-	if got := New(64).Shrink(0).Len(); got != 0 {
-		t.Fatalf("zero shrink len %d", got)
-	}
-}
-
-func TestShrinkPanicsOnDroppedBit(t *testing.T) {
-	for _, bit := range []int{100, 127, 128, 199} {
-		v := New(200)
-		v.Set(bit)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("shrink to 100 dropped set bit %d silently", bit)
-				}
-			}()
-			v.Shrink(100)
-		}()
-	}
-}
-
-func TestBlitMatchesNaive(t *testing.T) {
-	word := lcg(7)
-	cases := []struct{ at, nbits, srcLen, dstLen int }{
-		{0, 64, 64, 64},     // full word, aligned
-		{0, 37, 64, 64},     // partial word, aligned
-		{64, 128, 128, 256}, // word-aligned offset
-		{17, 100, 128, 256}, // unaligned offset, partial tail
-		{63, 65, 65, 256},   // crosses every word boundary
-		{5, 0, 64, 64},      // empty blit is a no-op
-		{200, 56, 60, 256},  // lands exactly at the destination end
-	}
-	for _, tc := range cases {
-		src := New(tc.srcLen)
-		src.FillRandomHalf(word)
-		dst := New(tc.dstLen)
-		dst.FillRandomHalf(word)
-		// Zero the target range first (Blit ORs), then compare against the
-		// naive per-bit copy on an identical starting point.
-		for i := tc.at; i < tc.at+tc.nbits; i++ {
-			dst.Clear(i)
-		}
-		want := dst.Clone()
-		for i := 0; i < tc.nbits; i++ {
-			if src.Test(i) {
-				want.Set(tc.at + i)
-			}
-		}
-		Blit(dst, tc.at, src, tc.nbits)
-		if !Equal(dst, want) {
-			t.Fatalf("blit at=%d nbits=%d diverged from naive copy", tc.at, tc.nbits)
-		}
-	}
-}
-
-func TestBlitRangePanics(t *testing.T) {
-	src, dst := New(64), New(64)
-	for _, f := range []func(){
-		func() { Blit(dst, 0, src, 65) },
-		func() { Blit(dst, 1, src, 64) },
-		func() { Blit(dst, -1, src, 8) },
-		func() { Blit(dst, 0, src, -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-range blit did not panic")
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -34,7 +34,15 @@ func TestCenterIgnoresSparseWindows(t *testing.T) {
 	}
 }
 
+// TestCenterAlignedWindow: a planted epoch is detected at its carriers, and
+// the same background with nothing planted is not detected at all.
 func TestCenterAlignedWindow(t *testing.T) {
+	for _, content := range []int{12, 0} {
+		testCenterAlignedWindow(t, content)
+	}
+}
+
+func testCenterAlignedWindow(t *testing.T, content int) {
 	res, err := simulate.RunAligned(simulate.AlignedScenario{
 		Seed:    5,
 		Routers: 32,
@@ -43,7 +51,7 @@ func TestCenterAlignedWindow(t *testing.T) {
 		},
 		BackgroundPackets: 2500,
 		SegmentSize:       536,
-		ContentPackets:    12,
+		ContentPackets:    content,
 		Carriers:          []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
 	})
 	if err != nil {
@@ -57,11 +65,20 @@ func TestCenterAlignedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Aligned == nil || !rep.Aligned.Detection.Found {
-		t.Fatalf("aligned window not detected: %+v", rep.Aligned)
+	if rep.Aligned == nil {
+		t.Fatal("aligned window not analyzed")
 	}
 	if rep.Aligned.Routers != 32 {
 		t.Fatalf("router count %d", rep.Aligned.Routers)
+	}
+	if content == 0 {
+		if rep.Aligned.Detection.Found {
+			t.Fatalf("false positive on pure background: routers %v", rep.Aligned.RouterIDs)
+		}
+		return
+	}
+	if !rep.Aligned.Detection.Found {
+		t.Fatalf("aligned window not detected: %+v", rep.Aligned)
 	}
 	hit := 0
 	for _, r := range rep.Aligned.RouterIDs {
@@ -85,7 +102,16 @@ func TestCenterRejectsMixedWidths(t *testing.T) {
 	}
 }
 
+// TestCenterUnalignedWindow: the ER test fires on a planted epoch and the
+// core finder names its carriers; on the same background with nothing
+// planted the test stays quiet and the core finder never runs.
 func TestCenterUnalignedWindow(t *testing.T) {
+	for _, content := range []int{60, 0} {
+		testCenterUnalignedWindow(t, content)
+	}
+}
+
+func testCenterUnalignedWindow(t *testing.T, content int) {
 	cfg := unaligned.CollectorConfig{
 		Groups: 4, ArraysPerGroup: 10, ArrayBits: 512,
 		SegmentSize: 100, FragmentLen: 8, MinPayload: 40,
@@ -96,7 +122,7 @@ func TestCenterUnalignedWindow(t *testing.T) {
 		Routers:           20,
 		Collector:         cfg,
 		BackgroundPackets: 183 * 4,
-		ContentPackets:    60,
+		ContentPackets:    content,
 		Carriers:          []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},
 	})
 	if err != nil {
@@ -116,11 +142,23 @@ func TestCenterUnalignedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Unaligned == nil || !rep.Unaligned.ER.PatternDetected {
-		t.Fatalf("unaligned window not detected: %+v", rep.Unaligned)
+	if rep.Unaligned == nil {
+		t.Fatal("unaligned window not analyzed")
 	}
 	if rep.Unaligned.Vertices != 80 {
 		t.Fatalf("vertex count %d", rep.Unaligned.Vertices)
+	}
+	if content == 0 {
+		if er := rep.Unaligned.ER; er.PatternDetected {
+			t.Fatalf("false positive on pure background: largest component %d >= %d", er.LargestComponent, er.Threshold)
+		}
+		if len(rep.Unaligned.PatternVertices) != 0 || len(rep.Unaligned.Routers) != 0 {
+			t.Fatal("core finder ran despite a negative ER test")
+		}
+		return
+	}
+	if !rep.Unaligned.ER.PatternDetected {
+		t.Fatalf("unaligned window not detected: %+v", rep.Unaligned)
 	}
 	truth := map[int]bool{}
 	for _, v := range res.CarrierVertices {

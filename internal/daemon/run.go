@@ -239,10 +239,11 @@ func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) 
 		drain:    func() { n.Drain() },
 		stats: func(tcp *transport.Server, udp *transport.UDPServer) {
 			t, s := tcp.Stats().Snapshot(), n.Center.Stats().Snapshot()
-			log.Printf("stats: frames in=%d bad=%d; conns accepted=%d reaped=%d; quarantined senders=%d drops=%d; digests ingested=%d late=%d dup=%d dropped=%d shed=%d rejected=%d unknown=%d; epochs analyzed=%d degraded=%d evicted=%d shed=%d",
+			log.Printf("stats: frames in=%d bad=%d; conns accepted=%d reaped=%d; quarantined senders=%d drops=%d; digests ingested=%d late=%d dup=%d replaced=%d dropped=%d misrouted=%d shed=%d rejected=%d unknown=%d; epochs analyzed=%d degraded=%d evicted=%d shed=%d",
 				t.FramesIn, t.BadFrames, t.ConnsAccepted, t.ConnsReaped,
 				t.QuarantinedSenders, t.QuarantineDrops,
-				s.DigestsIngested, s.LateDigests, s.DuplicateDigests, s.DroppedDigests, s.ShedDigests, s.RejectedDigests, s.UnknownMessages,
+				s.DigestsIngested, s.LateDigests, s.DuplicateDigests, s.ReplacedDigests, s.DroppedDigests, s.MisroutedDigests,
+				s.ShedDigests, s.RejectedDigests, s.UnknownMessages,
 				s.EpochsAnalyzed, s.DegradedEpochs, s.EpochsEvicted, s.ShedEpochs)
 			if udp != nil {
 				u := udp.Stats().Snapshot()

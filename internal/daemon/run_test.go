@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -492,6 +493,79 @@ func TestRunDropsTickQueuedBehindALongOne(t *testing.T) {
 	r.stop(t)
 	if n := statsLines(); n != 3 || len(r.ticks) != 0 {
 		t.Fatalf("%d stats lines and %d ticks unread, want 3 and 0: ticks 1 and 3 and the shutdown — tick 2 queued behind tick 1 and must be dropped\n%s", n, len(r.ticks), r.logs)
+	}
+}
+
+// TestRunStatsLineBalancesTheLedger: the -stats line prints every counter of
+// center.Snapshot, so each digest the center saw shows in some field. A
+// Snapshot field with no key here, or a key the line lacks or misreports,
+// fails.
+func TestRunStatsLineBalancesTheLedger(t *testing.T) {
+	keys := map[string]string{
+		"DigestsIngested":  "digests.ingested",
+		"LateDigests":      "digests.late",
+		"DuplicateDigests": "digests.dup",
+		"ReplacedDigests":  "digests.replaced",
+		"DroppedDigests":   "digests.dropped",
+		"MisroutedDigests": "digests.misrouted",
+		"ShedDigests":      "digests.shed",
+		"RejectedDigests":  "digests.rejected",
+		"UnknownMessages":  "digests.unknown",
+		"EpochsAnalyzed":   "epochs.analyzed",
+		"DegradedEpochs":   "epochs.degraded",
+		"EpochsEvicted":    "epochs.evicted",
+		"ShedEpochs":       "epochs.shed",
+	}
+	st := new(center.Stats)
+	r := startRun(t, Config{ShardOf: -1, Stats: true, Center: center.Config{
+		SubsetSize: 64, Stats: st, OwnsEpoch: func(e int) bool { return e != 9 },
+	}})
+	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(2, 1)})
+	// A resend under DupKeepLast is replaced; epoch 9 fails the shard
+	// predicate. Neither is ingested.
+	c, err := transport.Dial(r.tcp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []transport.Message{dg(1, 1), dg(1, 9)} {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the replaced and misrouted digests", func() bool {
+		s := st.Snapshot()
+		return s.ReplacedDigests == 1 && s.MisroutedDigests == 1
+	})
+	r.stop(t)
+
+	logs := r.logs.String()
+	i := strings.LastIndex(logs, "stats: frames in=")
+	if i < 0 {
+		t.Fatalf("no -stats line\n%s", logs)
+	}
+	line := strings.TrimPrefix(strings.SplitN(logs[i:], "\n", 2)[0], "stats: ")
+	printed := map[string]string{}
+	for _, section := range strings.Split(line, "; ") {
+		words := strings.Fields(section)
+		for _, kv := range words[1:] {
+			k, v, _ := strings.Cut(kv, "=")
+			printed[words[0]+"."+k] = v
+		}
+	}
+	snap := reflect.ValueOf(st.Snapshot())
+	for i := 0; i < snap.NumField(); i++ {
+		field := snap.Type().Field(i).Name
+		key, ok := keys[field]
+		if !ok {
+			t.Errorf("center.Snapshot.%s has no -stats key", field)
+			continue
+		}
+		if want := fmt.Sprint(snap.Field(i).Int()); printed[key] != want {
+			t.Errorf("-stats %s = %q, want %s (center.Snapshot.%s)\n%s", key, printed[key], want, field, line)
+		}
 	}
 }
 
