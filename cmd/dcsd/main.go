@@ -16,10 +16,12 @@
 // restart with the same -journal replays every un-analyzed epoch into the
 // center, so buffered windows survive the process. Epochs are marked in the
 // journal as they are analyzed and their segments deleted once fully
-// covered, bounding disk use to the in-flight windows. The log is fsynced as
-// a group commit — before each report leaves the daemon and once per window
-// tick — so a power cut (a process crash loses nothing written) can only take
-// digests of epochs not yet reported, a window's worth at most.
+// covered, bounding disk use to the in-flight windows. The log takes one
+// write(2) per call — one call per UDP datagram or TCP frame, before its
+// digests reach the window — so a process crash loses nothing of a datagram
+// or frame already handled. The log is fsynced as a group commit — before
+// each report leaves the daemon and once per window tick — so a power cut can
+// only take digests of epochs not yet reported, a window's worth at most.
 //
 // With -http <addr> the daemon serves /metrics (Prometheus text exposition
 // of every transport/center/journal counter), /healthz (JSON quorum state

@@ -2,6 +2,7 @@ package aligned
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dcstream/internal/bitvec"
@@ -124,9 +125,12 @@ func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
 		a.slotIDs = append(a.slotIDs, router)
 	}
 	stride, mask := a.capRows/64, uint64(1)<<uint(slot%64)
-	for _, j := range bm.Indices() {
-		a.words[j*stride+slot/64] |= mask
-		a.weights[j]++
+	for wi, w := range bm.Words() {
+		for ; w != 0; w &= w - 1 {
+			j := wi*64 + bits.TrailingZeros64(w)
+			a.words[j*stride+slot/64] |= mask
+			a.weights[j]++
+		}
 	}
 	delta := a.structBytes() - before
 	a.bytes += delta
@@ -147,10 +151,13 @@ func (a *Accumulator) Remove(router int, bm *bitvec.Vector) {
 		return
 	}
 	stride, mask := a.capRows/64, uint64(1)<<uint(slot%64)
-	for _, j := range bm.Indices() {
-		if w := &a.words[j*stride+slot/64]; *w&mask != 0 {
-			*w &^= mask
-			a.weights[j]--
+	for wi, w := range bm.Words() {
+		for ; w != 0; w &= w - 1 {
+			j := wi*64 + bits.TrailingZeros64(w)
+			if cell := &a.words[j*stride+slot/64]; *cell&mask != 0 {
+				*cell &^= mask
+				a.weights[j]--
+			}
 		}
 	}
 }

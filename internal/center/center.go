@@ -441,11 +441,21 @@ func (c *Center) RegisterMetrics(r *metrics.Registry) {
 		})
 }
 
-// Ingest accepts one decoded digest message and files it under the epoch
-// stamped on it. Unknown message types are ignored (forward compatibility
-// with future digest kinds). Digests for epochs that were already analyzed
-// or evicted are counted late and dropped.
-func (c *Center) Ingest(m transport.Message) {
+// Ingest accepts decoded digest messages — one, or every frame of a
+// datagram under one acquisition of the center's lock — and files each under
+// the epoch stamped on it, in order. Unknown message types are ignored
+// (forward compatibility with future digest kinds). Digests for epochs that
+// were already analyzed or evicted are counted late and dropped.
+func (c *Center) Ingest(ms ...transport.Message) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range ms {
+		c.ingestLocked(m)
+	}
+}
+
+// ingestLocked files one message. Caller holds c.mu.
+func (c *Center) ingestLocked(m transport.Message) {
 	var epoch, router int
 	var kind digestKind
 	switch d := m.(type) {
@@ -458,8 +468,6 @@ func (c *Center) Ingest(m transport.Message) {
 		return
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.cfg.OwnsEpoch != nil && !c.cfg.OwnsEpoch(epoch) {
 		// Misrouted past the shard partition: counted and dropped whole, with
 		// no registry side effects — this shard's quorum must reason only

@@ -22,10 +22,10 @@ import (
 	"dcstream/internal/transport"
 )
 
-// Node is one analysis center with its journal and report sinks. Handle is
-// safe for concurrent use (the transport servers call it from their own
-// goroutines); Tick, Wake and Drain belong to the one goroutine that runs the
-// node's clock.
+// Node is one analysis center with its journal and report sinks. Handle and
+// HandleBatch are safe for concurrent use (the transport servers call them
+// from their own goroutines); Tick, Wake and Drain belong to the one
+// goroutine that runs the node's clock.
 type Node struct {
 	Center  *center.Center
 	Journal *journal.Journal // attached by OpenJournal; nil without one
@@ -50,7 +50,7 @@ type Node struct {
 }
 
 // NewNode builds a node around a fresh center. Everything the node has to
-// say — per-digest lines, verdicts, holds, faults — goes to logger; nil
+// say — verdicts, holds, journal recovery and faults — goes to logger; nil
 // discards it.
 func NewNode(cfg center.Config, logger *log.Logger) *Node {
 	if logger == nil {
@@ -95,21 +95,22 @@ func (n *Node) Close() error {
 	return n.Journal.Close()
 }
 
-// Handle is the ingest handler: journal first — a write, made durable by the
-// next barrier — then the in-memory window, then a per-digest log line.
+// Handle is the TCP ingest handler: HandleBatch of one frame.
 func (n *Node) Handle(m transport.Message, from net.Addr) {
+	n.HandleBatch([]transport.Message{m}, from)
+}
+
+// HandleBatch is the ingest handler, called once per UDP datagram: journal
+// first — one write for the batch, made durable by the next barrier — then the
+// in-memory window, under one acquisition of the center's lock. It logs
+// nothing per digest; /metrics, -stats and the events carry the counts.
+func (n *Node) HandleBatch(ms []transport.Message, _ net.Addr) {
 	if n.Journal != nil {
-		// On a fault the digest still reaches the in-memory window; only its
+		// On a fault the digests still reach the in-memory window; only their
 		// crash durability is lost.
-		n.journaled("append", n.Journal.Append(m))
+		n.journaled("append", n.Journal.Append(ms...))
 	}
-	n.Center.Ingest(m)
-	switch d := m.(type) {
-	case transport.AlignedDigest:
-		n.log.Printf("aligned digest from router %d (%s), epoch %d, %d bits", d.RouterID, from, d.Epoch, d.Bitmap.Len())
-	case transport.UnalignedDigest:
-		n.log.Printf("unaligned digest from router %d (%s), epoch %d", d.Digest.RouterID, from, d.Epoch)
-	}
+	n.Center.Ingest(ms...)
 }
 
 // journaled files the outcome of a journal append or barrier under the
@@ -128,8 +129,8 @@ func (n *Node) journaled(op string, err error) {
 	}
 }
 
-// sync is the durability barrier (DESIGN.md "Crash safety"): every digest
-// Handle has returned for is durable, or counted unjournaled, when it returns.
+// sync is the durability barrier (DESIGN.md "Crash safety"): every digest a
+// handler has returned for is durable, or counted unjournaled, when it returns.
 func (n *Node) sync() {
 	if n.Journal != nil {
 		n.journaled("sync", n.Journal.Sync())

@@ -44,8 +44,9 @@ type Config struct {
 // role is everything that differs between dcsd's center role and its
 // coordinator role; the rest of Run is shared.
 type role struct {
-	name   string // for the startup line
-	handle transport.Handler
+	name   string                 // for the startup line
+	handle transport.Handler      // one TCP frame
+	batch  transport.BatchHandler // one UDP datagram's frames
 	tick   func()
 	// wake is poked from the transport goroutines when there may be a report
 	// to finish without waiting for the next tick; woken finishes it, on the
@@ -99,7 +100,7 @@ func Run(ctx context.Context, cfg Config) error {
 
 	var usrv *transport.UDPServer
 	if cfg.UDP != "" {
-		if usrv, err = transport.ServeUDPConfig(cfg.UDP, r.handle, transport.UDPServerConfig{Gate: gate}); err != nil {
+		if usrv, err = transport.ServeUDPBatch(cfg.UDP, r.batch, transport.UDPServerConfig{Gate: gate}); err != nil {
 			return err
 		}
 		defer closeLogged("udp", usrv.Close)
@@ -232,6 +233,7 @@ func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) 
 	return &role{
 		name:     "analysis center",
 		handle:   n.Handle,
+		batch:    n.HandleBatch,
 		tick:     func() { n.Tick() },
 		wake:     n.Center.Completed(),
 		woken:    func() { n.Wake() },
@@ -303,6 +305,11 @@ func coordinatorRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, er
 		// Digests scatter, report envelopes from the shards gather — Route
 		// forwards those itself.
 		handle: func(m transport.Message, _ net.Addr) { co.Route(m) },
+		batch: func(ms []transport.Message, _ net.Addr) {
+			for _, m := range ms {
+				co.Route(m)
+			}
+		},
 		tick: func() {
 			// The liveness rule is epoch-driven, exactly like the centers'
 			// quorum MaxWait: a span's owner that has fallen -max-wait epochs

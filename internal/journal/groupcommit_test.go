@@ -46,10 +46,34 @@ func afterPowerCut(t *testing.T, fs *fsfault.FS, dir string) int {
 	return frames
 }
 
+// segment reads the one segment in dir.
+func segment(t *testing.T, dir string) []byte {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.dcsj"))
+	if len(segs) != 1 {
+		t.Fatalf("segments on disk: %v", segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// checkLedger holds the journal's books to the frames handed to Append: each
+// was either appended or counted unjournaled, never both and never neither.
+func checkLedger(t *testing.T, j *journal.Journal, in int) {
+	t.Helper()
+	if s := j.Stats(); s.FramesAppended+s.UnjournaledFrames != in {
+		t.Fatalf("%d appended + %d unjournaled, want the %d frames handed in", s.FramesAppended, s.UnjournaledFrames, in)
+	}
+}
+
 // TestAppendIsOneWriteAndNoSync pins the group-commit cost model and the
-// segment format together: a frame reaches the file in one write with no
-// fsync, the bytes are exactly transport.Write's, one Sync covers the batch,
-// and a Sync with nothing new costs no syscall.
+// segment format together: a call reaches the file in one write with no
+// fsync, whether it carries one frame or a datagram's worth; the bytes are
+// exactly transport.Write's; one Sync covers the batch, and a Sync with
+// nothing new costs no syscall.
 func TestAppendIsOneWriteAndNoSync(t *testing.T) {
 	j, fs, dir := openFaulty(t)
 	row := func(seed uint64) *bitvec.Vector {
@@ -64,6 +88,20 @@ func TestAppendIsOneWriteAndNoSync(t *testing.T) {
 	}
 	writes, syncs := fs.Ops(fsfault.FaultWrite), fs.Ops(fsfault.FaultSync)
 	var wire bytes.Buffer
+	if err := j.Append(msgs...); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := fs.Ops(fsfault.FaultWrite)-writes, fs.Ops(fsfault.FaultSync)-syncs; w != 1 || s != 0 {
+		t.Fatalf("a %d-frame append cost %d writes and %d fsyncs, want one write and no fsync", len(msgs), w, s)
+	}
+	for _, m := range msgs {
+		if err := transport.Write(&wire, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(segment(t, dir), wire.Bytes()) {
+		t.Fatalf("the batch on disk is not %d transport.Writes", len(msgs))
+	}
 	for _, m := range msgs {
 		if err := j.Append(m); err != nil {
 			t.Fatal(err)
@@ -72,9 +110,10 @@ func TestAppendIsOneWriteAndNoSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w, s := fs.Ops(fsfault.FaultWrite)-writes, fs.Ops(fsfault.FaultSync)-syncs; w != len(msgs) || s != 0 {
-		t.Fatalf("%d appends cost %d writes and %d fsyncs, want one write each and no fsync", len(msgs), w, s)
+	if w, s := fs.Ops(fsfault.FaultWrite)-writes, fs.Ops(fsfault.FaultSync)-syncs; w != 1+len(msgs) || s != 0 {
+		t.Fatalf("%d single-frame appends cost %d writes and %d fsyncs, want one write each and no fsync", len(msgs), w-1, s)
 	}
+	checkLedger(t, j, 2*len(msgs))
 	if got := afterPowerCut(t, fs, dir); got != 0 {
 		t.Fatalf("%d frames survive a power cut before any Sync; the model is not cutting", got)
 	}
@@ -86,15 +125,83 @@ func TestAppendIsOneWriteAndNoSync(t *testing.T) {
 	if s := fs.Ops(fsfault.FaultSync) - syncs; s != 1 {
 		t.Fatalf("two Syncs over one batch cost %d fsyncs, want 1: the second had nothing to make durable", s)
 	}
-	if got := afterPowerCut(t, fs, dir); got != len(msgs) {
-		t.Fatalf("%d frames survive a power cut after Sync, want %d", got, len(msgs))
+	if got := afterPowerCut(t, fs, dir); got != 2*len(msgs) {
+		t.Fatalf("%d frames survive a power cut after Sync, want %d", got, 2*len(msgs))
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.dcsj"))
-	if len(segs) != 1 {
-		t.Fatalf("segments on disk: %v", segs)
+	if data := segment(t, dir); !bytes.Equal(data, wire.Bytes()) {
+		t.Fatalf("the segment is not the concatenation of the wire frames (%d bytes on disk, %d on the wire)", len(data), wire.Len())
 	}
-	if data, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(data, wire.Bytes()) {
-		t.Fatalf("the segment is not the concatenation of the wire frames (err %v, %d bytes on disk, %d on the wire)", err, len(data), wire.Len())
+}
+
+// TestTornBatchCountsTheWholeBatch: a write that fails part-way through a
+// batch leaves whole frames and a torn one behind it. The segment is cut back
+// to where the batch began, and every frame of the batch is counted
+// unjournaled — the ones that landed whole included, since the cut took them.
+func TestTornBatchCountsTheWholeBatch(t *testing.T) {
+	j, fs, dir := openFaulty(t)
+	if err := j.Append(degMsg(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := segment(t, dir)
+	fs.ShortWriteNext(1) // half of three frames lands: one whole, one torn
+	if err := j.Append(degMsg(1, 1), degMsg(2, 1), degMsg(3, 1)); !errors.Is(err, journal.ErrDegraded) {
+		t.Fatalf("a torn batch returned %v, want ErrDegraded", err)
+	}
+	if s := j.Stats(); s.FramesAppended != 1 || s.UnjournaledFrames != 3 || s.TailsTruncated != 1 {
+		t.Fatalf("after the torn batch: %+v, want 1 appended, the batch's 3 unjournaled, 1 tail cut", s)
+	}
+	checkLedger(t, j, 4)
+	if !bytes.Equal(segment(t, dir), before) {
+		t.Fatal("the segment was not cut back to the frame boundary the batch began at")
+	}
+	if err := j.Append(degMsg(4, 1), degMsg(5, 1)); !errors.Is(err, journal.ErrDegraded) {
+		t.Fatalf("a batch while degraded returned %v", err)
+	}
+	checkLedger(t, j, 6)
+
+	reopened, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Stats().TailsTruncated; got != 0 {
+		t.Fatalf("reopen truncated %d tails: the failed batch left a torn frame on disk", got)
+	}
+	if got := replayAll(t, reopened); len(got) != 1 || got[0].RouterID != 0 {
+		t.Fatalf("replayed %d frames, want router 0's alone", len(got))
+	}
+}
+
+// TestEncoderRejectInBatch: a frame the encoder refuses costs only itself —
+// it is counted unjournaled and its error returned, while its neighbours are
+// written in the same single write and the journal stays healthy.
+func TestEncoderRejectInBatch(t *testing.T) {
+	j, fs, dir := openFaulty(t)
+	writes := fs.Ops(fsfault.FaultWrite)
+	nilBitmap := transport.AlignedDigest{RouterID: 1, Epoch: 1}
+	err := j.Append(degMsg(0, 1), nilBitmap, degMsg(2, 1))
+	if err == nil || errors.Is(err, journal.ErrDegraded) {
+		t.Fatalf("a batch with an unencodable frame returned %v, want the encoder's error", err)
+	}
+	if w := fs.Ops(fsfault.FaultWrite) - writes; w != 1 {
+		t.Fatalf("the batch cost %d writes, want 1", w)
+	}
+	if s := j.Stats(); s.Degraded || s.FramesAppended != 2 || s.UnjournaledFrames != 1 {
+		t.Fatalf("after the rejected frame: %+v, want healthy with 2 appended and 1 unjournaled", s)
+	}
+	checkLedger(t, j, 3)
+	if err := j.Append(nilBitmap); err == nil {
+		t.Fatal("a lone unencodable frame was accepted")
+	}
+	if w := fs.Ops(fsfault.FaultWrite) - writes; w != 1 {
+		t.Fatalf("a call with nothing to write cost a write (%d in all)", w)
+	}
+	checkLedger(t, j, 4)
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := afterPowerCut(t, fs, dir); got != 2 {
+		t.Fatalf("%d frames survive a power cut, want the rejected frame's 2 neighbours", got)
 	}
 }
 

@@ -18,12 +18,14 @@
 // every sealed segment whose recorded epochs are all analyzed, so the journal
 // directory stays proportional to the un-analyzed backlog, not to uptime.
 //
-// Durability is a group commit: Append is one write(2) with no fsync, and
-// Sync makes every frame appended since the last one durable at once. The
+// Durability is a group commit: Append is one write(2) per call with no
+// fsync — daemon.Node calls it once per UDP datagram or TCP frame, so a
+// process crash loses nothing of a datagram or frame whose handler returned —
+// and Sync makes every frame appended since the last one durable at once. The
 // owner places that barrier — daemon.Node syncs before a report reaches any
 // sink and once per window tick — so a burst of N digests costs one fsync and
-// what an OS crash (a process crash loses nothing written) can take is set by
-// the barrier's contract. A segment is never closed with unsynced frames.
+// what an OS crash can take is set by the barrier's contract. A segment is
+// never closed with unsynced frames.
 //
 // Disk faults do not kill the journal: an append, rotate, or fsync failure
 // (ENOSPC, EIO) flips it to a Degraded state that absorbs the failure —
@@ -135,11 +137,12 @@ type Stats struct {
 	// durable as the file contents they point at.
 	DirSyncs int
 	// UnjournaledFrames counts digests that passed through ingest while the
-	// journal could not durably record them: the append that triggered a
-	// degradation, every append absorbed while degraded, and every frame
-	// written since the last good Sync when a Sync fails. This is the
-	// replay-honesty ledger — after a crash, at most this many frames are
-	// missing from the replayed state, and the operator knows it.
+	// journal could not durably record them: every frame of the append that
+	// triggered a degradation or was absorbed while degraded, each frame the
+	// encoder rejected, and every frame written since the last good Sync when
+	// a Sync fails. This is the replay-honesty ledger — after a crash, at
+	// most this many frames are missing from the replayed state, and the
+	// operator knows it.
 	UnjournaledFrames int
 	// RearmAttempts and Rearms count degraded-mode recovery tries and
 	// successes.
@@ -226,7 +229,7 @@ type Journal struct {
 	// instead of leaving a torn frame (or worse, assuming the write
 	// happened and desynchronizing every frame after it).
 	activeOffset int64        // guarded by mu
-	frame        []byte       // guarded by mu; Append's encode buffer, reused so a frame is one write(2)
+	frame        []byte       // guarded by mu; Append's encode buffer, reused so a call is one write(2)
 	sealed       []segment    // guarded by mu
 	analyzed     map[int]bool // guarded by mu
 	analyzedF    File         // guarded by mu
@@ -566,19 +569,22 @@ func resyncFrames(data []byte, fn func(transport.Message) error) (int, error) {
 	return rescued, nil
 }
 
-// Append writes one digest frame to the active segment, in one write(2) and
-// with no fsync: the frame is durable once the next Sync returns. Call it
-// before (or concurrently with) Center.Ingest — the duplicate policy makes the
-// ordering immaterial.
+// Append writes digest frames to the active segment — one, or every frame of
+// a datagram — encoded back to back and handed over in one write(2) per call,
+// with no fsync: once it returns, a process crash loses none of them, and an
+// OS crash none once the next Sync returns. Call it before (or concurrently
+// with) Center.Ingest — the duplicate policy makes the ordering immaterial. A
+// frame the encoder rejects is counted in UnjournaledFrames alone; its
+// neighbours are still written, and the first such error is returned.
 //
 // Failures never propagate as fatal: a write or rotate failure flips the
-// journal to Degraded — the frame is counted in UnjournaledFrames, the
-// on-disk segment is reconciled back to the last whole-frame boundary, and
-// Append returns ErrDegraded (wrapping the fault) for this and every
-// subsequent frame until a backoff-timed re-arm succeeds. Callers keep
-// ingesting; only crash durability is suspended, and the counter says by
-// exactly how much.
-func (j *Journal) Append(m transport.Message) error {
+// journal to Degraded — every frame of the call is counted in
+// UnjournaledFrames, the on-disk segment is reconciled back to the last
+// whole-frame boundary before the call, and Append returns ErrDegraded
+// (wrapping the fault) for this and every subsequent call until a
+// backoff-timed re-arm succeeds. Callers keep ingesting; only crash
+// durability is suspended, and the counter says by exactly how much.
+func (j *Journal) Append(ms ...transport.Message) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -589,45 +595,61 @@ func (j *Journal) Append(m transport.Message) error {
 			j.rearmLocked()
 		}
 		if j.degraded {
-			j.ctr.unjournaled.Inc()
+			j.ctr.unjournaled.Add(int64(len(ms)))
 			return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
 		}
 	}
-	frame, err := transport.AppendFrame(j.frame[:0], m)
-	if err != nil {
-		// The encoder rejected it: the disk is fine, but ingest has a frame
-		// the log does not.
-		j.ctr.unjournaled.Inc()
-		return err
+	buf, frames := j.frame[:0], int64(0)
+	var rejected error
+	for _, m := range ms {
+		var err error
+		if buf, err = transport.AppendFrame(buf, m); err != nil {
+			// The encoder rejected it, leaving buf as it was: the disk is
+			// fine, but ingest has a frame the log does not.
+			j.ctr.unjournaled.Inc()
+			if rejected == nil {
+				rejected = err
+			}
+			continue
+		}
+		frames++
+		// Marked before the write: should it fail, the segment's epoch set
+		// is a superset of its frames', which only holds a purge back.
+		if e, ok := epochOf(m); ok {
+			j.activeEpochs[e] = true
+		}
 	}
-	j.frame = frame
-	if n, err := j.active.Write(frame); err != nil {
+	j.frame = buf
+	if frames == 0 {
+		return rejected
+	}
+	if n, err := j.active.Write(buf); err != nil {
 		// Reconcile the on-disk offset with what actually happened: n bytes
-		// of a torn frame may follow the last good boundary. Cutting them
-		// back keeps the segment's surviving prefix cleanly framed; if even
-		// the truncate fails, Open-time recovery will do the same cut.
+		// of the batch, ending inside some frame, may follow the last good
+		// boundary. Cutting them back keeps the segment's surviving prefix
+		// cleanly framed; if even the truncate fails, Open-time recovery will
+		// do the same cut at the last whole frame.
 		if n > 0 {
 			if terr := j.fs.Truncate(j.segPath(j.activeSeq), j.activeOffset); terr == nil {
 				j.ctr.tailsTruncated.Inc()
 			}
 		}
 		j.degradeLocked(fmt.Errorf("append: %w", err))
-		j.ctr.unjournaled.Inc()
+		j.ctr.unjournaled.Add(frames)
 		return fmt.Errorf("%w: %w", ErrDegraded, err)
 	}
-	j.activeOffset += int64(len(frame))
-	if e, ok := epochOf(m); ok {
-		j.activeEpochs[e] = true
-	}
-	j.ctr.framesAppended.Inc()
-	j.ctr.unsynced.Add(1)
+	j.activeOffset += int64(len(buf))
+	j.ctr.framesAppended.Add(frames)
+	j.ctr.unsynced.Add(frames)
 	// A successful append is the all-clear that resets the re-arm backoff to
 	// its base for the next incident.
 	j.retryWait = 0
 	if j.opt.SyncEveryAppend {
-		return j.syncLocked()
+		if err := j.syncLocked(); err != nil {
+			return err
+		}
 	}
-	return nil
+	return rejected
 }
 
 // degradeLocked flips the journal into degraded mode (or refreshes the cause

@@ -64,7 +64,7 @@ func (c UDPServerConfig) withDefaults() UDPServerConfig {
 // while the center's quorum gate keeps the verdicts honest under that loss.
 type UDPServer struct {
 	conn    *net.UDPConn
-	handler Handler
+	handler BatchHandler
 	cfg     UDPServerConfig
 	gate    *senderGate // nil when the gate is disabled
 	// peerTTL is the idle horizon after which a peer entry may be expired
@@ -98,14 +98,35 @@ type peerSeq struct {
 // cannot overlap on a young stream.
 const restartSeqMax = 64
 
+// BatchHandler consumes the frames of one datagram that decoded cleanly, in
+// datagram order: a corrupt frame ends the batch, and the frames before it
+// are still delivered. ms is only valid during the call — the server reuses
+// it for the next datagram — but the messages in it alias nothing and may be
+// kept.
+type BatchHandler func(ms []Message, from net.Addr)
+
 // ServeUDP starts a datagram server on addr (e.g. "127.0.0.1:0" to pick a
 // free port) with default settings.
 func ServeUDP(addr string, handler Handler) (*UDPServer, error) {
 	return ServeUDPConfig(addr, handler, UDPServerConfig{})
 }
 
-// ServeUDPConfig is ServeUDP with explicit buffer sizing and stats.
+// ServeUDPConfig is ServeUDPBatch for a handler that takes one message at a
+// time: it is called once per frame, in datagram order.
 func ServeUDPConfig(addr string, handler Handler, cfg UDPServerConfig) (*UDPServer, error) {
+	if handler == nil {
+		return nil, errors.New("transport: nil handler")
+	}
+	return ServeUDPBatch(addr, func(ms []Message, from net.Addr) {
+		for _, m := range ms {
+			handler(m, from)
+		}
+	}, cfg)
+}
+
+// ServeUDPBatch starts a datagram server on addr that hands each datagram's
+// decoded frames to handler in one call.
+func ServeUDPBatch(addr string, handler BatchHandler, cfg UDPServerConfig) (*UDPServer, error) {
 	if handler == nil {
 		return nil, errors.New("transport: nil handler")
 	}
@@ -150,21 +171,25 @@ func (s *UDPServer) QuarantinedSenders() []string { return s.gate.Quarantined() 
 func (s *UDPServer) readLoop() {
 	defer s.wg.Done()
 	// One buffer for the socket's whole life: a decoded message aliases
-	// nothing in it, so the next datagram may overwrite the last.
+	// nothing in it, so the next datagram may overwrite the last. The batch
+	// slice is likewise reused from datagram to datagram.
 	buf := make([]byte, maxDatagram)
+	var batch []Message
 	for {
 		n, from, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
-		s.handleDatagram(buf[:n], from)
+		batch = s.handleDatagram(buf[:n], from, batch[:0])
 	}
 }
 
 // handleDatagram runs one received datagram through prefilter, sequence
-// accounting, and frame decode. Frames that decode cleanly are delivered
-// even when a later frame in the same datagram is corrupt.
-func (s *UDPServer) handleDatagram(buf []byte, from net.Addr) {
+// accounting, and frame decode, and hands the frames that decoded to the
+// handler in one call — even when a later frame in the same datagram is
+// corrupt. The frames are collected in batch, whose grown slice is returned,
+// its references dropped, for the next datagram.
+func (s *UDPServer) handleDatagram(buf []byte, from net.Addr, batch []Message) []Message {
 	sender := senderKey(from)
 	if !prefilterDatagram(buf) {
 		s.cfg.Stats.DatagramsRejected.Add(1)
@@ -172,24 +197,27 @@ func (s *UDPServer) handleDatagram(buf []byte, from net.Addr) {
 		// sprayer that keeps spraying keeps its standing bad, and honest
 		// stray traffic never reaches MaxStrikes.
 		s.gate.strike(sender)
-		return
+		return batch
 	}
 	if !s.gate.admit(sender) {
 		// Quarantined or over the rate limit: the datagram is dropped
 		// before decode, counted in QuarantineDrops.
-		return
+		return batch
 	}
 	s.cfg.Stats.DatagramsIn.Add(1)
 	s.accountSeq(parseDatagramHeader(buf))
-	_, decoded, err := decodeDatagram(buf, func(m Message) {
-		s.cfg.Stats.FramesIn.Add(1)
-		s.handler(m, from)
-	})
+	_, decoded, err := decodeDatagram(buf, func(m Message) { batch = append(batch, m) })
+	if decoded > 0 {
+		s.cfg.Stats.FramesIn.Add(int64(decoded))
+		s.handler(batch, from)
+	}
 	s.cfg.Stats.FramesPerDatagram.Observe(float64(decoded))
 	if err != nil {
 		s.cfg.Stats.BadFrames.Add(1)
 		s.gate.strike(sender)
 	}
+	clear(batch) // the reused slice must not pin this datagram's digests
+	return batch
 }
 
 // accountSeq updates the per-sender sequence high-water mark: gaps above it

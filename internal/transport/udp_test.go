@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -270,6 +271,125 @@ func TestUDPCorruptFrameCountedBad(t *testing.T) {
 	msgs := got()
 	if len(msgs) != 1 || msgs[0].(AlignedDigest).RouterID != 1 {
 		t.Fatalf("delivered %d messages, want only the clean first frame", len(msgs))
+	}
+}
+
+// datagram packs one aligned digest frame per router, epoch 1, under sender
+// 1's header with the given seq; corrupt > 0 flips a payload byte of that
+// (1-based) frame.
+func datagram(t *testing.T, seq uint64, routers []int, corrupt int) []byte {
+	t.Helper()
+	buf := make([]byte, udpHeaderLen)
+	putDatagramHeader(buf, DatagramHeader{Sender: 1, Seq: seq, Count: len(routers)})
+	for i, r := range routers {
+		start := len(buf)
+		var err error
+		if buf, err = AppendFrame(buf, AlignedDigest{RouterID: r, Epoch: 1, Bitmap: randomVector(uint64(r+1), 256)}); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == corrupt {
+			buf[start+headerLen] ^= 0xFF
+		}
+	}
+	return buf
+}
+
+// routerIDs names delivered aligned digests by router, in delivery order.
+func routerIDs(ms []Message) []int {
+	ids := []int{}
+	for _, m := range ms {
+		ids = append(ids, m.(AlignedDigest).RouterID)
+	}
+	return ids
+}
+
+// writeUDP sends each datagram to addr from one socket.
+func writeUDP(t *testing.T, addr string, dgs ...[]byte) {
+	t.Helper()
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, dg := range dgs {
+		if _, err := conn.Write(dg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUDPBatchEndsAtCorruptFrame: a datagram is one handler call carrying
+// the frames that decoded before its first corrupt one — frames 1 and 2 of
+// five when the third is bad — plus one bad frame and one strike.
+func TestUDPBatchEndsAtCorruptFrame(t *testing.T) {
+	var mu sync.Mutex
+	var batches [][]int
+	srv, err := ServeUDPBatch("127.0.0.1:0", func(ms []Message, _ net.Addr) {
+		mu.Lock()
+		batches = append(batches, routerIDs(ms))
+		mu.Unlock()
+	}, UDPServerConfig{Gate: GateConfig{MaxStrikes: 8, Cooldown: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	writeUDP(t, srv.Addr(), datagram(t, 1, []int{1, 2, 3, 4, 5}, 3))
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats().Snapshot().BadFrames == 1 })
+	mu.Lock()
+	defer mu.Unlock()
+	if want := [][]int{{1, 2}}; !reflect.DeepEqual(batches, want) {
+		t.Fatalf("handler calls %v, want %v", batches, want)
+	}
+	if s := srv.Stats().Snapshot(); s.DatagramsIn != 1 || s.FramesIn != 2 || s.BadFrames != 1 || s.Strikes != 1 {
+		t.Fatalf("stats %+v, want 1 datagram, 2 frames in, 1 bad frame, 1 strike", s)
+	}
+}
+
+// TestServeUDPConfigAdapterMatchesBatch: the per-message entry point is the
+// batch one unrolled — the same messages, in the same order, across clean,
+// corrupt-mid and corrupt-first datagrams.
+func TestServeUDPConfigAdapterMatchesBatch(t *testing.T) {
+	adapter, single := collectUDP(t, UDPServerConfig{})
+	var mu sync.Mutex
+	var batched []Message
+	srv, err := ServeUDPBatch("127.0.0.1:0", func(ms []Message, _ net.Addr) {
+		mu.Lock()
+		batched = append(batched, ms...)
+		mu.Unlock()
+	}, UDPServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dgs := [][]byte{
+		datagram(t, 1, []int{1, 2, 3}, 0),
+		datagram(t, 2, []int{4, 5, 6, 7}, 2),
+		datagram(t, 3, []int{8}, 1),
+		datagram(t, 4, []int{9, 10}, 0),
+	}
+	writeUDP(t, adapter.Addr(), dgs...)
+	writeUDP(t, srv.Addr(), dgs...)
+	// One read goroutine per server: once the last datagram's frames are in,
+	// every earlier handler call has returned.
+	want := []int{1, 2, 3, 4, 9, 10}
+	waitFor(t, 2*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(batched) == len(want) && len(single()) == len(want)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if got := routerIDs(batched); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch entry point delivered routers %v, want %v", got, want)
+	}
+	got := single()
+	if !reflect.DeepEqual(routerIDs(got), want) {
+		t.Fatalf("adapter delivered routers %v, batch entry point %v", routerIDs(got), want)
+	}
+	for i, m := range got {
+		if a, b := m.(AlignedDigest), batched[i].(AlignedDigest); a.Epoch != b.Epoch || !bitvec.Equal(a.Bitmap, b.Bitmap) {
+			t.Fatalf("message %d differs between the entry points", i)
+		}
 	}
 }
 
