@@ -45,9 +45,13 @@ const (
 // digests for (never seen, already analyzed, or evicted).
 var ErrNoWindow = errors.New("center: no such epoch window")
 
-// ErrNoCompleteEpoch reports that every buffered digest belongs to the
-// newest epoch seen so far, which may still be filling.
+// ErrNoCompleteEpoch reports that the oldest open span ends at the newest
+// epoch seen so far, which may still be filling, or is quorum-held.
 var ErrNoCompleteEpoch = errors.New("center: no complete epoch buffered")
+
+// ErrOlderSpanOpen reports an Analyze call that would release, unreported, an
+// open span older than the requested span's start: spans close oldest first.
+var ErrOlderSpanOpen = errors.New("center: an older span is still open")
 
 // ErrNotOwned reports an Analyze call for a span this center does not own
 // under its OwnsSpan partition predicate: the span's verdict is another
@@ -79,20 +83,20 @@ type Config struct {
 	// digests at analyze time — the reference implementation. Reports are
 	// bit-identical either way.
 	Analysis AnalysisMode
-	// WindowSlide, when >= 2, turns on overlapping sliding-window analysis:
-	// Analyze(e) covers the span of epochs [e-WindowSlide+1, e], consecutive
-	// spans overlap by WindowSlide-1 epochs, and an epoch's state is retired
-	// only once it has left every future span — so common content split
-	// across an epoch boundary still meets itself inside some span. Spans
-	// close oldest-first; AnalyzeLatestComplete emits them in order. Zero or
-	// one means classic non-overlapping per-epoch analysis. MaxEpochs is
-	// clamped to at least WindowSlide+1 so a span is never truncated by ring
-	// eviction while the next epoch fills.
+	// WindowSlide is the span width W: Analyze(e) covers the epochs
+	// [e-W+1, e], consecutive spans overlap by W-1 epochs, and an epoch's
+	// state is retired only once it has left every future span — so at
+	// W >= 2 common content split across an epoch boundary still meets
+	// itself inside some span. Zero or one means W=1, the paper's per-epoch
+	// analysis: a span of one, closed by the same rule. Spans close oldest
+	// first at every width. MaxEpochs is clamped to at least W+1 so a span
+	// is never truncated by ring eviction while the next epoch fills.
 	WindowSlide int
 	// MaxEpochs bounds how many distinct epochs are buffered at once (the
 	// reorder window). Zero means 4. When a digest opens an epoch beyond
 	// the bound, the oldest buffered epoch is evicted unanalyzed and its
-	// digests counted dropped.
+	// digests counted dropped — unless it is context at or below the span
+	// watermark, whose digests a report already holds.
 	MaxEpochs int
 	// Duplicates picks the resolution for a router resending within one
 	// epoch. The zero value is DupKeepLast.
@@ -232,10 +236,10 @@ type WindowReport struct {
 	// SpanStart and SpanEpochs describe the analysis span: it covers epochs
 	// [SpanStart, Epoch], and SpanEpochs lists the ones that held data.
 	// RetiredEpochs lists the epochs whose buffered state was released with
-	// this report — in sliding mode an epoch is retired only once it has
-	// left every future span, so retirement trails Epoch by WindowSlide-1;
-	// crash-recovery journals can forget an epoch's frames when it appears
-	// here. Outside sliding mode all three reduce to the report's own epoch.
+	// this report: every buffered epoch at or below SpanStart, which no
+	// future span needs; crash-recovery journals can forget an epoch's frames
+	// when it appears here. At WindowSlide 1 that is the report's own epoch;
+	// at W >= 2 retirement trails Epoch by W-1.
 	SpanStart     int
 	SpanEpochs    []int
 	RetiredEpochs []int
@@ -346,8 +350,8 @@ type Center struct {
 	// incrementally across all buffered epochs; nil in AnalysisBatch mode.
 	// Its accounted bytes ride in bufferedBytes. guarded by mu
 	tracker *unaligned.Tracker
-	// spanClosed is the newest epoch whose sliding span has been emitted;
-	// spans ending at or below it are foreclosed (sliding mode only).
+	// spanClosed is the span watermark, the newest reported span; windows
+	// still buffered at or below it are context for the spans ahead.
 	spanClosed      int  // guarded by mu
 	spanClosedValid bool // guarded by mu
 
@@ -636,8 +640,11 @@ func (c *Center) windowFor(epoch int) *window {
 			return nil
 		}
 		victim := c.victimLocked(epoch)
-		c.cfg.Stats.DroppedDigests.Add(int64(c.windows[victim].digests()))
-		c.cfg.Stats.EpochsEvicted.Add(1)
+		if !c.spanClosedValid || victim > c.spanClosed {
+			// Context at or below the watermark is in a report already.
+			c.cfg.Stats.DroppedDigests.Add(int64(c.windows[victim].digests()))
+			c.cfg.Stats.EpochsEvicted.Add(1)
+		}
 		c.releaseLocked(victim, c.windows[victim])
 		if victim == oldest {
 			// Only raising past the oldest keeps held mid-ring windows
@@ -822,10 +829,11 @@ func (c *Center) EpochDigests() map[int]int {
 }
 
 // Analyze closes the span ending at the given epoch, analyzes it, and
-// retires every window that has left all future spans (outside sliding mode:
-// exactly this window); later digests for retired epochs count as late.
-// ErrNoWindow when the center holds nothing for the epoch, or when a newer
-// sliding span already foreclosed this one.
+// retires every window that has left all future spans (at WindowSlide 1:
+// this window); later digests for retired epochs count as late. ErrNoWindow
+// when the center holds nothing for the epoch, or when a newer span already
+// foreclosed this one; ErrOlderSpanOpen while an open span older than this
+// one's start still waits for its own report.
 func (c *Center) Analyze(epoch int) (WindowReport, error) {
 	c.mu.Lock()
 	if rep, shed := c.shedReports[epoch]; shed {
@@ -849,44 +857,49 @@ func (c *Center) Analyze(epoch int) (WindowReport, error) {
 	return c.analyzeSpan(snap)
 }
 
-// AnalyzeLatestComplete analyzes the newest epoch that is complete — i.e.
-// strictly older than the newest epoch any collector has reported, so no
-// well-behaved collector is still filling it — and, when quorum gating is
-// on, not held open waiting for known-live routers (Quorum). A held epoch
-// becomes analyzable once quorum arrives or the fleet moves MaxWait epochs
-// past it; it then closes with Degraded/MissingRouters set on the report.
-// ErrNoCompleteEpoch when every buffered epoch is newest or held.
-// In sliding mode the pick flips to the *oldest* eligible epoch instead:
-// spans close in order, every epoch's span is emitted, and boundary content
-// is never skipped over by a newer arrival.
+// AnalyzeLatestComplete closes the oldest open span (OpenSpans) when it is
+// complete — strictly older than the newest epoch any collector has
+// reported — and not held open by the quorum gate waiting for known-live
+// routers. A held span closes once quorum arrives or the fleet moves MaxWait
+// epochs past it, Degraded/MissingRouters set; newer spans wait behind it, so
+// none is foreclosed unreported. ErrNoCompleteEpoch when it is newest or held.
 func (c *Center) AnalyzeLatestComplete() (WindowReport, error) {
 	c.mu.Lock()
-	sliding := c.cfg.WindowSlide > 1
-	best, found := 0, false
-	for e := range c.windows {
-		if e >= c.maxSeen || c.quorumLocked(e).Hold {
-			continue
-		}
-		if c.cfg.OwnsSpan != nil && !c.cfg.OwnsSpan(e) {
-			continue
-		}
-		if sliding && c.spanClosedValid && e <= c.spanClosed {
-			continue
-		}
-		if !found || (sliding && e < best) || (!sliding && e > best) {
-			best, found = e, true
-		}
-	}
-	if !found {
+	open := c.openSpansLocked()
+	if len(open) == 0 || open[0] >= c.maxSeen || c.quorumLocked(open[0]).Hold {
 		c.mu.Unlock()
 		return WindowReport{}, ErrNoCompleteEpoch
 	}
-	snap, err := c.closeSpanLocked(best)
+	snap, err := c.closeSpanLocked(open[0])
 	c.mu.Unlock()
 	if err != nil {
-		return WindowReport{Epoch: best}, err
+		return WindowReport{Epoch: open[0]}, err
 	}
 	return c.analyzeSpan(snap)
+}
+
+// OpenSpans lists, oldest first, the spans this center still owes a report:
+// those ending at a buffered epoch it owns (OwnsSpan), above the watermark.
+func (c *Center) OpenSpans() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.openSpansLocked()
+}
+
+// openSpansLocked is OpenSpans. Caller holds c.mu.
+func (c *Center) openSpansLocked() []int {
+	buffered := c.epochsLocked()
+	out := buffered[:0]
+	for _, e := range buffered {
+		if c.spanClosedValid && e <= c.spanClosed {
+			continue // context of a span already reported
+		}
+		if c.cfg.OwnsSpan != nil && !c.cfg.OwnsSpan(e) {
+			continue // another shard's to report
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // scaledThreshold shrinks an ER component threshold tuned for fleet routers

@@ -196,14 +196,23 @@ func TestPartitionedRouterDegradedVerdict(t *testing.T) {
 		waitEpochCount(t, c, e, fleet-1, 5*time.Second)
 	}
 
-	// Drain: epoch 2 is two epochs behind maxSeen=4, so its hold has
-	// expired; epochs 3 (held) and 4 (newest) must stay open.
+	// Drain, oldest first: epoch 1 (full fleet, no content) closes healthy.
 	rep, err := c.AnalyzeLatestComplete()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Epoch != 1 || rep.Degraded || rep.Aligned == nil || rep.Aligned.Detection.Found {
+		t.Fatalf("epoch 1 report wrong: %+v", rep)
+	}
+
+	// Epoch 2 is two epochs behind maxSeen=4, so its hold has expired;
+	// epochs 3 (held) and 4 (newest) must stay open.
+	rep, err = c.AnalyzeLatestComplete()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Epoch != 2 {
-		t.Fatalf("drained epoch %d first, want 2", rep.Epoch)
+		t.Fatalf("drained epoch %d second, want 2", rep.Epoch)
 	}
 	if !rep.Degraded {
 		t.Fatal("partitioned epoch analyzed without Degraded marker")
@@ -221,15 +230,6 @@ func TestPartitionedRouterDegradedVerdict(t *testing.T) {
 		if id == partitioned {
 			t.Fatalf("partitioned router %d implicated without a digest: %v", partitioned, rep.Aligned.RouterIDs)
 		}
-	}
-
-	// Epoch 1 (full fleet, no content) closes healthy.
-	rep, err = c.AnalyzeLatestComplete()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Epoch != 1 || rep.Degraded || rep.Aligned == nil || rep.Aligned.Detection.Found {
-		t.Fatalf("epoch 1 report wrong: %+v", rep)
 	}
 
 	// Epoch 3 is still inside its MaxWait hold; the drain must refuse it

@@ -155,28 +155,20 @@ func (c *Center) arrivedLocked(w *window, router int, kind digestKind) {
 // for any number of completions.
 func (c *Center) Completed() <-chan struct{} { return c.wake }
 
-// CompleteEpochs lists, ascending, the buffered epochs that need not wait for
-// quiescence: every (router, kind) the registry held live when the window
-// opened has been stored and the quorum gate is not holding the window. The
-// list is a prefix: it stops at the first epoch that is this center's to
-// report, not yet reported, and fails the test — the tick policy has that one
-// to close first (under a sliding window closing a newer span would even
-// foreclose it), so everything behind it waits for the ticks too.
+// CompleteEpochs lists, ascending, the open spans (OpenSpans) whose closing
+// window need not wait for quiescence: every (router, kind) the registry held
+// live when it opened has been stored and the quorum gate is not holding it.
+// The list is a prefix of OpenSpans: it stops at the first span that fails
+// the test — the tick policy has that one to close first, and spans close
+// oldest first, so everything behind it waits for the ticks too.
 func (c *Center) CompleteEpochs() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []int
-	for _, e := range c.epochsLocked() {
-		if c.cfg.WindowSlide > 1 && c.spanClosedValid && e <= c.spanClosed {
-			continue // context of a span already reported
-		}
-		if c.cfg.OwnsSpan != nil && !c.cfg.OwnsSpan(e) {
-			continue // another shard's to report
-		}
+	open := c.openSpansLocked()
+	for i, e := range open {
 		if !c.windows[e].complete || c.quorumLocked(e).Hold {
-			break
+			return open[:i]
 		}
-		out = append(out, e)
 	}
-	return out
+	return open
 }

@@ -61,24 +61,22 @@ type spanSnapshot struct {
 	unalignedDigests []*unaligned.Digest
 }
 
-// closeSpanLocked closes the span ending at epoch: snapshots the analysis
-// inputs, retires every window that can no longer appear in a future span,
-// and raises the floor so late digests cannot reopen them. In single-epoch
-// mode (WindowSlide <= 1) exactly this window closes — an older buffered
-// epoch keeps its own Analyze, as it always has. Caller holds c.mu.
+// closeSpanLocked closes the span [epoch-WindowSlide+1, epoch] at every width:
+// snapshots the analysis inputs, retires every window at or below the span's
+// start (no future span needs them; at WindowSlide 1, the epoch itself),
+// raises the floor there so late digests cannot reopen them, and moves the
+// span watermark to epoch. An open span older than the start must close first
+// (ErrOlderSpanOpen); open spans inside it are foreclosed. Caller holds c.mu.
 func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 	w, ok := c.windows[epoch]
-	if !ok {
+	if !ok || (c.spanClosedValid && epoch <= c.spanClosed) {
+		// Never seen, retired, or foreclosed by a newer span.
 		return nil, fmt.Errorf("%w: %d", ErrNoWindow, epoch)
 	}
-	slide := c.cfg.WindowSlide
-	if slide > 1 && c.spanClosedValid && epoch <= c.spanClosed {
-		// A newer span already closed; spans end in order, so this one is
-		// foreclosed even though its closing window still buffers digests
-		// for the spans ahead of it.
-		return nil, fmt.Errorf("%w: %d", ErrNoWindow, epoch)
+	s := &spanSnapshot{epoch: epoch, start: epoch - c.cfg.WindowSlide + 1, meta: c.metaLocked(epoch, w)}
+	if open := c.openSpansLocked(); len(open) > 0 && open[0] < s.start {
+		return nil, fmt.Errorf("%w: span %d before span %d", ErrOlderSpanOpen, open[0], epoch)
 	}
-	s := &spanSnapshot{epoch: epoch, start: epoch - slide + 1, meta: c.metaLocked(epoch, w)}
 	reporters := map[int]bool{}
 	for e := s.start; e <= epoch; e++ {
 		sw, ok := c.windows[e]
@@ -98,12 +96,6 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 	c.snapshotAlignedLocked(s)
 	c.snapshotUnalignedLocked(s)
 
-	if slide <= 1 {
-		c.releaseLocked(epoch, w)
-		c.raiseFloor(epoch)
-		s.retired = []int{epoch}
-		return s, nil
-	}
 	for e := range c.windows {
 		if e <= s.start {
 			s.retired = append(s.retired, e)
@@ -118,15 +110,15 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 	return s, nil
 }
 
-// RestoreSpanWatermark tells a fresh sliding-window center that the spans
-// ending at or below epoch were reported by a previous life, before their
-// still-buffered context epochs are replayed into it: those epochs then feed
-// the spans ahead and are never reported a second time on less context than
-// the first. A no-op outside sliding mode.
+// RestoreSpanWatermark tells a fresh center that the spans ending at or below
+// epoch were reported by a previous life, before their still-buffered context
+// epochs are replayed into it: those epochs then feed the spans ahead and are
+// never reported a second time on less context than the first. Only spans
+// that keep their own epoch buffered (WindowSlide > 1) leave such a mark.
 func (c *Center) RestoreSpanWatermark(epoch int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.WindowSlide > 1 && (!c.spanClosedValid || epoch > c.spanClosed) {
+	if !c.spanClosedValid || epoch > c.spanClosed {
 		c.spanClosed, c.spanClosedValid = epoch, true
 	}
 }
@@ -200,10 +192,9 @@ func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
 		}
 		refBase += len(sorted)
 	}
-	if len(accs) == 1 && c.cfg.WindowSlide <= 1 {
-		// The lone window is retired with this span, so the detector can run
-		// on the accumulator's storage directly — zero copies on the hot
-		// single-epoch path.
+	if len(accs) == 1 && accEpochs[0] <= s.start {
+		// The lone aligned window retires with this span (at WindowSlide 1,
+		// always), so the detector reads its accumulator in place, no copy.
 		s.alignedMatrix, s.alignedWeights = accs[0].Matrix()
 		return
 	}

@@ -173,14 +173,14 @@ func TestAnalyzeLatestComplete(t *testing.T) {
 	}
 	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 2, Bitmap: smallBitmap(2)})
 	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 3, Bitmap: smallBitmap(3)})
-	// Epochs 1 and 2 are both complete; latest-complete is 2.
+	// Epochs 1 and 2 are both complete; spans close oldest first.
 	rep, err := c.AnalyzeLatestComplete()
-	if err != nil || rep.Epoch != 2 {
-		t.Fatalf("latest complete = %d (%v), want 2", rep.Epoch, err)
+	if err != nil || rep.Epoch != 1 {
+		t.Fatalf("first complete = %d (%v), want 1", rep.Epoch, err)
 	}
 	rep, err = c.AnalyzeLatestComplete()
-	if err != nil || rep.Epoch != 1 {
-		t.Fatalf("next complete = %d (%v), want 1", rep.Epoch, err)
+	if err != nil || rep.Epoch != 2 {
+		t.Fatalf("next complete = %d (%v), want 2", rep.Epoch, err)
 	}
 	if _, err := c.AnalyzeLatestComplete(); !errors.Is(err, ErrNoCompleteEpoch) {
 		t.Fatalf("epoch 3 (newest) analyzed early: %v", err)

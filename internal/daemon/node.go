@@ -12,7 +12,7 @@ import (
 	"io"
 	"log"
 	"net"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +32,6 @@ type Node struct {
 
 	log     *log.Logger
 	maxWait int          // quiescent ticks a below-quorum epoch may be held
-	sliding bool         // reports leave their own epoch buffered for the spans ahead
 	events  *eventLog    // nil = no event log
 	push    shard.Sender // nil = reports stay local
 	shard   int          // this node's index in the envelopes it pushes
@@ -56,12 +55,12 @@ func NewNode(cfg center.Config, logger *log.Logger) *Node {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	return &Node{Center: center.New(cfg), log: logger, maxWait: cfg.MaxWait, sliding: cfg.WindowSlide > 1, held: map[int]int{}}
+	return &Node{Center: center.New(cfg), log: logger, maxWait: cfg.MaxWait, held: map[int]int{}}
 }
 
 // OpenJournal attaches the crash journal in dir and replays every
 // un-analyzed epoch it holds into the center, after telling the center which
-// sliding spans the previous life already reported: their epochs come back as
+// spans the previous life already reported: their epochs come back as
 // context for the spans ahead, not to be reported again. Call it before
 // serving: replayed digests must not interleave with live ones from
 // collectors that reconnect immediately.
@@ -139,24 +138,27 @@ func (n *Node) sync() {
 
 // Wake runs when the center signals (Center.Completed) that some epoch's last
 // expected digest has been stored: the sequence a tick runs — shed tombstones,
-// then epochs superseded by a newer one — and then, oldest first, the
-// complete epochs, which a tick would have closed one to two windows later.
+// then spans superseded by a newer epoch — and then, oldest first, the
+// complete spans, which a tick would have closed one to two windows later.
 // Everything short of complete is left to Tick. Returns as Tick does.
 func (n *Node) Wake() ([]center.WindowReport, error) {
 	n.drainShed()
 	n.drainComplete()
 	for _, e := range n.Center.CompleteEpochs() {
-		n.analyze(e, center.CloseComplete)
+		if !n.analyze(e, center.CloseComplete) {
+			break
+		}
 	}
 	return n.take()
 }
 
 // Tick runs the epoch-close policy once per window tick: shed tombstones
-// first, then epochs superseded by a newer one, then, oldest first, every
-// epoch that sat out a full tick with no new digests. The quorum gate can
-// veto that quiescence close for up to MaxWait ticks — a fleet that stopped
-// advancing epochs would otherwise never satisfy the gate's own epoch-based
-// bound — after which the epoch closes Degraded.
+// first, then spans superseded by a newer epoch, then the open spans oldest
+// first, each once its epoch sat out a full tick with no new digests, up to
+// the first one still filling or held. The quorum gate can veto that
+// quiescence close for up to MaxWait ticks — a fleet that stopped advancing
+// epochs would otherwise never satisfy the gate's own epoch-based bound —
+// after which the span closes Degraded.
 //
 // Quiescence compares counts taken at the start of consecutive ticks, before
 // the drains: a count taken after them lands as late in its tick as the
@@ -171,27 +173,22 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 	n.drainShed()
 	n.drainComplete()
 	now := n.Center.EpochDigests()
-	epochs := make([]int, 0, len(now))
-	for e := range now {
-		epochs = append(epochs, e)
-	}
-	// Ascending: under a sliding window, closing a newer span first would
-	// foreclose an older one that comes out of its hold on the same tick.
-	sort.Ints(epochs)
-	for _, e := range epochs {
+	for _, e := range n.Center.OpenSpans() {
 		if n.prev[e] != start[e] || start[e] != now[e] {
-			continue
+			break
 		}
 		if q := n.Center.Quorum(e); q.Hold {
 			n.held[e]++
 			if n.held[e] <= n.maxWait {
 				n.log.Printf("epoch %d held below quorum (%d reported, missing routers %v), tick %d/%d",
 					e, q.Reported, q.Missing, n.held[e], n.maxWait)
-				continue
+				break
 			}
 			n.log.Printf("epoch %d exhausted quorum wait; analyzing degraded", e)
 		}
-		n.analyze(e, center.CloseQuiescent)
+		if !n.analyze(e, center.CloseQuiescent) {
+			break
+		}
 		delete(n.held, e)
 	}
 	// An epoch held once and then closed by a drain, shed or evicted never
@@ -206,13 +203,15 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 }
 
 // Drain is the shutdown drain, every report the center still owes: shed
-// tombstones, the superseded epochs, then whatever remains buffered, oldest
+// tombstones, the superseded spans, then the open spans that remain, oldest
 // first. Returns as Tick does.
 func (n *Node) Drain() ([]center.WindowReport, error) {
 	n.drainShed()
 	n.drainComplete()
-	for _, e := range n.Center.Epochs() {
-		n.analyze(e, center.CloseDrain)
+	for _, e := range n.Center.OpenSpans() {
+		if !n.analyze(e, center.CloseDrain) {
+			break
+		}
 	}
 	n.drainShed()
 	return n.take()
@@ -241,8 +240,8 @@ func (n *Node) drainShed() {
 	}
 }
 
-// drainComplete analyzes every epoch already superseded by a newer one and
-// not held open by the quorum gate.
+// drainComplete closes open spans oldest first while the oldest is
+// superseded by a newer epoch and not held open by the quorum gate.
 func (n *Node) drainComplete() {
 	for {
 		start := time.Now()
@@ -257,18 +256,17 @@ func (n *Node) drainComplete() {
 	}
 }
 
-func (n *Node) analyze(epoch int, cause center.CloseCause) {
+// analyze closes the span ending at epoch and finishes its report, or reports
+// false and a fault: the policy asks only for open spans, oldest first.
+func (n *Node) analyze(epoch int, cause center.CloseCause) bool {
 	start := time.Now()
 	rep, err := n.Center.Analyze(epoch)
-	switch {
-	case errors.Is(err, center.ErrNotOwned), errors.Is(err, center.ErrNoWindow):
-		// Not this node's to report: a context epoch whose span belongs to
-		// another shard, or a span a newer sliding span already foreclosed.
-	case err != nil:
+	if err != nil {
 		n.fault("epoch %d analysis: %w", epoch, err)
-	default:
-		n.closed(rep, cause, time.Since(start))
+		return false
 	}
+	n.closed(rep, cause, time.Since(start))
+	return true
 }
 
 // closed finishes the report of an epoch the center analyzed, and counts the
@@ -280,11 +278,12 @@ func (n *Node) closed(rep center.WindowReport, cause center.CloseCause, wall tim
 
 // finish makes every digest the report counted durable — the analysis has its
 // snapshot, so the barrier covers at least those — then delivers the report to
-// every sink — the log, the event log, the coordinator — then records a
-// sliding span as reported, and only then lets the journal forget the epochs
-// the report retired: a crash anywhere in between, of the process or of the
-// machine, can repeat this report on restart, identically, but never re-report
-// it from fewer digests or from the context the retirement left behind.
+// every sink — the log, the event log, the coordinator — then, when the report
+// keeps its own epoch buffered as context (WindowSlide > 1), records its span
+// as reported, and only then lets the journal forget the epochs the report
+// retired: a crash anywhere in between, of the process or of the machine, can
+// repeat this report on restart, identically, but never re-report it from
+// fewer digests or from the context the retirement left behind.
 func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
 	n.sync()
 	logReport(n.log, rep)
@@ -295,15 +294,13 @@ func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
 		n.pushReport(rep)
 	}
 	if n.Journal != nil {
-		if n.sliding && !rep.Shed {
+		if !slices.Contains(rep.RetiredEpochs, rep.Epoch) {
 			if err := n.Journal.SpanReported(rep.Epoch); err != nil {
 				n.fault("journal: marking span %d reported: %w", rep.Epoch, err)
 			}
 		}
-		// Only retired epochs may forget their journal frames: under a
-		// sliding window a report's own epoch stays buffered for the next
-		// overlapping spans, and purging it would lose those digests across
-		// a crash.
+		// Only retired epochs may forget their journal frames: the spans
+		// ahead still need the ones left buffered.
 		for _, e := range rep.RetiredEpochs {
 			if err := n.Journal.EpochAnalyzed(e); err != nil {
 				n.fault("journal: marking epoch %d analyzed: %w", e, err)

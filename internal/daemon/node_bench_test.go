@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"testing"
 
 	"dcstream/internal/bitvec"
@@ -11,12 +12,21 @@ import (
 // BenchmarkNodeEpoch is one small-udp epoch through a Node, sockets aside:
 // 256 routers' 512-bit aligned digests, a quarter full, handed over in
 // 14-frame batches — what one 1400-byte datagram carries — to a node with a
-// journal on disk, then the Wake that reports the completed epoch. Run it
-// with -benchmem: the allocations per epoch are where per-digest garbage on
-// the ingest path shows.
+// journal on disk, then the Wake that reports the completed epoch's span. It
+// runs at -slide 1, where the span is the epoch alone, and at -slide 3, where
+// each report stitches three epochs and retires the oldest, so the two widths'
+// costs and allocations per epoch show side by side. Run it with -benchmem:
+// the allocations per epoch are where per-digest garbage on the ingest path
+// shows.
 func BenchmarkNodeEpoch(b *testing.B) {
+	for _, slide := range []int{1, 3} {
+		b.Run(fmt.Sprintf("slide=%d", slide), func(b *testing.B) { benchmarkNodeEpoch(b, slide) })
+	}
+}
+
+func benchmarkNodeEpoch(b *testing.B, slide int) {
 	const routers, bits, batch = 256, 512, 14
-	n := NewNode(center.Config{SubsetSize: 32}, nil)
+	n := NewNode(center.Config{SubsetSize: 32, WindowSlide: slide}, nil)
 	if err := n.OpenJournal(b.TempDir()); err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func BenchmarkNodeEpoch(b *testing.B) {
 	b.ResetTimer()
 	for _, msgs := range epochs[warm:] {
 		if reps := run(msgs); len(reps) != 1 {
-			b.Fatalf("an epoch's Wake finished %d reports, want its own", len(reps))
+			b.Fatalf("an epoch's Wake finished %d reports, want its own span", len(reps))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routers), "ns/digest")

@@ -52,7 +52,9 @@ func (f sendFunc) Send(transport.Message) error { f(); return nil }
 // parentPolicy is the tick body of cmd/dcsd/main.go as it stood before the
 // daemon package existed, transcribed over a Node's drains: counts taken
 // after the drains, closes in map order, heldTicks deleted only on the
-// quiescence path. It is the "before" column of the policy table.
+// quiescence path, and Analyze's refusals swallowed, as the parent's analyze
+// swallowed a context epoch's and a foreclosed span's. It is the "before"
+// column of the policy table.
 type parentPolicy struct{ prev, heldTicks map[int]int }
 
 func (p *parentPolicy) tick(n *Node) ([]center.WindowReport, error) {
@@ -69,7 +71,9 @@ func (p *parentPolicy) tick(n *Node) ([]center.WindowReport, error) {
 				continue
 			}
 		}
-		n.analyze(e, center.CloseQuiescent)
+		if rep, err := n.Center.Analyze(e); err == nil {
+			n.closed(rep, center.CloseQuiescent, 0)
+		}
 		delete(counts, e)
 		delete(p.heldTicks, e)
 	}
@@ -243,8 +247,8 @@ func TestTickPolicy(t *testing.T) {
 }
 
 // TestDrainOrder: the shutdown drain hands out shed tombstones first, then
-// the superseded epochs as AnalyzeLatestComplete orders them, then what is
-// still buffered, oldest first — and logs each as dcsd does.
+// the superseded spans and what is still open, oldest first — and logs each
+// as dcsd does.
 func TestDrainOrder(t *testing.T) {
 	probe := center.New(center.Config{})
 	for r := 1; r <= 3; r++ {
@@ -263,7 +267,7 @@ func TestDrainOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := describeAll(reps), []string{"1 shed", "3", "2", "4"}; !reflect.DeepEqual(got, want) {
+	if got, want := describeAll(reps), []string{"1 shed", "2", "3", "4"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("drain order %v, want %v", got, want)
 	}
 	if left := n.Center.Epochs(); len(left) != 0 {

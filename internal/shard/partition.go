@@ -15,6 +15,8 @@
 // single un-sharded center — the equivalence contract the tests pin.
 package shard
 
+import "slices"
+
 // Partition is the deterministic assignment of analysis spans to shards.
 // Every participant — coordinator, shards, replay tooling — derives the
 // same assignment from the same two integers; nothing about it is
@@ -60,28 +62,17 @@ func (p Partition) Owner(epoch int) int {
 
 // ShardsFor lists every shard that needs epoch's digests: the owners of the
 // spans the epoch participates in — those ending in [epoch, epoch+Slide-1].
-// Deduplicated, ascending. With Slide <= 1 this is exactly {Owner(epoch)}.
+// Deduplicated, ascending. At Slide 1 this is exactly {Owner(epoch)}.
 func (p Partition) ShardsFor(epoch int) []int {
 	p = p.withDefaults()
-	if p.Slide <= 1 {
-		return []int{p.Owner(epoch)}
-	}
-	seen := make(map[int]bool, p.Slide)
+	// Slide is single digits in practice: a linear dedup beats a set.
 	out := make([]int, 0, p.Slide)
 	for end := epoch; end < epoch+p.Slide; end++ {
-		s := p.Owner(end)
-		if !seen[s] {
-			seen[s] = true
+		if s := p.Owner(end); !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}
-	// Sort the handful of shard ids without pulling in package sort: Slide
-	// is single digits in practice.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
