@@ -172,9 +172,28 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 	start := n.Center.EpochDigests()
 	n.drainShed()
 	n.drainComplete()
+	// The spans before the counts: ingest runs concurrently, and an epoch whose
+	// first digest lands between the two reads is counted in now, not in start.
+	open := n.Center.OpenSpans()
 	now := n.Center.EpochDigests()
-	for _, e := range n.Center.OpenSpans() {
-		if n.prev[e] != start[e] || start[e] != now[e] {
+	n.closeQuiescent(open, start, now)
+	// An epoch held once and then closed by a drain, shed or evicted never
+	// reaches closeQuiescent's delete; keep only what is still buffered.
+	for e := range n.held {
+		if _, buffered := now[e]; !buffered {
+			delete(n.held, e)
+		}
+	}
+	n.prev = start
+	return n.take()
+}
+
+// closeQuiescent is Tick's walk over the open spans, oldest first. It stops at
+// the first span whose epoch is not quiescent — counted differently at the
+// start of the last two ticks or now, or not counted now at all — or is held.
+func (n *Node) closeQuiescent(open []int, start, now map[int]int) {
+	for _, e := range open {
+		if c, counted := now[e]; !counted || n.prev[e] != start[e] || start[e] != c {
 			break
 		}
 		if q := n.Center.Quorum(e); q.Hold {
@@ -191,15 +210,6 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 		}
 		delete(n.held, e)
 	}
-	// An epoch held once and then closed by a drain, shed or evicted never
-	// reaches the delete above; keep only what is still buffered.
-	for e := range n.held {
-		if _, buffered := now[e]; !buffered {
-			delete(n.held, e)
-		}
-	}
-	n.prev = start
-	return n.take()
 }
 
 // Drain is the shutdown drain, every report the center still owes: shed
@@ -256,14 +266,16 @@ func (n *Node) drainComplete() {
 	}
 }
 
-// analyze closes the span ending at epoch and finishes its report, or reports
-// false and a fault: the policy asks only for open spans, oldest first.
+// analyze closes the span ending at epoch and finishes its report. Every error
+// is a fault, since the policy asks only for open spans, oldest first; it
+// returns false, which stops the walk, only when the center refused the close.
+// An analysis that fails after the close has freed the spans ahead anyway.
 func (n *Node) analyze(epoch int, cause center.CloseCause) bool {
 	start := time.Now()
 	rep, err := n.Center.Analyze(epoch)
 	if err != nil {
 		n.fault("epoch %d analysis: %w", epoch, err)
-		return false
+		return !errors.Is(err, center.ErrOlderSpanOpen) && !errors.Is(err, center.ErrNoWindow) && !errors.Is(err, center.ErrNotOwned)
 	}
 	n.closed(rep, cause, time.Since(start))
 	return true

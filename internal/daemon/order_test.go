@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"dcstream/internal/bitvec"
 	"dcstream/internal/center"
 	"dcstream/internal/transport"
 )
@@ -106,5 +108,66 @@ func TestSeededFleetsReportInOrder(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTickNeverClosesAnEpochItDidNotCount replays an interleaving a tick must
+// survive, since ingest runs concurrently: epoch 2's first digest lands after
+// the tick counted the buffered epochs and before it listed the open spans.
+// The quiescent epoch 1 closes; epoch 2 is left to fill, and its second digest
+// lands in its own report, not late.
+func TestTickNeverClosesAnEpochItDidNotCount(t *testing.T) {
+	n := NewNode(center.Config{SubsetSize: 64}, nil)
+	for _, m := range burst(1, 1, 2) {
+		n.Handle(m, from)
+	}
+	if reps, err := n.Tick(); err != nil || len(reps) != 0 {
+		t.Fatalf("first tick: %v, %v; want nothing closed", describeAll(reps), err)
+	}
+	start := n.Center.EpochDigests()
+	now := n.Center.EpochDigests()
+	n.Handle(dg(1, 2), from)
+	n.closeQuiescent(n.Center.OpenSpans(), start, now)
+	n.prev = start
+	reps, err := n.take()
+	if err != nil || len(reps) != 1 || reps[0].Epoch != 1 {
+		t.Fatalf("racing tick reported %v, %v; want epoch 1 alone", describeAll(reps), err)
+	}
+	n.Handle(dg(2, 2), from)
+	for range 2 {
+		got, err := n.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, got...)
+	}
+	if len(reps) != 2 || reps[1].Epoch != 2 || reps[1].Routers != 2 {
+		t.Fatalf("reported %v, want epoch 2 from both routers after epoch 1", describeAll(reps))
+	}
+	if late := n.Center.Stats().LateDigests.Load(); late != 0 {
+		t.Fatalf("%d digests counted late, want 0", late)
+	}
+}
+
+// TestDrainReportsPastAFailedAnalysis: span 2's analysis fails after the
+// center closed it (mixed aligned widths), while it was held below quorum
+// behind span 1. The drain reports the fault and still reports span 3.
+func TestDrainReportsPastAFailedAnalysis(t *testing.T) {
+	n := NewNode(center.Config{SubsetSize: 64, MinRouters: 3, MaxWait: 8}, nil)
+	feed := burst(1, 1, 2, 3)
+	feed = append(feed, dg(1, 2), transport.AlignedDigest{RouterID: 2, Epoch: 2, Bitmap: bitvec.New(128)})
+	for _, m := range append(feed, burst(3, 1, 2, 3)...) {
+		n.Handle(m, from)
+	}
+	reps, err := n.Drain()
+	if err == nil || !strings.Contains(err.Error(), "epoch 2 analysis") {
+		t.Fatalf("drain fault %v, want span 2's analysis error", err)
+	}
+	var got []int
+	for _, rep := range reps {
+		got = append(got, rep.Epoch)
+	}
+	if want := []int{1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("drain reported %v, want %v", describeAll(reps), want)
 	}
 }
