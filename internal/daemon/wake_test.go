@@ -347,39 +347,49 @@ func fleetConfig() center.Config {
 }
 
 // playFleet feeds seed's fleetStream to a node whose loop wakes on completion
-// and to a node that only ever ticks, two ticks after every burst, then drains
-// both, and returns the two nodes and what each reported.
+// and to a node that only ever ticks, and returns the two nodes and what each
+// reported (fleetRun).
 func playFleet(t *testing.T, seed int64, cfg center.Config) (woken, ticked *Node, got, want []center.WindowReport) {
 	t.Helper()
 	woken, ticked = NewNode(cfg, nil), NewNode(cfg, nil)
-	collect := func(into *[]center.WindowReport, reps []center.WindowReport, err error) {
+	got = fleetRun(t, seed, woken, true, nil)
+	want = fleetRun(t, seed, ticked, false, nil)
+	return woken, ticked, got, want
+}
+
+// fleetRun feeds seed's fleetStream to n: after every burst the node wakes
+// if the center poked it (only when wakes is set), then ticks twice; a drain
+// ends the run. It returns everything n reported; call, when not nil, sees
+// each Wake ('W'), Tick ('T') and Drain ('D') with what it reported.
+func fleetRun(t *testing.T, seed int64, n *Node, wakes bool, call func(op byte, reps []center.WindowReport)) []center.WindowReport {
+	t.Helper()
+	var all []center.WindowReport
+	collect := func(op byte, reps []center.WindowReport, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		*into = append(*into, reps...)
+		if call != nil {
+			call(op, reps)
+		}
+		all = append(all, reps...)
 	}
 	for _, b := range fleetStream(rand.New(rand.NewSource(seed)), 12) {
 		for _, m := range b {
-			woken.Handle(m, from)
-			ticked.Handle(m, from)
+			n.Handle(m, from)
 		}
-		if poked(woken) {
-			reps, err := woken.Wake()
-			collect(&got, reps, err)
+		if wakes && poked(n) {
+			reps, err := n.Wake()
+			collect('W', reps, err)
 		}
 		for i := 0; i < 2; i++ {
-			reps, err := woken.Tick()
-			collect(&got, reps, err)
-			reps, err = ticked.Tick()
-			collect(&want, reps, err)
+			reps, err := n.Tick()
+			collect('T', reps, err)
 		}
 	}
-	reps, err := woken.Drain()
-	collect(&got, reps, err)
-	reps, err = ticked.Drain()
-	collect(&want, reps, err)
-	return woken, ticked, got, want
+	reps, err := n.Drain()
+	collect('D', reps, err)
+	return all
 }
 
 // TestCompletionEquivalentToTicks is the "same reports, only earlier"
