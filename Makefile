@@ -94,11 +94,13 @@ bench-shards-json:
 # kill -9 / replay-before-listen / drain-on-cancel run of the whole dcsd, plus
 # the completion path: the hand-fed wake policy table, its equivalence to the
 # tick-only policy over seeded fleets, the restart-never-re-reports cases, and
-# Handle/Wake/Tick under the race detector. Group commit's contract rides last:
-# the power-cut images taken at every report and after every tick, the failed
+# Handle/Wake/Tick under the race detector. The center's own close-policy
+# table rides with them: CloseNext driven through Ingest/Tick alone, row by
+# row, and over seeded fleets. Group commit's contract rides last: the
+# power-cut images taken at every report and after every tick, the failed
 # barrier's accounting, and the never-closed-dirty segment paths.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster|PowerCut|Barrier|SyncFault|ClosedDirty' \
+	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster|CloseNext|PowerCut|Barrier|SyncFault|ClosedDirty' \
 		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/daemon/...
 
 # Short fuzz of the crash/byte-level decoders. The first three targets enter

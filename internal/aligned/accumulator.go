@@ -137,8 +137,8 @@ func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
 	return delta
 }
 
-// Remove retracts a previously applied digest for router (the DupKeepLast
-// replacement path): its bits are cleared and the popcounts decremented. The
+// Remove retracts a previously applied digest for router (the center's
+// replacement path for a resent digest): its bits are cleared and the popcounts decremented. The
 // slot stays assigned — the replacement Add reuses it, so slot order (and
 // with it the row permutation) is stable across replacements. Digests that
 // were never applied (unknown router, conflicting width) are ignored.

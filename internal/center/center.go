@@ -11,13 +11,15 @@
 // arrives after everyone's epoch-4 digests (§V-B.1 — correlating bitmaps
 // across epochs degrades detection). A bounded ring of recent epochs absorbs
 // reordering; digests for epochs that already left the ring are counted late
-// and dropped, and duplicates (a collector resending after a reconnect) are
-// counted and resolved by policy instead of silently overwriting another
-// epoch's state.
+// and dropped, and a duplicate (a collector resending after a reconnect) is
+// counted and replaces the earlier digest of its own epoch, never another
+// epoch's state. The close policy — when an epoch is over — lives here too:
+// Tick and CloseNext (DESIGN §14).
 package center
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -30,24 +32,34 @@ import (
 	"dcstream/internal/unaligned"
 )
 
-// DuplicatePolicy resolves two digests from one router for one epoch.
-type DuplicatePolicy int
-
-const (
-	// DupKeepLast replaces the earlier digest — right for collectors that
-	// resend the same digest after a reconnect (the default).
-	DupKeepLast DuplicatePolicy = iota
-	// DupKeepFirst drops the later digest.
-	DupKeepFirst
-)
-
 // ErrNoWindow reports an Analyze call for an epoch the center holds no
 // digests for (never seen, already analyzed, or evicted).
 var ErrNoWindow = errors.New("center: no such epoch window")
 
-// ErrNoCompleteEpoch reports that the oldest open span ends at the newest
-// epoch seen so far, which may still be filling, or is quorum-held.
+// ErrNoCompleteEpoch reports that no rule of the close policy lets CloseNext
+// close the oldest open span now (it may still be filling, or be quorum-held),
+// or that there is no open span. A hold that counts a tick is a *HeldError,
+// which is ErrNoCompleteEpoch too.
 var ErrNoCompleteEpoch = errors.New("center: no complete epoch buffered")
+
+// HeldError is CloseNext's refusal when the quorum gate holds the oldest open
+// span on a quiescent tick that still has hold ticks left; its text is the
+// line dcsd logs for the hold.
+type HeldError struct {
+	Epoch    int
+	Reported int   // distinct routers in the window
+	Missing  []int // known-live routers absent from it
+	Tick     int   // quiescent ticks held so far, at most MaxWait
+	MaxWait  int
+}
+
+func (e *HeldError) Error() string {
+	return fmt.Sprintf("epoch %d held below quorum (%d reported, missing routers %v), tick %d/%d",
+		e.Epoch, e.Reported, e.Missing, e.Tick, e.MaxWait)
+}
+
+// Unwrap makes a hold an ErrNoCompleteEpoch.
+func (e *HeldError) Unwrap() error { return ErrNoCompleteEpoch }
 
 // ErrOlderSpanOpen reports an Analyze call that would release, unreported, an
 // open span older than the requested span's start: spans close oldest first.
@@ -98,9 +110,6 @@ type Config struct {
 	// digests counted dropped — unless it is context at or below the span
 	// watermark, whose digests a report already holds.
 	MaxEpochs int
-	// Duplicates picks the resolution for a router resending within one
-	// epoch. The zero value is DupKeepLast.
-	Duplicates DuplicatePolicy
 	// MemoryBudgetBytes, when positive, bounds the byte-accounted size of
 	// all buffered epoch windows (retained bitmap payloads plus bookkeeping
 	// estimates). A digest that would exceed the budget triggers the
@@ -112,8 +121,8 @@ type Config struct {
 	// reported Degraded+Shed, never silently — while RejectNew refuses the
 	// incoming digest and preserves the buffered epochs.
 	Shedding ShedPolicy
-	// MinRouters, when positive, is the quorum: AnalyzeLatestComplete and
-	// ring eviction hold an epoch open while fewer than MinRouters distinct
+	// MinRouters, when positive, is the quorum: CloseNext and ring eviction
+	// hold an epoch open while fewer than MinRouters distinct
 	// routers have reported into it and a known-live router is still
 	// absent. An epoch closed below quorum is marked Degraded with the
 	// absentees in MissingRouters, and the unaligned component threshold is
@@ -123,9 +132,11 @@ type Config struct {
 	MinRouters int
 	// MaxWait bounds a quorum hold in epochs: once the fleet has advanced
 	// MaxWait epochs past a held window (maxSeen-epoch >= MaxWait) the
-	// window closes anyway, so a dead router cannot wedge the ring. It is
-	// also the liveness horizon — a router counts as live for epoch e when
-	// it has reported into epoch e-MaxWait or newer. Zero means 2.
+	// window closes anyway, so a dead router cannot wedge the ring. It also
+	// bounds the hold in quiescent ticks, for a fleet that stopped advancing
+	// epochs: CloseNext closes a held window on its MaxWait+1st. And it is
+	// the liveness horizon — a router counts as live for epoch e when it has
+	// reported into epoch e-MaxWait or newer. Zero means 2.
 	MaxWait int
 	// OwnsEpoch, when non-nil, is the shard partition predicate over ingest:
 	// a digest whose epoch fails it is counted MisroutedDigests and dropped
@@ -135,7 +146,7 @@ type Config struct {
 	// absorb. Nil accepts every epoch (the single-center deployment).
 	OwnsEpoch func(epoch int) bool
 	// OwnsSpan, when non-nil, restricts which spans this center may close
-	// and report: AnalyzeLatestComplete skips epochs failing it, and Analyze
+	// and report: CloseNext skips epochs failing it, and Analyze
 	// returns ErrNotOwned for them. In sliding mode a shard buffers context
 	// epochs for spans owned elsewhere (OwnsEpoch admits them); OwnsSpan is
 	// what keeps it from also emitting those spans' verdicts, which would
@@ -164,7 +175,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEpochs < 1 {
 		// A non-positive bound would make the eviction loop index an empty
-		// ring; clamp like SetMaxEpochs does.
+		// ring.
 		c.MaxEpochs = 1
 	}
 	if c.MaxWait == 0 {
@@ -251,7 +262,7 @@ type WindowReport struct {
 type window struct {
 	aligned map[int]*bitvec.Vector
 	// unaligned keeps one digest per router (unalignedIdx maps router id to
-	// its slot) so a resent digest can be resolved by policy.
+	// its slot) so a resent digest can replace it.
 	unaligned    []*unaligned.Digest
 	unalignedIdx map[int]int
 	// opened is when the window's first digest arrived; analyzeWindow
@@ -281,6 +292,13 @@ type window struct {
 	// byte ledger like the registry itself. Mutated only under the center's mu.
 	expect   map[int]kindBits
 	complete bool
+	// stored is the center's tick generation when the window last stored a
+	// new digest (a replacement or a refusal does not count): the window is
+	// quiescent once stored trails the generation by two or more: once it
+	// has stored nothing since the previous Tick. held counts the quiescent
+	// ticks the quorum gate has held it. Both mutated only under the
+	// center's mu.
+	stored, held int
 }
 
 func (c *Center) newWindowLocked() *window {
@@ -319,7 +337,7 @@ type Center struct {
 
 	mu      sync.Mutex
 	windows map[int]*window // guarded by mu
-	// maxSeen is the newest epoch ever ingested; an epoch is "complete"
+	// maxSeen is the newest epoch ever ingested; an epoch is superseded
 	// once a strictly newer one has been seen (the collectors moved on).
 	maxSeen    int  // guarded by mu
 	sawAny     bool // guarded by mu
@@ -354,6 +372,8 @@ type Center struct {
 	// still buffered at or below it are context for the spans ahead.
 	spanClosed      int  // guarded by mu
 	spanClosedValid bool // guarded by mu
+	// tick is the quiescence clock's generation, advanced by Tick.
+	tick int // guarded by mu
 
 	// lambdaTables caches λ threshold tables across analyzes. A table's
 	// entries are lazily memoized pure functions of (bits, p*), and in
@@ -493,8 +513,8 @@ func (c *Center) ingestLocked(m transport.Message) {
 		// This digest opened the window: fix what it waits for.
 		w.expect = c.expectedLocked(epoch, router, prev)
 	}
-	// A DupKeepLast replacement mutates the window without growing it, so it
-	// counts in ReplacedDigests, not DigestsIngested — otherwise eviction's
+	// A replacement mutates the window without growing it, so it counts in
+	// ReplacedDigests, not DigestsIngested — otherwise eviction's
 	// DroppedDigests (which drains the window's actual digest count) could
 	// never balance the ingest ledger.
 	//
@@ -510,9 +530,6 @@ func (c *Center) ingestLocked(m transport.Message) {
 	case transport.AlignedDigest:
 		if _, dup := w.aligned[d.RouterID]; dup {
 			c.cfg.Stats.DuplicateDigests.Add(1)
-			if c.cfg.Duplicates == DupKeepFirst {
-				return
-			}
 			old := w.aligned[d.RouterID]
 			delta := sz - vecBytes(old) - entryOverheadBytes
 			if w.acc != nil {
@@ -524,9 +541,9 @@ func (c *Center) ingestLocked(m transport.Message) {
 			}
 			w.aligned[d.RouterID] = d.Bitmap
 			if w.acc != nil {
-				// A DupKeepLast replacement must retract the digest it
-				// displaces before the new one lands, or the replaced bits
-				// would stay OR-ed into the column state forever.
+				// A replacement must retract the digest it displaces before
+				// the new one lands, or the replaced bits would stay OR-ed
+				// into the column state forever.
 				w.acc.Remove(d.RouterID, old)
 				c.bufferedBytes += w.acc.Add(d.RouterID, d.Bitmap)
 			}
@@ -550,9 +567,6 @@ func (c *Center) ingestLocked(m transport.Message) {
 	case transport.UnalignedDigest:
 		if i, dup := w.unalignedIdx[d.Digest.RouterID]; dup {
 			c.cfg.Stats.DuplicateDigests.Add(1)
-			if c.cfg.Duplicates == DupKeepFirst {
-				return
-			}
 			delta := sz - unalignedBytes(w.unaligned[i])
 			if !c.admitLocked(epoch, delta) {
 				c.rejectLocked(w)
@@ -621,13 +635,6 @@ func (c *Center) windowFor(epoch int) *window {
 		return nil
 	}
 	for len(c.windows) >= c.cfg.MaxEpochs {
-		if len(c.windows) == 0 {
-			// MaxEpochs can shrink at runtime (SetMaxEpochs clamps it to
-			// >= 1, but belt and braces): with nothing buffered there is
-			// nothing to evict, and indexing an empty ring below would
-			// panic — or spin, if the bound ever went non-positive.
-			break
-		}
 		oldest := -1
 		for e := range c.windows {
 			if oldest < 0 || e < oldest {
@@ -816,8 +823,8 @@ func (c *Center) epochsLocked() []int {
 	return out
 }
 
-// EpochDigests returns the digest count buffered for each epoch — the
-// quiescence signal daemon.Node's tick policy uses to close an idle epoch.
+// EpochDigests returns the digest count buffered for each epoch, for
+// /healthz.
 func (c *Center) EpochDigests() map[int]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -857,49 +864,100 @@ func (c *Center) Analyze(epoch int) (WindowReport, error) {
 	return c.analyzeSpan(snap)
 }
 
-// AnalyzeLatestComplete closes the oldest open span (OpenSpans) when it is
-// complete — strictly older than the newest epoch any collector has
-// reported — and not held open by the quorum gate waiting for known-live
-// routers. A held span closes once quorum arrives or the fleet moves MaxWait
-// epochs past it, Degraded/MissingRouters set; newer spans wait behind it, so
-// none is foreclosed unreported. ErrNoCompleteEpoch when it is newest or held.
+// AnalyzeLatestComplete is CloseNext's superseded rule alone: it closes the
+// oldest open span when a newer epoch has been seen and the quorum gate is not
+// holding it, and returns ErrNoCompleteEpoch otherwise.
 func (c *Center) AnalyzeLatestComplete() (WindowReport, error) {
-	c.mu.Lock()
-	open := c.openSpansLocked()
-	if len(open) == 0 || open[0] >= c.maxSeen || c.quorumLocked(open[0]).Hold {
-		c.mu.Unlock()
-		return WindowReport{}, ErrNoCompleteEpoch
-	}
-	snap, err := c.closeSpanLocked(open[0])
-	c.mu.Unlock()
-	if err != nil {
-		return WindowReport{Epoch: open[0]}, err
-	}
-	return c.analyzeSpan(snap)
+	rep, _, err := c.CloseNext(CloseSuperseded)
+	return rep, err
 }
 
-// OpenSpans lists, oldest first, the spans this center still owes a report:
-// those ending at a buffered epoch it owns (OwnsSpan), above the watermark.
-func (c *Center) OpenSpans() []int {
+// Tick advances the quiescence clock one window: a span whose window stores
+// nothing from one Tick to the next becomes quiescent for CloseNext.
+func (c *Center) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.openSpansLocked()
+	c.tick++
 }
 
-// openSpansLocked is OpenSpans. Caller holds c.mu.
-func (c *Center) openSpansLocked() []int {
-	buffered := c.epochsLocked()
-	out := buffered[:0]
-	for _, e := range buffered {
+// CloseNext is the close policy (DESIGN §14). Under one lock it takes the
+// oldest open span and closes it if a rule allows it now, trying the rules in
+// one order whatever the trigger: superseded by a newer epoch and not held by
+// the quorum gate (CloseSuperseded); otherwise the trigger's own rule —
+// complete and not held (CloseComplete, the wake), quiescent with the hold,
+// if any, out of its MaxWait ticks (CloseQuiescent, the tick), or always
+// (CloseDrain). It then analyzes the span, counts Stats.Closed under the rule
+// that closed it, and returns the report and that rule. When no rule applies
+// it returns ErrNoCompleteEpoch, as a *HeldError when the refusal counted a
+// held tick. Any other error is the analysis failing after the span closed.
+func (c *Center) CloseNext(trigger CloseCause) (WindowReport, CloseCause, error) {
+	c.mu.Lock()
+	cause, err := trigger, ErrNoCompleteEpoch
+	var snap *spanSnapshot
+	if e, ok := c.oldestOpenLocked(); ok {
+		if cause, err = c.closeRuleLocked(e, trigger); err == nil {
+			snap, err = c.closeSpanLocked(e)
+		}
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return WindowReport{}, cause, err
+	}
+	rep, err := c.analyzeSpan(snap)
+	if err == nil {
+		c.cfg.Stats.Closed[cause].Inc()
+	}
+	return rep, cause, err
+}
+
+// closeRuleLocked is the rule that lets trigger close the open span e now, or
+// the refusal. Caller holds c.mu.
+func (c *Center) closeRuleLocked(e int, trigger CloseCause) (CloseCause, error) {
+	w := c.windows[e]
+	// The quorum is asked last in each rule: it walks the window and the
+	// registry, and a tick or wake finds the newest span filling more often
+	// than not.
+	if e < c.maxSeen && !c.quorumLocked(e).Hold {
+		return CloseSuperseded, nil
+	}
+	switch trigger {
+	case CloseComplete:
+		if w.complete && !c.quorumLocked(e).Hold {
+			return CloseComplete, nil
+		}
+	case CloseQuiescent:
+		if w.stored+1 >= c.tick {
+			break // stored since the previous Tick: still filling
+		}
+		if q := c.quorumLocked(e); q.Hold {
+			if w.held++; w.held <= c.cfg.MaxWait {
+				return trigger, &HeldError{Epoch: e, Reported: q.Reported, Missing: q.Missing, Tick: w.held, MaxWait: c.cfg.MaxWait}
+			}
+		}
+		return CloseQuiescent, nil
+	case CloseDrain:
+		return CloseDrain, nil
+	}
+	return trigger, ErrNoCompleteEpoch
+}
+
+// oldestOpenLocked returns the oldest span this center still owes a report:
+// the oldest buffered epoch it owns (OwnsSpan) above the watermark. Spans close
+// oldest first, so it is the only open span anyone asks about. Caller holds
+// c.mu.
+func (c *Center) oldestOpenLocked() (epoch int, ok bool) {
+	for e := range c.windows {
 		if c.spanClosedValid && e <= c.spanClosed {
 			continue // context of a span already reported
 		}
 		if c.cfg.OwnsSpan != nil && !c.cfg.OwnsSpan(e) {
 			continue // another shard's to report
 		}
-		out = append(out, e)
+		if !ok || e < epoch {
+			epoch, ok = e, true
+		}
 	}
-	return out
+	return epoch, ok
 }
 
 // scaledThreshold shrinks an ER component threshold tuned for fleet routers

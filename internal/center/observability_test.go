@@ -78,11 +78,11 @@ func TestEvictionTombstoneBlocksReopen(t *testing.T) {
 }
 
 // TestDupKeepLastCounterLedger is the regression test for the duplicate
-// double-count: a DupKeepLast replacement used to increment DigestsIngested
+// double-count: a replacement used to increment DigestsIngested
 // again, so a window holding one digest looked like two and eviction's
 // DroppedDigests could never reconcile the ledger.
 func TestDupKeepLastCounterLedger(t *testing.T) {
-	c := New(Config{MaxEpochs: 1}) // DupKeepLast is the default
+	c := New(Config{MaxEpochs: 1})
 	c.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: smallBitmap(1)})
 	c.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: smallBitmap(2)})
 	c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: newTestUnaligned(7)})
@@ -110,16 +110,6 @@ func TestDupKeepLastCounterLedger(t *testing.T) {
 	if s.DigestsIngested+s.ReplacedDigests+s.LateDigests != sends {
 		t.Fatalf("ledger broken: ingested %d + replaced %d + late %d != %d sent",
 			s.DigestsIngested, s.ReplacedDigests, s.LateDigests, sends)
-	}
-
-	// KeepFirst discards instead of replacing: ReplacedDigests stays zero.
-	kf := New(Config{Duplicates: DupKeepFirst})
-	kf.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: smallBitmap(1)})
-	kf.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: smallBitmap(2)})
-	s = kf.Stats().Snapshot()
-	if s.DigestsIngested != 1 || s.DuplicateDigests != 1 || s.ReplacedDigests != 0 {
-		t.Fatalf("KeepFirst counters ingested=%d dup=%d replaced=%d, want 1/1/0",
-			s.DigestsIngested, s.DuplicateDigests, s.ReplacedDigests)
 	}
 }
 

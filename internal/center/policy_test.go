@@ -7,49 +7,6 @@ import (
 	"dcstream/internal/transport"
 )
 
-// TestDupKeepFirstKeepsFirstDigest verifies the policy by identity, not just
-// by counters: after a duplicate, the window must still hold the first
-// digest under DupKeepFirst and the second under DupKeepLast.
-func TestDupKeepFirstKeepsFirstDigest(t *testing.T) {
-	first, second := smallBitmap(1), smallBitmap(2)
-
-	kf := New(Config{Duplicates: DupKeepFirst})
-	kf.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: first})
-	kf.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: second})
-	kf.mu.Lock()
-	got := kf.windows[1].aligned[7]
-	kf.mu.Unlock()
-	if got != first {
-		t.Fatal("DupKeepFirst replaced the first digest")
-	}
-
-	kl := New(Config{}) // DupKeepLast
-	kl.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: first})
-	kl.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: second})
-	kl.mu.Lock()
-	got = kl.windows[1].aligned[7]
-	kl.mu.Unlock()
-	if got != second {
-		t.Fatal("DupKeepLast kept the stale digest")
-	}
-
-	// Same contract for the unaligned slot.
-	ufirst, usecond := newTestUnaligned(9), newTestUnaligned(9)
-	ukf := New(Config{Duplicates: DupKeepFirst})
-	ukf.Ingest(transport.UnalignedDigest{Epoch: 3, Digest: ufirst})
-	ukf.Ingest(transport.UnalignedDigest{Epoch: 3, Digest: usecond})
-	ukf.mu.Lock()
-	w := ukf.windows[3]
-	kept := w.unaligned[w.unalignedIdx[9]]
-	ukf.mu.Unlock()
-	if kept != ufirst {
-		t.Fatal("DupKeepFirst replaced the first unaligned digest")
-	}
-	if a, u := ukf.Pending(); a != 0 || u != 1 {
-		t.Fatalf("pending %d/%d after unaligned duplicate, want 0/1", a, u)
-	}
-}
-
 // TestEvictionRaceAndLedger hammers a two-epoch ring from concurrent
 // writers with ever-increasing epochs (an eviction storm) and checks the
 // ledger invariant the Stats doc promises: every message seen is either

@@ -125,12 +125,14 @@ func (c *Center) expectedLocked(epoch, opener int, prev rosterRow) map[int]kindB
 	return expect
 }
 
-// arrivedLocked ticks a newly stored digest off its window's expected set.
+// arrivedLocked records a newly stored digest: it stamps the window's
+// quiescence clock and ticks the digest off the window's expected set.
 // Duplicates, budget rejections and late digests never get here. When the
 // last expected digest lands the window latches complete and the wake
 // channel is poked; the send cannot block (capacity 1, dropped when a poke is
 // already pending), so holding c.mu across it is safe. Caller holds c.mu.
 func (c *Center) arrivedLocked(w *window, router int, kind digestKind) {
+	w.stored = c.tick
 	kinds, ok := w.expect[router]
 	if !ok || kinds&kind.bit() == 0 {
 		return
@@ -151,24 +153,6 @@ func (c *Center) arrivedLocked(w *window, router int, kind digestKind) {
 }
 
 // Completed is poked whenever some window's last expected digest has been
-// stored: CompleteEpochs then has something to say. One pending poke stands
-// for any number of completions.
+// stored: CloseNext(CloseComplete) may then have a span to close. One pending
+// poke stands for any number of completions.
 func (c *Center) Completed() <-chan struct{} { return c.wake }
-
-// CompleteEpochs lists, ascending, the open spans (OpenSpans) whose closing
-// window need not wait for quiescence: every (router, kind) the registry held
-// live when it opened has been stored and the quorum gate is not holding it.
-// The list is a prefix of OpenSpans: it stops at the first span that fails
-// the test — the tick policy has that one to close first, and spans close
-// oldest first, so everything behind it waits for the ticks too.
-func (c *Center) CompleteEpochs() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	open := c.openSpansLocked()
-	for i, e := range open {
-		if !c.windows[e].complete || c.quorumLocked(e).Hold {
-			return open[:i]
-		}
-	}
-	return open
-}

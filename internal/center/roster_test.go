@@ -1,6 +1,7 @@
 package center
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestRosterIsOneRegistryPerKind(t *testing.T) {
 	} {
 		c.Ingest(m)
 	}
-	if pokedCenter(c) || len(c.CompleteEpochs()) != 0 {
+	if _, _, err := c.CloseNext(CloseComplete); pokedCenter(c) || !errors.Is(err, ErrNoCompleteEpoch) {
 		t.Fatal("the first epoch opened on an empty registry and must expect nobody")
 	}
 	c.Ingest(unalignedMsg(1, 2))
@@ -64,15 +65,11 @@ func TestRosterIsOneRegistryPerKind(t *testing.T) {
 		t.Fatal("no poke when epoch 2's last expected digest was stored")
 	}
 	// Epoch 1 expected nobody, never completes, and is ahead in line: the
-	// superseded drain has to close it before the fast path may pass.
-	if got := c.CompleteEpochs(); len(got) != 0 {
-		t.Fatalf("complete epochs %v with the incomplete epoch 1 still open ahead of them, want none", got)
-	}
-	if rep, err := c.AnalyzeLatestComplete(); err != nil || rep.Epoch != 1 {
-		t.Fatalf("superseded drain closed epoch %d (%v), want 1", rep.Epoch, err)
-	}
-	if got := c.CompleteEpochs(); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("complete epochs %v, want [2]", got)
+	// wake closes it as superseded before the fast path closes epoch 2.
+	for _, want := range []CloseCause{CloseSuperseded, CloseComplete} {
+		if rep, cause, err := c.CloseNext(CloseComplete); err != nil || cause != want {
+			t.Fatalf("the wake closed epoch %d by %v (%v), want %v", rep.Epoch, cause, err, want)
+		}
 	}
 	// A kind a router stopped sending leaves the roster after MaxWait epochs;
 	// the router stays live through its other kind.
@@ -83,25 +80,5 @@ func TestRosterIsOneRegistryPerKind(t *testing.T) {
 		if poked := pokedCenter(c); poked != (e == 5) {
 			t.Fatalf("epoch %d: poked %v; router 1's aligned kind (last stamped in epoch 2) is expected through epoch 4 only", e, poked)
 		}
-	}
-}
-
-// TestCompleteEpochsSkipsSpansOwnedElsewhere: a shard buffers context epochs
-// for spans another shard reports; complete or not, they are not this
-// center's to close.
-func TestCompleteEpochsSkipsSpansOwnedElsewhere(t *testing.T) {
-	c := New(Config{SubsetSize: 64, WindowSlide: 2, OwnsSpan: func(e int) bool { return e%2 == 0 }})
-	for e := 1; e <= 4; e++ {
-		c.Ingest(alignedMsg(1, e))
-		c.Ingest(alignedMsg(2, e))
-	}
-	if got := c.CompleteEpochs(); !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Fatalf("complete epochs %v, want [2 4]: 1 expected nobody, 3 is another shard's span", got)
-	}
-	if _, err := c.Analyze(2); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CompleteEpochs(); !reflect.DeepEqual(got, []int{4}) {
-		t.Fatalf("complete epochs %v after span 2 was reported, want [4]", got)
 	}
 }

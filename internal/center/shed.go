@@ -75,20 +75,6 @@ func (c *Center) BufferedBytes() int64 {
 	return c.bufferedBytes
 }
 
-// SetMaxEpochs changes the epoch-ring bound at runtime (config reload).
-// Values below 1 clamp to 1 — a ring of zero width would make every digest
-// late, and a negative bound would turn the eviction loop into a spin.
-// Shrinking does not evict immediately; the next Ingest that needs room
-// evicts down to the new bound.
-func (c *Center) SetMaxEpochs(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.MaxEpochs = n
-}
-
 // admitLocked decides whether a digest needing `need` more buffered bytes
 // fits the memory budget, shedding old epochs first when the policy allows.
 // It never sheds `epoch` itself — the window the digest is being filed into.

@@ -152,10 +152,10 @@ func TestRejectNewUnderBudget(t *testing.T) {
 }
 
 // TestEvictionLoopBoundaries is the satellite regression table: the ring
-// bound at its edge values (0 and negative clamp to a working ring of 1,
-// exactly 1 works) and shrinking MaxEpochs at runtime while the quorum gate
-// holds windows open — the eviction loop must converge in every case, never
-// spin or index an empty ring.
+// bound at its edge values (0 defaults, negative clamps to a working ring of
+// 1, exactly 1 works) and a ring of one while the quorum gate holds windows
+// open — the eviction loop must converge in every case, never spin or index
+// an empty ring.
 func TestEvictionLoopBoundaries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -168,26 +168,6 @@ func TestEvictionLoopBoundaries(t *testing.T) {
 			}
 			if got := len(c.Epochs()); got != 4 {
 				t.Fatalf("default ring holds %d epochs, want 4", got)
-			}
-		}},
-		{"set zero clamps to one", func(t *testing.T) {
-			c := New(Config{})
-			c.SetMaxEpochs(0)
-			for e := 1; e <= 5; e++ {
-				c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: e, Bitmap: smallBitmap(uint64(e))})
-			}
-			if got := c.Epochs(); len(got) != 1 || got[0] != 5 {
-				t.Fatalf("ring after clamp-to-1: %v, want just epoch 5", got)
-			}
-		}},
-		{"set negative clamps to one", func(t *testing.T) {
-			c := New(Config{})
-			c.SetMaxEpochs(-3)
-			for e := 1; e <= 5; e++ {
-				c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: e, Bitmap: smallBitmap(uint64(e))})
-			}
-			if got := c.Epochs(); len(got) != 1 || got[0] != 5 {
-				t.Fatalf("ring after clamp: %v, want just epoch 5", got)
 			}
 		}},
 		{"configured negative clamps to one", func(t *testing.T) {
@@ -210,21 +190,19 @@ func TestEvictionLoopBoundaries(t *testing.T) {
 			}
 		}},
 		{"shrink while quorum-held", func(t *testing.T) {
-			// Quorum (MinRouters 3, one reporter each) holds every window;
-			// shrinking the ring to 1 and ingesting a new epoch must evict
-			// the held windows down to the bound and terminate.
-			c := New(Config{MaxEpochs: 4, MinRouters: 3, MaxWait: 10})
+			// Quorum (MinRouters 3, one reporter each from epoch 2 on) holds
+			// every window; each new epoch must evict the held window down to
+			// the bound of one and terminate.
+			c := New(Config{MaxEpochs: 1, MinRouters: 3, MaxWait: 10})
 			for r := 0; r < 3; r++ { // register a fleet so windows are held
 				c.Ingest(transport.AlignedDigest{RouterID: r, Epoch: 1, Bitmap: smallBitmap(uint64(r))})
 			}
-			for e := 2; e <= 4; e++ {
+			for e := 2; e <= 5; e++ {
 				c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: e, Bitmap: smallBitmap(uint64(e))})
+				if e < 5 && !c.Quorum(e).Hold {
+					t.Fatalf("precondition: epoch %d not held", e)
+				}
 			}
-			if got := len(c.Epochs()); got != 4 {
-				t.Fatalf("precondition: %d buffered epochs, want 4", got)
-			}
-			c.SetMaxEpochs(1)
-			c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 5, Bitmap: smallBitmap(5)})
 			if got := c.Epochs(); len(got) != 1 || got[0] != 5 {
 				t.Fatalf("ring after shrink-while-held: %v, want just epoch 5", got)
 			}

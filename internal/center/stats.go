@@ -10,8 +10,8 @@ import "dcstream/internal/metrics"
 // A Stats must not be copied after first use; the zero value is ready.
 type Stats struct {
 	// DigestsIngested counts digests accepted into some epoch window as a
-	// new (router, epoch, kind) entry. A DupKeepLast replacement mutates a
-	// window but adds no digest to it, so it counts in ReplacedDigests
+	// new (router, epoch, kind) entry. A resend replaces the earlier digest
+	// but adds no digest to the window, so it counts in ReplacedDigests
 	// instead — DroppedDigests at eviction time drains exactly what
 	// DigestsIngested filled.
 	DigestsIngested metrics.Counter
@@ -19,13 +19,12 @@ type Stats struct {
 	// analyzed or evicted — the collector fell behind the reorder window.
 	LateDigests metrics.Counter
 	// DuplicateDigests counts second-or-later digests from one router for
-	// one epoch, whatever the resolution policy did with them.
+	// one epoch and kind.
 	DuplicateDigests metrics.Counter
-	// ReplacedDigests counts DupKeepLast resolutions that overwrote an
-	// earlier digest in place (a subset of DuplicateDigests; always 0 under
-	// DupKeepFirst). Every message ends in exactly one ledger: ingested,
-	// late, replaced, or discarded-by-KeepFirst (DuplicateDigests minus
-	// ReplacedDigests).
+	// ReplacedDigests counts the duplicates that overwrote the earlier
+	// digest in place: every duplicate the memory budget did not refuse.
+	// Every message ends in exactly one ledger: ingested, late, replaced or
+	// rejected.
 	ReplacedDigests metrics.Counter
 	// DroppedDigests counts digests lost when their epoch was evicted
 	// unanalyzed to make room in the ring.
@@ -53,12 +52,10 @@ type Stats struct {
 	// DegradedEpochs counts windows analyzed below the MinRouters quorum
 	// (a subset of EpochsAnalyzed; always 0 with quorum gating off).
 	DegradedEpochs metrics.Counter
-	// Closed counts analyzed windows by what closed them, indexed by
-	// CloseCause. The center analyzes what it is told to; the close policy
-	// (daemon.Node) knows why it asked and bumps the counter. A fleet on the
-	// fast path closes by CloseComplete; one whose closes move to
-	// CloseSuperseded and CloseQuiescent has a silent router or is losing
-	// digests.
+	// Closed counts windows analyzed by CloseNext, indexed by the rule of
+	// the close policy that closed them. A fleet on the fast path closes by
+	// CloseComplete; one whose closes move to CloseSuperseded and
+	// CloseQuiescent has a silent router or is losing digests.
 	Closed [numCloseCauses]metrics.Counter
 	// IngestToAnalyzeSeconds is the latency from a window's first ingested
 	// digest to the completion of its analysis — the operator's view of how
@@ -79,7 +76,7 @@ const (
 	// CloseSuperseded: a newer epoch had been seen and the quorum gate was
 	// not holding the window.
 	CloseSuperseded
-	// CloseQuiescent: the window sat out a full tick unchanged (including a
+	// CloseQuiescent: the window stored nothing for a full tick (including a
 	// quorum hold running out of ticks).
 	CloseQuiescent
 	// CloseDrain: the shutdown drain closed what was still buffered.
@@ -114,9 +111,9 @@ func (s *Stats) Register(r *metrics.Registry) {
 	r.RegisterCounter("dcs_center_digests_late_total",
 		"digests dropped because their epoch was already analyzed or evicted", &s.LateDigests)
 	r.RegisterCounter("dcs_center_digests_duplicate_total",
-		"second-or-later digests from one router for one epoch, any policy", &s.DuplicateDigests)
+		"second-or-later digests from one router for one epoch and kind", &s.DuplicateDigests)
 	r.RegisterCounter("dcs_center_digests_replaced_total",
-		"DupKeepLast duplicates that overwrote an earlier digest in place", &s.ReplacedDigests)
+		"duplicates that overwrote the earlier digest in place", &s.ReplacedDigests)
 	r.RegisterCounter("dcs_center_digests_dropped_total",
 		"digests lost when their epoch was evicted unanalyzed", &s.DroppedDigests)
 	r.RegisterCounter("dcs_center_shed_digests_total",

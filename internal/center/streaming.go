@@ -74,8 +74,8 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNoWindow, epoch)
 	}
 	s := &spanSnapshot{epoch: epoch, start: epoch - c.cfg.WindowSlide + 1, meta: c.metaLocked(epoch, w)}
-	if open := c.openSpansLocked(); len(open) > 0 && open[0] < s.start {
-		return nil, fmt.Errorf("%w: span %d before span %d", ErrOlderSpanOpen, open[0], epoch)
+	if oldest, ok := c.oldestOpenLocked(); ok && oldest < s.start {
+		return nil, fmt.Errorf("%w: span %d before span %d", ErrOlderSpanOpen, oldest, epoch)
 	}
 	reporters := map[int]bool{}
 	for e := s.start; e <= epoch; e++ {

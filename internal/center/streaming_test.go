@@ -120,10 +120,10 @@ func streamingScript(t *testing.T) []streamStep {
 	steps = append(steps,
 		// Duplicate resends. Router 3's epoch-1 aligned digest and router 5's
 		// epoch-1 unaligned digest are resent with *different* content
-		// (epoch 2's), so DupKeepLast must retract the original contribution
-		// from the incremental state, while DupKeepFirst must ignore the
-		// resend entirely. Router 7 resends identical content — a retract-
-		// and-re-add that must be a perfect no-op.
+		// (epoch 2's), so the replacement must retract the original
+		// contribution from the incremental state. Router 7 resends
+		// identical content — a retract-and-re-add that must be a perfect
+		// no-op.
 		msgStep(epochs[2].DigestMessages(1)[3]),
 		msgStep(uB.DigestMessages(1)[5]),
 		msgStep(epochs[1].DigestMessages(1)[7]),
@@ -147,7 +147,7 @@ func streamingScript(t *testing.T) []streamStep {
 }
 
 // TestIncrementalMatchesBatch is the equivalence contract: for every config
-// variant (duplicate policies, ring eviction, quorum gating) and every worker
+// variant (defaults, ring eviction, quorum gating) and every worker
 // count, the incremental center's externally observable outcome — reports,
 // errors, tombstones, counters — is DeepEqual to the batch reference's.
 func TestIncrementalMatchesBatch(t *testing.T) {
@@ -157,7 +157,6 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		cfg  Config
 	}{
 		{"defaults", Config{SubsetSize: 256}},
-		{"keepfirst", Config{SubsetSize: 256, Duplicates: DupKeepFirst}},
 		{"tightring", Config{SubsetSize: 256, MaxEpochs: 2}},
 		{"quorum", Config{SubsetSize: 256, MinRouters: 33, MaxWait: 1}},
 	}

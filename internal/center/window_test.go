@@ -86,7 +86,7 @@ func TestEpochsKeptSeparate(t *testing.T) {
 func TestDuplicatePolicy(t *testing.T) {
 	first, second := smallBitmap(1), smallBitmap(2)
 
-	c := New(Config{}) // DupKeepLast
+	c := New(Config{})
 	c.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: first})
 	c.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: second})
 	if n := c.Stats().DuplicateDigests.Load(); n != 1 {
@@ -94,13 +94,6 @@ func TestDuplicatePolicy(t *testing.T) {
 	}
 	if a, _ := c.Pending(); a != 1 {
 		t.Fatalf("duplicate multiplied pending count: %d", a)
-	}
-
-	kf := New(Config{Duplicates: DupKeepFirst})
-	kf.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: first})
-	kf.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: second})
-	if n := kf.Stats().DuplicateDigests.Load(); n != 1 {
-		t.Fatalf("keep-first duplicate counter %d", n)
 	}
 
 	// Unaligned duplicates are tracked per router too.

@@ -1,7 +1,7 @@
 // Package daemon is the one assembly of the paper's analysis-center role
 // (Figure 2): digests in, per-epoch correlation, verdict out. A Node owns
-// the ingest handler, the epoch-close policy, the finish step and the
-// shutdown drain; Run wraps one (or a shard coordinator) in listeners,
+// the ingest handler, the close policy's triggers (the policy itself is the
+// center's CloseNext), the finish step and the shutdown drain; Run wraps one (or a shard coordinator) in listeners,
 // registry, HTTP endpoints, event log and the tick loop. dcsd, the shard
 // Cluster and examples/distributed all instantiate these two. DESIGN.md §14.
 package daemon
@@ -25,24 +25,22 @@ import (
 // Node is one analysis center with its journal and report sinks. Handle and
 // HandleBatch are safe for concurrent use (the transport servers call them
 // from their own goroutines); Tick, Wake and Drain belong to the one
-// goroutine that runs the node's clock.
+// goroutine that runs the node's clock. They are the close policy's triggers
+// and nothing more: each is the same loop over Center.CloseNext, which holds
+// the whole policy.
 type Node struct {
 	Center  *center.Center
 	Journal *journal.Journal // attached by OpenJournal; nil without one
 
-	log     *log.Logger
-	maxWait int          // quiescent ticks a below-quorum epoch may be held
-	events  *eventLog    // nil = no event log
-	push    shard.Sender // nil = reports stay local
-	shard   int          // this node's index in the envelopes it pushes
+	log    *log.Logger
+	events *eventLog    // nil = no event log
+	push   shard.Sender // nil = reports stay local
+	shard  int          // this node's index in the envelopes it pushes
 
 	// jrDegraded latches the journal's degraded state so the transition is
 	// logged once, not per digest — a full disk under a digest flood must
 	// not also flood the log.
 	jrDegraded atomic.Bool
-
-	prev map[int]int // Tick: per-epoch digest counts at the start of the previous tick
-	held map[int]int // Tick: quiescent ticks each buffered epoch has been held below quorum
 
 	reps []center.WindowReport // what the running Tick, Wake or Drain has finished
 	err  error                 // and the first fault it met
@@ -55,7 +53,7 @@ func NewNode(cfg center.Config, logger *log.Logger) *Node {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	return &Node{Center: center.New(cfg), log: logger, maxWait: cfg.MaxWait, held: map[int]int{}}
+	return &Node{Center: center.New(cfg), log: logger}
 }
 
 // OpenJournal attaches the crash journal in dir and replays every
@@ -137,94 +135,59 @@ func (n *Node) sync() {
 }
 
 // Wake runs when the center signals (Center.Completed) that some epoch's last
-// expected digest has been stored: the sequence a tick runs — shed tombstones,
-// then spans superseded by a newer epoch — and then, oldest first, the
-// complete spans, which a tick would have closed one to two windows later.
-// Everything short of complete is left to Tick. Returns as Tick does.
+// expected digest has been stored: shed tombstones, then, oldest first, the
+// spans CloseNext lets a completion close — superseded, or complete — which a
+// tick would have closed one to two windows later. Everything short of
+// complete is left to Tick. Returns as Tick does.
 func (n *Node) Wake() ([]center.WindowReport, error) {
-	n.drainShed()
-	n.drainComplete()
-	for _, e := range n.Center.CompleteEpochs() {
-		if !n.analyze(e, center.CloseComplete) {
-			break
-		}
-	}
+	n.closeAll(center.CloseComplete)
 	return n.take()
 }
 
-// Tick runs the epoch-close policy once per window tick: shed tombstones
-// first, then spans superseded by a newer epoch, then the open spans oldest
-// first, each once its epoch sat out a full tick with no new digests, up to
-// the first one still filling or held. The quorum gate can veto that
-// quiescence close for up to MaxWait ticks — a fleet that stopped advancing
-// epochs would otherwise never satisfy the gate's own epoch-based bound —
-// after which the span closes Degraded.
-//
-// Quiescence compares counts taken at the start of consecutive ticks, before
-// the drains: a count taken after them lands as late in its tick as the
-// analyses ran long, and a burst still in flight then looks idle to the next
-// tick. Tick returns the reports it finished and the first fault it logged.
+// Tick runs the close policy once per window tick: it advances the center's
+// quiescence clock before any close — so a long analysis in one tick cannot
+// shorten the window the next one judges — forwards shed tombstones, then closes, oldest first, the
+// spans CloseNext lets a tick close — superseded, or quiescent for a full tick
+// with the quorum gate's hold, if any, out of its MaxWait ticks — and returns
+// the reports it finished and the first fault it logged.
 //
 // It opens with the barrier, so the digests of an epoch nothing closes — held
 // below quorum, short of a digest — are exposed to an OS crash for one window.
 func (n *Node) Tick() ([]center.WindowReport, error) {
 	n.sync()
-	start := n.Center.EpochDigests()
-	n.drainShed()
-	n.drainComplete()
-	// The spans before the counts: ingest runs concurrently, and an epoch whose
-	// first digest lands between the two reads is counted in now, not in start.
-	open := n.Center.OpenSpans()
-	now := n.Center.EpochDigests()
-	n.closeQuiescent(open, start, now)
-	// An epoch held once and then closed by a drain, shed or evicted never
-	// reaches closeQuiescent's delete; keep only what is still buffered.
-	for e := range n.held {
-		if _, buffered := now[e]; !buffered {
-			delete(n.held, e)
-		}
-	}
-	n.prev = start
+	n.Center.Tick()
+	n.closeAll(center.CloseQuiescent)
 	return n.take()
-}
-
-// closeQuiescent is Tick's walk over the open spans, oldest first. It stops at
-// the first span whose epoch is not quiescent — counted differently at the
-// start of the last two ticks or now, or not counted now at all — or is held.
-func (n *Node) closeQuiescent(open []int, start, now map[int]int) {
-	for _, e := range open {
-		if c, counted := now[e]; !counted || n.prev[e] != start[e] || start[e] != c {
-			break
-		}
-		if q := n.Center.Quorum(e); q.Hold {
-			n.held[e]++
-			if n.held[e] <= n.maxWait {
-				n.log.Printf("epoch %d held below quorum (%d reported, missing routers %v), tick %d/%d",
-					e, q.Reported, q.Missing, n.held[e], n.maxWait)
-				break
-			}
-			n.log.Printf("epoch %d exhausted quorum wait; analyzing degraded", e)
-		}
-		if !n.analyze(e, center.CloseQuiescent) {
-			break
-		}
-		delete(n.held, e)
-	}
 }
 
 // Drain is the shutdown drain, every report the center still owes: shed
-// tombstones, the superseded spans, then the open spans that remain, oldest
-// first. Returns as Tick does.
+// tombstones, then every open span, oldest first. Returns as Tick does.
 func (n *Node) Drain() ([]center.WindowReport, error) {
-	n.drainShed()
-	n.drainComplete()
-	for _, e := range n.Center.OpenSpans() {
-		if !n.analyze(e, center.CloseDrain) {
-			break
-		}
-	}
+	n.closeAll(center.CloseDrain)
 	n.drainShed()
 	return n.take()
+}
+
+// closeAll forwards the shed tombstones, then finishes the spans CloseNext
+// closes under trigger until it refuses. A hold is logged; an analysis that
+// fails after its span closed is a fault, and the walk goes on past it.
+func (n *Node) closeAll(trigger center.CloseCause) {
+	n.drainShed()
+	for {
+		start := time.Now()
+		rep, _, err := n.Center.CloseNext(trigger)
+		switch {
+		case err == nil:
+			n.finish(rep, time.Since(start))
+		case !errors.Is(err, center.ErrNoCompleteEpoch):
+			n.fault("epoch %d analysis: %w", rep.Epoch, err)
+		default:
+			if hold := (*center.HeldError)(nil); errors.As(err, &hold) {
+				n.log.Print(hold)
+			}
+			return
+		}
+	}
 }
 
 func (n *Node) take() ([]center.WindowReport, error) {
@@ -248,44 +211,6 @@ func (n *Node) drainShed() {
 	for _, rep := range n.Center.TakeShedReports() {
 		n.finish(rep, 0)
 	}
-}
-
-// drainComplete closes open spans oldest first while the oldest is
-// superseded by a newer epoch and not held open by the quorum gate.
-func (n *Node) drainComplete() {
-	for {
-		start := time.Now()
-		rep, err := n.Center.AnalyzeLatestComplete()
-		if err != nil {
-			if !errors.Is(err, center.ErrNoCompleteEpoch) {
-				n.fault("analysis: %w", err)
-			}
-			return
-		}
-		n.closed(rep, center.CloseSuperseded, time.Since(start))
-	}
-}
-
-// analyze closes the span ending at epoch and finishes its report. Every error
-// is a fault, since the policy asks only for open spans, oldest first; it
-// returns false, which stops the walk, only when the center refused the close.
-// An analysis that fails after the close has freed the spans ahead anyway.
-func (n *Node) analyze(epoch int, cause center.CloseCause) bool {
-	start := time.Now()
-	rep, err := n.Center.Analyze(epoch)
-	if err != nil {
-		n.fault("epoch %d analysis: %w", epoch, err)
-		return !errors.Is(err, center.ErrOlderSpanOpen) && !errors.Is(err, center.ErrNoWindow) && !errors.Is(err, center.ErrNotOwned)
-	}
-	n.closed(rep, cause, time.Since(start))
-	return true
-}
-
-// closed finishes the report of an epoch the center analyzed, and counts the
-// close under the policy rule that asked for it.
-func (n *Node) closed(rep center.WindowReport, cause center.CloseCause, wall time.Duration) {
-	n.Center.Stats().Closed[cause].Inc()
-	n.finish(rep, wall)
 }
 
 // finish makes every digest the report counted durable — the analysis has its

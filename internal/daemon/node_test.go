@@ -50,16 +50,25 @@ type sendFunc func()
 func (f sendFunc) Send(transport.Message) error { f(); return nil }
 
 // parentPolicy is the tick body of cmd/dcsd/main.go as it stood before the
-// daemon package existed, transcribed over a Node's drains: counts taken
+// daemon package existed, transcribed over a Node's finish step: counts taken
 // after the drains, closes in map order, heldTicks deleted only on the
-// quiescence path, and Analyze's refusals swallowed, as the parent's analyze
-// swallowed a context epoch's and a foreclosed span's. It is the "before"
-// column of the policy table.
-type parentPolicy struct{ prev, heldTicks map[int]int }
+// quiescence path, the configured MaxWait read raw, and Analyze's refusals
+// swallowed, as the parent's analyze swallowed a context epoch's and a
+// foreclosed span's. It is the "before" column of the policy table.
+type parentPolicy struct {
+	prev, heldTicks map[int]int
+	maxWait         int
+}
 
 func (p *parentPolicy) tick(n *Node) ([]center.WindowReport, error) {
 	n.drainShed()
-	n.drainComplete()
+	for {
+		rep, err := n.Center.AnalyzeLatestComplete()
+		if err != nil {
+			break
+		}
+		n.finish(rep, 0)
+	}
 	counts := n.Center.EpochDigests()
 	for e, c := range counts {
 		if p.prev[e] != c {
@@ -67,12 +76,12 @@ func (p *parentPolicy) tick(n *Node) ([]center.WindowReport, error) {
 		}
 		if n.Center.Quorum(e).Hold {
 			p.heldTicks[e]++
-			if p.heldTicks[e] <= n.maxWait {
+			if p.heldTicks[e] <= p.maxWait {
 				continue
 			}
 		}
 		if rep, err := n.Center.Analyze(e); err == nil {
-			n.closed(rep, center.CloseQuiescent, 0)
+			n.finish(rep, 0)
 		}
 		delete(counts, e)
 		delete(p.heldTicks, e)
@@ -172,7 +181,7 @@ var policyCases = []struct {
 
 // runPolicy plays a scenario against a fresh node and returns what each tick
 // reported.
-func runPolicy(t *testing.T, cfg center.Config, steps []tickStep, tick func(*Node) ([]center.WindowReport, error)) ([][]string, *Node) {
+func runPolicy(t *testing.T, cfg center.Config, steps []tickStep, tick func(*Node) ([]center.WindowReport, error)) [][]string {
 	t.Helper()
 	cfg.SubsetSize = 64 // 256-bit digests; keep the detector's subset inside them
 	n := NewNode(cfg, nil)
@@ -194,7 +203,7 @@ func runPolicy(t *testing.T, cfg center.Config, steps []tickStep, tick func(*Nod
 		}
 		got = append(got, describeAll(reps))
 	}
-	return got, n
+	return got
 }
 
 // TestTickPolicy drives the close policy on hand-fed ticks, each scenario
@@ -208,12 +217,9 @@ func TestTickPolicy(t *testing.T) {
 			for _, st := range c.steps {
 				want = append(want, st.want)
 			}
-			got, n := runPolicy(t, c.cfg, c.steps, (*Node).Tick)
+			got := runPolicy(t, c.cfg, c.steps, (*Node).Tick)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("ticks reported %v, want %v", got, want)
-			}
-			if len(n.held) != 0 {
-				t.Fatalf("hold state left behind: %v", n.held)
 			}
 
 			parentWant := c.parent
@@ -228,8 +234,8 @@ func TestTickPolicy(t *testing.T) {
 			}
 			differed := false
 			for trial := 0; trial < trials; trial++ {
-				p := &parentPolicy{prev: map[int]int{}, heldTicks: map[int]int{}}
-				pgot, _ := runPolicy(t, c.cfg, c.steps, p.tick)
+				p := &parentPolicy{prev: map[int]int{}, heldTicks: map[int]int{}, maxWait: c.cfg.MaxWait}
+				pgot := runPolicy(t, c.cfg, c.steps, p.tick)
 				if len(p.heldTicks) != c.heldLeft {
 					t.Fatalf("parent policy left %d hold entries, table says %d", len(p.heldTicks), c.heldLeft)
 				}
@@ -243,6 +249,28 @@ func TestTickPolicy(t *testing.T) {
 				t.Fatalf("parent policy never reported %v in %d runs", parentWant, trials)
 			}
 		})
+	}
+}
+
+// TestMaxWaitZeroMeansTwoHeldTicks: a zero MaxWait is the center's default of
+// two for the quiescent ticks a below-quorum epoch is held, as it is for the
+// epochs of fleet progress. Router 3 is silent in epoch 2, which is held on
+// the second and third ticks and reports Degraded on the fourth.
+func TestMaxWaitZeroMeansTwoHeldTicks(t *testing.T) {
+	n := NewNode(center.Config{SubsetSize: 64, MinRouters: 3}, nil)
+	for _, m := range append(burst(1, 1, 2, 3), burst(2, 1, 2)...) {
+		n.Handle(m, from)
+	}
+	var got [][]string
+	for range 4 {
+		reps, err := n.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, describeAll(reps))
+	}
+	if want := [][]string{{"1"}, {}, {}, {"2 degraded[3]"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ticks reported %v, want %v", got, want)
 	}
 }
 

@@ -111,10 +111,10 @@ func TestSeededFleetsReportInOrder(t *testing.T) {
 	}
 }
 
-// TestTickNeverClosesAnEpochItDidNotCount replays an interleaving a tick must
-// survive, since ingest runs concurrently: epoch 2's first digest lands after
-// the tick counted the buffered epochs and before it listed the open spans.
-// The quiescent epoch 1 closes; epoch 2 is left to fill, and its second digest
+// TestTickNeverClosesAnEpochItDidNotCount replays the interleaving a tick
+// must survive, since ingest runs concurrently: epoch 2's first digest lands
+// in the middle of the tick that closes the quiescent epoch 1, while epoch 1's
+// report is being finished. Epoch 2 is left to fill, and its second digest
 // lands in its own report, not late.
 func TestTickNeverClosesAnEpochItDidNotCount(t *testing.T) {
 	n := NewNode(center.Config{SubsetSize: 64}, nil)
@@ -124,15 +124,12 @@ func TestTickNeverClosesAnEpochItDidNotCount(t *testing.T) {
 	if reps, err := n.Tick(); err != nil || len(reps) != 0 {
 		t.Fatalf("first tick: %v, %v; want nothing closed", describeAll(reps), err)
 	}
-	start := n.Center.EpochDigests()
-	now := n.Center.EpochDigests()
-	n.Handle(dg(1, 2), from)
-	n.closeQuiescent(n.Center.OpenSpans(), start, now)
-	n.prev = start
-	reps, err := n.take()
+	n.push = sendFunc(func() { n.Handle(dg(1, 2), from) })
+	reps, err := n.Tick()
 	if err != nil || len(reps) != 1 || reps[0].Epoch != 1 {
 		t.Fatalf("racing tick reported %v, %v; want epoch 1 alone", describeAll(reps), err)
 	}
+	n.push = nil
 	n.Handle(dg(2, 2), from)
 	for range 2 {
 		got, err := n.Tick()

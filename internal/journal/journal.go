@@ -41,8 +41,8 @@
 //
 // Duplicates are expected and harmless: a frame can be both delivered and
 // journaled twice (collector resend after a reconnect) or replayed into a
-// center that already holds it; the center's duplicate policy (DupKeepLast by
-// default) absorbs them, which is what makes the at-least-once journal safe.
+// center that already holds it; the center replaces a stored digest with its
+// resend, which absorbs them and is what makes the at-least-once journal safe.
 package journal
 
 import (
