@@ -93,18 +93,7 @@ func TestAnalyzedSidecarGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden := filepath.Join("testdata", fmt.Sprintf("analyzed_w%d.txt", slide))
-			if *updateGolden {
-				checkGolden(t, golden, got)
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("ANALYZED sidecar is\n%q\nwant (%s)\n%q", got, golden, want)
-			}
+			checkGolden(t, filepath.Join("testdata", fmt.Sprintf("analyzed_w%d.txt", slide)), got)
 		})
 	}
 }
