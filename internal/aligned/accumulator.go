@@ -138,10 +138,11 @@ func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
 }
 
 // Remove retracts a previously applied digest for router (the center's
-// replacement path for a resent digest): its bits are cleared and the popcounts decremented. The
-// slot stays assigned — the replacement Add reuses it, so slot order (and
-// with it the row permutation) is stable across replacements. Digests that
-// were never applied (unknown router, conflicting width) are ignored.
+// replacement path for a resent digest): its bits are cleared and the
+// popcounts decremented. The slot stays assigned — the replacement Add reuses
+// it, so slot order (and with it the row permutation) is stable across
+// replacements. Digests that were never applied (unknown router, conflicting
+// width) are ignored.
 func (a *Accumulator) Remove(router int, bm *bitvec.Vector) {
 	if a.width == 0 || bm.Len() != a.width {
 		return
