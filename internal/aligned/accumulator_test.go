@@ -220,3 +220,39 @@ func TestAccumulatorSpanBlit(t *testing.T) {
 		t.Fatal("summed span weights diverged")
 	}
 }
+
+// TestStitchSpanMatchesTransposition: epoch blocks whose boundaries fall
+// mid-word (50, 30, 70 and 130 rows) stitch into exactly the matrix the batch
+// transposition of the same rows builds. The last two accumulators grew past
+// 64 slots, and the 130-row one has a column stride (four words) wider than
+// its rows fill (three), so the stitch must read each column at its stride.
+func TestStitchSpanMatchesTransposition(t *testing.T) {
+	const bits = 131
+	var accs []*Accumulator
+	var rows []*bitvec.Vector
+	for i, n := range []int{50, 30, 70, 130} {
+		d := accDigests(uint64(40+i), n, bits, nil, nil)
+		acc := NewAccumulator()
+		for r := 0; r < n; r++ {
+			acc.Add(r, d[r])
+			rows = append(rows, d[r])
+		}
+		accs = append(accs, acc)
+	}
+	if s := accs[3].capRows / 64; s != 4 {
+		t.Fatalf("130-row accumulator has stride %d words, want 4", s)
+	}
+	m, weights := StitchSpan(accs)
+	ref := FromDigests(rows)
+	if m.Rows() != ref.Rows() || m.Cols() != ref.Cols() {
+		t.Fatalf("span %dx%d, want %dx%d", m.Rows(), m.Cols(), ref.Rows(), ref.Cols())
+	}
+	for j := 0; j < bits; j++ {
+		if !bitvec.Equal(m.Col(j), ref.Col(j)) {
+			t.Fatalf("span column %d diverged from batch transposition", j)
+		}
+	}
+	if !reflect.DeepEqual(weights, ref.ColumnWeights()) {
+		t.Fatal("stitched weights diverged")
+	}
+}
