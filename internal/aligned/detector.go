@@ -146,11 +146,17 @@ func (c candidate) better(o candidate) bool {
 	return c.cj < o.cj
 }
 
+// scanBlock is how many columns the level scan counts in one kernel call:
+// enough to amortize the call, few enough that a floor rise mid-block wastes
+// little counting.
+const scanBlock = 64
+
 // scanner is one scan worker's storage, reused level after level.
 type scanner struct {
-	count []int32     // candidates seen at each weight, 0..rows
-	seen  []candidate // every candidate that beat the floor of its moment, in enumeration order
-	top   []candidate // the selection, in final order
+	count   []int32     // candidates seen at each weight, 0..rows
+	weights []int32     // one block's product weights, scanBlock long
+	seen    []candidate // every candidate that beat the floor of its moment, in enumeration order
+	top     []candidate // the selection, in final order
 }
 
 // logNaturalOccurrence generalizes the paper's equation (1) bound to
@@ -258,6 +264,7 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 	scanners := make([]scanner, min(workers, len(s1)))
 	for i := range scanners {
 		scanners[i].count = make([]int32, m.rows+1)
+		scanners[i].weights = make([]int32, scanBlock)
 	}
 
 	for level := 2; level <= cfg.MaxIterations; level++ {
@@ -334,13 +341,18 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 	if thresh < 1 {
 		thresh = 1
 	}
+	// Columns are counted a block at a time at the matrix's stride; best is
+	// zero-padded to it, so the words between a column and the next add 0.
 	det.Cols = append(det.Cols, det.CoreCols...)
-	for j := 0; j < n; j++ {
-		if inCore[j] {
-			continue
-		}
-		if bitvec.AndCountWords(best, m.col(j)) >= thresh {
-			det.Cols = append(det.Cols, j)
+	best = append(best, make([]uint64, m.stride-wpc)...)
+	counts := make([]int32, min(n, 1024))
+	for j0 := 0; j0 < n; j0 += len(counts) {
+		ws := counts[:min(len(counts), n-j0)]
+		bitvec.AndCountRows(best, m.words[j0*m.stride:], ws)
+		for i, w := range ws {
+			if int(w) >= thresh && !inCore[j0+i] {
+				det.Cols = append(det.Cols, j0+i)
+			}
 		}
 	}
 	sort.Ints(det.Cols)
@@ -460,23 +472,25 @@ func (sc *scanner) scan(k int, cur []hopeful, curWords, cols []uint64, colW []in
 			break // later hopefuls are lighter still
 		}
 		pw := curWords[hi*wpc : (hi+1)*wpc]
-		for pos := int(p.last) + 1; pos < len(colW); pos++ {
-			// Columns are weight-sorted descending; once the bound falls to
-			// the floor nothing further in this row can qualify.
-			if min(colW[pos], p.weight) <= floor {
-				break
-			}
-			w := int32(bits.OnesCount64(pw[0] & cols[pos*wpc]))
-			for x := 1; x < wpc; x++ {
-				w += int32(bits.OnesCount64(pw[x] & cols[pos*wpc+x]))
-			}
-			if w <= floor {
-				continue
-			}
-			seen = append(seen, candidate{hi: int32(hi), cj: int32(pos), weight: w})
-			sc.count[w]++
-			for above++; above >= k; above -= int(sc.count[floor]) {
-				floor++
+		// Columns are weight-sorted descending and p.weight beats the floor,
+		// so the columns whose bound still does are a prefix of the rest of
+		// the row: count it a block at a time. A column past a floor rise
+		// inside a block has weight, and so count, at most the floor, and
+		// is skipped below exactly as a break before it would have.
+		lo := int(p.last) + 1
+		end := lo + sort.Search(len(colW)-lo, func(i int) bool { return colW[lo+i] <= floor })
+		for pos := lo; pos < end && colW[pos] > floor; pos += scanBlock {
+			ws := sc.weights[:min(scanBlock, end-pos)]
+			bitvec.AndCountRows(pw, cols[pos*wpc:], ws)
+			for i, w := range ws {
+				if w <= floor {
+					continue
+				}
+				seen = append(seen, candidate{hi: int32(hi), cj: int32(pos + i), weight: w})
+				sc.count[w]++
+				for above++; above >= k; above -= int(sc.count[floor]) {
+					floor++
+				}
 			}
 		}
 		if len(seen) > 8*k { // what fell below the floor is out for good

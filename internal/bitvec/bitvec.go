@@ -148,30 +148,71 @@ func (v *Vector) Or(a, b *Vector) {
 }
 
 // AndCount returns the popcount of a AND b without materializing the result.
-// This is the hot path of the unaligned analysis (pairwise row correlation);
-// like OnesCount it runs four words per iteration.
 func AndCount(a, b *Vector) int {
 	a.sameLen(b)
-	return AndCountWords(a.words, b.words)
+	var out [1]int32
+	AndCountRows(a.words, b.words, out[:])
+	return int(out[0])
 }
 
-// AndCountWords is AndCount over bare words: the popcount of aw AND the first
-// len(aw) words of bw. The tracker and the aligned matrix keep their rows in
-// flat arrays and call it on sub-slices.
-func AndCountWords(aw, bw []uint64) int {
-	bw = bw[:len(aw)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(aw); i += 4 {
-		c += bits.OnesCount64(aw[i]&bw[i]) +
-			bits.OnesCount64(aw[i+1]&bw[i+1]) +
-			bits.OnesCount64(aw[i+2]&bw[i+2]) +
-			bits.OnesCount64(aw[i+3]&bw[i+3])
+// AndCountRows is the one AND-popcount kernel: it sets out[j] to the popcount
+// of a AND rows[j*len(a):(j+1)*len(a)] for every j, so a caller whose rows sit
+// back to back in a flat array counts a whole run of them in one call. rows
+// shorter than len(out)*len(a) words panics.
+//
+// It is blocked for the default amd64 target (GOAMD64=v1), where every
+// bits.OnesCount64 is a POPCNT feature check with a software fallback, and
+// the compiler reloads the loop's live values from the stack after each one.
+// One call per run keeps that out of the callers' loops, and the one-, four-
+// and eight-word widths the center uses get their own loops over whole rows
+// read through array pointers: no bounds check per word, few live values, and
+// one store per row.
+func AndCountRows(a, rows []uint64, out []int32) {
+	n := len(a)
+	if len(rows) < len(out)*n {
+		panic(fmt.Sprintf("bitvec: %d words for %d rows of %d", len(rows), len(out), n))
 	}
-	for ; i < len(aw); i++ {
-		c += bits.OnesCount64(aw[i] & bw[i])
+	rows = rows[:len(out)*n]
+	switch n {
+	case 1:
+		x, out := a[0], out[:len(rows)]
+		for j, r := range rows {
+			out[j] = int32(bits.OnesCount64(x & r))
+		}
+	case 4:
+		x := (*[4]uint64)(a)
+		for j := range out {
+			out[j] = int32(andCount4(x, (*[4]uint64)(rows[4*j:])))
+		}
+	case 8:
+		x0, x1 := (*[4]uint64)(a), (*[4]uint64)(a[4:])
+		for j := range out {
+			y := rows[8*j : 8*j+8]
+			out[j] = int32(andCount4(x0, (*[4]uint64)(y)) + andCount4(x1, (*[4]uint64)(y[4:])))
+		}
+	default:
+		for j := range out {
+			r := rows[j*n : (j+1)*n]
+			c, i := 0, 0
+			for ; i+8 <= n; i += 8 {
+				c += andCount4((*[4]uint64)(a[i:]), (*[4]uint64)(r[i:])) +
+					andCount4((*[4]uint64)(a[i+4:]), (*[4]uint64)(r[i+4:]))
+			}
+			if i+4 <= n {
+				c += andCount4((*[4]uint64)(a[i:]), (*[4]uint64)(r[i:]))
+				i += 4
+			}
+			for ; i < n; i++ {
+				c += bits.OnesCount64(a[i] & r[i])
+			}
+			out[j] = int32(c)
+		}
 	}
-	return c
+}
+
+func andCount4(x, y *[4]uint64) int {
+	return bits.OnesCount64(x[0]&y[0]) + bits.OnesCount64(x[1]&y[1]) +
+		bits.OnesCount64(x[2]&y[2]) + bits.OnesCount64(x[3]&y[3])
 }
 
 // AndCountAtLeast reports whether popcount(a AND b) >= t, giving up on the

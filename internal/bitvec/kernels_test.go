@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -52,6 +53,61 @@ func TestKernelsAgreeWithNaive(t *testing.T) {
 			if !Equal(dst, and) {
 				t.Fatalf("n=%d: AndInto result differs from And", n)
 			}
+		}
+	}
+}
+
+// TestAndCountRows holds the row kernel to a bit-by-bit count at every width
+// its chunking treats differently (1, the 4- and 8-word chunks and every tail
+// up to 17 words, and two wide rows) and every run length up to 12, over
+// all-zero, all-one and random words.
+func TestAndCountRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	fills := map[string]func() uint64{
+		"zero":   func() uint64 { return 0 },
+		"one":    func() uint64 { return ^uint64(0) },
+		"random": rng.Uint64,
+	}
+	widths := []int{64, 128}
+	for n := 1; n <= 17; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
+		for _, fill := range []string{"zero", "one", "random"} {
+			a := make([]uint64, n)
+			rows := make([]uint64, 12*n)
+			for i := range a {
+				a[i] = fills["random"]()
+			}
+			for i := range rows {
+				rows[i] = fills[fill]()
+			}
+			for runs := 0; runs <= 12; runs++ {
+				out := make([]int32, runs)
+				for j := range out {
+					out[j] = -1
+				}
+				AndCountRows(a, rows, out)
+				for j, got := range out {
+					want := 0
+					for b := 0; b < 64*n; b++ {
+						if a[b/64]>>(b%64)&1 == 1 && rows[j*n+b/64]>>(b%64)&1 == 1 {
+							want++
+						}
+					}
+					if int(got) != want {
+						t.Fatalf("%d words, %s rows, run %d: out[%d]=%d, want %d", n, fill, runs, j, got, want)
+					}
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%d words: rows one word short of the run did not panic", n)
+					}
+				}()
+				AndCountRows(a, rows[:3*n-1], make([]int32, 3))
+			}()
 		}
 	}
 }
@@ -168,6 +224,29 @@ func BenchmarkAndCount8192(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AndCount(x, y)
+	}
+}
+
+// BenchmarkAndCountRows counts a run of 64 rows against one at the widths the
+// center's loops use: one word (mixed-udp's 32-row columns), four (small-udp's
+// 256-row columns) and eight (a 512-bit unaligned array).
+func BenchmarkAndCountRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("%dw", n), func(b *testing.B) {
+			a, rows, out := make([]uint64, n), make([]uint64, 64*n), make([]int32, 64)
+			for i := range a {
+				a[i] = rng.Uint64()
+			}
+			for i := range rows {
+				rows[i] = rng.Uint64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AndCountRows(a, rows, out)
+			}
+		})
 	}
 }
 

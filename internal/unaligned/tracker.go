@@ -86,6 +86,7 @@ type Tracker struct {
 	pairs    map[trPairKey]*trPair
 	tables   map[uint64]*LambdaTable // prune tables keyed by (bits, arrays, pow2 n-low)
 	scratch  []rowEvidence           // correlate's working list, reused pair after pair
+	counts   []int32                 // correlate's overlaps of one row with one group
 	bytes    int64
 }
 
@@ -236,12 +237,16 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 	if key.a != x.ref {
 		x, y = o, m
 	}
-	// One pass over each row pair: the λ row for the outer row's weight is
-	// fetched once, the pair's threshold is one load from it (-1, which keeps
-	// everything, when there is no prune table), and the AND-popcount that
-	// decides survival is the exact overlap the evidence stores.
+	// Each outer row is counted against a whole group of the other member at
+	// once (the group's k rows are contiguous), then each count is decided
+	// alone: the λ row for the outer row's weight is fetched once, the pair's
+	// threshold is one load from it (-1, which keeps everything, when there
+	// is no prune table), and the count that decides survival is the exact
+	// overlap the evidence stores.
 	k, wpr := x.arrays, (x.bits+63)/64
 	entries := t.scratch[:0]
+	counts := slices.Grow(t.counts[:0], k)[:k]
+	t.counts = counts
 	for ga := 0; ga < x.groups; ga++ {
 		gbStart := 0
 		if o == m {
@@ -249,23 +254,21 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 		}
 		for gb := gbStart; gb < y.groups; gb++ {
 			for a := ga * k; a < (ga+1)*k; a++ {
-				wa, ra := x.weights[a], x.words[a*wpr:(a+1)*wpr]
+				wa := x.weights[a]
 				var lamRow []atomic.Int32
 				if tab != nil {
 					lamRow = tab.row(int(wa))
 				}
-				for b := gb * k; b < (gb+1)*k; b++ {
-					wb, lam := y.weights[b], int32(-1)
+				bitvec.AndCountRows(x.words[a*wpr:(a+1)*wpr], y.words[gb*k*wpr:], counts)
+				for i, wb := range y.weights[gb*k : (gb+1)*k] {
+					count, lam := counts[i], int32(-1)
 					if lamRow != nil {
 						lam = lamRow[wb].Load() - 1
 					}
 					if lam < 0 && tab != nil {
 						lam = int32(tab.Threshold(int(wa), int(wb)))
 					}
-					if min(wa, wb) <= lam {
-						continue // the overlap cannot exceed the lighter row
-					}
-					if count := int32(bitvec.AndCountWords(ra, y.words[b*wpr:])); count > lam {
+					if count > lam {
 						entries = append(entries, rowEvidence{ga: uint32(ga), gb: uint32(gb), wa: wa, wb: wb, count: count})
 					}
 				}
