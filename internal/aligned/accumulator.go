@@ -204,7 +204,9 @@ func blit(dst []uint64, at int, src []uint64, nbits int) {
 
 // StitchSpan builds a sliding-window span's matrix and column weights out of
 // its epochs' accumulators, which must agree on width: one allocation, then
-// each epoch's rows are word-shifted into place below the previous epoch's.
+// each epoch's rows are word-shifted into place below the previous epoch's,
+// as blit would shift each column, one source word row across every column
+// at a time.
 func StitchSpan(accs []*Accumulator) (*Matrix, []int) {
 	total := 0
 	for _, a := range accs {
@@ -215,9 +217,15 @@ func StitchSpan(accs []*Accumulator) (*Matrix, []int) {
 	at := 0
 	for _, a := range accs {
 		a.AddWeightsInto(weights)
-		stride := a.capRows / 64
-		for j := 0; j < m.cols; j++ {
-			blit(m.col(j), at, a.words[j*stride:], a.rows)
+		stride, off := a.capRows/64, uint(at%64)
+		for i := 0; i < (a.rows+63)/64; i++ {
+			for j, d := 0, at/64+i; j < m.cols; j, d = j+1, d+m.stride {
+				w := a.words[j*stride+i]
+				m.words[d] |= w << off
+				if hi := w >> (64 - off); hi != 0 { // a shift by 64 yields 0
+					m.words[d+1] |= hi
+				}
+			}
 		}
 		at += a.rows
 	}
