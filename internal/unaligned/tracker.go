@@ -285,7 +285,9 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 }
 
 // Remove retracts the digest at (epoch, router): the member and every pair
-// record touching it are dropped. Returns the (negative) byte delta.
+// record touching it are dropped. Add pairs a member only with itself and
+// with members within reach, so only those keys are looked up. Returns the
+// (negative) byte delta.
 func (t *Tracker) Remove(epoch, router int) int64 {
 	ref := MemberRef{Epoch: epoch, Router: router}
 	m, ok := t.members[ref]
@@ -302,10 +304,16 @@ func (t *Tracker) Remove(epoch, router int) int64 {
 		}
 	}
 	t.verts[epoch] -= m.groups
-	for key, p := range t.pairs {
-		if key.a == ref || key.b == ref {
+	drop := func(key trPairKey) {
+		if p, ok := t.pairs[key]; ok {
 			delta -= trPairBytes + int64(len(p.entries))*trEntryBytes
 			delete(t.pairs, key)
+		}
+	}
+	drop(trPairKey{a: ref, b: ref})
+	for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
+		for _, oref := range t.byEpoch[e] {
+			drop(trPairKey{a: ref, b: oref}.canonical())
 		}
 	}
 	t.bytes += delta

@@ -174,6 +174,59 @@ func TestTrackerRetraction(t *testing.T) {
 	trCompareGraphs(t, "after-retraction", trIncGraph(tr, order, er), trBatchGraph(t, digests, er))
 }
 
+// TestTrackerRetractionLeavesNoDanglingPairs drives seeded Add (with
+// replacement), Remove and DropEpoch sequences over five epochs at reach 1–3.
+// After every step no pair record may name an absent member, and Bytes() must
+// equal a recount of the members and pairs held and the sum of the returned
+// deltas: Remove looks pairs up only within reach, so a pair it missed would
+// dangle here.
+func TestTrackerRetractionLeavesNoDanglingPairs(t *testing.T) {
+	for reach := 1; reach <= 3; reach++ {
+		rng := stats.NewRand(uint64(90 + reach))
+		tr := NewTracker(TrackerConfig{Reach: reach})
+		var sum int64
+		for step := 0; step < 300; step++ {
+			e, r := 1+rng.Intn(5), rng.Intn(6)
+			switch op := rng.Intn(10); {
+			case op < 6:
+				sum += tr.Remove(e, r)
+				d := trDigest(rng, r, 1+rng.Intn(2))
+				if rng.Intn(3) == 0 {
+					ref := MemberRef{Epoch: 1 + rng.Intn(5), Router: rng.Intn(6)}
+					if o, ok := tr.members[ref]; ok && !o.bad && o.groups > 0 {
+						// Share a stored row, so the pair keeps evidence
+						// past any prune.
+						v := bitvec.New(trTestBits)
+						copy(v.Words(), o.words[:len(v.Words())])
+						d.Rows[0][1] = v
+					}
+				}
+				sum += tr.Add(e, d)
+			case op < 9:
+				sum += tr.Remove(e, r)
+			default:
+				sum += tr.DropEpoch(e)
+			}
+			recount := int64(0)
+			for _, m := range tr.members {
+				recount += m.bytes
+			}
+			for key, p := range tr.pairs {
+				if tr.members[key.a] == nil || tr.members[key.b] == nil {
+					t.Fatalf("reach %d step %d: pair %v names an absent member", reach, step, key)
+				}
+				recount += trPairBytes + int64(len(p.entries))*trEntryBytes
+			}
+			if tr.Bytes() != recount || tr.Bytes() != sum {
+				t.Fatalf("reach %d step %d: Bytes()=%d, recount %d, summed deltas %d", reach, step, tr.Bytes(), recount, sum)
+			}
+		}
+		if len(tr.pairs) == 0 {
+			t.Fatalf("reach %d: no pair survived the sequence; the check saw nothing", reach)
+		}
+	}
+}
+
 // TestTrackerOwnsItsRows: mutating a digest after Add changes no stored
 // evidence and no later correlation — the tracker correlates the rows it was
 // given, whose weights it counted then.
