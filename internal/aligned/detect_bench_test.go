@@ -59,3 +59,14 @@ func BenchmarkDetect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStitchSpan is wide-tcp-slide's span stitch: three epochs of 16
+// routers' 65 536-bit digests at 4% fill into one 48-row matrix.
+func BenchmarkStitchSpan(b *testing.B) {
+	accs := []*Accumulator{benchWindow(16, 65536, 0.04, 0), benchWindow(16, 65536, 0.04, 1), benchWindow(16, 65536, 0.04, 2)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		StitchSpan(accs)
+	}
+}
