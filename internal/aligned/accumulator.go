@@ -204,9 +204,7 @@ func blit(dst []uint64, at int, src []uint64, nbits int) {
 
 // StitchSpan builds a sliding-window span's matrix and column weights out of
 // its epochs' accumulators, which must agree on width: one allocation, then
-// each epoch's rows are word-shifted into place below the previous epoch's,
-// as blit would shift each column, one source word row across every column
-// at a time.
+// each epoch's word rows are shifted into place below the previous epoch's.
 func StitchSpan(accs []*Accumulator) (*Matrix, []int) {
 	total := 0
 	for _, a := range accs {

@@ -146,9 +146,7 @@ func (c candidate) better(o candidate) bool {
 	return c.cj < o.cj
 }
 
-// scanBlock is how many columns the level scan counts in one kernel call:
-// enough to amortize the call, few enough that a floor rise mid-block wastes
-// little counting.
+// scanBlock is how many columns one kernel call of the level scan counts.
 const scanBlock = 64
 
 // scanner is one scan worker's storage, reused level after level.
@@ -341,13 +339,11 @@ func DetectWithWeights(m *Matrix, weights []int, cfg DetectorConfig) (Detection,
 	if thresh < 1 {
 		thresh = 1
 	}
-	// Columns are counted a block at a time at the matrix's stride; best is
-	// zero-padded to it, so the words between a column and the next add 0.
+	// best is zero-padded to the matrix's stride, so the columns count in blocks.
 	det.Cols = append(det.Cols, det.CoreCols...)
 	best = append(best, make([]uint64, m.stride-wpc)...)
-	counts := make([]int32, min(n, 1024))
-	for j0 := 0; j0 < n; j0 += len(counts) {
-		ws := counts[:min(len(counts), n-j0)]
+	for j0 := 0; j0 < n; j0 += scanBlock {
+		ws := scanners[0].weights[:min(scanBlock, n-j0)]
 		bitvec.AndCountRows(best, m.words[j0*m.stride:], ws)
 		for i, w := range ws {
 			if int(w) >= thresh && !inCore[j0+i] {
@@ -472,11 +468,9 @@ func (sc *scanner) scan(k int, cur []hopeful, curWords, cols []uint64, colW []in
 			break // later hopefuls are lighter still
 		}
 		pw := curWords[hi*wpc : (hi+1)*wpc]
-		// Columns are weight-sorted descending and p.weight beats the floor,
-		// so the columns whose bound still does are a prefix of the rest of
-		// the row: count it a block at a time. A column past a floor rise
-		// inside a block has weight, and so count, at most the floor, and
-		// is skipped below exactly as a break before it would have.
+		// Columns are weight-sorted descending, so those whose bound still
+		// beats the floor are a prefix of the row. A column past a floor rise
+		// mid-block has count ≤ weight ≤ floor, so it is skipped as before.
 		lo := int(p.last) + 1
 		end := lo + sort.Search(len(colW)-lo, func(i int) bool { return colW[lo+i] <= floor })
 		for pos := lo; pos < end && colW[pos] > floor; pos += scanBlock {

@@ -147,26 +147,20 @@ func (v *Vector) Or(a, b *Vector) {
 	}
 }
 
-// AndCount returns the popcount of a AND b without materializing the result.
+// AndCount returns the popcount of a AND b without materializing the result:
+// AndCountRows' loop for one row of any width.
 func AndCount(a, b *Vector) int {
 	a.sameLen(b)
-	var out [1]int32
-	AndCountRows(a.words, b.words, out[:])
-	return int(out[0])
+	return andCount(a.words, b.words)
 }
 
-// AndCountRows is the one AND-popcount kernel: it sets out[j] to the popcount
-// of a AND rows[j*len(a):(j+1)*len(a)] for every j, so a caller whose rows sit
-// back to back in a flat array counts a whole run of them in one call. rows
-// shorter than len(out)*len(a) words panics.
-//
-// It is blocked for the default amd64 target (GOAMD64=v1), where every
-// bits.OnesCount64 is a POPCNT feature check with a software fallback, and
-// the compiler reloads the loop's live values from the stack after each one.
-// One call per run keeps that out of the callers' loops, and the one-, four-
-// and eight-word widths the center uses get their own loops over whole rows
-// read through array pointers: no bounds check per word, few live values, and
-// one store per row.
+// AndCountRows is the one AND-popcount kernel: out[j] = popcount(a AND
+// rows[j*len(a):(j+1)*len(a)]) for every j, so a run of rows stored back to
+// back is counted in one call. It panics when rows is shorter than
+// len(out)*len(a). Under GOAMD64=v1 each popcount is a feature check with a
+// software fallback, after which the compiler reloads the loop's live values,
+// so the widths the center uses (1, 4 and 8 words) get loops over whole rows
+// read through array pointers: few live values and one store per row.
 func AndCountRows(a, rows []uint64, out []int32) {
 	n := len(a)
 	if len(rows) < len(out)*n {
@@ -192,22 +186,24 @@ func AndCountRows(a, rows []uint64, out []int32) {
 		}
 	default:
 		for j := range out {
-			r := rows[j*n : (j+1)*n]
-			c, i := 0, 0
-			for ; i+8 <= n; i += 8 {
-				c += andCount4((*[4]uint64)(a[i:]), (*[4]uint64)(r[i:])) +
-					andCount4((*[4]uint64)(a[i+4:]), (*[4]uint64)(r[i+4:]))
-			}
-			if i+4 <= n {
-				c += andCount4((*[4]uint64)(a[i:]), (*[4]uint64)(r[i:]))
-				i += 4
-			}
-			for ; i < n; i++ {
-				c += bits.OnesCount64(a[i] & r[i])
-			}
-			out[j] = int32(c)
+			out[j] = int32(andCount(a, rows[j*n:(j+1)*n]))
 		}
 	}
+}
+
+// andCount is AndCountRows' loop for one row of another width, four words an
+// iteration; as a call of its own, little is live across each popcount.
+func andCount(a, b []uint64) int {
+	b = b[:len(a)]
+	c, i := 0, 0
+	for ; i+4 <= len(a); i += 4 {
+		c += bits.OnesCount64(a[i]&b[i]) + bits.OnesCount64(a[i+1]&b[i+1]) +
+			bits.OnesCount64(a[i+2]&b[i+2]) + bits.OnesCount64(a[i+3]&b[i+3])
+	}
+	for ; i < len(a); i++ {
+		c += bits.OnesCount64(a[i] & b[i])
+	}
+	return c
 }
 
 func andCount4(x, y *[4]uint64) int {

@@ -237,12 +237,10 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 	if key.a != x.ref {
 		x, y = o, m
 	}
-	// Each outer row is counted against a whole group of the other member at
-	// once (the group's k rows are contiguous), then each count is decided
-	// alone: the λ row for the outer row's weight is fetched once, the pair's
+	// One kernel call counts an outer row against a group's k contiguous
+	// rows. The λ row for the outer row's weight is fetched once, the pair's
 	// threshold is one load from it (-1, which keeps everything, when there
-	// is no prune table), and the count that decides survival is the exact
-	// overlap the evidence stores.
+	// is no prune table), and the count is the exact overlap stored.
 	k, wpr := x.arrays, (x.bits+63)/64
 	entries := t.scratch[:0]
 	counts := slices.Grow(t.counts[:0], k)[:k]
@@ -285,9 +283,8 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 }
 
 // Remove retracts the digest at (epoch, router): the member and every pair
-// record touching it are dropped. Add pairs a member only with itself and
-// with members within reach, so only those keys are looked up. Returns the
-// (negative) byte delta.
+// record touching it, all within reach, are dropped. Returns the (negative)
+// byte delta.
 func (t *Tracker) Remove(epoch, router int) int64 {
 	ref := MemberRef{Epoch: epoch, Router: router}
 	m, ok := t.members[ref]
@@ -296,6 +293,17 @@ func (t *Tracker) Remove(epoch, router int) int64 {
 	}
 	delta := -m.bytes
 	delete(t.members, ref)
+	// Add pairs a member only with itself and members within reach, ref
+	// among them while it is still listed.
+	for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
+		for _, oref := range t.byEpoch[e] {
+			key := trPairKey{a: ref, b: oref}.canonical()
+			if p, ok := t.pairs[key]; ok {
+				delta -= trPairBytes + int64(len(p.entries))*trEntryBytes
+				delete(t.pairs, key)
+			}
+		}
+	}
 	refs := t.byEpoch[epoch]
 	for i, r := range refs {
 		if r == ref {
@@ -304,18 +312,6 @@ func (t *Tracker) Remove(epoch, router int) int64 {
 		}
 	}
 	t.verts[epoch] -= m.groups
-	drop := func(key trPairKey) {
-		if p, ok := t.pairs[key]; ok {
-			delta -= trPairBytes + int64(len(p.entries))*trEntryBytes
-			delete(t.pairs, key)
-		}
-	}
-	drop(trPairKey{a: ref, b: ref})
-	for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
-		for _, oref := range t.byEpoch[e] {
-			drop(trPairKey{a: ref, b: oref}.canonical())
-		}
-	}
 	t.bytes += delta
 	return delta
 }
