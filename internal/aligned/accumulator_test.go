@@ -48,12 +48,22 @@ func accReference(digests map[int]*bitvec.Vector, arrival []int) (*Matrix, []int
 	return FromDigests(vecs), rank
 }
 
+// TestAccumulatorMatchesBatchDetection runs the detector on the arena view
+// against the batch transposition. At 130 routers the arena's column stride
+// (four words) is wider than a column's rows (three), which the level scan's
+// gather and the expansion's block count must both respect.
 func TestAccumulatorMatchesBatchDetection(t *testing.T) {
-	const routers, bits = 40, 1024
+	const bits = 1024
 	contentCols := []int{3, 99, 512, 700, 701, 888, 1000, 17, 260, 431}
+	for _, routers := range []int{40, 130} {
+		testAccumulatorMatchesBatchDetection(t, routers, bits, contentCols)
+	}
+}
+
+func testAccumulatorMatchesBatchDetection(t *testing.T, routers, bits int, contentCols []int) {
 	// More than half the fleet carries the content, so content columns rise
 	// clear of the binomial noise band and the greedy screening keeps them.
-	carriers := make([]int, 0, 28)
+	carriers := make([]int, 0, routers)
 	for r := 0; r < routers; r++ {
 		if r%3 != 0 || r < 12 {
 			carriers = append(carriers, r)
@@ -93,10 +103,10 @@ func TestAccumulatorMatchesBatchDetection(t *testing.T) {
 		}
 		RemapRows(&got, rank)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("planted=%v: incremental detection diverged\n got %+v\nwant %+v", planted, got, want)
+			t.Fatalf("%d routers, planted=%v: incremental detection diverged\n got %+v\nwant %+v", routers, planted, got, want)
 		}
 		if planted != want.Found {
-			t.Fatalf("planted=%v but batch Found=%v (test scenario broken)", planted, want.Found)
+			t.Fatalf("%d routers, planted=%v but batch Found=%v (test scenario broken)", routers, planted, want.Found)
 		}
 	}
 }
