@@ -109,13 +109,15 @@ chaos:
 # recovery scan. The fourth is the trace replay reader, the other decode
 # surface. Their seeds carry the hostile lengths the hostile-frame table
 # (TestGeometryOverflowRejected, TestReaderRejectsCorrupt) pins; the fuzzers
-# look for the ones it does not. Native Go fuzzing only supports one target
-# per invocation.
+# look for the ones it does not. The fifth is the shard report envelope's
+# decoder, held to an exact decode → encode → decode round trip. Native Go
+# fuzzing only supports one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadDatagram -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) ./internal/traceio
+	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) ./internal/shard
 
 # Lines of Go per package (non-test, test) and the totals outside and inside
 # bench/: the numbers ROADMAP's "Size:" line and the CHANGES.md ledgers quote.

@@ -6,7 +6,7 @@
 // The module root carries the benchmark that regenerates every table and
 // figure of the paper's evaluation (BenchmarkExperiments in bench_test.go,
 // one sub-benchmark per entry of experiments.All); the implementation
-// lives under internal/ (see README.md for the package map), runnable
+// lives under internal/ (see DESIGN.md §2 for the package map), runnable
 // scenarios under examples/, and the operational binaries under cmd/.
 //
 // Entry points:

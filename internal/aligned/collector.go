@@ -28,16 +28,6 @@ type CollectorConfig struct {
 	// each payload (the paper's range(pkt.content, 0, len)); zero hashes
 	// the whole payload.
 	PrefixLen int
-	// TargetFill ends an epoch once this fraction of bits is set; the
-	// paper uses one half. Zero means 0.5.
-	TargetFill float64
-}
-
-func (c CollectorConfig) withDefaults() CollectorConfig {
-	if c.TargetFill == 0 {
-		c.TargetFill = 0.5
-	}
-	return c
 }
 
 // Validate reports whether the configuration is usable.
@@ -47,9 +37,6 @@ func (c CollectorConfig) Validate() error {
 	}
 	if c.PrefixLen < 0 {
 		return fmt.Errorf("aligned: negative prefix length %d", c.PrefixLen)
-	}
-	if c.TargetFill < 0 || c.TargetFill > 1 {
-		return fmt.Errorf("aligned: target fill %v outside [0,1]", c.TargetFill)
 	}
 	return nil
 }
@@ -70,7 +57,6 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	return &Collector{
 		cfg:    cfg,
 		hash:   hashing.New(cfg.HashSeed),
@@ -107,12 +93,6 @@ func (c *Collector) Packets() int { return c.packets }
 // FillRatio returns the fraction of bits currently set.
 func (c *Collector) FillRatio() float64 {
 	return float64(c.ones) / float64(c.cfg.Bits)
-}
-
-// EpochDone reports whether the bitmap has reached the target fill and
-// should be shipped to the analysis center.
-func (c *Collector) EpochDone() bool {
-	return c.FillRatio() >= c.cfg.TargetFill
 }
 
 // Digest returns a snapshot of the bitmap — the per-epoch digest that gets

@@ -49,8 +49,8 @@ func TestCollectorColumnIsTheHashIndex(t *testing.T) {
 	}
 }
 
-// TestCollectorOnesTracksDigest: the running count behind FillRatio and
-// EpochDone must equal the digest's weight however often payloads repeat.
+// TestCollectorOnesTracksDigest: the running count behind FillRatio must
+// equal the digest's weight however often payloads repeat.
 func TestCollectorOnesTracksDigest(t *testing.T) {
 	const bits = 1 << 16
 	c, _ := NewCollector(CollectorConfig{Bits: bits, HashSeed: 9})

@@ -14,7 +14,6 @@ func TestCollectorConfigValidation(t *testing.T) {
 		{Bits: 0},
 		{Bits: -4},
 		{Bits: 10, PrefixLen: -1},
-		{Bits: 10, TargetFill: 1.5},
 	} {
 		if _, err := NewCollector(cfg); err == nil {
 			t.Fatalf("config %+v should be rejected", cfg)
@@ -88,7 +87,7 @@ func TestCollectorFillMatchesBloomExpectation(t *testing.T) {
 	// bitmaps with (§III-A).
 	const bits = 1 << 14
 	const pkts = 11357 // ln2 * bits ≈ half fill
-	c, _ := NewCollector(CollectorConfig{Bits: bits, HashSeed: 3, TargetFill: 0.45})
+	c, _ := NewCollector(CollectorConfig{Bits: bits, HashSeed: 3})
 	rng := stats.NewRand(21)
 	bg, err := trafficgen.Background(rng, trafficgen.BackgroundConfig{Packets: pkts, SegmentSize: 40})
 	if err != nil {
@@ -100,16 +99,13 @@ func TestCollectorFillMatchesBloomExpectation(t *testing.T) {
 	if got := c.FillRatio(); got < 0.47 || got > 0.53 {
 		t.Fatalf("fill ratio %v, want ≈0.5", got)
 	}
-	if !c.EpochDone() {
-		t.Fatal("epoch should be done past the 0.45 target fill")
-	}
 }
 
 func TestCollectorReset(t *testing.T) {
 	c, _ := NewCollector(CollectorConfig{Bits: 128})
 	c.Update(packet.Packet{Payload: []byte("x")})
 	c.Reset()
-	if c.Packets() != 0 || c.FillRatio() != 0 || c.EpochDone() {
+	if c.Packets() != 0 || c.FillRatio() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }

@@ -364,6 +364,9 @@ type Center struct {
 	// shedReports holds the tombstone report of each epoch shed for memory
 	// pressure, until Analyze or TakeShedReports hands it out. guarded by mu
 	shedReports map[int]WindowReport
+	// evictedEpochs lists the epochs ring eviction released since the last
+	// TakeEvictedEpochs, oldest eviction first. guarded by mu
+	evictedEpochs []int
 	// tracker maintains the unaligned pairwise correlation evidence
 	// incrementally across all buffered epochs; nil in AnalysisBatch mode.
 	// Its accounted bytes ride in bufferedBytes. guarded by mu
@@ -653,6 +656,7 @@ func (c *Center) windowFor(epoch int) *window {
 			c.cfg.Stats.EpochsEvicted.Add(1)
 		}
 		c.releaseLocked(victim, c.windows[victim])
+		c.evictedEpochs = append(c.evictedEpochs, victim)
 		if victim == oldest {
 			// Only raising past the oldest keeps held mid-ring windows
 			// reachable; a floor above them would silently close them.
@@ -675,7 +679,9 @@ func (c *Center) windowFor(epoch int) *window {
 // simultaneously a quorum hold and a shed candidate can never be chosen by
 // one path and spared by the other — which is what keeps the per-epoch
 // ledger (buffered + shed + dropped = ingested) coherent. The pinned rule:
-// the oldest epoch the quorum gate is not holding open goes first; only when
+// the oldest epoch the quorum gate is not holding open goes first — reported
+// context, at or below the span watermark, is never held, since a report
+// already holds its digests and no quorum can change that; only when
 // every candidate is held does the overall oldest go — memory pressure still
 // outranks the gate (a refused shed would OOM or starve newer epochs, and a
 // shed window is at least honestly reported), but it spends non-held windows
@@ -692,7 +698,8 @@ func (c *Center) victimLocked(exclude int) int {
 		if oldest < 0 || e < oldest {
 			oldest = e
 		}
-		if !c.quorumLocked(e).Hold && (victim < 0 || e < victim) {
+		reported := c.spanClosedValid && e <= c.spanClosed
+		if (reported || !c.quorumLocked(e).Hold) && (victim < 0 || e < victim) {
 			victim = e
 		}
 	}

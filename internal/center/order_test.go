@@ -72,13 +72,15 @@ func TestSpansCloseInOrder(t *testing.T) {
 // whose span a report already holds — context for the spans ahead — or one
 // whose span is unreported. Only the second is a drop: over the whole run the
 // ledger sent = digests in reports (each epoch's counted once) + late +
-// dropped balances, and EpochsEvicted counts only unreported epochs.
+// dropped balances, and EpochsEvicted counts only unreported epochs. Reported
+// context gives way first, even when the quorum gate would hold its epoch.
 func TestEvictingReportedContextIsNotADrop(t *testing.T) {
 	const routers = 2
 	cases := []struct {
 		name    string
 		cfg     Config
-		plan    []int // an epoch to feed from every router, or 0: close what is superseded
+		plan    []int // an epoch to feed from every router, 0: close what is superseded, -1: drain one span
+		partial int   // an epoch in plan that only router 1 sends
 		evicted int64
 	}{
 		{
@@ -101,20 +103,40 @@ func TestEvictingReportedContextIsNotADrop(t *testing.T) {
 			plan:    []int{1, 2, 3},
 			evicted: 1,
 		},
+		{
+			// Span 2 is drained below quorum; its epoch 2 stays as context
+			// for span 3 with router 2 still missing. Epoch 5 takes the slot
+			// of that context, not of the unreported, full epoch 3.
+			name:    "a reported context epoch the quorum gate would hold",
+			cfg:     Config{WindowSlide: 2, MinRouters: 2, MaxWait: 8, MaxEpochs: 3},
+			plan:    []int{1, 2, 0, -1, 3, 4, 5},
+			partial: 2,
+			evicted: 0,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(tc.cfg)
-			sent := 0
+			sent := map[int]int{}
 			var reps []WindowReport
 			for _, e := range tc.plan {
-				if e == 0 {
+				switch {
+				case e == 0:
 					reps = append(reps, closeSuperseded(t, c)...)
+					continue
+				case e < 0:
+					rep, _, err := c.CloseNext(CloseDrain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reps = append(reps, rep)
 					continue
 				}
 				for r := 1; r <= routers; r++ {
-					c.Ingest(orderDigest(r, e))
-					sent++
+					if e != tc.partial || r == 1 {
+						c.Ingest(orderDigest(r, e))
+						sent[e]++
+					}
 				}
 			}
 			reps = append(reps, closeSuperseded(t, c)...)
@@ -129,14 +151,22 @@ func TestEvictingReportedContextIsNotADrop(t *testing.T) {
 				reps = append(reps, rep)
 			}
 			inReports := map[int]bool{}
+			reported := 0
 			for _, rep := range reps {
 				for _, e := range rep.SpanEpochs {
-					inReports[e] = true
+					if !inReports[e] {
+						inReports[e] = true
+						reported += sent[e]
+					}
 				}
 			}
+			total := 0
+			for _, n := range sent {
+				total += n
+			}
 			s := c.Stats().Snapshot()
-			if got := routers*len(inReports) + int(s.LateDigests+s.DroppedDigests); got != sent {
-				t.Fatalf("sent %d != in reports %d + late %d + dropped %d", sent, routers*len(inReports), s.LateDigests, s.DroppedDigests)
+			if got := reported + int(s.LateDigests+s.DroppedDigests); got != total {
+				t.Fatalf("sent %d != in reports %d + late %d + dropped %d", total, reported, s.LateDigests, s.DroppedDigests)
 			}
 			if s.EpochsEvicted != tc.evicted {
 				t.Fatalf("%d epochs counted evicted, want %d", s.EpochsEvicted, tc.evicted)

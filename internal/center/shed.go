@@ -166,3 +166,16 @@ func (c *Center) TakeShedReports() []WindowReport {
 	c.shedReports = nil
 	return out
 }
+
+// TakeEvictedEpochs drains the epochs ring eviction released since the last
+// call. An evicted epoch gets no report — it is a counted drop, or context a
+// report already holds — so daemon.Node retires its journal frames here;
+// otherwise they would pin their segment and a restart would replay the
+// epoch into a span the first life never reported.
+func (c *Center) TakeEvictedEpochs() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.evictedEpochs
+	c.evictedEpochs = nil
+	return out
+}

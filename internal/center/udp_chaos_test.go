@@ -53,14 +53,14 @@ func TestChaosUDPLossDegradedNeverWrong(t *testing.T) {
 	c := New(Config{SubsetSize: 256, MinRouters: fleet, MaxWait: 2, MaxEpochs: 8})
 	var mu sync.Mutex
 	delivered := map[[2]int]*bitvec.Vector{} // (router, epoch) -> bitmap
-	srv, err := transport.ServeUDP("127.0.0.1:0", func(m transport.Message, _ net.Addr) {
+	srv, err := transport.ServeUDPConfig("127.0.0.1:0", func(m transport.Message, _ net.Addr) {
 		if d, ok := m.(transport.AlignedDigest); ok {
 			mu.Lock()
 			delivered[[2]int{d.RouterID, d.Epoch}] = d.Bitmap
 			mu.Unlock()
 		}
 		c.Ingest(m)
-	})
+	}, transport.UDPServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,11 +205,21 @@ func (n *Node) fault(format string, args ...any) {
 }
 
 // drainShed forwards the tombstone reports of epochs shed under the memory
-// budget, so their journal frames are purged rather than replayed into a
-// window that no longer exists.
+// budget and marks the epochs ring eviction released as analyzed, so the
+// journal frames of both are purged rather than replayed into a window that
+// no longer exists. An evicted epoch gets no report: it stays a counted drop.
 func (n *Node) drainShed() {
 	for _, rep := range n.Center.TakeShedReports() {
 		n.finish(rep, 0)
+	}
+	evicted := n.Center.TakeEvictedEpochs()
+	if n.Journal == nil {
+		return
+	}
+	for _, e := range evicted {
+		if err := n.Journal.EpochAnalyzed(e); err != nil {
+			n.fault("journal: marking evicted epoch %d analyzed: %w", e, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -387,6 +388,82 @@ func TestShedTombstoneRetiresJournal(t *testing.T) {
 	cfg.MemoryBudgetBytes = 0
 	if got, want := replayedEpochs(t, dir, cfg), []int{2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("a restart replays epochs %v, want %v", got, want)
+	}
+}
+
+// TestEvictionRetiresJournalFrames: an epoch ring eviction releases gets no
+// report, so the node marks it analyzed when it drains the shed tombstones.
+// Otherwise its frames pin their segment for good, and a restart replays the
+// epoch — into a span the first life counted as dropped, or as context no
+// span needs any more. Routers 1 and 2 send epochs 1..last; every epoch up to
+// tickUpTo is followed by two ticks, and the life ends in a drain.
+func TestEvictionRetiresJournalFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		slide, maxEpochs int
+		tickUpTo, last   int
+		life1            []string
+		evicted, dropped int64
+		replayed         []int
+	}{
+		// Epoch 3 evicts the unreported epoch 1: a drop.
+		{"slide=1/unreported", 1, 2, 0, 3, []string{"2[2]", "3[3]"}, 1, 2, nil},
+		// Epoch 5 evicts the unreported epoch 1; the restart keeps only the
+		// context the last span left behind.
+		{"slide=3/unreported", 3, 4, 0, 5, []string{"2[2]", "3[2 3]", "4[2 3 4]", "5[3 4 5]"}, 1, 2, []int{4, 5}},
+		// Epoch 6 evicts epoch 2, context span 3 reported: not a drop.
+		{"slide=3/reported-context", 3, 4, 3, 6, []string{"1[1]", "2[1 2]", "3[1 2 3]", "4[3 4]", "5[3 4 5]", "6[4 5 6]"}, 0, 0, []int{5, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := center.Config{SubsetSize: 64, WindowSlide: tc.slide, MaxEpochs: tc.maxEpochs}
+			n := NewNode(cfg, nil)
+			if err := n.OpenJournal(dir); err != nil {
+				t.Fatal(err)
+			}
+			var reps []center.WindowReport
+			collect := func(got []center.WindowReport, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps = append(reps, got...)
+			}
+			for e := 1; e <= tc.last; e++ {
+				n.Handle(dg(1, e), from)
+				n.Handle(dg(2, e), from)
+				if e <= tc.tickUpTo {
+					collect(n.Tick())
+					collect(n.Tick())
+				}
+			}
+			collect(n.Drain())
+			if got := spans(reps); !reflect.DeepEqual(got, tc.life1) {
+				t.Fatalf("first life reported %v, want %v", got, tc.life1)
+			}
+			s := n.Center.Stats().Snapshot()
+			if s.EpochsEvicted != tc.evicted || s.DroppedDigests != tc.dropped {
+				t.Fatalf("first life evicted=%d dropped=%d, want %d and %d", s.EpochsEvicted, s.DroppedDigests, tc.evicted, tc.dropped)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n = NewNode(cfg, nil)
+			if err := n.OpenJournal(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if got := n.Center.Epochs(); !slices.Equal(got, tc.replayed) {
+				t.Fatalf("a restart replays epochs %v, want %v: an evicted epoch kept its frames", got, tc.replayed)
+			}
+			again, err := n.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(again) != 0 {
+				t.Fatalf("second life reported %v after the first life's drain", spans(again))
+			}
+		})
 	}
 }
 

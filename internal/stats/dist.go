@@ -281,17 +281,3 @@ func HyperThreshold(N, K, n int, pstar float64) int {
 	}
 	return hi
 }
-
-// LogSumExp returns log(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}

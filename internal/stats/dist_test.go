@@ -309,16 +309,6 @@ func TestQuickHyperSurvivalMonotone(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp(math.Log(3), math.Log(4))
-	if math.Abs(math.Exp(got)-7) > 1e-12 {
-		t.Fatalf("LogSumExp log3,log4 = %v", math.Exp(got))
-	}
-	if LogSumExp(math.Inf(-1), 2.5) != 2.5 || LogSumExp(2.5, math.Inf(-1)) != 2.5 {
-		t.Fatal("LogSumExp with -Inf operand")
-	}
-}
-
 func TestBinomLogSurvivalMatchesLinear(t *testing.T) {
 	// Where the linear-space survival is representable, the log version
 	// must agree to high relative precision.

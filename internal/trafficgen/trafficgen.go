@@ -165,30 +165,5 @@ func Mix(rng *rand.Rand, background []packet.Packet, planted ...[]packet.Packet)
 	return out
 }
 
-// FlowSizeHistogram tallies packets per flow — used by tests and the stress
-// experiment to confirm the generated traffic has the intended skew.
-func FlowSizeHistogram(pkts []packet.Packet) map[packet.FlowLabel]int {
-	h := make(map[packet.FlowLabel]int)
-	for _, p := range pkts {
-		h[p.Flow]++
-	}
-	return h
-}
-
-// TopFlowShare returns the fraction of packets carried by the single
-// heaviest flow; the bursty regime pushes this far above 1/Flows.
-func TopFlowShare(pkts []packet.Packet) float64 {
-	if len(pkts) == 0 {
-		return 0
-	}
-	max := 0
-	for _, c := range FlowSizeHistogram(pkts) {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) / float64(len(pkts))
-}
-
 // NewRand is a convenience re-export so callers configure one import.
 func NewRand(seed uint64) *rand.Rand { return stats.NewRand(seed) }

@@ -196,13 +196,16 @@ var ErrClientBroken = errors.New("transport: client broken by earlier write fail
 // frame would arrive at the center as a bad frame. Use ReconnectingClient
 // for a collector that must ride out center restarts.
 type Client struct {
-	mu           sync.Mutex
-	conn         net.Conn      // guarded by mu
-	writeTimeout time.Duration // guarded by mu
-	err          error         // guarded by mu; first write failure, sticky
-	frame        []byte        // guarded by mu; Send's encode buffer, reused so a frame is one write
-	stats        *Stats
+	mu    sync.Mutex
+	conn  net.Conn // guarded by mu
+	err   error    // guarded by mu; first write failure, sticky
+	frame []byte   // guarded by mu; Send's encode buffer, reused so a frame is one write
+	stats *Stats
 }
+
+// clientWriteTimeout bounds every Client.Send, so a stalled or dead center
+// fails the write instead of blocking the collector forever.
+const clientWriteTimeout = 10 * time.Second
 
 // Dial connects to an analysis center with the given timeout (zero means
 // 5 seconds).
@@ -214,15 +217,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, writeTimeout: 10 * time.Second, stats: new(Stats)}, nil
-}
-
-// SetWriteTimeout bounds every subsequent Send (zero or negative disables
-// the deadline; the default is 10 seconds).
-func (c *Client) SetWriteTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.writeTimeout = d
-	c.mu.Unlock()
+	return &Client{conn: conn, stats: new(Stats)}, nil
 }
 
 // Send ships one digest message; safe for concurrent use. A stalled or dead
@@ -236,13 +231,11 @@ func (c *Client) Send(m Message) error {
 	if c.err != nil {
 		return fmt.Errorf("%w: %w", ErrClientBroken, c.err)
 	}
-	if c.writeTimeout > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			// The fd is already dead; no bytes were written, but nothing can
-			// be written safely either.
-			c.err = err
-			return fmt.Errorf("transport: arm write deadline: %w", err)
-		}
+	if err := c.conn.SetWriteDeadline(time.Now().Add(clientWriteTimeout)); err != nil {
+		// The fd is already dead; no bytes were written, but nothing can be
+		// written safely either.
+		c.err = err
+		return fmt.Errorf("transport: arm write deadline: %w", err)
 	}
 	frame, err := AppendFrame(c.frame[:0], m)
 	if err != nil {

@@ -291,6 +291,9 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// SetWriteDeadline accepts the deadline Client.Send arms before every write.
+func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
+
 // TestSendStickyAfterWriteFailure is the fail-fast regression test: a frame
 // cut short mid-payload leaves the byte stream desynchronized, so every
 // later Send must refuse with ErrClientBroken instead of writing frames the

@@ -105,12 +105,6 @@ const restartSeqMax = 64
 // kept.
 type BatchHandler func(ms []Message, from net.Addr)
 
-// ServeUDP starts a datagram server on addr (e.g. "127.0.0.1:0" to pick a
-// free port) with default settings.
-func ServeUDP(addr string, handler Handler) (*UDPServer, error) {
-	return ServeUDPConfig(addr, handler, UDPServerConfig{})
-}
-
 // ServeUDPConfig is ServeUDPBatch for a handler that takes one message at a
 // time: it is called once per frame, in datagram order.
 func ServeUDPConfig(addr string, handler Handler, cfg UDPServerConfig) (*UDPServer, error) {

@@ -152,30 +152,6 @@ func (gm *GroupMatrix) BuildGraphParallel(lambda *LambdaTable, workers int) (*gr
 	return g, nil
 }
 
-// BuildGraphSampled induces the graph on a uniformly chosen subset of the
-// vertices (§IV-D's second complexity remedy: "sample 10% of the vertices
-// and find a core only in this subset"). It returns the graph plus the
-// mapping from sampled-graph vertex ids to original vertex ids.
-func (gm *GroupMatrix) BuildGraphSampled(lambda *LambdaTable, sample []int) (*graph.Graph, []int, error) {
-	if lambda.N() != gm.arrayBits {
-		return nil, nil, fmt.Errorf("unaligned: λ table width %d, matrix width %d", lambda.N(), gm.arrayBits)
-	}
-	for _, v := range sample {
-		if v < 0 || v >= len(gm.vertices) {
-			return nil, nil, fmt.Errorf("unaligned: sampled vertex %d out of range", v)
-		}
-	}
-	g := graph.New(len(sample))
-	for i := 0; i < len(sample); i++ {
-		for j := i + 1; j < len(sample); j++ {
-			if gm.correlated(sample[i], sample[j], lambda) {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g, append([]int(nil), sample...), nil
-}
-
 // correlated reports whether the maximal row-pair overlap between vertices u
 // and v exceeds the λ threshold for the respective row weights. Two layers
 // of early exit keep the common (uncorrelated) case cheap: the overlap can

@@ -226,3 +226,47 @@ func TestCollectorMatchProbability(t *testing.T) {
 		t.Fatalf("match rate %v, predicted ≈0.65", rate)
 	}
 }
+
+func TestLargePayloadDualOffsets(t *testing.T) {
+	cfg := CollectorConfig{
+		Groups: 1, ArraysPerGroup: 5, ArrayBits: 4096,
+		SegmentSize: 100, FragmentLen: 8, MinPayload: 40,
+		LargePayload: 200, HashSeed: 3, OffsetSeed: 5,
+	}
+	c, err := NewCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRand(6)
+	small := make([]byte, 100)
+	large := make([]byte, 250)
+	rng.Read(small)
+	rng.Read(large)
+
+	c.Update(packet.Packet{Flow: 1, Payload: small})
+	smallOnes := 0
+	for _, r := range c.Digest(0).Rows[0] {
+		smallOnes += r.OnesCount()
+	}
+	c.Reset()
+	c.Update(packet.Packet{Flow: 1, Payload: large})
+	largeOnes := 0
+	for _, r := range c.Digest(0).Rows[0] {
+		largeOnes += r.OnesCount()
+	}
+	// A small packet sets ≤1 bit per array; a large one up to 2 per array.
+	if smallOnes > cfg.ArraysPerGroup {
+		t.Fatalf("small packet set %d bits across %d arrays", smallOnes, cfg.ArraysPerGroup)
+	}
+	if largeOnes <= smallOnes || largeOnes > 2*cfg.ArraysPerGroup {
+		t.Fatalf("large packet set %d bits (small set %d)", largeOnes, smallOnes)
+	}
+}
+
+func TestLargePayloadValidation(t *testing.T) {
+	cfg := testCfg()
+	cfg.LargePayload = -1
+	if _, err := NewCollector(cfg); err == nil {
+		t.Fatal("negative LargePayload accepted")
+	}
+}

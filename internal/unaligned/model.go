@@ -135,18 +135,3 @@ func (m Model) SamplePlanted(rng *rand.Rand, p1, p2 float64, n1 int) (*graph.Gra
 	}
 	return g, pattern
 }
-
-// PhaseTransition returns 1/N, the Erdős–Rényi giant-component threshold
-// for this model's graph size.
-func (m Model) PhaseTransition() float64 {
-	return 1 / float64(m.withDefaults().N)
-}
-
-// PlantDenseForTest plants a dense subgraph over a random vertex subset;
-// exported for fuzz-style tests in this package's test files and kept out
-// of hot paths.
-func PlantDenseForTest(rng *rand.Rand, g *graph.Graph, n1 int) []int {
-	pattern := stats.SampleDistinct(rng, g.NumVertices(), n1)
-	graph.PlantDense(rng, g, pattern, 0.25)
-	return pattern
-}
