@@ -377,51 +377,16 @@ type Center struct {
 	spanClosedValid bool // guarded by mu
 	// tick is the quiescence clock's generation, advanced by Tick.
 	tick int // guarded by mu
-
-	// lambdaTables caches λ threshold tables across analyzes. A table's
-	// entries are lazily memoized pure functions of (bits, p*), and in
-	// steady state every epoch reuses the same handful of geometries — a
-	// fresh table per Analyze would re-pay the hypergeometric tail search
-	// for every distinct weight pair on every finalize, which dominates
-	// the finalize cost once everything else is incremental.
-	tableMu      sync.Mutex
-	lambdaTables map[lambdaKey]*unaligned.LambdaTable
-}
-
-// lambdaKey identifies a λ table by geometry and tail probability.
-type lambdaKey struct {
-	bits  int
-	pstar float64
-}
-
-// lambdaTable returns the cached λ table for (bits, pstar), building it on
-// first use. Tables are safe for concurrent readers and their memoized
-// thresholds are deterministic, so sharing across analyzes cannot change
-// any result — only skip recomputing it.
-func (c *Center) lambdaTable(bits int, pstar float64) (*unaligned.LambdaTable, error) {
-	key := lambdaKey{bits: bits, pstar: pstar}
-	c.tableMu.Lock()
-	defer c.tableMu.Unlock()
-	if t, ok := c.lambdaTables[key]; ok {
-		return t, nil
-	}
-	t, err := unaligned.NewLambdaTable(bits, pstar)
-	if err != nil {
-		return nil, err
-	}
-	c.lambdaTables[key] = t
-	return t, nil
 }
 
 // New builds a center.
 func New(cfg Config) *Center {
 	c := &Center{
-		cfg:          cfg.withDefaults(),
-		windows:      make(map[int]*window),
-		evicted:      make(map[int]bool),
-		roster:       make(map[int]rosterRow),
-		wake:         make(chan struct{}, 1),
-		lambdaTables: make(map[lambdaKey]*unaligned.LambdaTable),
+		cfg:     cfg.withDefaults(),
+		windows: make(map[int]*window),
+		evicted: make(map[int]bool),
+		roster:  make(map[int]rosterRow),
+		wake:    make(chan struct{}, 1),
 	}
 	if c.cfg.Analysis == AnalysisIncremental {
 		c.tracker = unaligned.NewTracker(unaligned.TrackerConfig{
@@ -999,9 +964,11 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 // unalignedVerdict is the unaligned decision, shared by the batch and the
 // incremental path: they differ only in how build produces the correlation
 // graph a λ table admits over the n vertices (arrays per group, bits per
-// array) that vertex names. The ER test runs on the graph at the target edge
+// array) that vertex names; a nil table, at edge probability 1 or more, admits
+// every vertex pair. The ER test runs on the graph at the target edge
 // probability; only on a detection is the denser core graph built and the
-// pattern's vertices folded into routers.
+// pattern's vertices folded into routers. The core's 8/n reaches 1 at n ≤ 8:
+// such a span's core graph is complete.
 func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
 	vertex func(int) unaligned.Vertex,
 	build func(*unaligned.LambdaTable) (*graph.Graph, error)) (*UnalignedOutcome, error) {
@@ -1011,7 +978,7 @@ func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
 	if p1 == 0 {
 		p1 = 0.5 / float64(n)
 	}
-	lt, err := c.lambdaTable(bits, unaligned.PStarForEdgeProbability(p1, rowPairs))
+	lt, err := unaligned.SharedLambdaTable(bits, unaligned.PStarForEdgeProbability(p1, rowPairs))
 	if err != nil {
 		return nil, err
 	}
@@ -1035,7 +1002,7 @@ func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
 	if coreP1 == 0 {
 		coreP1 = 8 / float64(n)
 	}
-	coreTable, err := c.lambdaTable(bits, unaligned.PStarForEdgeProbability(coreP1, rowPairs))
+	coreTable, err := unaligned.SharedLambdaTable(bits, unaligned.PStarForEdgeProbability(coreP1, rowPairs))
 	if err != nil {
 		return nil, err
 	}

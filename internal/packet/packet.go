@@ -12,13 +12,6 @@ import "fmt"
 // packets of one flow land in the same group of arrays.
 type FlowLabel uint64
 
-// Tuple packs a synthetic 5-tuple into a FlowLabel. The packing is
-// injective over the field widths, so distinct tuples are distinct labels.
-func Tuple(srcIP, dstIP uint16, srcPort, dstPort uint16) FlowLabel {
-	return FlowLabel(uint64(srcIP)<<48 | uint64(dstIP)<<32 |
-		uint64(srcPort)<<16 | uint64(dstPort))
-}
-
 // Packet is one application-layer segment observed on a link. Payload holds
 // the application data after network/transport headers are stripped (the
 // paper's line 5, "pkt.content").
@@ -26,13 +19,6 @@ type Packet struct {
 	Flow    FlowLabel
 	Payload []byte
 }
-
-// Common segment sizes from the Internet packet-size study the paper cites:
-// 576-byte MTU (536-byte MSS payload) and 1500-byte MTU.
-const (
-	SegmentSize536  = 536
-	SegmentSize1460 = 1460
-)
 
 // Packetize splits data into packets of segSize payload bytes each; the
 // final packet may be shorter. All packets carry the given flow label.

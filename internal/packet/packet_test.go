@@ -66,23 +66,6 @@ func TestPacketizePanics(t *testing.T) {
 	Packetize(1, []byte("x"), 0)
 }
 
-func TestTupleInjective(t *testing.T) {
-	seen := map[FlowLabel]bool{}
-	for s := uint16(0); s < 8; s++ {
-		for d := uint16(0); d < 8; d++ {
-			for sp := uint16(0); sp < 8; sp++ {
-				for dp := uint16(0); dp < 8; dp++ {
-					l := Tuple(s, d, sp, dp)
-					if seen[l] {
-						t.Fatalf("Tuple collision at (%d,%d,%d,%d)", s, d, sp, dp)
-					}
-					seen[l] = true
-				}
-			}
-		}
-	}
-}
-
 func TestInstanceAlignedIdentical(t *testing.T) {
 	rng := stats.NewRand(1)
 	content := make([]byte, 5000)

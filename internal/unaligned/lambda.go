@@ -17,7 +17,8 @@ import (
 // fills differ, which is what makes the induced graph Erdős–Rényi.
 //
 // Entries are computed lazily and memoized; a table is safe for concurrent
-// readers. The tracker asks tens of thousands of times per digest, so rows of
+// readers. A nil table is the table of p* = 1, where every row pair is an
+// edge: its Threshold is -1. The tracker asks tens of thousands of times per digest, so rows of
 // ordinary width memoize in a dense square whose row i — λ(i, ·), contiguous —
 // the tracker fetches once per outer row and reads with one atomic load a
 // pair; only rows too wide for that pay a lock and a hash.
@@ -43,7 +44,7 @@ func NewLambdaTable(n int, pstar float64) (*LambdaTable, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("unaligned: non-positive row width %d", n)
 	}
-	if pstar <= 0 || pstar >= 1 {
+	if !(pstar > 0 && pstar < 1) {
 		return nil, fmt.Errorf("unaligned: pstar %v outside (0,1)", pstar)
 	}
 	t := &LambdaTable{n: n, pstar: pstar}
@@ -55,15 +56,53 @@ func NewLambdaTable(n int, pstar float64) (*LambdaTable, error) {
 	return t, nil
 }
 
+// tableKey names a shared table: a table is a pure function of its row width
+// and tail probability.
+type tableKey struct {
+	n     int
+	pstar float64
+}
+
+var (
+	tablesMu sync.Mutex
+	tables   = map[tableKey]*LambdaTable{} // guarded by tablesMu
+)
+
+// SharedLambdaTable returns the process-wide table for rows of n bits at
+// tail probability pstar, building it on first use, so the tracker's prune
+// and every center's final graphs fill each threshold once. At pstar = 1
+// (edge probability at least 1) it returns no table and no error: every row
+// pair is an edge. A non-positive n and a pstar outside (0, 1] are errors.
+func SharedLambdaTable(n int, pstar float64) (*LambdaTable, error) {
+	if n > 0 && pstar == 1 {
+		return nil, nil
+	}
+	key := tableKey{n: n, pstar: pstar}
+	tablesMu.Lock()
+	defer tablesMu.Unlock()
+	if t, ok := tables[key]; ok {
+		return t, nil
+	}
+	t, err := NewLambdaTable(n, pstar)
+	if err != nil {
+		return nil, err
+	}
+	tables[key] = t
+	return t, nil
+}
+
 // N returns the row width the table was built for.
 func (t *LambdaTable) N() int { return t.n }
 
 // PStar returns the per-row-pair tail probability.
 func (t *LambdaTable) PStar() float64 { return t.pstar }
 
-// Threshold returns λ_{i,j} for rows with i and j ones. It panics if i or j
-// is outside [0, N].
+// Threshold returns λ_{i,j} for rows with i and j ones, or -1 on a nil
+// table. It panics if i or j is outside [0, N].
 func (t *LambdaTable) Threshold(i, j int) int {
+	if t == nil {
+		return -1
+	}
 	if i < 0 || i > t.n || j < 0 || j > t.n {
 		panic(fmt.Sprintf("unaligned: row weight (%d,%d) outside [0,%d]", i, j, t.n))
 	}
@@ -96,9 +135,10 @@ func (t *LambdaTable) Threshold(i, j int) int {
 }
 
 // row returns λ(i, ·)+1 for every second weight, zero where Threshold(i, j)
-// has not been asked yet, or nil when the table memoizes in a map.
+// has not been asked yet, or nil for a nil table or one that memoizes in a
+// map.
 func (t *LambdaTable) row(i int) []atomic.Int32 {
-	if t.dense == nil {
+	if t == nil || t.dense == nil {
 		return nil
 	}
 	return t.dense[i*(t.n+1) : (i+1)*(t.n+1)]
@@ -106,10 +146,14 @@ func (t *LambdaTable) row(i int) []atomic.Int32 {
 
 // PStarForEdgeProbability converts a target per-vertex-pair edge probability
 // p1 into the per-row-pair tail p*, given that each vertex pair compares
-// rowPairs row combinations: p1 = 1-(1-p*)^rowPairs.
+// rowPairs row combinations: p1 = 1-(1-p*)^rowPairs. A p1 of 1 or more
+// gives p* = 1: every row pair is an edge.
 func PStarForEdgeProbability(p1 float64, rowPairs int) float64 {
 	if rowPairs <= 0 || p1 <= 0 {
 		return 0
+	}
+	if p1 >= 1 {
+		return 1
 	}
 	// p* = 1-(1-p1)^{1/rowPairs}; for tiny p1 this is p1/rowPairs, which is
 	// also the numerically stable branch.

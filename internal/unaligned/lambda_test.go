@@ -1,6 +1,7 @@
 package unaligned
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -168,5 +169,85 @@ func TestLambdaSymmetricFill(t *testing.T) {
 	}
 	if wide.row(3) != nil {
 		t.Fatal("a table past maxDenseBits hands out a dense row")
+	}
+}
+
+// TestPStarAtLeastOneEdgeProbability pins the one rule for tiny spans: an
+// edge probability of 1 or more asks for every row pair, p* = 1, never the
+// NaN of 1-(negative)^(1/k²).
+func TestPStarAtLeastOneEdgeProbability(t *testing.T) {
+	for _, p1 := range []float64{1, 1 + 1e-12, 8.0 / 7, 1.6, 8, math.Inf(1)} {
+		for _, rowPairs := range []int{1, 16, 100} {
+			if got := PStarForEdgeProbability(p1, rowPairs); got != 1 {
+				t.Errorf("PStarForEdgeProbability(%v, %d) = %v, want 1", p1, rowPairs, got)
+			}
+		}
+	}
+}
+
+// TestLambdaTableRejects holds NewLambdaTable and the shared memo to their
+// domain: a NaN p* used to build a table whose λ equals the lighter row's
+// weight, an edgeless graph.
+func TestLambdaTableRejects(t *testing.T) {
+	if tab, err := NewLambdaTable(512, math.NaN()); err == nil {
+		t.Fatalf("NewLambdaTable(512, NaN) built a table: Threshold(215, 215) = %d", tab.Threshold(215, 215))
+	}
+	for _, c := range []struct {
+		n     int
+		pstar float64
+	}{{512, math.NaN()}, {512, 0}, {512, -0.5}, {512, 1.5}, {0, 0.01}, {0, 1}, {-3, 1}} {
+		if tab, err := SharedLambdaTable(c.n, c.pstar); err == nil {
+			t.Errorf("SharedLambdaTable(%d, %v) = %v, want an error", c.n, c.pstar, tab)
+		}
+	}
+}
+
+// TestSharedLambdaTable checks the one λ cache: the tracker's prune and a
+// center's final graph ask it for equal (n, p*) and get one table, and p* = 1
+// is no table, whose Threshold is -1.
+func TestSharedLambdaTable(t *testing.T) {
+	const bits, arrays, n = 512, 10, 128
+	tr := NewTracker(TrackerConfig{})
+	prune := tr.pruneTable(bits, arrays, n)
+	core, err := SharedLambdaTable(bits, PStarForEdgeProbability(8/float64(n), arrays*arrays))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prune == nil || prune != core {
+		t.Fatalf("prune table %p, core table %p: want one shared table", prune, core)
+	}
+	again, err := SharedLambdaTable(bits, core.PStar())
+	if err != nil || again != core {
+		t.Fatalf("a second ask built %p (err %v), want the memo's %p", again, err, core)
+	}
+	none, err := SharedLambdaTable(bits, 1)
+	if err != nil || none != nil {
+		t.Fatalf("SharedLambdaTable(%d, 1) = %v, %v: want no table and no error", bits, none, err)
+	}
+	if got := none.Threshold(3, 400); got != -1 {
+		t.Fatalf("nil table Threshold = %d, want -1", got)
+	}
+	if tr.pruneTable(bits, arrays, 8) != nil {
+		t.Fatal("an 8-vertex span pruned at core edge probability 1")
+	}
+
+	// Centers analyze outside their locks, so the memo is asked from many
+	// goroutines at once; a key first asked concurrently is still built once.
+	// Run it under -race.
+	got := make([]*LambdaTable, 8)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r], _ = SharedLambdaTable(300, 3e-4)
+			got[r].Threshold(120+r, 130)
+		}(r)
+	}
+	wg.Wait()
+	for r, tab := range got {
+		if tab == nil || tab != got[0] {
+			t.Fatalf("concurrent ask %d got %p, ask 0 got %p: want one table", r, tab, got[0])
+		}
 	}
 }

@@ -3,7 +3,6 @@ package unaligned
 import (
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"dcstream/internal/bitvec"
 )
@@ -84,9 +83,8 @@ type Tracker struct {
 	verts    map[int]int         // current vertex (group) count per epoch
 	maxVerts map[int]int         // historical high-water mark per epoch
 	pairs    map[trPairKey]*trPair
-	tables   map[uint64]*LambdaTable // prune tables keyed by (bits, arrays, pow2 n-low)
-	scratch  []rowEvidence           // correlate's working list, reused pair after pair
-	counts   []int32                 // correlate's overlaps of one row with one group
+	scratch  []rowEvidence // correlate's working list, reused pair after pair
+	counts   []int32       // correlate's overlaps of one row with one group
 	bytes    int64
 }
 
@@ -102,7 +100,6 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 		verts:    map[int]int{},
 		maxVerts: map[int]int{},
 		pairs:    map[trPairKey]*trPair{},
-		tables:   map[uint64]*LambdaTable{},
 	}
 }
 
@@ -118,22 +115,15 @@ func (k trPairKey) canonical() trPairKey {
 }
 
 // pruneTable returns the loose λ table for a pair whose final span is
-// guaranteed to hold at least nLow vertices, or nil when no sound prune
-// exists (tiny spans where the implied edge probability leaves (0,1): every
-// row pair is then kept as evidence, which is cheap precisely because the
-// span is tiny). nLow is bucketed to its floor power of two so at most
-// log2(n) tables are ever built per geometry.
+// guaranteed to hold at least nLow vertices, or nil when the implied edge
+// probability is at least 1 (tiny spans) or no table exists: every row pair
+// is then kept as evidence, which is always sound and cheap precisely
+// because the span is tiny. nLow is bucketed to its floor power of two so at
+// most log2(n) tables are ever built per geometry.
 func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
-	if nLow < 1 {
-		nLow = 1
-	}
 	pow2 := 1
 	for pow2*2 <= nLow {
 		pow2 *= 2
-	}
-	key := uint64(bits)<<40 | uint64(arrays)<<20 | uint64(pow2)
-	if tab, ok := t.tables[key]; ok {
-		return tab
 	}
 	er := t.cfg.TargetP1
 	if er == 0 {
@@ -143,16 +133,7 @@ func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
 	if core == 0 {
 		core = 8 / float64(pow2)
 	}
-	p1 := er
-	if core > p1 {
-		p1 = core
-	}
-	var tab *LambdaTable
-	pstar := PStarForEdgeProbability(p1, arrays*arrays)
-	if pstar > 0 && pstar < 1 {
-		tab, _ = NewLambdaTable(bits, pstar)
-	}
-	t.tables[key] = tab // nil is cached too: "no prune" is also an answer
+	tab, _ := SharedLambdaTable(bits, PStarForEdgeProbability(max(er, core), arrays*arrays))
 	return tab
 }
 
@@ -238,9 +219,10 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 		x, y = o, m
 	}
 	// One kernel call counts an outer row against a group's k contiguous
-	// rows. The λ row for the outer row's weight is fetched once, the pair's
-	// threshold is one load from it (-1, which keeps everything, when there
-	// is no prune table), and the count is the exact overlap stored.
+	// rows. The λ+1 row for the outer row's weight is fetched once; one
+	// compare against it settles every count that is not kept, and the
+	// nil-safe lookup decides the rest, filling a cell the first time it is
+	// asked for. The count is the exact overlap stored.
 	k, wpr := x.arrays, (x.bits+63)/64
 	entries := t.scratch[:0]
 	counts := slices.Grow(t.counts[:0], k)[:k]
@@ -253,21 +235,15 @@ func (t *Tracker) correlate(m, o *trMember) int64 {
 		for gb := gbStart; gb < y.groups; gb++ {
 			for a := ga * k; a < (ga+1)*k; a++ {
 				wa := x.weights[a]
-				var lamRow []atomic.Int32
-				if tab != nil {
-					lamRow = tab.row(int(wa))
-				}
+				row := tab.row(int(wa))
 				bitvec.AndCountRows(x.words[a*wpr:(a+1)*wpr], y.words[gb*k*wpr:], counts)
 				for i, wb := range y.weights[gb*k : (gb+1)*k] {
-					count, lam := counts[i], int32(-1)
-					if lamRow != nil {
-						lam = lamRow[wb].Load() - 1
+					c := counts[i]
+					if row != nil && c < row[wb].Load() {
+						continue
 					}
-					if lam < 0 && tab != nil {
-						lam = int32(tab.Threshold(int(wa), int(wb)))
-					}
-					if count > lam {
-						entries = append(entries, rowEvidence{ga: uint32(ga), gb: uint32(gb), wa: wa, wb: wb, count: count})
+					if int(c) > tab.Threshold(int(wa), int(wb)) {
+						entries = append(entries, rowEvidence{ga: uint32(ga), gb: uint32(gb), wa: wa, wb: wb, count: c})
 					}
 				}
 			}
@@ -419,7 +395,8 @@ func (s *SpanEvidence) Vertex(v int) Vertex { return s.vertices[v] }
 
 // Edges replays the stored evidence against a final λ table: an edge joins
 // two vertices when any surviving row pair's exact overlap beats the
-// threshold for its weights — literally the batch BuildGraph predicate.
+// threshold for its weights — literally the batch BuildGraph predicate. A
+// nil table (p* = 1) makes every stored pair an edge.
 // Edges come back sorted and deduplicated, so graph construction is
 // deterministic regardless of evidence order.
 func (s *SpanEvidence) Edges(table *LambdaTable) [][2]int32 {

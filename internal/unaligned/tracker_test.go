@@ -380,3 +380,29 @@ func TestTrackerAddAllocatesPerEvidencePair(t *testing.T) {
 		t.Fatalf("%v allocations re-adding a digest with %d evidence pairs, want at most %v", allocs, evidence, limit)
 	}
 }
+
+// TestNilTableKeepsEveryPair is the tiny-span end of both paths: four vertices
+// prune at edge probability at least 1, so the tracker stores every row pair,
+// and a nil final table joins every vertex pair in the replay and in the
+// batch graph alike.
+func TestNilTableKeepsEveryPair(t *testing.T) {
+	rng := stats.NewRand(5)
+	digests := []*Digest{trDigest(rng, 0, 2), trDigest(rng, 1, 2)}
+	order := []MemberRef{{Epoch: 1, Router: 0}, {Epoch: 1, Router: 1}}
+	tr := NewTracker(TrackerConfig{Reach: 1})
+	for _, d := range digests {
+		tr.Add(1, d)
+	}
+	stored := 0
+	for _, p := range tr.Snapshot(order).pairs {
+		stored += len(p.entries)
+	}
+	if want := 6 * trTestArrays * trTestArrays; stored != want {
+		t.Fatalf("%d row pairs stored over 4 vertices, want all %d", stored, want)
+	}
+	inc := trIncGraph(tr, order, nil)
+	trCompareGraphs(t, "nil table", inc, trBatchGraph(t, digests, nil))
+	if inc.NumEdges() != 6 {
+		t.Fatalf("nil table gave %d edges over 4 vertices, want 6", inc.NumEdges())
+	}
+}
