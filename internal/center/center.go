@@ -967,8 +967,8 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 // array) that vertex names; a nil table, at edge probability 1 or more, admits
 // every vertex pair. The ER test runs on the graph at the target edge
 // probability; only on a detection is the denser core graph built and the
-// pattern's vertices folded into routers. The core's 8/n reaches 1 at n ≤ 8:
-// such a span's core graph is complete.
+// pattern's vertices folded into routers. The default core probability 8/n
+// reaches 1 at n ≤ 8: such a span's core graph is complete.
 func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
 	vertex func(int) unaligned.Vertex,
 	build func(*unaligned.LambdaTable) (*graph.Graph, error)) (*UnalignedOutcome, error) {

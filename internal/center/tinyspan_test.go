@@ -2,6 +2,7 @@ package center
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // randomUnaligned is a background-only unaligned digest: groups × 10 arrays
 // of 512 bits, each bit set with probability 0.42.
-func randomUnaligned(rng interface{ Float64() float64 }, router, groups int) *unaligned.Digest {
+func randomUnaligned(rng *rand.Rand, router, groups int) *unaligned.Digest {
 	d := &unaligned.Digest{RouterID: router, Rows: make([][]*bitvec.Vector, groups)}
 	for g := range d.Rows {
 		for a := 0; a < 10; a++ {

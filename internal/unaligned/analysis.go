@@ -89,8 +89,8 @@ func (gm *GroupMatrix) Vertex(v int) Vertex { return gm.vertices[v] }
 // cost (§IV-D); rows of one vertex are never compared with each other. A nil
 // table (p* = 1) joins every vertex pair.
 func (gm *GroupMatrix) BuildGraph(lambda *LambdaTable) (*graph.Graph, error) {
-	if err := gm.checkWidth(lambda); err != nil {
-		return nil, err
+	if lambda != nil && lambda.N() != gm.arrayBits {
+		return nil, fmt.Errorf("unaligned: λ table width %d, matrix width %d", lambda.N(), gm.arrayBits)
 	}
 	n := len(gm.vertices)
 	g := graph.New(n)
@@ -121,8 +121,8 @@ func (gm *GroupMatrix) BuildGraphParallel(lambda *LambdaTable, workers int) (*gr
 	if workers < 2 {
 		return gm.BuildGraph(lambda)
 	}
-	if err := gm.checkWidth(lambda); err != nil {
-		return nil, err
+	if lambda != nil && lambda.N() != gm.arrayBits {
+		return nil, fmt.Errorf("unaligned: λ table width %d, matrix width %d", lambda.N(), gm.arrayBits)
 	}
 	type edge struct{ u, v int32 }
 	results := make([][]edge, workers)
@@ -151,14 +151,6 @@ func (gm *GroupMatrix) BuildGraphParallel(lambda *LambdaTable, workers int) (*gr
 		}
 	}
 	return g, nil
-}
-
-// checkWidth rejects a λ table built for another row width.
-func (gm *GroupMatrix) checkWidth(lambda *LambdaTable) error {
-	if lambda != nil && lambda.N() != gm.arrayBits {
-		return fmt.Errorf("unaligned: λ table width %d, matrix width %d", lambda.N(), gm.arrayBits)
-	}
-	return nil
 }
 
 // correlated reports whether the maximal row-pair overlap between vertices u

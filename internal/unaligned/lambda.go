@@ -17,11 +17,11 @@ import (
 // fills differ, which is what makes the induced graph Erdős–Rényi.
 //
 // Entries are computed lazily and memoized; a table is safe for concurrent
-// readers. A nil table is the table of p* = 1, where every row pair is an
-// edge: its Threshold is -1. The tracker asks tens of thousands of times per digest, so rows of
+// readers. The tracker asks tens of thousands of times per digest, so rows of
 // ordinary width memoize in a dense square whose row i — λ(i, ·), contiguous —
 // the tracker fetches once per outer row and reads with one atomic load a
-// pair; only rows too wide for that pay a lock and a hash.
+// pair; only rows too wide for that pay a lock and a hash. A nil table is the
+// table of p* = 1, where every row pair is an edge: its Threshold is -1.
 type LambdaTable struct {
 	n     int
 	pstar float64

@@ -116,9 +116,9 @@ func (k trPairKey) canonical() trPairKey {
 
 // pruneTable returns the loose λ table for a pair whose final span is
 // guaranteed to hold at least nLow vertices, or nil when the implied edge
-// probability is at least 1 (tiny spans) or no table exists: every row pair
-// is then kept as evidence, which is always sound and cheap precisely
-// because the span is tiny. nLow is bucketed to its floor power of two so at
+// probability is at least 1 (tiny spans) or gives no valid p*: every row
+// pair is then kept as evidence, which is always sound, and cheap in a tiny
+// span. nLow is bucketed to its floor power of two so at
 // most log2(n) tables are ever built per geometry.
 func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
 	pow2 := 1
