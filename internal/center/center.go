@@ -232,6 +232,12 @@ type WindowReport struct {
 	// sorted ascending (quorum gating only).
 	Degraded       bool
 	MissingRouters []int
+	// ExcludedRouters names, sorted ascending, the routers that had a digest
+	// left out of the analysis for its shape: refused at admission (no
+	// groups, an empty or ragged bank, an aligned bitmap under two bits, a
+	// resend that changes shape) or stored at a geometry other than the
+	// span's modal one. A non-empty list marks the report Degraded.
+	ExcludedRouters []int `json:",omitempty"`
 	// Shed reports the window was dropped whole for memory pressure and
 	// never analyzed: ShedDigests is how many buffered digests died with
 	// it, and Aligned/Unaligned stay nil. A shed epoch is tombstoned — late
