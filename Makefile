@@ -96,11 +96,13 @@ bench-shards-json:
 # tick-only policy over seeded fleets, the restart-never-re-reports cases, and
 # Handle/Wake/Tick under the race detector. The center's own close-policy
 # table rides with them: CloseNext driven through Ingest/Tick alone, row by
-# row, and over seeded fleets. Group commit's contract rides last: the
+# row, and over seeded fleets. Group commit's contract rides next: the
 # power-cut images taken at every report and after every tick, the failed
-# barrier's accounting, and the never-closed-dirty segment paths.
+# barrier's accounting, and the never-closed-dirty segment paths. The
+# hostile-geometry table rides last: every odd digest shape in both analysis
+# modes, and the restart that must not replay a mixed-width epoch.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster|CloseNext|PowerCut|Barrier|SyncFault|ClosedDirty' \
+	$(GO) test -race -run 'Chaos|Crash|Partition|Quorum|Torn|Replay|Eviction|DupKeep|Metrics|Scrape|Degraded|Shed|Gate|Quarantin|ShortWrite|Rollback|Budget|Healthz|Overload|Incremental|Sliding|Shard|Tick|Retire|Drain|TestRun|Wake|Completion|Restart|Roster|CloseNext|PowerCut|Barrier|SyncFault|ClosedDirty|Geometry' \
 		./internal/center/... ./internal/transport/... ./internal/faultinject/... ./internal/journal/... ./internal/shard/... ./internal/daemon/...
 
 # Short fuzz of the crash/byte-level decoders. The first three targets enter
@@ -110,14 +112,17 @@ chaos:
 # surface. Their seeds carry the hostile lengths the hostile-frame table
 # (TestGeometryOverflowRejected, TestReaderRejectsCorrupt) pins; the fuzzers
 # look for the ones it does not. The fifth is the shard report envelope's
-# decoder, held to an exact decode → encode → decode round trip. Native Go
-# fuzzing only supports one target per invocation.
+# decoder, held to an exact decode → encode → decode round trip. The sixth
+# feeds what ReadFrame admits into a batch and an incremental center and
+# drains both: no analysis error, identical reports, a balanced ledger.
+# Native Go fuzzing only supports one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadDatagram -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) ./internal/traceio
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzCenterIngest -fuzztime $(FUZZTIME) ./internal/center
 
 # Lines of Go per package (non-test, test) and the totals outside and inside
 # bench/: the numbers ROADMAP's "Size:" line and the CHANGES.md ledgers quote.

@@ -28,8 +28,9 @@ const initialCapRows = 64
 // outcome is invariant under row permutation (no rule in Detect ever compares
 // row indices — only column contents, weights, and column indices).
 //
-// The accumulator is not self-synchronizing: the center mutates and reads it
-// under its own mutex.
+// Every digest applied to one accumulator must have the width the first one
+// fixed: the center keeps one accumulator per width. The accumulator is not
+// self-synchronizing: the center mutates and reads it under its own mutex.
 type Accumulator struct {
 	width   int      // bitmap width, fixed by the first applied digest
 	rows    int      // used slots
@@ -38,7 +39,6 @@ type Accumulator struct {
 	weights []int32
 	slots   map[int]int // router -> slot
 	slotIDs []int       // slot -> router, arrival order
-	mixed   bool        // saw a digest of a different width; finalize must fall back
 	bytes   int64
 }
 
@@ -49,14 +49,6 @@ func NewAccumulator() *Accumulator {
 
 // Rows returns the number of occupied row slots.
 func (a *Accumulator) Rows() int { return a.rows }
-
-// Width returns the bitmap width, or 0 before the first applied digest.
-func (a *Accumulator) Width() int { return a.width }
-
-// Mixed reports whether a digest of a conflicting width was seen. The
-// incremental matrix is then unusable and finalize must take the batch path,
-// which reproduces the batch width-mismatch error verbatim.
-func (a *Accumulator) Mixed() bool { return a.mixed }
 
 // Bytes returns the accounted memory footprint. It moves only by the deltas
 // Add returns, so the center's ledger can track it exactly.
@@ -76,9 +68,6 @@ func (a *Accumulator) structBytes() int64 {
 // mutating anything. RejectNew admission uses this to refuse a digest before
 // any state changes.
 func (a *Accumulator) EstimateAdd(router int, bm *bitvec.Vector) int64 {
-	if a.width != 0 && bm.Len() != a.width {
-		return 0 // would only flip the mixed flag
-	}
 	width, capRows, slotCount := a.width, a.capRows, len(a.slotIDs)
 	cur := a.structBytes()
 	if width == 0 {
@@ -99,14 +88,8 @@ func (a *Accumulator) EstimateAdd(router int, bm *bitvec.Vector) int64 {
 
 // Add applies one router digest: the router's row slot gets bm's bits and the
 // touched columns' popcounts are bumped. Cost is O(popcount(bm)) plus
-// amortized arena growth. It returns the accounted byte delta. A digest whose
-// width conflicts with the established width marks the accumulator mixed and
-// is not applied (the batch fallback reports the mismatch).
+// amortized arena growth. It returns the accounted byte delta.
 func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
-	if a.width != 0 && bm.Len() != a.width {
-		a.mixed = true
-		return 0
-	}
 	before := a.structBytes()
 	if a.width == 0 {
 		a.width = bm.Len()
@@ -141,12 +124,8 @@ func (a *Accumulator) Add(router int, bm *bitvec.Vector) int64 {
 // replacement path for a resent digest): its bits are cleared and the
 // popcounts decremented. The slot stays assigned — the replacement Add reuses
 // it, so slot order (and with it the row permutation) is stable across
-// replacements. Digests that were never applied (unknown router, conflicting
-// width) are ignored.
+// replacements. A router that was never applied is ignored.
 func (a *Accumulator) Remove(router int, bm *bitvec.Vector) {
-	if a.width == 0 || bm.Len() != a.width {
-		return
-	}
 	slot, ok := a.slots[router]
 	if !ok {
 		return
@@ -175,12 +154,8 @@ func (a *Accumulator) grow() {
 
 // Matrix returns the accumulated matrix — a view of the arena, rows in slot
 // order; do not mutate the accumulator while the detection runs — together
-// with the maintained column weights. It panics when the accumulator is
-// empty or mixed; callers gate on Rows and Mixed.
+// with the maintained column weights. Callers gate on Rows.
 func (a *Accumulator) Matrix() (*Matrix, []int) {
-	if a.mixed {
-		panic("aligned: Matrix on mixed-width accumulator")
-	}
 	w := make([]int, a.width)
 	a.AddWeightsInto(w)
 	return &Matrix{rows: a.rows, cols: a.width, stride: a.capRows / 64, words: a.words}, w

@@ -176,28 +176,6 @@ func TestAccumulatorBytesLedger(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMixedWidth(t *testing.T) {
-	acc := NewAccumulator()
-	acc.Add(1, bitvec.New(128))
-	if acc.Mixed() {
-		t.Fatal("mixed before any conflict")
-	}
-	if delta := acc.Add(2, bitvec.New(64)); delta != 0 {
-		t.Fatalf("conflicting-width add moved %d bytes", delta)
-	}
-	if !acc.Mixed() {
-		t.Fatal("width conflict not flagged")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Matrix() on mixed accumulator did not panic")
-			}
-		}()
-		acc.Matrix()
-	}()
-}
-
 func TestAccumulatorSpanBlit(t *testing.T) {
 	const bits = 384
 	d1 := accDigests(11, 5, bits, nil, nil)

@@ -226,8 +226,9 @@ type WindowReport struct {
 	// observed m′, either digest kind counting).
 	Routers int
 	// Degraded reports that the window closed without the full picture:
-	// below the MinRouters quorum, shed for memory pressure, or analyzed
-	// after rejecting digests under a RejectNew budget. MissingRouters
+	// below the MinRouters quorum, shed for memory pressure, analyzed after
+	// refusing digests at admission, or with digests left out for their
+	// shape (ExcludedRouters). MissingRouters
 	// names the known-live routers that never reported into the window,
 	// sorted ascending (quorum gating only).
 	Degraded       bool
@@ -246,9 +247,9 @@ type WindowReport struct {
 	// eviction, or shed, never silently lost.
 	Shed        bool
 	ShedDigests int
-	// RejectedDigests counts digests refused from this window by a
-	// RejectNew memory budget while it was buffering (the window analyzed,
-	// but incomplete).
+	// RejectedDigests counts digests refused from this window at admission
+	// while it was buffering, by a RejectNew memory budget or for their
+	// shape (the window analyzed, but incomplete).
 	RejectedDigests int
 	// SpanStart and SpanEpochs describe the analysis span: it covers epochs
 	// [SpanStart, Epoch], and SpanEpochs lists the ones that held data.
@@ -279,15 +280,19 @@ type window struct {
 	// every stored digest); the center's bufferedBytes is the sum over all
 	// windows.
 	bytes int64
-	// rejected counts digests a RejectNew memory budget refused from this
-	// window; the window's eventual report carries it and marks Degraded.
+	// rejected counts digests admission refused from this window — under a
+	// RejectNew memory budget or for their shape; the window's eventual report
+	// carries it and marks Degraded. excluded names the routers refused for
+	// their shape, nil until one is.
 	rejected int
+	excluded map[int]bool
 	// acc incrementally maintains this window's aligned detection state —
-	// the column-major matrix and per-column popcounts — as digests arrive;
-	// nil in AnalysisBatch mode. Mutated only under the center's mu. Its
-	// accounted bytes ride in the center's bufferedBytes ledger (not in
-	// w.bytes, which stays the retained digest payload).
-	acc *aligned.Accumulator
+	// the column-major matrix and per-column popcounts — as digests arrive,
+	// one accumulator per bitmap width; nil in AnalysisBatch mode. Mutated
+	// only under the center's mu. Its accounted bytes ride in the center's
+	// bufferedBytes ledger (not in w.bytes, which stays the retained digest
+	// payload).
+	acc map[int]*aligned.Accumulator
 	// expect is what the window still waits for: the registry's (router, kind)
 	// pairs live under the MaxWait horizon when the window opened (a kindBits
 	// mask per router), minus every one stored since. complete latches when a
@@ -314,7 +319,7 @@ func (c *Center) newWindowLocked() *window {
 		opened:       time.Now(),
 	}
 	if c.cfg.Analysis == AnalysisIncremental {
-		w.acc = aligned.NewAccumulator()
+		w.acc = map[int]*aligned.Accumulator{}
 	}
 	return w
 }
@@ -373,10 +378,12 @@ type Center struct {
 	// evictedEpochs lists the epochs ring eviction released since the last
 	// TakeEvictedEpochs, oldest eviction first. guarded by mu
 	evictedEpochs []int
-	// tracker maintains the unaligned pairwise correlation evidence
-	// incrementally across all buffered epochs; nil in AnalysisBatch mode.
-	// Its accounted bytes ride in bufferedBytes. guarded by mu
-	tracker *unaligned.Tracker
+	// trackers maintain the unaligned pairwise correlation evidence
+	// incrementally across all buffered epochs, one tracker per geometry, so
+	// a digest is correlated only with digests a span can analyze it with
+	// and the prune's vertex bound counts only those; nil in AnalysisBatch
+	// mode. Their accounted bytes ride in bufferedBytes. guarded by mu
+	trackers map[geometry]*unaligned.Tracker
 	// spanClosed is the span watermark, the newest reported span; windows
 	// still buffered at or below it are context for the spans ahead.
 	spanClosed      int  // guarded by mu
@@ -395,11 +402,7 @@ func New(cfg Config) *Center {
 		wake:    make(chan struct{}, 1),
 	}
 	if c.cfg.Analysis == AnalysisIncremental {
-		c.tracker = unaligned.NewTracker(unaligned.TrackerConfig{
-			TargetP1: c.cfg.TargetP1,
-			CoreP1:   c.cfg.CoreP1,
-			Reach:    c.cfg.WindowSlide,
-		})
+		c.trackers = map[geometry]*unaligned.Tracker{}
 	}
 	return c
 }
@@ -487,101 +490,113 @@ func (c *Center) ingestLocked(m transport.Message) {
 		// This digest opened the window: fix what it waits for.
 		w.expect = c.expectedLocked(epoch, router, prev)
 	}
-	// A replacement mutates the window without growing it, so it counts in
-	// ReplacedDigests, not DigestsIngested — otherwise eviction's
-	// DroppedDigests (which drains the window's actual digest count) could
-	// never balance the ingest ledger.
-	//
-	// Admission runs before storage: a digest the memory budget refuses is
-	// counted RejectedDigests (its ledger) and the window marked, never
-	// half-stored. Replacements are admitted by their size *delta* — a
-	// same-width resend costs nothing. In incremental mode the aligned
-	// admission also covers the accumulator's exact structural growth; the
-	// unaligned tracker's evidence growth is content-dependent, so it is
-	// enforced after the fact instead (enforceBudgetLocked).
+	// Admission runs before storage: a digest refused for its shape or by
+	// the memory budget is counted RejectedDigests (its ledger) and the
+	// window marked, never half-stored. Shape comes first: the center refuses
+	// a digest it cannot analyze with anything (no groups, an empty or ragged
+	// bank, an aligned bitmap under two bits) and a resend whose shape
+	// differs from the digest it would replace. A resend of the same shape
+	// retains exactly the bytes it replaces, so only a new digest meets the
+	// budget. In incremental mode the aligned admission also covers the
+	// accumulator's exact structural growth; the unaligned tracker's evidence
+	// growth is content-dependent, so it is enforced after the fact instead
+	// (enforceBudgetLocked).
+	var (
+		dup, ok bool
+		old     *bitvec.Vector // the aligned bitmap a resend replaces
+		slot    int            // the unaligned slot a resend replaces
+		geo     geometry
+		acc     *aligned.Accumulator
+	)
 	sz := retainedBytes(m)
+	need := sz
 	switch d := m.(type) {
 	case transport.AlignedDigest:
-		if _, dup := w.aligned[d.RouterID]; dup {
-			c.cfg.Stats.DuplicateDigests.Add(1)
-			old := w.aligned[d.RouterID]
-			delta := sz - vecBytes(old) - entryOverheadBytes
-			if w.acc != nil {
-				delta += w.acc.EstimateAdd(d.RouterID, d.Bitmap)
+		width := d.Bitmap.Len()
+		old, dup = w.aligned[router]
+		ok = width >= 2 && (!dup || old.Len() == width)
+		if ok && w.acc != nil {
+			if acc = w.acc[width]; acc == nil {
+				acc = aligned.NewAccumulator()
+				w.acc[width] = acc
 			}
-			if !c.admitLocked(epoch, delta) {
-				c.rejectLocked(w)
-				return
-			}
-			w.aligned[d.RouterID] = d.Bitmap
-			if w.acc != nil {
-				// A replacement must retract the digest it displaces before
-				// the new one lands, or the replaced bits would stay OR-ed
-				// into the column state forever.
-				w.acc.Remove(d.RouterID, old)
-				c.bufferedBytes += w.acc.Add(d.RouterID, d.Bitmap)
-			}
-			w.bytes += sz - vecBytes(old) - entryOverheadBytes
-			c.bufferedBytes += sz - vecBytes(old) - entryOverheadBytes
-			c.cfg.Stats.ReplacedDigests.Add(1)
-			return
+			need += acc.EstimateAdd(router, d.Bitmap)
 		}
-		need := sz
-		if w.acc != nil {
-			need += w.acc.EstimateAdd(d.RouterID, d.Bitmap)
+	case transport.UnalignedDigest:
+		geo, ok = unalignedGeometry(d.Digest)
+		if slot, dup = w.unalignedIdx[router]; dup {
+			// The group count is part of a resend's shape: fewer groups
+			// would shrink the epoch below the vertex count the tracker
+			// pruned for.
+			prev := w.unaligned[slot]
+			ok = ok && len(prev.Rows) == len(d.Digest.Rows) && geometryOf(prev) == geo
 		}
+	}
+	if dup {
+		c.cfg.Stats.DuplicateDigests.Add(1)
+	}
+	if !ok {
+		c.rejectLocked(w)
+		if w.excluded == nil {
+			w.excluded = map[int]bool{}
+		}
+		w.excluded[router] = true
+		return
+	}
+	if !dup {
 		if !c.admitLocked(epoch, need) {
 			c.rejectLocked(w)
 			return
 		}
-		w.aligned[d.RouterID] = d.Bitmap
-		if w.acc != nil {
-			c.bufferedBytes += w.acc.Add(d.RouterID, d.Bitmap)
-		}
-	case transport.UnalignedDigest:
-		if i, dup := w.unalignedIdx[d.Digest.RouterID]; dup {
-			c.cfg.Stats.DuplicateDigests.Add(1)
-			delta := sz - unalignedBytes(w.unaligned[i])
-			if !c.admitLocked(epoch, delta) {
-				c.rejectLocked(w)
-				return
-			}
-			w.unaligned[i] = d.Digest
-			w.bytes += delta
-			c.bufferedBytes += delta
-			if c.tracker != nil {
-				c.bufferedBytes += c.tracker.Remove(epoch, d.Digest.RouterID)
-				c.bufferedBytes += c.tracker.Add(epoch, d.Digest)
-				c.enforceBudgetLocked(epoch)
-			}
-			c.cfg.Stats.ReplacedDigests.Add(1)
-			return
-		}
-		if !c.admitLocked(epoch, sz) {
-			c.rejectLocked(w)
-			return
-		}
-		w.unalignedIdx[d.Digest.RouterID] = len(w.unaligned)
-		w.unaligned = append(w.unaligned, d.Digest)
 		w.bytes += sz
 		c.bufferedBytes += sz
-		if c.tracker != nil {
-			c.bufferedBytes += c.tracker.Add(epoch, d.Digest)
+	}
+	switch d := m.(type) {
+	case transport.AlignedDigest:
+		w.aligned[router] = d.Bitmap
+		if acc != nil {
+			if dup {
+				// A replacement must retract the digest it displaces before
+				// the new one lands, or the replaced bits would stay OR-ed
+				// into the column state forever.
+				acc.Remove(router, old)
+			}
+			c.bufferedBytes += acc.Add(router, d.Bitmap)
+		}
+	case transport.UnalignedDigest:
+		if dup {
+			w.unaligned[slot] = d.Digest
+		} else {
+			w.unalignedIdx[router] = len(w.unaligned)
+			w.unaligned = append(w.unaligned, d.Digest)
+		}
+		if c.trackers != nil {
+			tr := c.trackers[geo]
+			if tr == nil {
+				tr = unaligned.NewTracker(unaligned.TrackerConfig{
+					TargetP1: c.cfg.TargetP1, CoreP1: c.cfg.CoreP1, Reach: c.cfg.WindowSlide})
+				c.trackers[geo] = tr
+			}
+			c.bufferedBytes += tr.Remove(epoch, router)
+			c.bufferedBytes += tr.Add(epoch, d.Digest)
 			c.enforceBudgetLocked(epoch)
 		}
-		c.cfg.Stats.DigestsIngested.Add(1)
-		c.arrivedLocked(w, router, kind)
+	}
+	// A replacement mutates the window without growing it, so it counts in
+	// ReplacedDigests, not DigestsIngested — otherwise eviction's
+	// DroppedDigests (which drains the window's actual digest count) could
+	// never balance the ingest ledger.
+	if dup {
+		c.cfg.Stats.ReplacedDigests.Add(1)
 		return
 	}
-	w.bytes += sz
-	c.bufferedBytes += sz
 	c.cfg.Stats.DigestsIngested.Add(1)
 	c.arrivedLocked(w, router, kind)
 }
 
-// rejectLocked records a budget rejection against the window the digest was
-// headed for: the refusal is the digest's whole ledger, and the window will
-// analyze Degraded with the count on its report. Caller holds c.mu.
+// rejectLocked records an admission refusal against the window the digest
+// was headed for: the refusal is the digest's whole ledger, and the window
+// will analyze Degraded with the count on its report. Caller holds c.mu.
 func (c *Center) rejectLocked(w *window) {
 	w.rejected++
 	c.cfg.Stats.RejectedDigests.Add(1)

@@ -2,6 +2,7 @@ package center
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -91,14 +92,21 @@ func testCenterAlignedWindow(t *testing.T, content int) {
 	}
 }
 
+// TestCenterRejectsMixedWidths: two widths in one window are never analyzed
+// together. The tie goes to the smaller width, and the other router is left
+// out and named; one digest is left, too few to correlate.
 func TestCenterRejectsMixedWidths(t *testing.T) {
 	c := New(Config{})
 	a, _ := aligned.NewCollector(aligned.CollectorConfig{Bits: 64, HashSeed: 1})
 	b, _ := aligned.NewCollector(aligned.CollectorConfig{Bits: 128, HashSeed: 1})
-	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 1, Bitmap: a.Digest()})
-	c.Ingest(transport.AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: b.Digest()})
-	if _, err := c.Analyze(1); err == nil {
-		t.Fatal("mixed widths accepted")
+	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 1, Bitmap: b.Digest()})
+	c.Ingest(transport.AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: a.Digest()})
+	rep, err := c.Analyze(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded || !reflect.DeepEqual(rep.ExcludedRouters, []int{0}) || rep.Aligned != nil {
+		t.Fatalf("mixed widths reported %+v, want Degraded, router 0 excluded, no aligned outcome", rep)
 	}
 }
 

@@ -283,3 +283,69 @@ func TestGeometryHostileRows(t *testing.T) {
 		})
 	}
 }
+
+// tinyFleet is a geoFleet at fuzzing size: four aligned routers at 64 bits
+// (32 after the reconfiguration) and three unaligned routers of 2 groups × 2
+// arrays × 64 bits.
+func tinyFleet() geoFleet {
+	var f geoFleet
+	for r := 0; r < 4; r++ {
+		f.aligned = append(f.aligned, transport.AlignedDigest{RouterID: r, Epoch: 1, Bitmap: geoBitmap(64, uint64(r))})
+		f.reconf = append(f.reconf, transport.AlignedDigest{RouterID: r, Epoch: 2, Bitmap: geoBitmap(32, uint64(r))})
+	}
+	for r := 0; r < 3; r++ {
+		f.unaligned = append(f.unaligned, geoUnaligned(r, 2, 2, 64))
+	}
+	return f
+}
+
+// FuzzCenterIngest feeds exactly what the wire admits — the fuzz bytes cut
+// into frames by transport.ReadFrame, up to the first frame it rejects — into
+// a batch and an incremental center at WindowSlide 1 and 2, and drains both.
+// Every span must close with a report and no error, the two modes must agree
+// DeepEqual, and every message fed must end in exactly one ledger. The seeds
+// are the hostile-geometry rows at fuzzing size, each as one stream of
+// frames (the encoder refuses the zero-array group beside full ones, so that
+// row is seeded as the wire's form of it: every group empty).
+func FuzzCenterIngest(f *testing.F) {
+	fleet := tinyFleet()
+	for _, row := range geometryRows {
+		feed, _, _ := row.build(fleet)
+		var seed []byte
+		for _, m := range feed {
+			seed, _ = transport.AppendFrame(seed, m)
+		}
+		f.Add(seed)
+	}
+	empty, _ := transport.AppendFrame(nil, transport.UnalignedDigest{Epoch: 1,
+		Digest: &unaligned.Digest{RouterID: 9, Rows: [][]*bitvec.Vector{{}, {}}}})
+	f.Add(empty)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var msgs []transport.Message
+		for len(data) > 0 {
+			m, rest, err := transport.ReadFrame(data)
+			if err != nil {
+				break
+			}
+			msgs, data = append(msgs, m), rest
+		}
+		for slide := 1; slide <= 2; slide++ {
+			var outs []geoOutcome
+			for _, mode := range []AnalysisMode{AnalysisBatch, AnalysisIncremental} {
+				out := drainGeometry(Config{SubsetSize: 16, WindowSlide: slide, Analysis: mode}, msgs)
+				if out.Err != "" {
+					t.Fatalf("slide %d mode %d: %s", slide, mode, out.Err)
+				}
+				s := out.Stats
+				if n := s.DigestsIngested + s.LateDigests + s.ReplacedDigests + s.RejectedDigests +
+					s.UnknownMessages + s.MisroutedDigests; n != int64(len(msgs)) {
+					t.Fatalf("slide %d mode %d: ledger holds %d of %d messages: %+v", slide, mode, n, len(msgs), s)
+				}
+				outs = append(outs, out)
+			}
+			if !reflect.DeepEqual(outs[0], outs[1]) {
+				t.Fatalf("slide %d: batch and incremental diverged:\nbatch       %+v\nincremental %+v", slide, outs[0], outs[1])
+			}
+		}
+	})
+}

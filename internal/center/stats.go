@@ -35,8 +35,10 @@ type Stats struct {
 	// the counters and the reports tell the same story.
 	ShedDigests metrics.Counter
 	ShedEpochs  metrics.Counter
-	// RejectedDigests counts digests refused at admission by a RejectNew
-	// memory budget — their entire ledger; they were never stored.
+	// RejectedDigests counts digests refused at admission — by a RejectNew
+	// memory budget, or for a shape the center cannot analyze (no groups, an
+	// empty or ragged bank, an aligned bitmap under two bits, a resend that
+	// changes shape) — their entire ledger; they were never stored.
 	RejectedDigests metrics.Counter
 	// UnknownMessages counts wire messages of a kind this center does not
 	// understand (forward compatibility: ignored, not fatal).
@@ -121,7 +123,7 @@ func (s *Stats) Register(r *metrics.Registry) {
 	r.RegisterCounter("dcs_center_shed_epochs_total",
 		"epoch windows shed whole for memory pressure", &s.ShedEpochs)
 	r.RegisterCounter("dcs_center_shed_rejected_total",
-		"digests refused at admission by a RejectNew memory budget", &s.RejectedDigests)
+		"digests refused at admission, by a RejectNew memory budget or for their shape", &s.RejectedDigests)
 	r.RegisterCounter("dcs_center_messages_unknown_total",
 		"wire messages of an unknown kind (ignored)", &s.UnknownMessages)
 	r.RegisterCounter("dcs_center_digests_misrouted_total",

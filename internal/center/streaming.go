@@ -22,9 +22,7 @@ const (
 	AnalysisIncremental AnalysisMode = iota
 	// AnalysisBatch rebuilds everything from the buffered digests at analyze
 	// time: the reference implementation the incremental path must match
-	// bit for bit. The incremental path itself falls back to it per window
-	// when its state cannot reproduce the batch result (mixed widths,
-	// malformed digests, a replacement that shrank a digest's group count).
+	// bit for bit.
 	AnalysisBatch
 )
 
@@ -36,10 +34,10 @@ type rowID struct{ epoch, router int }
 
 // spanSnapshot is everything one analysis span needs, captured under c.mu at
 // the moment the span closes, so the (possibly expensive) finalize runs
-// without the lock and never races later ingest. Exactly one of
-// alignedMatrix/alignedVecs is set when aligned digests are present, and at
-// most one of unalignedEv/unalignedDigests: the incremental input when the
-// maintained state is usable, the batch input otherwise.
+// without the lock and never races later ingest. When two or more digests of
+// a kind share the span's modal geometry, one input of that kind is set:
+// alignedMatrix or unalignedEv in AnalysisIncremental mode, alignedVecs or
+// unalignedDigests in AnalysisBatch mode.
 type spanSnapshot struct {
 	epoch    int   // closing epoch (the report's Epoch)
 	start    int   // first epoch of the span: epoch-WindowSlide+1
@@ -48,6 +46,7 @@ type spanSnapshot struct {
 	meta     windowMeta
 	routers  int // distinct reporters across the span
 	rejected int
+	excluded []int     // routers with a digest left out for its shape, ascending
 	opened   time.Time // earliest first-digest arrival among span windows
 
 	alignedIDs     []rowID // reference row order
@@ -77,7 +76,7 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 	if oldest, ok := c.oldestOpenLocked(); ok && oldest < s.start {
 		return nil, fmt.Errorf("%w: span %d before span %d", ErrOlderSpanOpen, oldest, epoch)
 	}
-	reporters := map[int]bool{}
+	reporters, excluded := map[int]bool{}, map[int]bool{}
 	for e := s.start; e <= epoch; e++ {
 		sw, ok := c.windows[e]
 		if !ok {
@@ -91,10 +90,17 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 		for id := range sw.reporters() {
 			reporters[id] = true
 		}
+		for id := range sw.excluded {
+			excluded[id] = true
+		}
 	}
 	s.routers = len(reporters)
-	c.snapshotAlignedLocked(s)
-	c.snapshotUnalignedLocked(s)
+	c.snapshotAlignedLocked(s, excluded)
+	c.snapshotUnalignedLocked(s, excluded)
+	for id := range excluded {
+		s.excluded = append(s.excluded, id)
+	}
+	sort.Ints(s.excluded)
 
 	for e := range c.windows {
 		if e <= s.start {
@@ -123,47 +129,82 @@ func (c *Center) RestoreSpanWatermark(epoch int) {
 	}
 }
 
-// snapshotAlignedLocked captures the span's aligned input. The incremental
-// matrix is usable when every span accumulator is clean and they agree on
-// width; otherwise the batch transposition runs on the buffered bitmaps,
-// which also reproduces the batch path's mixed-width error. Caller holds
-// c.mu.
-func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
-	total, width := 0, 0
-	usable := c.cfg.Analysis == AnalysisIncremental
-	var accs []*aligned.Accumulator
-	var accEpochs []int
-	for _, e := range s.epochs {
-		sw := c.windows[e]
-		total += len(sw.aligned)
-		if !usable || len(sw.aligned) == 0 {
-			continue
+// geometry is the shape digests of one kind must share to be analyzed
+// together: an aligned digest's bitmap width (arrays 0), an unaligned
+// digest's array width and arrays per group.
+type geometry struct{ bits, arrays int }
+
+// modal returns the geometry most of a span's digests carry, count per
+// geometry; a tie goes to the smaller, bits first. The choice depends on
+// neither arrival order nor analysis mode.
+func modal(count map[geometry]int) geometry {
+	var best geometry
+	for g, n := range count {
+		if b := count[best]; n > b || n == b && (g.bits < best.bits || g.bits == best.bits && g.arrays < best.arrays) {
+			best = g
 		}
-		if sw.acc == nil || sw.acc.Mixed() {
-			usable = false
-			continue
-		}
-		if width == 0 {
-			width = sw.acc.Width()
-		}
-		if sw.acc.Width() != width {
-			usable = false
-			continue
-		}
-		accs = append(accs, sw.acc)
-		accEpochs = append(accEpochs, e)
 	}
-	if total < 2 {
+	return best
+}
+
+// unalignedGeometry is d's geometry, or false when d is no shape the center
+// can analyze: no groups, a group with no arrays, groups with different
+// array counts, or arrays of different or zero widths.
+func unalignedGeometry(d *unaligned.Digest) (geometry, bool) {
+	if len(d.Rows) == 0 || len(d.Rows[0]) == 0 {
+		return geometry{}, false
+	}
+	g := geometryOf(d)
+	for _, rows := range d.Rows {
+		if len(rows) != g.arrays {
+			return g, false
+		}
+		for _, r := range rows {
+			if r.Len() != g.bits {
+				return g, false
+			}
+		}
+	}
+	return g, g.bits > 0
+}
+
+// geometryOf is the geometry of a digest admission accepted.
+func geometryOf(d *unaligned.Digest) geometry {
+	return geometry{bits: d.Rows[0][0].Len(), arrays: len(d.Rows[0])}
+}
+
+// snapshotAlignedLocked captures the span's aligned input — the bitmaps of
+// the modal width: the accumulators' matrix, or the bitmaps themselves in
+// AnalysisBatch mode — and adds every other width's routers to excluded.
+// Caller holds c.mu.
+func (c *Center) snapshotAlignedLocked(s *spanSnapshot, excluded map[int]bool) {
+	count := map[geometry]int{}
+	for _, e := range s.epochs {
+		for _, bm := range c.windows[e].aligned {
+			count[geometry{bits: bm.Len()}]++
+		}
+	}
+	width := modal(count).bits
+	for _, e := range s.epochs {
+		for id, bm := range c.windows[e].aligned {
+			if bm.Len() != width {
+				excluded[id] = true
+			}
+		}
+	}
+	if count[geometry{bits: width}] < 2 {
 		return
 	}
-	if !usable {
-		// Batch input: slice-header copies only; stored bitmaps are
-		// immutable (a replacement swaps the pointer).
+	if c.cfg.Analysis == AnalysisBatch {
+		// Slice-header copies only; stored bitmaps are immutable (a
+		// replacement swaps the pointer).
 		for _, e := range s.epochs {
 			sw := c.windows[e]
-			ids := make([]int, 0, len(sw.aligned))
-			for id := range sw.aligned {
-				ids = append(ids, id)
+			var ids []int
+			for id, bm := range sw.aligned {
+				if bm.Len() == width {
+					ids = append(ids, id)
+				}
 			}
 			sort.Ints(ids)
 			for _, id := range ids {
@@ -172,6 +213,14 @@ func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
 			}
 		}
 		return
+	}
+	var accs []*aligned.Accumulator
+	var accEpochs []int
+	for _, e := range s.epochs {
+		if acc := c.windows[e].acc[width]; acc != nil && acc.Rows() > 0 {
+			accs = append(accs, acc)
+			accEpochs = append(accEpochs, e)
+		}
 	}
 	// The accumulators hold rows in arrival ("slot") order; build the
 	// reference ids and the slot→reference rank so the detection's Rows can
@@ -201,32 +250,34 @@ func (c *Center) snapshotAlignedLocked(s *spanSnapshot) {
 	s.alignedMatrix, s.alignedWeights = aligned.StitchSpan(accs)
 }
 
-// snapshotUnalignedLocked captures the span's unaligned input: the tracker's
-// evidence when it can reproduce the batch result, the buffered digests
-// otherwise. Member order is epoch ascending, arrival order within the epoch
-// — the order the batch path has always merged in. Caller holds c.mu.
-func (c *Center) snapshotUnalignedLocked(s *spanSnapshot) {
+// snapshotUnalignedLocked captures the span's unaligned input: the digests of
+// the modal geometry — the tracker's evidence for them, or the digests
+// themselves in AnalysisBatch mode — and adds every other geometry's routers
+// to excluded. Member order is epoch ascending, arrival order within the
+// epoch — the order the batch path has always merged in. Caller holds c.mu.
+func (c *Center) snapshotUnalignedLocked(s *spanSnapshot, excluded map[int]bool) {
+	count := map[geometry]int{}
 	for _, e := range s.epochs {
-		s.unalignedCount += len(c.windows[e].unaligned)
+		for _, d := range c.windows[e].unaligned {
+			count[geometryOf(d)]++
+		}
 	}
-	if s.unalignedCount < 2 {
-		return
-	}
-	if c.tracker != nil {
-		order := make([]unaligned.MemberRef, 0, s.unalignedCount)
-		for _, e := range s.epochs {
-			for _, d := range c.windows[e].unaligned {
+	geo := modal(count)
+	s.unalignedCount = count[geo]
+	var order []unaligned.MemberRef
+	for _, e := range s.epochs {
+		for _, d := range c.windows[e].unaligned {
+			if geometryOf(d) != geo {
+				excluded[d.RouterID] = true
+			} else if c.trackers == nil {
+				s.unalignedDigests = append(s.unalignedDigests, d)
+			} else {
 				order = append(order, unaligned.MemberRef{Epoch: e, Router: d.RouterID})
 			}
 		}
-		if ev := c.tracker.Snapshot(order); ev.Usable() {
-			s.unalignedEv = ev
-			return
-		}
 	}
-	s.unalignedDigests = make([]*unaligned.Digest, 0, s.unalignedCount)
-	for _, e := range s.epochs {
-		s.unalignedDigests = append(s.unalignedDigests, c.windows[e].unaligned...)
+	if len(order) >= 2 {
+		s.unalignedEv = c.trackers[geo].Snapshot(order)
 	}
 }
 
@@ -237,21 +288,21 @@ func (c *Center) analyzeSpan(s *spanSnapshot) (WindowReport, error) {
 	rep := WindowReport{
 		Epoch:           s.epoch,
 		Routers:         s.routers,
-		Degraded:        s.meta.degraded || s.rejected > 0,
+		Degraded:        s.meta.degraded || s.rejected > 0 || len(s.excluded) > 0,
 		MissingRouters:  s.meta.missing,
+		ExcludedRouters: s.excluded,
 		RejectedDigests: s.rejected,
 		SpanStart:       s.start,
 		SpanEpochs:      s.epochs,
 		RetiredEpochs:   s.retired,
 	}
 	if len(s.alignedIDs) >= 2 {
-		var out *AlignedOutcome
-		var err error
-		if s.alignedMatrix != nil {
-			out, err = c.analyzeAlignedMatrix(s.alignedIDs, s.alignedMatrix, s.alignedWeights, s.alignedRank)
-		} else {
-			out, err = c.analyzeAlignedRows(s.alignedIDs, s.alignedVecs)
+		if s.alignedMatrix == nil {
+			// The batch path: transpose the bitmaps, in reference row order.
+			s.alignedMatrix = aligned.FromDigests(s.alignedVecs)
+			s.alignedWeights = s.alignedMatrix.ColumnWeights()
 		}
+		out, err := c.analyzeAligned(s.alignedIDs, s.alignedMatrix, s.alignedWeights, s.alignedRank)
 		if err != nil {
 			return rep, err
 		}
@@ -279,18 +330,6 @@ func (c *Center) analyzeSpan(s *spanSnapshot) (WindowReport, error) {
 	return rep, nil
 }
 
-// alignedConfig is the detector configuration for a matrix of the given
-// width (the subset size cannot exceed the column count).
-func (c *Center) alignedConfig(width int) aligned.DetectorConfig {
-	subset := c.cfg.SubsetSize
-	if subset > width {
-		subset = width
-	}
-	acfg := aligned.RefinedConfig(subset)
-	acfg.Workers = c.cfg.Parallelism
-	return acfg
-}
-
 // alignedOutcome translates a detection's rows to router ids through the
 // reference row order.
 func alignedOutcome(ids []rowID, det aligned.Detection) *AlignedOutcome {
@@ -306,36 +345,25 @@ func alignedOutcome(ids []rowID, det aligned.Detection) *AlignedOutcome {
 	return out
 }
 
-// analyzeAlignedRows is the batch aligned path: transpose the bitmaps (given
-// in reference row order) and run the detector. No m′ rescaling is needed:
-// aligned.Detect computes the non-natural-occurrence significance bound from
-// the matrix it is given, so a degraded window's m′ rows already condition
-// the verdict.
-func (c *Center) analyzeAlignedRows(ids []rowID, vecs []*bitvec.Vector) (*AlignedOutcome, error) {
-	width := vecs[0].Len()
-	for _, v := range vecs {
-		if v.Len() != width {
-			return nil, fmt.Errorf("center: mixed aligned digest widths %d and %d", width, v.Len())
-		}
-	}
-	det, err := aligned.Detect(aligned.FromDigests(vecs), c.alignedConfig(width))
+// analyzeAligned runs the detector on the span's matrix and column weights.
+// In incremental mode they were maintained at ingest time, so finalize is the
+// level scan alone, and the detection's rows come back in slot space and are
+// remapped through rank to the reference order — after which the outcome is
+// bit-identical to the batch path's, whose rows are in reference order
+// already (nil rank). No m′ rescaling is needed: the detector computes the
+// non-natural-occurrence significance bound from the matrix it is given, so a
+// degraded window's m′ rows already condition the verdict.
+func (c *Center) analyzeAligned(ids []rowID, m *aligned.Matrix, weights, rank []int) (*AlignedOutcome, error) {
+	// The subset size cannot exceed the column count.
+	acfg := aligned.RefinedConfig(min(c.cfg.SubsetSize, m.Cols()))
+	acfg.Workers = c.cfg.Parallelism
+	det, err := aligned.DetectWithWeights(m, weights, acfg)
 	if err != nil {
 		return nil, err
 	}
-	return alignedOutcome(ids, det), nil
-}
-
-// analyzeAlignedMatrix is the incremental aligned path: the matrix and
-// column weights were maintained at ingest time, so finalize is the level
-// scan alone. The detection's rows come back in slot space and are remapped
-// to the reference order — after which the outcome is bit-identical to the
-// batch path's.
-func (c *Center) analyzeAlignedMatrix(ids []rowID, m *aligned.Matrix, weights, rank []int) (*AlignedOutcome, error) {
-	det, err := aligned.DetectWithWeights(m, weights, c.alignedConfig(m.Cols()))
-	if err != nil {
-		return nil, err
+	if rank != nil {
+		aligned.RemapRows(&det, rank)
 	}
-	aligned.RemapRows(&det, rank)
 	return alignedOutcome(ids, det), nil
 }
 
@@ -360,16 +388,19 @@ func (c *Center) analyzeUnalignedEv(ev *unaligned.SpanEvidence, digests int, met
 
 // releaseLocked drops one epoch's buffered state and returns every
 // accounted byte to the ledger: the retained digests, the window's aligned
-// accumulator, and the tracker members and pair evidence touching the epoch.
-// Caller holds c.mu.
+// accumulators, and the tracker members and pair evidence touching the
+// epoch. A tracker left holding nothing is dropped with it. Caller holds
+// c.mu.
 func (c *Center) releaseLocked(epoch int, w *window) {
 	delete(c.windows, epoch)
 	c.bufferedBytes -= w.bytes
-	if w.acc != nil {
-		c.bufferedBytes -= w.acc.Bytes()
+	for _, acc := range w.acc {
+		c.bufferedBytes -= acc.Bytes()
 	}
-	if c.tracker != nil {
-		c.bufferedBytes += c.tracker.DropEpoch(epoch)
+	for g, tr := range c.trackers {
+		if c.bufferedBytes += tr.DropEpoch(epoch); tr.Bytes() == 0 {
+			delete(c.trackers, g)
+		}
 	}
 }
 

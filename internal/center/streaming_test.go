@@ -205,71 +205,6 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbackMatchesBatch drives the incremental path onto its
-// per-window batch fallbacks — mixed aligned widths, and an unaligned
-// replacement that shrank a router's group count past what the tracker can
-// retract exactly — and requires the outcome to still match batch, errors
-// included.
-func TestIncrementalFallbackMatchesBatch(t *testing.T) {
-	mixedWidths := func(mode AnalysisMode) (WindowReport, string) {
-		c := New(Config{Analysis: mode})
-		wide := bitvec.New(512)
-		s := uint64(99)
-		wide.FillRandomHalf(func() uint64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			return s
-		})
-		c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 1, Bitmap: smallBitmap(1)})
-		c.Ingest(transport.AlignedDigest{RouterID: 1, Epoch: 1, Bitmap: wide})
-		rep, err := c.Analyze(1)
-		if err == nil {
-			return rep, ""
-		}
-		return rep, err.Error()
-	}
-	bRep, bErr := mixedWidths(AnalysisBatch)
-	iRep, iErr := mixedWidths(AnalysisIncremental)
-	if bErr == "" || bErr != iErr || !reflect.DeepEqual(bRep, iRep) {
-		t.Fatalf("mixed-width outcomes diverged: batch (%q, %+v) vs incremental (%q, %+v)", bErr, bRep, iErr, iRep)
-	}
-
-	// An unaligned digest with `groups` groups of 2 arrays; group 0 carries
-	// the shared content vector so cross-router edges exist.
-	shared := smallBitmap(7)
-	mkU := func(router, groups int, seed uint64) *unaligned.Digest {
-		d := &unaligned.Digest{RouterID: router, Rows: make([][]*bitvec.Vector, groups)}
-		for g := range d.Rows {
-			a, b := smallBitmap(seed+uint64(g)*2), smallBitmap(seed+uint64(g)*2+1)
-			if g == 0 {
-				a, b = shared, shared
-			}
-			d.Rows[g] = []*bitvec.Vector{a, b}
-		}
-		return d
-	}
-	groupShrink := func(mode AnalysisMode) (WindowReport, error) {
-		c := New(Config{Analysis: mode})
-		c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: mkU(0, 3, 100)})
-		c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: mkU(1, 3, 200)})
-		// DupKeepLast replacement shrinks router 0 from 3 groups to 2: the
-		// tracker's vertex high-water mark exceeds the live count, forcing the
-		// window onto the batch fallback.
-		c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: mkU(0, 2, 300)})
-		return c.Analyze(1)
-	}
-	bRep2, bErr2 := groupShrink(AnalysisBatch)
-	iRep2, iErr2 := groupShrink(AnalysisIncremental)
-	if bErr2 != nil || iErr2 != nil {
-		t.Fatalf("group-shrink analyze errored: batch %v incremental %v", bErr2, iErr2)
-	}
-	if !reflect.DeepEqual(bRep2, iRep2) {
-		t.Fatalf("group-shrink outcomes diverged:\nbatch       %+v\nincremental %+v", bRep2, iRep2)
-	}
-	if iRep2.Unaligned == nil || iRep2.Unaligned.Vertices != 5 {
-		t.Fatalf("group-shrink analysis saw %+v, want 5 vertices", iRep2.Unaligned)
-	}
-}
-
 // TestSlidingWindowFindsStraddlingContent plants one common content across an
 // epoch boundary: epoch 1's carriers are routers 0-6, epoch 2's are routers
 // 8-14, and neither epoch alone has enough carriers to cross the component

@@ -18,10 +18,15 @@ type epochEvent struct {
 	Routers        int   `json:"routers"`
 	Degraded       bool  `json:"degraded"`
 	MissingRouters []int `json:"missing_routers,omitempty"`
+	// ExcludedRouters names the routers with a digest left out of the
+	// analysis for its shape: refused at admission, or of a geometry other
+	// than the span's modal one.
+	ExcludedRouters []int `json:"excluded_routers,omitempty"`
 	// Shed marks an epoch sacrificed whole to the memory budget: no
 	// analysis ran, ShedDigests died with it. RejectedDigests counts
-	// digests refused at admission while this epoch's window was open —
-	// either way the verdict (or its absence) is explicitly incomplete.
+	// digests refused at admission while this epoch's window was open — by
+	// the memory budget or for their shape — either way the verdict (or its
+	// absence) is explicitly incomplete.
 	Shed            bool            `json:"shed,omitempty"`
 	ShedDigests     int             `json:"shed_digests,omitempty"`
 	RejectedDigests int             `json:"rejected_digests,omitempty"`
@@ -105,6 +110,7 @@ func (l *eventLog) emit(rep center.WindowReport, wall time.Duration) error {
 		Routers:         rep.Routers,
 		Degraded:        rep.Degraded,
 		MissingRouters:  rep.MissingRouters,
+		ExcludedRouters: rep.ExcludedRouters,
 		Shed:            rep.Shed,
 		ShedDigests:     rep.ShedDigests,
 		RejectedDigests: rep.RejectedDigests,

@@ -285,10 +285,13 @@ func logReport(l *log.Logger, rep center.WindowReport) {
 		return
 	}
 	if rep.RejectedDigests > 0 {
-		l.Printf("epoch %d DEGRADED: %d digests refused at admission under the memory budget", rep.Epoch, rep.RejectedDigests)
+		l.Printf("epoch %d DEGRADED: %d digests refused at admission (memory budget or digest shape)", rep.Epoch, rep.RejectedDigests)
 	}
 	if rep.Degraded && len(rep.MissingRouters) > 0 {
 		l.Printf("epoch %d DEGRADED: analyzed below quorum, missing routers %v", rep.Epoch, rep.MissingRouters)
+	}
+	if len(rep.ExcludedRouters) > 0 {
+		l.Printf("epoch %d DEGRADED: digests of another shape left out of the analysis, routers %v", rep.Epoch, rep.ExcludedRouters)
 	}
 	if a := rep.Aligned; a != nil {
 		if a.Detection.Found {

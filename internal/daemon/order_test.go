@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"dcstream/internal/bitvec"
 	"dcstream/internal/center"
 	"dcstream/internal/transport"
 )
@@ -147,12 +146,15 @@ func TestTickNeverClosesAnEpochItDidNotCount(t *testing.T) {
 }
 
 // TestDrainReportsPastAFailedAnalysis: span 2's analysis fails after the
-// center closed it (mixed aligned widths), while it was held below quorum
-// behind span 1. The drain reports the fault and still reports span 3.
+// center closed it, while it was held below quorum behind span 1: it is the
+// only span with unaligned digests, and a negative TargetP1 is an ER edge
+// probability no λ table exists for (no digest can fail an analysis; a
+// misconfigured center can). The drain reports the fault and still reports
+// span 3.
 func TestDrainReportsPastAFailedAnalysis(t *testing.T) {
-	n := NewNode(center.Config{SubsetSize: 64, MinRouters: 3, MaxWait: 8}, nil)
+	n := NewNode(center.Config{SubsetSize: 64, MinRouters: 3, MaxWait: 8, TargetP1: -1}, nil)
 	feed := burst(1, 1, 2, 3)
-	feed = append(feed, dg(1, 2), transport.AlignedDigest{RouterID: 2, Epoch: 2, Bitmap: bitvec.New(128)})
+	feed = append(feed, dg(1, 2), dg(2, 2), ug(1, 2), ug(2, 2))
 	for _, m := range append(feed, burst(3, 1, 2, 3)...) {
 		n.Handle(m, from)
 	}

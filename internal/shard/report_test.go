@@ -2,6 +2,7 @@ package shard
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcstream/internal/aligned"
@@ -15,7 +16,7 @@ import (
 // and null.
 func goldenEnvelope() Envelope {
 	return Envelope{Shard: 2, JournalDegraded: true, HeldEpochs: 1, Report: center.WindowReport{
-		Epoch: 9, Routers: 5, Degraded: true, MissingRouters: []int{3},
+		Epoch: 9, Routers: 5, Degraded: true, MissingRouters: []int{3}, ExcludedRouters: []int{4},
 		Shed: true, ShedDigests: 4, RejectedDigests: 6,
 		SpanStart: 7, SpanEpochs: []int{7, 8, 9}, RetiredEpochs: []int{},
 		Aligned: &center.AlignedOutcome{Routers: 4, RouterIDs: []int{0, 2},
@@ -32,7 +33,7 @@ func goldenEnvelope() Envelope {
 // needs every shard and coordinator upgraded together. Change it only on
 // purpose, and say so.
 const goldenPayload = `{"shard":2,"journal_degraded":true,"held_epochs":1,"report":{` +
-	`"Epoch":9,"Routers":5,"Degraded":true,"MissingRouters":[3],` +
+	`"Epoch":9,"Routers":5,"Degraded":true,"MissingRouters":[3],"ExcludedRouters":[4],` +
 	`"Shed":true,"ShedDigests":4,"RejectedDigests":6,` +
 	`"SpanStart":7,"SpanEpochs":[7,8,9],"RetiredEpochs":[],` +
 	`"Aligned":{"Routers":4,"Detection":{"Found":true,"Rows":[0,1],"CoreCols":[5],` +
@@ -65,6 +66,15 @@ func TestEnvelopeGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, env) {
 		t.Fatalf("DecodeReport gave\n%+v\nwant\n%+v", back, env)
+	}
+	// ExcludedRouters is omitted when empty, so an envelope without it keeps
+	// the bytes it had before the field existed.
+	env.Report.ExcludedRouters = nil
+	if m, err = EncodeReport(env); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(m.Payload), strings.Replace(goldenPayload, `"ExcludedRouters":[4],`, "", 1); got != want {
+		t.Fatalf("EncodeReport without ExcludedRouters wrote\n%s\nwant\n%s", got, want)
 	}
 }
 

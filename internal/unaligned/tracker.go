@@ -40,14 +40,12 @@ type MemberRef struct {
 // g*arrays+a — beside their weights, so nothing a caller does to the digest
 // after Add can part the cached weights from the bits they count.
 type trMember struct {
-	ref     MemberRef
-	groups  int
-	words   []uint64
-	weights []int32
-	bad     bool  // internally malformed (empty or ragged group); Merge would error
-	bits    int   // -1 until a row fixes it
-	arrays  int   // -1 until a group fixes it
-	bytes   int64 // accounted footprint
+	ref          MemberRef
+	groups       int
+	bits, arrays int
+	words        []uint64
+	weights      []int32
+	bytes        int64 // accounted footprint
 }
 
 type trPairKey struct{ a, b MemberRef }
@@ -77,15 +75,14 @@ type trPair struct{ entries []rowEvidence }
 // design. The tracker is not self-synchronizing: the center drives it under
 // its own mutex.
 type Tracker struct {
-	cfg      TrackerConfig
-	members  map[MemberRef]*trMember
-	byEpoch  map[int][]MemberRef // insertion order per epoch
-	verts    map[int]int         // current vertex (group) count per epoch
-	maxVerts map[int]int         // historical high-water mark per epoch
-	pairs    map[trPairKey]*trPair
-	scratch  []rowEvidence // correlate's working list, reused pair after pair
-	counts   []int32       // correlate's overlaps of one row with one group
-	bytes    int64
+	cfg     TrackerConfig
+	members map[MemberRef]*trMember
+	byEpoch map[int][]MemberRef // insertion order per epoch
+	verts   map[int]int         // current vertex (group) count per epoch
+	pairs   map[trPairKey]*trPair
+	scratch []rowEvidence // correlate's working list, reused pair after pair
+	counts  []int32       // correlate's overlaps of one row with one group
+	bytes   int64
 }
 
 // NewTracker returns an empty tracker.
@@ -94,12 +91,11 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 		cfg.Reach = 1
 	}
 	return &Tracker{
-		cfg:      cfg,
-		members:  map[MemberRef]*trMember{},
-		byEpoch:  map[int][]MemberRef{},
-		verts:    map[int]int{},
-		maxVerts: map[int]int{},
-		pairs:    map[trPairKey]*trPair{},
+		cfg:     cfg,
+		members: map[MemberRef]*trMember{},
+		byEpoch: map[int][]MemberRef{},
+		verts:   map[int]int{},
+		pairs:   map[trPairKey]*trPair{},
 	}
 }
 
@@ -139,62 +135,35 @@ func (t *Tracker) pruneTable(bits, arrays, nLow int) *LambdaTable {
 
 // Add registers a digest for (epoch, router) and computes row evidence
 // against every member within reach, plus the digest's own intra-router group
-// pairs. It returns the accounted byte delta. The caller must Remove any
-// previous digest for the same (epoch, router) first.
+// pairs. It returns the accounted byte delta. The digest must be well formed
+// — at least one group, every group the same nonzero number of arrays of one
+// nonzero width — and of the geometry every other member has: the center
+// keeps one tracker per (bits, arrays). The caller must Remove any previous
+// digest for the same (epoch, router) first.
 func (t *Tracker) Add(epoch int, d *Digest) int64 {
 	ref := MemberRef{Epoch: epoch, Router: d.RouterID}
-	m := &trMember{ref: ref, groups: len(d.Rows), bits: -1, arrays: -1, bytes: trMemberBytes}
-	for _, rows := range d.Rows {
-		m.bytes += trGroupBytes + int64(len(rows))*trRowBytes
-		if len(rows) == 0 {
-			m.bad = true
-			continue
-		}
-		if m.arrays == -1 {
-			m.arrays = len(rows)
-		} else if len(rows) != m.arrays {
-			m.bad = true
-		}
-		for _, r := range rows {
-			if m.bits == -1 {
-				m.bits = r.Len()
-			} else if r.Len() != m.bits {
-				m.bad = true
-			}
+	m := &trMember{ref: ref, groups: len(d.Rows), bits: d.Rows[0][0].Len(), arrays: len(d.Rows[0])}
+	wpr := (m.bits + 63) / 64
+	m.words = make([]uint64, m.groups*m.arrays*wpr)
+	m.weights = make([]int32, m.groups*m.arrays)
+	for g, rows := range d.Rows {
+		for a, r := range rows {
+			copy(m.words[(g*m.arrays+a)*wpr:], r.Words())
+			m.weights[g*m.arrays+a] = int32(r.OnesCount())
 		}
 	}
-	if !m.bad && m.groups > 0 {
-		wpr := (m.bits + 63) / 64
-		m.words = make([]uint64, m.groups*m.arrays*wpr)
-		m.weights = make([]int32, m.groups*m.arrays)
-		for g, rows := range d.Rows {
-			for a, r := range rows {
-				copy(m.words[(g*m.arrays+a)*wpr:], r.Words())
-				m.weights[g*m.arrays+a] = int32(r.OnesCount())
-			}
-		}
-		m.bytes += int64(len(m.words)) * 8
-	}
+	m.bytes = trMemberBytes + int64(m.groups)*(trGroupBytes+int64(m.arrays)*trRowBytes) + int64(len(m.words))*8
 	t.members[ref] = m
 	t.byEpoch[epoch] = append(t.byEpoch[epoch], ref)
 	t.verts[epoch] += m.groups
-	if t.verts[epoch] > t.maxVerts[epoch] {
-		t.maxVerts[epoch] = t.verts[epoch]
-	}
-	delta := m.bytes
 
-	if !m.bad {
-		// Intra-member group pairs: the induced graph correlates every pair
-		// of vertices, including two groups of the same router.
-		delta += t.correlate(m, m)
-		for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
-			for _, oref := range t.byEpoch[e] {
-				if oref == ref {
-					continue
-				}
-				if o := t.members[oref]; !o.bad && o.bits == m.bits && o.arrays == m.arrays {
-					delta += t.correlate(m, o)
-				}
+	// Intra-member group pairs: the induced graph correlates every pair of
+	// vertices, including two groups of the same router.
+	delta := m.bytes + t.correlate(m, m)
+	for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
+		for _, oref := range t.byEpoch[e] {
+			if oref != ref {
+				delta += t.correlate(m, t.members[oref])
 			}
 		}
 	}
@@ -302,7 +271,6 @@ func (t *Tracker) DropEpoch(epoch int) int64 {
 	}
 	delete(t.byEpoch, epoch)
 	delete(t.verts, epoch)
-	delete(t.maxVerts, epoch)
 	return delta
 }
 
@@ -320,48 +288,26 @@ type spanPair struct {
 // stored evidence slice is never mutated in place (replacements swap whole
 // records) and the copied metadata is plain values.
 type SpanEvidence struct {
-	usable   bool
 	bits     int
 	arrays   int
 	vertices []Vertex
 	pairs    []spanPair
 }
 
-// Snapshot captures the evidence for the given members (in batch Merge
-// order). Usable() is false — and the batch fallback must run — when any
-// member is missing or malformed, geometries mix, or a span epoch ever
-// shrank below its vertex high-water mark (a replacement with fewer groups
-// invalidates the loose prune's vertex-count lower bound).
+// Snapshot captures the evidence for the given members, in batch Merge order.
+// With each epoch they name, every member of that epoch must be among them:
+// the prune kept evidence for a span of at least that many vertices.
 func (t *Tracker) Snapshot(order []MemberRef) *SpanEvidence {
-	s := &SpanEvidence{bits: -1, arrays: -1}
+	s := &SpanEvidence{}
 	base := make(map[MemberRef]int32, len(order))
-	epochOK := map[int]bool{}
 	for _, ref := range order {
-		m, ok := t.members[ref]
-		if !ok || m.bad {
-			return s
-		}
-		if s.bits == -1 {
-			s.bits, s.arrays = m.bits, m.arrays
-		}
-		if m.bits != s.bits || m.arrays != s.arrays {
-			return s
-		}
-		if _, seen := epochOK[ref.Epoch]; !seen {
-			epochOK[ref.Epoch] = true
-			if t.verts[ref.Epoch] < t.maxVerts[ref.Epoch] {
-				return s
-			}
-		}
+		m := t.members[ref]
+		s.bits, s.arrays = m.bits, m.arrays
 		base[ref] = int32(len(s.vertices))
 		for g := 0; g < m.groups; g++ {
 			s.vertices = append(s.vertices, Vertex{RouterID: ref.Router, Group: g})
 		}
 	}
-	if s.bits <= 0 {
-		return s
-	}
-	s.usable = true
 	for i, ra := range order {
 		if p, ok := t.pairs[trPairKey{a: ra, b: ra}]; ok {
 			s.pairs = append(s.pairs, spanPair{ba: base[ra], bb: base[ra], entries: p.entries})
@@ -375,11 +321,6 @@ func (t *Tracker) Snapshot(order []MemberRef) *SpanEvidence {
 	}
 	return s
 }
-
-// Usable reports whether the evidence reproduces the batch result for this
-// span; when false the caller must fall back to the batch path (which also
-// reproduces the batch path's error, if the span is malformed).
-func (s *SpanEvidence) Usable() bool { return s.usable }
 
 // NumVertices returns the span's merged vertex count.
 func (s *SpanEvidence) NumVertices() int { return len(s.vertices) }

@@ -111,9 +111,6 @@ func TestTrackerMatchesBatchSingleEpoch(t *testing.T) {
 	for _, d := range digests {
 		tr.Add(1, d)
 	}
-	if !tr.Snapshot(order).Usable() {
-		t.Fatal("well-formed span flagged unusable")
-	}
 	gm, err := Merge(digests)
 	if err != nil {
 		t.Fatal(err)
@@ -163,9 +160,6 @@ func TestTrackerRetraction(t *testing.T) {
 		digests[rep.r] = rep.d
 	}
 
-	if !tr.Snapshot(order).Usable() {
-		t.Fatal("span unusable after same-shape replacement")
-	}
 	gm, err := Merge(digests)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +187,7 @@ func TestTrackerRetractionLeavesNoDanglingPairs(t *testing.T) {
 				d := trDigest(rng, r, 1+rng.Intn(2))
 				if rng.Intn(3) == 0 {
 					ref := MemberRef{Epoch: 1 + rng.Intn(5), Router: rng.Intn(6)}
-					if o, ok := tr.members[ref]; ok && !o.bad && o.groups > 0 {
+					if o, ok := tr.members[ref]; ok {
 						// Share a stored row, so the pair keeps evidence
 						// past any prune.
 						v := bitvec.New(trTestBits)
@@ -281,9 +275,6 @@ func TestTrackerCrossEpoch(t *testing.T) {
 		tr.Add(order[i].Epoch, digests[i])
 	}
 
-	if !tr.Snapshot(order).Usable() {
-		t.Fatal("cross-epoch span unusable")
-	}
 	gm, err := Merge(digests)
 	if err != nil {
 		t.Fatal(err)
@@ -309,43 +300,6 @@ func TestTrackerCrossEpoch(t *testing.T) {
 	}
 	if len(tr.pairs) != 0 || len(tr.members) != 0 {
 		t.Fatalf("state leaks after dropping all epochs: %d members, %d pairs", len(tr.members), len(tr.pairs))
-	}
-}
-
-func TestTrackerFallbackFlags(t *testing.T) {
-	rng := stats.NewRand(34)
-
-	// A malformed digest (empty group) poisons spans containing it.
-	tr := NewTracker(TrackerConfig{Reach: 1})
-	good := trDigest(rng, 0, 2)
-	bad := &Digest{RouterID: 1, Rows: [][]*bitvec.Vector{{}}}
-	tr.Add(1, good)
-	tr.Add(1, bad)
-	if tr.Snapshot([]MemberRef{{1, 0}, {1, 1}}).Usable() {
-		t.Fatal("span with empty-group digest usable")
-	}
-	if !tr.Snapshot([]MemberRef{{1, 0}}).Usable() {
-		t.Fatal("span excluding the bad digest unusable")
-	}
-
-	// A replacement with fewer groups breaks the vertex-count lower bound;
-	// the whole epoch must fall back.
-	tr2 := NewTracker(TrackerConfig{Reach: 1})
-	tr2.Add(2, trDigest(rng, 0, 3))
-	tr2.Add(2, trDigest(rng, 1, 2))
-	tr2.Remove(2, 0)
-	tr2.Add(2, trDigest(rng, 0, 2))
-	if tr2.Snapshot([]MemberRef{{2, 0}, {2, 1}}).Usable() {
-		t.Fatal("epoch that shrank below its vertex high-water mark still usable")
-	}
-
-	// Mixed widths across members poison the span.
-	tr3 := NewTracker(TrackerConfig{Reach: 1})
-	tr3.Add(3, trDigest(rng, 0, 2))
-	narrow := &Digest{RouterID: 1, Rows: [][]*bitvec.Vector{{bitvec.New(64), bitvec.New(64)}}}
-	tr3.Add(3, narrow)
-	if tr3.Snapshot([]MemberRef{{3, 0}, {3, 1}}).Usable() {
-		t.Fatal("mixed-width span usable")
 	}
 }
 
