@@ -69,6 +69,7 @@ func atEpoch(ms []transport.Message, e int) []transport.Message {
 	return out
 }
 
+// routerIDs lists the routers of aligned digests, in order.
 func routerIDs(ms []transport.Message) []int {
 	var out []int
 	for _, m := range ms {

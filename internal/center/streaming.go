@@ -134,9 +134,9 @@ func (c *Center) RestoreSpanWatermark(epoch int) {
 // digest's array width and arrays per group.
 type geometry struct{ bits, arrays int }
 
-// modal returns the geometry most of a span's digests carry, count per
-// geometry; a tie goes to the smaller, bits first. The choice depends on
-// neither arrival order nor analysis mode.
+// modal returns the geometry with the most digests in count; a tie goes to
+// the smaller, bits first. The choice depends on neither arrival order nor
+// analysis mode.
 func modal(count map[geometry]int) geometry {
 	var best geometry
 	for g, n := range count {
