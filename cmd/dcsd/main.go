@@ -59,6 +59,10 @@
 // line carries the span (span_start/span_epochs/retired_epochs) and the
 // running p50/p99 of the ingest-to-analyze and finalize latency histograms.
 //
+// A flag value the daemon cannot run with — -subset 1, a negative -beta,
+// -max-epochs below -slide+1, a -window of 0 — is refused at start-up, naming
+// it, before the journal, the event log or any listener opens.
+//
 // This file is the flag set and nothing else: the daemon itself — both the
 // center role and, with -coordinator, the scatter/gather role — is
 // internal/daemon.Run.
@@ -85,7 +89,7 @@ func main() {
 	flag.StringVar(&cfg.UDP, "udp", "", "also accept batched digest datagrams on this UDP address (empty = off)")
 	flag.DurationVar(&cfg.Window, "window", 2*time.Second, "analysis window tick")
 	flag.DurationVar(&cfg.ConnTimeout, "conn-timeout", 2*time.Minute, "reap collector connections idle this long")
-	flag.IntVar(&c.MaxEpochs, "max-epochs", 4, "epochs buffered at once (reorder window)")
+	flag.IntVar(&c.MaxEpochs, "max-epochs", 0, "epochs buffered at once (reorder window; 0 = max(4, -slide+1), and at least -slide+1 when set)")
 	flag.IntVar(&c.SubsetSize, "subset", 512, "aligned detector subset size n'")
 	flag.IntVar(&c.ComponentThreshold, "er-threshold", 12, "unaligned ER component threshold")
 	flag.IntVar(&c.Beta, "beta", 8, "unaligned core size")
@@ -107,6 +111,16 @@ func main() {
 	flag.StringVar(&cfg.Coordinator, "coordinator", "", "with -shard-of: coordinator address to push report envelopes to; without: run as the coordinator, scattering over this comma-separated list of shard ingest addresses")
 	flag.Parse()
 
+	// A 0 on these flags would reach the center as "use the default" above,
+	// silently; the center refuses every other value out of range (Run).
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "subset", "er-threshold", "beta", "d", "max-wait":
+			if f.Value.String() == "0" {
+				log.Fatalf("-%s 0: must be positive", f.Name)
+			}
+		}
+	})
 	switch *shedPolicy {
 	case "oldest":
 		c.Shedding = center.ShedOldest

@@ -47,13 +47,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	c := center.New(center.Config{
+	cfg := center.Config{
 		SubsetSize:         *subset,
 		ComponentThreshold: *threshold,
 		Beta:               *beta,
 		D:                  *dExp,
 		// Parallelism zero: every analysis stage sizes itself to GOMAXPROCS.
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dcsreplay:", err)
+		os.Exit(2)
+	}
+	c := center.New(cfg)
 
 	for router, path := range traces {
 		f, err := os.Open(path)

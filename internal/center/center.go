@@ -20,6 +20,7 @@ package center
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -101,14 +102,15 @@ type Config struct {
 	// W >= 2 common content split across an epoch boundary still meets
 	// itself inside some span. Zero or one means W=1, the paper's per-epoch
 	// analysis: a span of one, closed by the same rule. Spans close oldest
-	// first at every width. MaxEpochs is clamped to at least W+1 so a span
-	// is never truncated by ring eviction while the next epoch fills.
+	// first at every width.
 	WindowSlide int
 	// MaxEpochs bounds how many distinct epochs are buffered at once (the
-	// reorder window). Zero means 4. When a digest opens an epoch beyond
-	// the bound, the oldest buffered epoch is evicted unanalyzed and its
-	// digests counted dropped — unless it is context at or below the span
-	// watermark, whose digests a report already holds.
+	// reorder window). Zero means max(4, W+1). At W >= 2 it must be at least
+	// W+1, so a span is never truncated by ring eviction while the next epoch
+	// fills. When a digest opens an epoch beyond the bound, the oldest
+	// buffered epoch is evicted unanalyzed and its digests counted dropped —
+	// unless it is context at or below the span watermark, whose digests a
+	// report already holds.
 	MaxEpochs int
 	// MemoryBudgetBytes, when positive, bounds the byte-accounted size of
 	// all buffered epoch windows (retained bitmap payloads plus bookkeeping
@@ -170,29 +172,68 @@ func (c Config) withDefaults() Config {
 	if c.D == 0 {
 		c.D = 2
 	}
-	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 4
-	}
-	if c.MaxEpochs < 1 {
-		// A non-positive bound would make the eviction loop index an empty
-		// ring.
-		c.MaxEpochs = 1
-	}
 	if c.MaxWait == 0 {
 		c.MaxWait = 2
 	}
-	if c.WindowSlide < 1 {
+	if c.WindowSlide == 0 {
 		c.WindowSlide = 1
 	}
-	if c.WindowSlide > 1 && c.MaxEpochs < c.WindowSlide+1 {
-		c.MaxEpochs = c.WindowSlide + 1
+	if c.MaxEpochs == 0 {
+		c.MaxEpochs = max(4, c.WindowSlide+1)
 	}
-	if c.Stats == nil {
-		c.Stats = new(Stats)
-	}
-	c.Stats.IngestToAnalyzeSeconds.SetBuckets(centerLatencyBuckets)
-	c.Stats.FinalizeSeconds.SetBuckets(centerLatencyBuckets)
 	return c
+}
+
+// Validate is the one statement of which configurations New accepts: nil, or
+// an error naming the first field out of range. Zero is a field's documented
+// default; no value is clamped. Every span a center on a valid configuration
+// closes gets a report: the analysis has no error path of its own.
+func (c Config) Validate() error {
+	d := c.withDefaults()
+	if err := aligned.RefinedConfig(d.SubsetSize).Validate(); err != nil {
+		return fmt.Errorf("center: %w", err)
+	}
+	if err := (unaligned.PatternConfig{Beta: d.Beta, D: d.D}).Validate(); err != nil {
+		return fmt.Errorf("center: %w", err)
+	}
+	// A non-negative edge probability gives a p* in (0, 1] at every array
+	// count (unaligned.PStarForEdgeProbability); NaN fails the test too.
+	for _, f := range []struct {
+		name string
+		p    float64
+	}{{"TargetP1", c.TargetP1}, {"CoreP1", c.CoreP1}} {
+		if !(f.p >= 0) {
+			return fmt.Errorf("center: %s must be zero (derived) or positive, got %v", f.name, f.p)
+		}
+	}
+	minEpochs := 1
+	if d.WindowSlide > 1 {
+		minEpochs = d.WindowSlide + 1
+	}
+	for _, f := range []struct {
+		name      string
+		v, lo, hi int64
+	}{
+		// Under 2 the ER test fires on a graph with no edge.
+		{"ComponentThreshold", int64(d.ComponentThreshold), 2, math.MaxInt64},
+		{"Analysis", int64(d.Analysis), int64(AnalysisIncremental), int64(AnalysisBatch)},
+		// Epochs are 32-bit on the wire: no span or horizon is wider, and
+		// epoch arithmetic on these two cannot overflow.
+		{"WindowSlide", int64(d.WindowSlide), 1, math.MaxInt32},
+		{"MaxWait", int64(d.MaxWait), 0, math.MaxInt32},
+		{"MaxEpochs", int64(d.MaxEpochs), int64(minEpochs), math.MaxInt64},
+		{"MemoryBudgetBytes", d.MemoryBudgetBytes, 0, math.MaxInt64},
+		{"Shedding", int64(d.Shedding), int64(ShedOldest), int64(RejectNew)},
+		{"MinRouters", int64(d.MinRouters), 0, math.MaxInt64},
+	} {
+		switch {
+		case f.v < f.lo:
+			return fmt.Errorf("center: %s is %d, want at least %d", f.name, f.v, f.lo)
+		case f.v > f.hi:
+			return fmt.Errorf("center: %s is %d, want at most %d", f.name, f.v, f.hi)
+		}
+	}
+	return nil
 }
 
 // AlignedOutcome is the aligned-case analysis of one window.
@@ -392,8 +433,12 @@ type Center struct {
 	tick int // guarded by mu
 }
 
-// New builds a center.
+// New builds a center. It panics on a configuration Validate refuses: a
+// caller taking one from outside the program validates it first.
 func New(cfg Config) *Center {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	c := &Center{
 		cfg:     cfg.withDefaults(),
 		windows: make(map[int]*window),
@@ -401,6 +446,11 @@ func New(cfg Config) *Center {
 		roster:  make(map[int]rosterRow),
 		wake:    make(chan struct{}, 1),
 	}
+	if c.cfg.Stats == nil {
+		c.cfg.Stats = new(Stats)
+	}
+	c.cfg.Stats.IngestToAnalyzeSeconds.SetBuckets(centerLatencyBuckets)
+	c.cfg.Stats.FinalizeSeconds.SetBuckets(centerLatencyBuckets)
 	if c.cfg.Analysis == AnalysisIncremental {
 		c.trackers = map[geometry]*unaligned.Tracker{}
 	}
@@ -845,16 +895,32 @@ func (c *Center) Analyze(epoch int) (WindowReport, error) {
 		c.mu.Unlock()
 		return rep, nil
 	}
-	if c.cfg.OwnsSpan != nil && !c.cfg.OwnsSpan(epoch) {
-		c.mu.Unlock()
-		return WindowReport{Epoch: epoch}, ErrNotOwned
+	var snap *spanSnapshot
+	err := c.closableLocked(epoch)
+	if err == nil {
+		snap = c.closeSpanLocked(epoch)
 	}
-	snap, err := c.closeSpanLocked(epoch)
 	c.mu.Unlock()
 	if err != nil {
 		return WindowReport{Epoch: epoch}, err
 	}
-	return c.analyzeSpan(snap)
+	return c.analyzeSpan(snap), nil
+}
+
+// closableLocked is why Analyze may not close the span ending at epoch now,
+// or nil. Caller holds c.mu.
+func (c *Center) closableLocked(epoch int) error {
+	if c.cfg.OwnsSpan != nil && !c.cfg.OwnsSpan(epoch) {
+		return ErrNotOwned
+	}
+	if _, ok := c.windows[epoch]; !ok || (c.spanClosedValid && epoch <= c.spanClosed) {
+		// Never seen, retired, or foreclosed by a newer span.
+		return fmt.Errorf("%w: %d", ErrNoWindow, epoch)
+	}
+	if oldest, ok := c.oldestOpenLocked(); ok && oldest < epoch-c.cfg.WindowSlide+1 {
+		return fmt.Errorf("%w: span %d before span %d", ErrOlderSpanOpen, oldest, epoch)
+	}
+	return nil
 }
 
 // AnalyzeLatestComplete is CloseNext's superseded rule alone: it closes the
@@ -880,27 +946,24 @@ func (c *Center) Tick() {
 // complete and not held (CloseComplete, the wake), quiescent with the hold,
 // if any, out of its MaxWait ticks (CloseQuiescent, the tick), or always
 // (CloseDrain). It then analyzes the span, counts Stats.Closed under the rule
-// that closed it, and returns the report and that rule. When no rule applies
-// it returns ErrNoCompleteEpoch, as a *HeldError when the refusal counted a
-// held tick. Any other error is the analysis failing after the span closed.
+// that closed it, and returns the report and that rule. Its only error is the
+// refusal when no rule applies: ErrNoCompleteEpoch, as a *HeldError when the
+// refusal counted a held tick. A span it closes always has a report.
 func (c *Center) CloseNext(trigger CloseCause) (WindowReport, CloseCause, error) {
 	c.mu.Lock()
 	cause, err := trigger, ErrNoCompleteEpoch
 	var snap *spanSnapshot
 	if e, ok := c.oldestOpenLocked(); ok {
 		if cause, err = c.closeRuleLocked(e, trigger); err == nil {
-			snap, err = c.closeSpanLocked(e)
+			snap = c.closeSpanLocked(e)
 		}
 	}
 	c.mu.Unlock()
 	if err != nil {
 		return WindowReport{}, cause, err
 	}
-	rep, err := c.analyzeSpan(snap)
-	if err == nil {
-		c.cfg.Stats.Closed[cause].Inc()
-	}
-	return rep, cause, err
+	c.cfg.Stats.Closed[cause].Inc()
+	return c.analyzeSpan(snap), cause, nil
 }
 
 // closeRuleLocked is the rule that lets trigger close the open span e now, or
@@ -970,15 +1033,15 @@ func scaledThreshold(configured, observed, fleet int) int {
 // analyzeUnaligned is the batch unaligned path, and the reference the
 // incremental one is tested against: merge the digests and run the
 // O(vertices²·k²) correlation pass once per λ table.
-func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) (*UnalignedOutcome, error) {
-	gm, err := unaligned.Merge(digests)
-	if err != nil {
-		return nil, err
-	}
+func (c *Center) analyzeUnaligned(s *spanSnapshot) *UnalignedOutcome {
+	gm, err := unaligned.Merge(s.unalignedDigests)
+	mustAnalyze(s.epoch, err)
 	// Merge guarantees a uniform array count, so k² is well-defined.
-	return c.unalignedVerdict(gm.NumVertices(), gm.ArrayBits(), gm.ArraysPerGroup(), len(digests), meta, gm.Vertex,
-		func(lt *unaligned.LambdaTable) (*graph.Graph, error) {
-			return gm.BuildGraphParallel(lt, c.cfg.Parallelism)
+	return c.unalignedVerdict(s, gm.NumVertices(), gm.ArrayBits(), gm.ArraysPerGroup(), gm.Vertex,
+		func(lt *unaligned.LambdaTable) *graph.Graph {
+			g, err := gm.BuildGraphParallel(lt, c.cfg.Parallelism)
+			mustAnalyze(s.epoch, err)
+			return g
 		})
 }
 
@@ -990,51 +1053,36 @@ func (c *Center) analyzeUnaligned(digests []*unaligned.Digest, meta windowMeta) 
 // probability; only on a detection is the denser core graph built and the
 // pattern's vertices folded into routers. The default core probability 8/n
 // reaches 1 at n ≤ 8: such a span's core graph is complete.
-func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
-	vertex func(int) unaligned.Vertex,
-	build func(*unaligned.LambdaTable) (*graph.Graph, error)) (*UnalignedOutcome, error) {
-	rowPairs := arrays * arrays
-
+func (c *Center) unalignedVerdict(s *spanSnapshot, n, bits, arrays int,
+	vertex func(int) unaligned.Vertex, build func(*unaligned.LambdaTable) *graph.Graph) *UnalignedOutcome {
+	// Validate admits only edge probabilities with a p* in (0, 1].
+	table := func(p1 float64) *unaligned.LambdaTable {
+		lt, err := unaligned.SharedLambdaTable(bits, unaligned.PStarForEdgeProbability(p1, arrays*arrays))
+		mustAnalyze(s.epoch, err)
+		return lt
+	}
 	p1 := c.cfg.TargetP1
 	if p1 == 0 {
 		p1 = 0.5 / float64(n)
 	}
-	lt, err := unaligned.SharedLambdaTable(bits, unaligned.PStarForEdgeProbability(p1, rowPairs))
-	if err != nil {
-		return nil, err
-	}
-	g, err := build(lt)
-	if err != nil {
-		return nil, err
-	}
 	threshold := c.cfg.ComponentThreshold
-	if c.cfg.MinRouters > 0 && meta.fleet > 0 && digests < meta.fleet {
-		threshold = scaledThreshold(threshold, digests, meta.fleet)
+	if c.cfg.MinRouters > 0 && s.meta.fleet > 0 && s.unalignedCount < s.meta.fleet {
+		threshold = scaledThreshold(threshold, s.unalignedCount, s.meta.fleet)
 	}
 	out := &UnalignedOutcome{
 		Vertices: n,
-		ER:       unaligned.ERTest(g, threshold),
+		ER:       unaligned.ERTest(build(table(p1)), threshold),
 	}
 	if !out.ER.PatternDetected {
-		return out, nil
+		return out
 	}
 
 	coreP1 := c.cfg.CoreP1
 	if coreP1 == 0 {
 		coreP1 = 8 / float64(n)
 	}
-	coreTable, err := unaligned.SharedLambdaTable(bits, unaligned.PStarForEdgeProbability(coreP1, rowPairs))
-	if err != nil {
-		return nil, err
-	}
-	cg, err := build(coreTable)
-	if err != nil {
-		return nil, err
-	}
-	found, err := unaligned.FindPattern(cg, unaligned.PatternConfig{Beta: c.cfg.Beta, D: c.cfg.D})
-	if err != nil {
-		return nil, err
-	}
+	found, err := unaligned.FindPattern(build(table(coreP1)), unaligned.PatternConfig{Beta: c.cfg.Beta, D: c.cfg.D})
+	mustAnalyze(s.epoch, err)
 	routerSeen := map[int]bool{}
 	for _, v := range found {
 		vert := vertex(v)
@@ -1044,5 +1092,5 @@ func (c *Center) unalignedVerdict(n, bits, arrays, digests int, meta windowMeta,
 			out.Routers = append(out.Routers, vert.RouterID)
 		}
 	}
-	return out, nil
+	return out
 }

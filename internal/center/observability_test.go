@@ -144,8 +144,7 @@ func TestMetricsScrapeUnderChaosIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			// Chaos churn: ErrNoCompleteEpoch is the expected idle case and
-			// analysis errors are the scraped counters' job to expose.
+			// Chaos churn: ErrNoCompleteEpoch is the expected idle case.
 			c.AnalyzeLatestComplete()
 		}
 	}()

@@ -152,10 +152,10 @@ func TestRejectNewUnderBudget(t *testing.T) {
 }
 
 // TestEvictionLoopBoundaries is the satellite regression table: the ring
-// bound at its edge values (0 defaults, negative clamps to a working ring of
-// 1, exactly 1 works) and a ring of one while the quorum gate holds windows
-// open — the eviction loop must converge in every case, never spin or index
-// an empty ring.
+// bound at its edge values (0 defaults, to W+1 past W=3; exactly 1 works; a
+// negative one is refused, TestConfigValidate) and a ring of one while the quorum gate holds
+// windows open — the eviction loop must converge in every case, never spin or
+// index an empty ring.
 func TestEvictionLoopBoundaries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -170,13 +170,13 @@ func TestEvictionLoopBoundaries(t *testing.T) {
 				t.Fatalf("default ring holds %d epochs, want 4", got)
 			}
 		}},
-		{"configured negative clamps to one", func(t *testing.T) {
-			c := New(Config{MaxEpochs: -1})
-			for e := 1; e <= 5; e++ {
+		{"configured zero derives W+1 past 3", func(t *testing.T) {
+			c := New(Config{WindowSlide: 4})
+			for e := 1; e <= 10; e++ {
 				c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: e, Bitmap: smallBitmap(uint64(e))})
 			}
-			if got := c.Epochs(); len(got) != 1 || got[0] != 5 {
-				t.Fatalf("ring with negative config: %v, want just epoch 5", got)
+			if got := len(c.Epochs()); got != 5 {
+				t.Fatalf("ring at WindowSlide 4 holds %d epochs, want 5", got)
 			}
 		}},
 		{"exactly one", func(t *testing.T) {

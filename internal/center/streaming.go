@@ -64,18 +64,11 @@ type spanSnapshot struct {
 // snapshots the analysis inputs, retires every window at or below the span's
 // start (no future span needs them; at WindowSlide 1, the epoch itself),
 // raises the floor there so late digests cannot reopen them, and moves the
-// span watermark to epoch. An open span older than the start must close first
-// (ErrOlderSpanOpen); open spans inside it are foreclosed. Caller holds c.mu.
-func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
-	w, ok := c.windows[epoch]
-	if !ok || (c.spanClosedValid && epoch <= c.spanClosed) {
-		// Never seen, retired, or foreclosed by a newer span.
-		return nil, fmt.Errorf("%w: %d", ErrNoWindow, epoch)
-	}
-	s := &spanSnapshot{epoch: epoch, start: epoch - c.cfg.WindowSlide + 1, meta: c.metaLocked(epoch, w)}
-	if oldest, ok := c.oldestOpenLocked(); ok && oldest < s.start {
-		return nil, fmt.Errorf("%w: span %d before span %d", ErrOlderSpanOpen, oldest, epoch)
-	}
+// span watermark to epoch. Open spans inside it are foreclosed. The span must
+// be open, with no open span older than its start (closableLocked). Caller
+// holds c.mu.
+func (c *Center) closeSpanLocked(epoch int) *spanSnapshot {
+	s := &spanSnapshot{epoch: epoch, start: epoch - c.cfg.WindowSlide + 1, meta: c.metaLocked(epoch, c.windows[epoch])}
 	reporters, excluded := map[int]bool{}, map[int]bool{}
 	for e := s.start; e <= epoch; e++ {
 		sw, ok := c.windows[e]
@@ -113,7 +106,7 @@ func (c *Center) closeSpanLocked(epoch int) (*spanSnapshot, error) {
 	}
 	c.raiseFloor(s.start)
 	c.spanClosed, c.spanClosedValid = epoch, true
-	return s, nil
+	return s
 }
 
 // RestoreSpanWatermark tells a fresh center that the spans ending at or below
@@ -283,7 +276,7 @@ func (c *Center) snapshotUnalignedLocked(s *spanSnapshot, excluded map[int]bool)
 
 // analyzeSpan finalizes one detached span snapshot into its WindowReport.
 // Runs without c.mu.
-func (c *Center) analyzeSpan(s *spanSnapshot) (WindowReport, error) {
+func (c *Center) analyzeSpan(s *spanSnapshot) WindowReport {
 	start := time.Now()
 	rep := WindowReport{
 		Epoch:           s.epoch,
@@ -302,24 +295,12 @@ func (c *Center) analyzeSpan(s *spanSnapshot) (WindowReport, error) {
 			s.alignedMatrix = aligned.FromDigests(s.alignedVecs)
 			s.alignedWeights = s.alignedMatrix.ColumnWeights()
 		}
-		out, err := c.analyzeAligned(s.alignedIDs, s.alignedMatrix, s.alignedWeights, s.alignedRank)
-		if err != nil {
-			return rep, err
-		}
-		rep.Aligned = out
+		rep.Aligned = c.analyzeAligned(s)
 	}
-	if s.unalignedCount >= 2 {
-		var out *UnalignedOutcome
-		var err error
-		if s.unalignedEv != nil {
-			out, err = c.analyzeUnalignedEv(s.unalignedEv, s.unalignedCount, s.meta)
-		} else {
-			out, err = c.analyzeUnaligned(s.unalignedDigests, s.meta)
-		}
-		if err != nil {
-			return rep, err
-		}
-		rep.Unaligned = out
+	if s.unalignedEv != nil {
+		rep.Unaligned = c.analyzeUnalignedEv(s)
+	} else if s.unalignedCount >= 2 {
+		rep.Unaligned = c.analyzeUnaligned(s)
 	}
 	c.cfg.Stats.EpochsAnalyzed.Add(1)
 	if s.meta.degraded {
@@ -327,7 +308,16 @@ func (c *Center) analyzeSpan(s *spanSnapshot) (WindowReport, error) {
 	}
 	c.cfg.Stats.IngestToAnalyzeSeconds.Observe(time.Since(s.opened).Seconds())
 	c.cfg.Stats.FinalizeSeconds.Observe(time.Since(start).Seconds())
-	return rep, nil
+	return rep
+}
+
+// mustAnalyze panics, naming the span, on an error from an analysis library
+// call. Config.Validate and admission's shape checks leave none reachable, so
+// one is a bug in the center, never a span to lose quietly.
+func mustAnalyze(epoch int, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("center: span %d: analysis failed on a validated config: %v", epoch, err))
+	}
 }
 
 // alignedOutcome translates a detection's rows to router ids through the
@@ -353,18 +343,17 @@ func alignedOutcome(ids []rowID, det aligned.Detection) *AlignedOutcome {
 // already (nil rank). No m′ rescaling is needed: the detector computes the
 // non-natural-occurrence significance bound from the matrix it is given, so a
 // degraded window's m′ rows already condition the verdict.
-func (c *Center) analyzeAligned(ids []rowID, m *aligned.Matrix, weights, rank []int) (*AlignedOutcome, error) {
+func (c *Center) analyzeAligned(s *spanSnapshot) *AlignedOutcome {
+	m := s.alignedMatrix
 	// The subset size cannot exceed the column count.
 	acfg := aligned.RefinedConfig(min(c.cfg.SubsetSize, m.Cols()))
 	acfg.Workers = c.cfg.Parallelism
-	det, err := aligned.DetectWithWeights(m, weights, acfg)
-	if err != nil {
-		return nil, err
+	det, err := aligned.DetectWithWeights(m, s.alignedWeights, acfg)
+	mustAnalyze(s.epoch, err)
+	if s.alignedRank != nil {
+		aligned.RemapRows(&det, s.alignedRank)
 	}
-	if rank != nil {
-		aligned.RemapRows(&det, rank)
-	}
-	return alignedOutcome(ids, det), nil
+	return alignedOutcome(s.alignedIDs, det)
 }
 
 // analyzeUnalignedEv is the incremental unaligned path: replay the tracked
@@ -374,15 +363,15 @@ func (c *Center) analyzeAligned(ids []rowID, m *aligned.Matrix, weights, rank []
 // span's final vertex count can only have grown past the bound the prune
 // used), so the replayed graphs — and everything computed from them — are
 // bit-identical to the batch path's.
-func (c *Center) analyzeUnalignedEv(ev *unaligned.SpanEvidence, digests int, meta windowMeta) (*UnalignedOutcome, error) {
-	n := ev.NumVertices()
-	return c.unalignedVerdict(n, ev.Bits(), ev.Arrays(), digests, meta, ev.Vertex,
-		func(lt *unaligned.LambdaTable) (*graph.Graph, error) {
+func (c *Center) analyzeUnalignedEv(s *spanSnapshot) *UnalignedOutcome {
+	ev, n := s.unalignedEv, s.unalignedEv.NumVertices()
+	return c.unalignedVerdict(s, n, ev.Bits(), ev.Arrays(), ev.Vertex,
+		func(lt *unaligned.LambdaTable) *graph.Graph {
 			g := graph.New(n)
 			for _, e := range ev.Edges(lt) {
 				g.AddEdge(int(e[0]), int(e[1]))
 			}
-			return g, nil
+			return g
 		})
 }
 

@@ -46,9 +46,10 @@ type Node struct {
 	err  error                 // and the first fault it met
 }
 
-// NewNode builds a node around a fresh center. Everything the node has to
-// say — verdicts, holds, journal recovery and faults — goes to logger; nil
-// discards it.
+// NewNode builds a node around a fresh center, and panics, as center.New
+// does, on a configuration center.Config.Validate refuses. Everything the node
+// has to say — verdicts, holds, journal recovery and faults — goes to logger;
+// nil discards it.
 func NewNode(cfg center.Config, logger *log.Logger) *Node {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -161,7 +162,9 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 }
 
 // Drain is the shutdown drain, every report the center still owes: shed
-// tombstones, then every open span, oldest first. Returns as Tick does.
+// tombstones, then every open span, oldest first. A sink failing on one
+// report is a fault, logged; the drain goes on past it to the next span and
+// returns the first fault with the reports, as Tick does.
 func (n *Node) Drain() ([]center.WindowReport, error) {
 	n.closeAll(center.CloseDrain)
 	n.drainShed()
@@ -169,24 +172,20 @@ func (n *Node) Drain() ([]center.WindowReport, error) {
 }
 
 // closeAll forwards the shed tombstones, then finishes the spans CloseNext
-// closes under trigger until it refuses. A hold is logged; an analysis that
-// fails after its span closed is a fault, and the walk goes on past it.
+// closes under trigger until it refuses; a hold is logged. Every span it
+// closes has a report: a center's analysis cannot fail.
 func (n *Node) closeAll(trigger center.CloseCause) {
 	n.drainShed()
 	for {
 		start := time.Now()
 		rep, _, err := n.Center.CloseNext(trigger)
-		switch {
-		case err == nil:
-			n.finish(rep, time.Since(start))
-		case !errors.Is(err, center.ErrNoCompleteEpoch):
-			n.fault("epoch %d analysis: %w", rep.Epoch, err)
-		default:
+		if err != nil {
 			if hold := (*center.HeldError)(nil); errors.As(err, &hold) {
 				n.log.Print(hold)
 			}
 			return
 		}
+		n.finish(rep, time.Since(start))
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -145,28 +146,37 @@ func TestTickNeverClosesAnEpochItDidNotCount(t *testing.T) {
 	}
 }
 
-// TestDrainReportsPastAFailedAnalysis: span 2's analysis fails after the
-// center closed it, while it was held below quorum behind span 1: it is the
-// only span with unaligned digests, and a negative TargetP1 is an ER edge
-// probability no λ table exists for (no digest can fail an analysis; a
-// misconfigured center can). The drain reports the fault and still reports
-// span 3.
-func TestDrainReportsPastAFailedAnalysis(t *testing.T) {
-	n := NewNode(center.Config{SubsetSize: 64, MinRouters: 3, MaxWait: 8, TargetP1: -1}, nil)
+// TestDrainReportsPastAFailedSink: the event log fails on span 2's line while
+// span 2 was held below quorum behind span 1. The drain reports the fault,
+// naming the span, and still reports spans 2 and 3: a sink's fault costs
+// that sink one line, never another span its report.
+func TestDrainReportsPastAFailedSink(t *testing.T) {
+	n := NewNode(center.Config{SubsetSize: 64, MinRouters: 3, MaxWait: 8}, nil)
+	n.events = newEventLog(lineFailer(`{"epoch":2,`))
 	feed := burst(1, 1, 2, 3)
 	feed = append(feed, dg(1, 2), dg(2, 2), ug(1, 2), ug(2, 2))
 	for _, m := range append(feed, burst(3, 1, 2, 3)...) {
 		n.Handle(m, from)
 	}
 	reps, err := n.Drain()
-	if err == nil || !strings.Contains(err.Error(), "epoch 2 analysis") {
-		t.Fatalf("drain fault %v, want span 2's analysis error", err)
+	if err == nil || !strings.Contains(err.Error(), "events: epoch 2") {
+		t.Fatalf("drain fault %v, want span 2's event line refused", err)
 	}
 	var got []int
 	for _, rep := range reps {
 		got = append(got, rep.Epoch)
 	}
-	if want := []int{1, 3}; !slices.Equal(got, want) {
+	if want := []int{1, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("drain reported %v, want %v", describeAll(reps), want)
 	}
+}
+
+// lineFailer is an event sink that refuses every line holding its text.
+type lineFailer string
+
+func (w lineFailer) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), string(w)) {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
 }

@@ -61,11 +61,15 @@ type role struct {
 	close    func()
 }
 
-// Run is the dcsd process: it assembles the role cfg selects, recovers the
-// journal before listening, serves until ctx is cancelled (or for one tick,
-// with Once), drains what is still buffered and returns. The cancellation
-// cause is logged as the reason for the shutdown.
+// Run is the dcsd process: it refuses a configuration it cannot run before it
+// opens anything, assembles the role cfg selects, recovers the journal before
+// listening, serves until ctx is cancelled (or for one tick, with Once),
+// drains what is still buffered and returns. The cancellation cause is logged
+// as the reason for the shutdown.
 func Run(ctx context.Context, cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	reg := metrics.NewRegistry()
 	var ev *eventLog
 	if cfg.Events != "" {
@@ -169,6 +173,28 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 }
 
+// validate is Run's start-up check of the values that come from outside the
+// program, the flags: the center's configuration, then Run's own.
+func (cfg Config) validate() error {
+	if err := cfg.Center.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case cfg.Ticks == nil && cfg.Window <= 0:
+		return fmt.Errorf("-window %v: must be positive", cfg.Window)
+	case !(cfg.RateLimit >= 0):
+		return fmt.Errorf("-rate-limit %v: must be zero (off) or positive", cfg.RateLimit)
+	case cfg.Shards < 1:
+		return fmt.Errorf("-shards %d: must be at least 1", cfg.Shards)
+	case cfg.ShardOf >= cfg.Shards:
+		return fmt.Errorf("-shard-of %d out of range for -shards %d", cfg.ShardOf, cfg.Shards)
+	case cfg.ShardOf < 0 && cfg.Coordinator != "" && strings.Count(cfg.Coordinator, ",")+1 != cfg.Shards:
+		return fmt.Errorf("-coordinator names %d shard addresses but -shards says %d; the partition is derived from -shards, so the deployment must agree",
+			strings.Count(cfg.Coordinator, ",")+1, cfg.Shards)
+	}
+	return nil
+}
+
 func closeLogged(what string, closeFn func() error) {
 	if err := closeFn(); err != nil {
 		log.Printf("%s close: %v", what, err)
@@ -204,9 +230,6 @@ func shardConfig(cfg center.Config, part shard.Partition, i int, dir string) (ce
 func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) {
 	ccfg, dir := cfg.Center, cfg.Journal
 	if cfg.ShardOf >= 0 {
-		if cfg.ShardOf >= cfg.Shards {
-			return nil, fmt.Errorf("-shard-of %d out of range for -shards %d", cfg.ShardOf, cfg.Shards)
-		}
 		ccfg, dir = shardConfig(ccfg, shard.Partition{Shards: cfg.Shards, Slide: ccfg.WindowSlide}, cfg.ShardOf, dir)
 	}
 	n := NewNode(ccfg, log.Default())
@@ -274,9 +297,6 @@ func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) 
 // falsifying the merge.
 func coordinatorRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) {
 	addrs := strings.Split(cfg.Coordinator, ",")
-	if len(addrs) != cfg.Shards {
-		return nil, fmt.Errorf("-coordinator names %d shard addresses but -shards says %d; the partition is derived from -shards, so the deployment must agree", len(addrs), cfg.Shards)
-	}
 	clients := make([]*transport.ReconnectingClient, len(addrs))
 	senders := make([]shard.Sender, len(addrs))
 	for i := range addrs {

@@ -47,7 +47,7 @@ func TestMain(m *testing.M) {
 // with fsync, events beside the journal, and a window no run lasts.
 func crashConfig(dir string) Config {
 	return Config{
-		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", ShardOf: -1,
+		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Shards: 1, ShardOf: -1,
 		Window: time.Hour, ConnTimeout: time.Minute,
 		Center:  center.Config{SubsetSize: 64, MaxEpochs: 16, WindowSlide: 3, Parallelism: 2},
 		Journal: filepath.Join(dir, "journal"),
@@ -285,7 +285,7 @@ func readEvents(t *testing.T, path string) []map[string]any {
 // log; the registry namespaces; and the shutdown line naming the
 // cancellation cause. No line is logged per digest.
 func TestRunStartupContract(t *testing.T) {
-	r := startRun(t, Config{UDP: "127.0.0.1:0", ShardOf: -1, Journal: t.TempDir(), Center: center.Config{SubsetSize: 64}})
+	r := startRun(t, Config{UDP: "127.0.0.1:0", Shards: 1, ShardOf: -1, Journal: t.TempDir(), Center: center.Config{SubsetSize: 64}})
 	for what, addr := range map[string]string{"tcp": r.tcp, "udp": r.udp, "http": r.http} {
 		if !regexp.MustCompile(`^127\.0\.0\.1:[1-9][0-9]*$`).MatchString(addr) {
 			t.Errorf("%s address line %q is not a bare host:port", what, addr)
@@ -342,6 +342,47 @@ func TestRunStartupContract(t *testing.T) {
 		if !strings.Contains(r.logs.String(), line) {
 			t.Errorf("log lacks %q\n%s", line, r.logs)
 		}
+	}
+}
+
+// TestRunRefusesBeforeOpening: a configuration Run cannot serve — a flag out
+// of range, Run's own or the center's — is refused, naming it, before the
+// event log, the journal or a listener opens.
+func TestRunRefusesBeforeOpening(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	for _, tc := range []struct {
+		want string
+		cfg  Config
+	}{
+		{"-window 0s", Config{Shards: 1, ShardOf: -1}},
+		{"-window -1s", Config{Window: -time.Second, Shards: 1, ShardOf: -1}},
+		{"-rate-limit -1", Config{Window: time.Second, RateLimit: -1, Shards: 1, ShardOf: -1}},
+		{"-shards 0", Config{Window: time.Second, ShardOf: -1}},
+		{"-shard-of 2", Config{Window: time.Second, Shards: 2, ShardOf: 2}},
+		{"-coordinator names 1", Config{Window: time.Second, Shards: 2, ShardOf: -1, Coordinator: addr}},
+		{"SubsetSize", Config{Window: time.Second, Shards: 1, ShardOf: -1, Center: center.Config{SubsetSize: 1}}},
+		{"MaxEpochs", Config{Window: time.Second, Shards: 1, ShardOf: -1, Center: center.Config{WindowSlide: 3, MaxEpochs: 2}}},
+	} {
+		dir := t.TempDir()
+		cfg := tc.cfg
+		cfg.Listen, cfg.HTTP = addr, "127.0.0.1:0"
+		cfg.Journal, cfg.Events = filepath.Join(dir, "journal"), filepath.Join(dir, "events.jsonl")
+		if err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run says %v, want a refusal naming %q", err, tc.want)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%s: refused run left %v behind", tc.want, left)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: refused run left %s taken: %v", tc.want, addr, err)
+		}
+		ln.Close()
 	}
 }
 
@@ -480,7 +521,7 @@ func TestRunOnce(t *testing.T) {
 // away from this one. Every handled tick logs one -stats line, as does the
 // shutdown.
 func TestRunDropsTickQueuedBehindALongOne(t *testing.T) {
-	r := startRun(t, Config{ShardOf: -1, Stats: true, Center: center.Config{SubsetSize: 64}})
+	r := startRun(t, Config{Shards: 1, ShardOf: -1, Stats: true, Center: center.Config{SubsetSize: 64}})
 	// Epoch 2 still waits for router 2, so nothing closes until a tick does.
 	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(2, 1), dg(1, 2)})
 	statsLines := func() int { return strings.Count(r.logs.String(), "stats: frames in=") }
@@ -523,7 +564,7 @@ func TestRunStatsLineBalancesTheLedger(t *testing.T) {
 		"ShedEpochs":       "epochs.shed",
 	}
 	st := new(center.Stats)
-	r := startRun(t, Config{ShardOf: -1, Stats: true, Center: center.Config{
+	r := startRun(t, Config{Shards: 1, ShardOf: -1, Stats: true, Center: center.Config{
 		SubsetSize: 64, Stats: st, OwnsEpoch: func(e int) bool { return e != 9 },
 	}})
 	send(t, r.tcp, r.http, 0, []transport.Message{dg(1, 1), dg(2, 1)})

@@ -147,7 +147,8 @@ func (t *LambdaTable) row(i int) []atomic.Int32 {
 // PStarForEdgeProbability converts a target per-vertex-pair edge probability
 // p1 into the per-row-pair tail p*, given that each vertex pair compares
 // rowPairs row combinations: p1 = 1-(1-p*)^rowPairs. A p1 of 1 or more
-// gives p* = 1: every row pair is an edge.
+// gives p* = 1: every row pair is an edge. Any positive p1 gives a p* in
+// (0, 1], at every positive rowPairs.
 func PStarForEdgeProbability(p1 float64, rowPairs int) float64 {
 	if rowPairs <= 0 || p1 <= 0 {
 		return 0
@@ -156,11 +157,15 @@ func PStarForEdgeProbability(p1 float64, rowPairs int) float64 {
 		return 1
 	}
 	// p* = 1-(1-p1)^{1/rowPairs}; for tiny p1 this is p1/rowPairs, which is
-	// also the numerically stable branch.
-	if p1 < 1e-6 {
-		return p1 / float64(rowPairs)
+	// also the numerically stable branch. At a huge rowPairs the power rounds
+	// to 1 and p1/rowPairs can underflow: the smallest positive p* stands in,
+	// a tail no overlap reaches.
+	if p1 >= 1e-6 {
+		if p := 1 - math.Pow(1-p1, 1/float64(rowPairs)); p > 0 {
+			return p
+		}
 	}
-	return 1 - math.Pow(1-p1, 1/float64(rowPairs))
+	return max(p1/float64(rowPairs), math.SmallestNonzeroFloat64)
 }
 
 // EdgeProbabilityForPStar is the inverse conversion.
