@@ -159,6 +159,8 @@ type Stats struct {
 	UnsyncedFrames int
 	// Degraded reports whether appends are currently suspended.
 	Degraded bool
+	// Marks is how many per-epoch analyzed marks the journal's books hold.
+	Marks int
 }
 
 // counters holds the journal's lifetime counts as registry-grade atomics so
@@ -1034,6 +1036,9 @@ func (j *Journal) Segments() int {
 
 // Stats returns a snapshot of the journal's counters.
 func (j *Journal) Stats() Stats {
+	j.mu.Lock()
+	marks := len(j.analyzed)
+	j.mu.Unlock()
 	return Stats{
 		FramesAppended:      int(j.ctr.framesAppended.Load()),
 		FramesReplayed:      int(j.ctr.framesReplayed.Load()),
@@ -1048,6 +1053,7 @@ func (j *Journal) Stats() Stats {
 		FramesRescued:       int(j.ctr.framesRescued.Load()),
 		UnsyncedFrames:      int(j.ctr.unsynced.Load()),
 		Degraded:            j.ctr.degraded.Load() != 0,
+		Marks:               marks,
 	}
 }
 
