@@ -12,7 +12,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -167,25 +166,28 @@ func (n *Node) Tick() ([]center.WindowReport, error) {
 // returns the first fault with the reports, as Tick does.
 func (n *Node) Drain() ([]center.WindowReport, error) {
 	n.closeAll(center.CloseDrain)
-	n.drainShed()
 	return n.take()
 }
 
-// closeAll forwards the shed tombstones, then finishes the spans CloseNext
-// closes under trigger until it refuses; a hold is logged. Every span it
-// closes has a report: a center's analysis cannot fail.
+// closeAll finishes the spans CloseNext closes under trigger until it refuses
+// (a hold is logged); a center's analysis cannot fail. Shed before watermark:
+// a tombstone is the only report of a shed epoch, and finish hands the journal
+// a span's start as its watermark. So the tombstones are taken after each
+// CloseNext, when no epoch at or below the start is left to shed, and finished
+// before the span: no crash finds the watermark durable over an unsent one.
 func (n *Node) closeAll(trigger center.CloseCause) {
-	n.drainShed()
 	for {
 		start := time.Now()
 		rep, _, err := n.Center.CloseNext(trigger)
+		wall := time.Since(start)
+		n.drainShed()
 		if err != nil {
 			if hold := (*center.HeldError)(nil); errors.As(err, &hold) {
 				n.log.Print(hold)
 			}
 			return
 		}
-		n.finish(rep, time.Since(start))
+		n.finish(rep, wall)
 	}
 }
 
@@ -204,9 +206,9 @@ func (n *Node) fault(format string, args ...any) {
 }
 
 // drainShed forwards the tombstone reports of epochs shed under the memory
-// budget and marks the epochs ring eviction released as analyzed, so the
-// journal frames of both are purged rather than replayed into a window that
-// no longer exists. An evicted epoch gets no report: it stays a counted drop.
+// budget and retires the epochs ring eviction released in the journal, so the
+// frames of both are purged rather than replayed into a window that no longer
+// exists. An evicted epoch gets no report: it stays a counted drop.
 func (n *Node) drainShed() {
 	for _, rep := range n.Center.TakeShedReports() {
 		n.finish(rep, 0)
@@ -224,12 +226,11 @@ func (n *Node) drainShed() {
 
 // finish makes every digest the report counted durable — the analysis has its
 // snapshot, so the barrier covers at least those — then delivers the report to
-// every sink — the log, the event log, the coordinator — then, when the report
-// keeps its own epoch buffered as context (WindowSlide > 1), records its span
-// as reported, and only then lets the journal forget the epochs the report
-// retired: a crash anywhere in between, of the process or of the machine, can
-// repeat this report on restart, identically, but never re-report it from
-// fewer digests or from the context the retirement left behind.
+// every sink — the log, the event log, the coordinator — and only then retires
+// what it covers in the journal in one durable step (a shed epoch alone: it can
+// sit above an open span). A crash anywhere in between, of the process or of
+// the machine, can repeat this report on restart, identically, but never
+// re-report it from fewer digests or from the context the retirement left.
 func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
 	n.sync()
 	logReport(n.log, rep)
@@ -239,18 +240,15 @@ func (n *Node) finish(rep center.WindowReport, wall time.Duration) {
 	if n.push != nil {
 		n.pushReport(rep)
 	}
-	if n.Journal != nil {
-		if !slices.Contains(rep.RetiredEpochs, rep.Epoch) {
-			if err := n.Journal.SpanReported(rep.Epoch); err != nil {
-				n.fault("journal: marking span %d reported: %w", rep.Epoch, err)
-			}
+	switch {
+	case n.Journal == nil:
+	case rep.Shed:
+		if err := n.Journal.EpochAnalyzed(rep.Epoch); err != nil {
+			n.fault("journal: marking shed epoch %d analyzed: %w", rep.Epoch, err)
 		}
-		// Only retired epochs may forget their journal frames: the spans
-		// ahead still need the ones left buffered.
-		for _, e := range rep.RetiredEpochs {
-			if err := n.Journal.EpochAnalyzed(e); err != nil {
-				n.fault("journal: marking epoch %d analyzed: %w", e, err)
-			}
+	default:
+		if err := n.Journal.Reported(rep.SpanStart, rep.Epoch); err != nil {
+			n.fault("journal: marking span %d reported: %w", rep.Epoch, err)
 		}
 	}
 	n.reps = append(n.reps, rep)

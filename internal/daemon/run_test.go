@@ -442,7 +442,7 @@ func TestRunCrashReplayBitIdentical(t *testing.T) {
 	// points inside finish are TestCrashAfterReportRepeatsItIdentically's.)
 	waitFor(t, "life one to report span 5 and retire epoch 3, with no tick", func() bool {
 		marks, err := os.ReadFile(filepath.Join(dir, "journal", "ANALYZED"))
-		return err == nil && strings.Contains("\n"+string(marks), "\n3\n")
+		return err == nil && strings.Contains(string(marks), "\nthrough 3\n")
 	})
 	if err := child.Process.Kill(); err != nil {
 		t.Fatal(err)

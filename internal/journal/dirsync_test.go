@@ -15,9 +15,9 @@ func swapFsyncDir(t *testing.T, fn func(string) error) {
 }
 
 // TestCrashDirSyncPoints pins the directory-fsync call points: after Open
-// (fresh active segment, truncations, sidecar creation), after a rotate
-// (new segment name), after a purge (deletions), and after Close removes an
-// empty active segment. Before the fix the journal never fsynced its
+// (fresh active segment, truncations, sidecar creation), once per retiring
+// step that seals a segment or purges one (the new segment's name and the
+// deletions together), and after Close removes an empty active segment. Before the fix the journal never fsynced its
 // directory at all — file contents were durable but the entries naming them
 // were not, so a crash could lose a rotated segment or resurrect a purged
 // one. This test fails against that version with 0 recorded syncs.
@@ -48,14 +48,14 @@ func TestCrashDirSyncPoints(t *testing.T) {
 		t.Fatalf("Append alone dir-synced (%d total); only entry mutations need it", got)
 	}
 
-	// EpochAnalyzed seals the active segment (one sync for the new segment's
-	// entry) and immediately purges it — epoch 1 is analyzed (another sync
-	// for the deletion).
+	// EpochAnalyzed seals the active segment and immediately purges it —
+	// epoch 1 is analyzed: one sync covers the new segment's entry and the
+	// deletion.
 	if err := j.EpochAnalyzed(1); err != nil {
 		t.Fatal(err)
 	}
-	if syncs != 3 {
-		t.Fatalf("EpochAnalyzed brought dir syncs to %d, want 3 (rotate + purge)", syncs)
+	if syncs != 2 {
+		t.Fatalf("EpochAnalyzed brought dir syncs to %d, want 2 (one for rotate and purge)", syncs)
 	}
 
 	if got := j.Stats().DirSyncs; got != syncs {
@@ -66,8 +66,8 @@ func TestCrashDirSyncPoints(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if syncs != 4 {
-		t.Fatalf("Close brought dir syncs to %d, want 4", syncs)
+	if syncs != 3 {
+		t.Fatalf("Close brought dir syncs to %d, want 3", syncs)
 	}
 
 	// Hard reopen: the purge must have stuck — nothing left to replay.

@@ -12,11 +12,18 @@
 // messages, exactly the bytes a collector put on the wire. Opening a journal
 // scans every segment and truncates the torn tail a crash mid-append leaves
 // behind (the CRC and length checks of the frame decoder decide where the
-// valid prefix ends). A small ANALYZED sidecar records which epochs were
-// already analyzed; Replay skips their frames so a restart re-analyzes only
-// un-analyzed epochs. EpochAnalyzed rotates the active segment and deletes
-// every sealed segment whose recorded epochs are all analyzed, so the journal
-// directory stays proportional to the un-analyzed backlog, not to uptime.
+// valid prefix ends).
+//
+// A small ANALYZED sidecar holds the books: the center's watermark (the start
+// of the newest reported span; the center has closed every epoch at or below
+// it) and a mark per retired epoch above it (shed or evicted), pruned as the
+// watermark rises — bounded by how far the center runs ahead of its oldest open
+// span, not by uptime. Replay skips every frame of a retired epoch, a straggler
+// the center counted late included. Retiring is one durable step per call: the
+// marks in one write(2) and one fsync of the sidecar, then the active segment
+// sealed if it holds epochs and the next one opened, every sealed segment whose
+// epochs are all retired deleted, and one directory sync for both. The sidecar
+// still gains a line per report (ROADMAP: compaction).
 //
 // Durability is a group commit: Append is one write(2) per call with no
 // fsync — daemon.Node calls it once per UDP datagram or TCP frame, so a
@@ -50,6 +57,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -65,14 +74,14 @@ import (
 const (
 	segPrefix = "seg-"
 	segSuffix = ".dcsj"
-	// analyzedName is the sidecar listing analyzed epochs, one decimal per
-	// line. A torn last line (crash mid-mark) is ignored on load, which only
-	// means one epoch is re-analyzed — never that one is lost. A line
-	// "span <epoch>" records instead that the sliding span ending at that
-	// epoch was reported (SpanReported); its epochs stay un-analyzed — later
-	// spans still need their frames — but it must not be reported again.
+	// analyzedName is the sidecar holding the books, one mark per line:
+	// "through <epoch>" raises the watermark, a bare "<epoch>" retires that
+	// epoch alone, and "span <epoch>" records that the span ending at that
+	// epoch was reported while the epoch stays buffered as context — later
+	// spans still need its frames, but it must not be reported again. Only
+	// newline-terminated lines count: a crash mid-mark leaves at most a torn
+	// last line, which means a report is repeated, never that one is lost.
 	analyzedName = "ANALYZED"
-	spanPrefix   = "span "
 	// quarantineDir is the subdirectory that receives segments with
 	// mid-segment corruption: they are moved aside for forensics, replayed
 	// with resynchronization, and never purged automatically.
@@ -123,13 +132,13 @@ type Stats struct {
 	// ledger checks that); a frame written whose Sync then failed is in both.
 	FramesAppended int
 	// FramesReplayed and FramesSkipped count Replay outcomes: fed to the
-	// callback vs dropped because their epoch was already analyzed.
+	// callback vs dropped because their epoch was retired.
 	FramesReplayed, FramesSkipped int
 	// TailsTruncated counts segments whose torn or corrupt tail was cut
 	// back to the last well-formed frame at Open.
 	TailsTruncated int
 	// SegmentsPurged counts sealed segments deleted because every epoch
-	// they contained had been analyzed.
+	// they contained had been retired.
 	SegmentsPurged int
 	// DirSyncs counts fsyncs of the journal directory itself — one after
 	// every batch of segment create/delete operations and after the
@@ -159,7 +168,8 @@ type Stats struct {
 	UnsyncedFrames int
 	// Degraded reports whether appends are currently suspended.
 	Degraded bool
-	// Marks is how many per-epoch analyzed marks the journal's books hold.
+	// Marks is how many retired epochs the books mark one by one, above the
+	// watermark.
 	Marks int
 }
 
@@ -230,16 +240,17 @@ type Journal struct {
 	// failed append can reconcile the on-disk file back to this offset
 	// instead of leaving a torn frame (or worse, assuming the write
 	// happened and desynchronizing every frame after it).
-	activeOffset int64        // guarded by mu
-	frame        []byte       // guarded by mu; Append's encode buffer, reused so a call is one write(2)
-	sealed       []segment    // guarded by mu
-	analyzed     map[int]bool // guarded by mu
-	analyzedF    File         // guarded by mu
-	// spanReported is the newest epoch SpanReported was told of, in this life
-	// or a previous one (spanValid false: none yet).
-	spanReported int  // guarded by mu
-	spanValid    bool // guarded by mu
-	closed       bool // guarded by mu
+	activeOffset int64     // guarded by mu
+	frame        []byte    // guarded by mu; Append's encode buffer, reused so a call is one write(2)
+	sealed       []segment // guarded by mu
+	// The books: every epoch at or below through is retired, and so is each
+	// in analyzed, all above it; span is the newest span reported with its
+	// epoch kept as context. math.MinInt stands for none yet.
+	through   int          // guarded by mu
+	analyzed  map[int]bool // guarded by mu
+	span      int          // guarded by mu
+	analyzedF File         // guarded by mu
+	closed    bool         // guarded by mu
 
 	degraded      bool          // guarded by mu
 	degradedCause error         // guarded by mu; first or latest fault
@@ -266,7 +277,9 @@ func Open(dir string, opt Options) (*Journal, error) {
 		opt:          opt,
 		fs:           opt.FS,
 		activeEpochs: make(map[int]bool),
+		through:      math.MinInt,
 		analyzed:     make(map[int]bool),
+		span:         math.MinInt,
 	}
 	j.syncFrames.SetBuckets([]float64{1, 4, 16, 64, 256, 1024, 4096}) // frames per fsync
 	if err := j.fs.MkdirAll(dir); err != nil {
@@ -318,32 +331,38 @@ func (j *Journal) syncDirLocked() error {
 }
 
 func (j *Journal) segPath(seq int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+	return filepath.Join(j.dir, j.segName(seq))
 }
 
-// loadAnalyzedLocked reads the ANALYZED sidecar; unparsable lines (a torn
-// tail) are ignored. Caller holds j.mu.
+// loadAnalyzedLocked reads the books from the ANALYZED sidecar; a torn last
+// line and unparsable lines are ignored. Caller holds j.mu.
 func (j *Journal) loadAnalyzedLocked() error {
 	path := filepath.Join(j.dir, analyzedName)
 	data, err := j.fs.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("journal: read %s: %w", analyzedName, err)
 	}
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+		kind, num, ok := strings.Cut(strings.TrimSpace(line), " ")
+		if !ok {
+			kind, num = "", kind
+		}
+		e, err := strconv.Atoi(num)
+		if err != nil {
 			continue
 		}
-		if span, ok := strings.CutPrefix(line, spanPrefix); ok {
-			if e, err := strconv.Atoi(span); err == nil && (!j.spanValid || e > j.spanReported) {
-				j.spanReported, j.spanValid = e, true
-			}
-			continue
-		}
-		if e, err := strconv.Atoi(line); err == nil {
+		switch kind {
+		case "through":
+			j.through = max(j.through, e)
+		case "span":
+			j.span = max(j.span, e)
+		case "":
 			j.analyzed[e] = true
 		}
 	}
+	through := j.through
+	maps.DeleteFunc(j.analyzed, func(e int, _ bool) bool { return e <= through })
 	f, err := j.fs.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("journal: open %s: %w", analyzedName, err)
@@ -636,9 +655,8 @@ func (j *Journal) Append(ms ...transport.Message) error {
 				j.ctr.tailsTruncated.Inc()
 			}
 		}
-		j.degradeLocked(fmt.Errorf("append: %w", err))
 		j.ctr.unjournaled.Add(frames)
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+		return j.failLocked(fmt.Errorf("append: %w", err))
 	}
 	j.activeOffset += int64(len(buf))
 	j.ctr.framesAppended.Add(frames)
@@ -686,16 +704,7 @@ func (j *Journal) rearmLocked() {
 		j.active.Close()
 		j.active = nil
 	}
-	if len(j.activeEpochs) > 0 {
-		j.sealed = append(j.sealed, segment{
-			seq:    j.activeSeq,
-			path:   j.segPath(j.activeSeq),
-			epochs: j.activeEpochs,
-		})
-		j.activeEpochs = make(map[int]bool)
-	}
-	j.activeSeq++
-	f, err := j.fs.OpenAppend(j.segPath(j.activeSeq))
+	f, err := j.sealLocked()
 	if err != nil {
 		j.degradeLocked(fmt.Errorf("rearm: %w", err))
 		return
@@ -730,6 +739,17 @@ func (j *Journal) rearmLocked() {
 	j.degradedCause = nil
 	j.ctr.degraded.Set(0)
 	j.ctr.rearms.Inc()
+}
+
+// sealLocked files the closed active segment among the sealed ones, if it
+// holds epochs, and opens the next. Caller holds j.mu.
+func (j *Journal) sealLocked() (File, error) {
+	if len(j.activeEpochs) > 0 {
+		j.sealed = append(j.sealed, segment{seq: j.activeSeq, path: j.segPath(j.activeSeq), epochs: j.activeEpochs})
+		j.activeEpochs = make(map[int]bool)
+	}
+	j.activeSeq++
+	return j.fs.OpenAppend(j.segPath(j.activeSeq))
 }
 
 // TryRearm attempts to leave degraded mode right now, ignoring the backoff
@@ -810,173 +830,148 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
-// rotateLocked seals the active segment and starts a new one. Caller holds
-// j.mu.
-func (j *Journal) rotateLocked() error {
-	// A segment is never closed dirty: a sealed segment's frames would
-	// otherwise wait on a writeback no barrier covers.
-	if err := j.flushLocked(); err != nil {
+// Reported retires, in one durable step, what the delivered report of span
+// [start, end] covers: the marks "span end" — when the report keeps its own
+// epoch as context (start < end) — and "through start", the floor the center
+// raised at the close. The span mark goes first: a torn write can lose the
+// watermark, never keep it without the span mark, which would let the next
+// life report span end again on what the retirement left. The caller has
+// finished every shed tombstone the center held at the close: the watermark
+// covers a shed epoch below start, whose tombstone is its only report.
+func (j *Journal) Reported(start, end int) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	marks := "through " + strconv.Itoa(start) + "\n"
+	if start < end {
+		marks = "span " + strconv.Itoa(end) + "\n" + marks
+	}
+	if err := j.markLocked(marks); err != nil {
 		return err
 	}
-	//dcslint:ignore errcrit appends are unbuffered write(2)s just flushed above, and Open-time recovery truncates any tail a failed close tears
-	j.active.Close()
-	if len(j.activeEpochs) == 0 {
-		//dcslint:ignore errcrit best-effort cleanup of an epochless segment; a survivor is removed at the next Open
-		j.fs.Remove(j.segPath(j.activeSeq))
-	} else {
-		j.sealed = append(j.sealed, segment{
-			seq:    j.activeSeq,
-			path:   j.segPath(j.activeSeq),
-			epochs: j.activeEpochs,
-		})
+	if start < end {
+		j.span = max(j.span, end)
 	}
-	j.activeEpochs = make(map[int]bool)
-	j.activeSeq++
-	f, err := j.fs.OpenAppend(j.segPath(j.activeSeq))
-	if err != nil {
-		j.active = nil
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	j.active = f
-	j.activeOffset = 0
-	// The new active segment's directory entry (and any epochless-segment
-	// removal above) must be durable before appends land in it: Sync makes
-	// file contents durable, which cannot save a file whose name a crash
-	// erased.
-	return j.syncDirLocked()
+	j.through = max(j.through, start)
+	maps.DeleteFunc(j.analyzed, func(e int, _ bool) bool { return e <= start })
+	return j.retireLocked()
 }
 
-// EpochAnalyzed durably marks an epoch as analyzed: its frames are skipped
-// by future Replays, the active segment is rotated so later epochs accrue in
-// a fresh file, and every sealed segment whose epochs are all analyzed is
-// deleted. Call it after Center.Analyze succeeds for the epoch.
-//
-// A failed mark is rolled back (the epoch will be replayed and re-analyzed
-// after a restart — the duplicate policy absorbs that) and the journal
-// degrades; it never purges on a mark whose durability is unknown.
+// EpochAnalyzed retires one epoch above the watermark, a shed or evicted one
+// no span report covers, in one durable step, as Reported does.
 func (j *Journal) EpochAnalyzed(epoch int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	if !j.analyzed[epoch] {
-		// The mark is what licenses deleting frames; it must be durable
-		// before any purge below acts on it. Rolling back the in-memory
-		// mark on failure keeps purge honest.
-		j.analyzed[epoch] = true
-		if err := j.markLocked(strconv.Itoa(epoch)); err != nil {
-			delete(j.analyzed, epoch)
+	if !j.retiredLocked(epoch) {
+		if err := j.markLocked(strconv.Itoa(epoch) + "\n"); err != nil {
 			return err
 		}
+		j.analyzed[epoch] = true
 	}
-	if !j.degraded && len(j.activeEpochs) > 0 {
-		if err := j.rotateLocked(); err != nil {
-			j.degradeLocked(err)
-			return fmt.Errorf("%w: %w", ErrDegraded, err)
-		}
-	}
-	return j.purgeLocked()
+	return j.retireLocked()
 }
 
-// SpanReported durably records that the sliding span ending at epoch has
-// been reported. Under a sliding window a report's own epoch is not retired
-// with it — the next spans still need its frames — so the analyzed marks
-// alone would let a restart replay that epoch and report its span a second
-// time, on whatever context survived. Call it after the report is delivered
-// and before EpochAnalyzed for the epochs it retired: a crash in between then
-// repeats at most the identical report, never a truncated one. A failed mark
-// degrades the journal, as a failed analyzed mark does.
-func (j *Journal) SpanReported(epoch int) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if j.spanValid && epoch <= j.spanReported {
-		return nil
-	}
-	if err := j.markLocked(spanPrefix + strconv.Itoa(epoch)); err != nil {
-		return err
-	}
-	j.spanReported, j.spanValid = epoch, true
-	return nil
+func (j *Journal) retiredLocked(epoch int) bool {
+	return epoch <= j.through || j.analyzed[epoch]
 }
 
-// markLocked appends one line to the ANALYZED sidecar and fsyncs it. A
-// failure degrades the journal; the line may then be torn on disk, which the
-// loader ignores. Caller holds j.mu.
-func (j *Journal) markLocked(mark string) error {
-	if _, err := io.WriteString(j.analyzedF, mark+"\n"); err != nil {
-		j.degradeLocked(fmt.Errorf("write %s mark %q: %w", analyzedName, mark, err))
-		return fmt.Errorf("%w: write %s mark %q: %w", ErrDegraded, analyzedName, mark, err)
+// markLocked appends marks, whole lines, to the ANALYZED sidecar in one
+// write(2) and fsyncs it. A failure degrades the journal; the last line may
+// then be torn on disk, which the loader ignores. Caller holds j.mu.
+func (j *Journal) markLocked(marks string) error {
+	if _, err := io.WriteString(j.analyzedF, marks); err != nil {
+		return j.failLocked(fmt.Errorf("write %s: %w", analyzedName, err))
 	}
 	if err := j.analyzedF.Sync(); err != nil {
-		j.degradeLocked(fmt.Errorf("sync %s: %w", analyzedName, err))
-		return fmt.Errorf("%w: sync %s: %w", ErrDegraded, analyzedName, err)
+		return j.failLocked(fmt.Errorf("sync %s: %w", analyzedName, err))
 	}
 	return nil
 }
 
-// SpanWatermark returns the newest epoch SpanReported has recorded, in this
-// life or an earlier one, and whether there is one.
-func (j *Journal) SpanWatermark() (epoch int, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.spanReported, j.spanValid
+// failLocked degrades the journal on err and returns it as ErrDegraded.
+// Caller holds j.mu.
+func (j *Journal) failLocked(err error) error {
+	j.degradeLocked(err)
+	return fmt.Errorf("%w: %w", ErrDegraded, err)
 }
 
-// purgeLocked deletes sealed segments whose every epoch is analyzed, then
-// fsyncs the directory so the deletions stick: an unlink that a crash rolls
-// back resurrects the segment, and the next restart would re-replay epochs
-// the ANALYZED sidecar may itself have lost the mark for. Quarantined
-// segments are retired from the replay set but their files stay on disk —
-// they are corruption evidence, not backlog. Caller holds j.mu.
-func (j *Journal) purgeLocked() error {
-	purged := 0
+// retireLocked acts on marks just made durable: it seals the active segment if
+// it holds epochs, deletes every sealed segment whose epochs are all retired
+// (a quarantined one, corruption evidence, only leaves the replay set), and
+// makes the new entry and the unlinks durable with one directory sync. Caller
+// holds j.mu.
+func (j *Journal) retireLocked() error {
+	dirty := false
+	if !j.degraded && len(j.activeEpochs) > 0 {
+		// A segment is never closed dirty: a sealed segment's frames would
+		// otherwise wait on a writeback no barrier covers.
+		if err := j.flushLocked(); err != nil {
+			return j.failLocked(err)
+		}
+		//dcslint:ignore errcrit appends are unbuffered write(2)s just flushed above, and Open-time recovery truncates any tail a failed close tears
+		j.active.Close()
+		f, err := j.sealLocked()
+		if err != nil {
+			j.active = nil
+			return j.failLocked(fmt.Errorf("open segment: %w", err))
+		}
+		j.active, j.activeOffset = f, 0
+		dirty = true
+	}
 	kept := j.sealed[:0]
 	for _, s := range j.sealed {
-		done := true
-		for e := range s.epochs {
-			if !j.analyzed[e] {
-				done = false
-				break
-			}
-		}
-		if done {
-			if s.quarantined {
-				continue // drop from the replay set; keep the artifact
-			}
+		switch {
+		case !j.allRetiredLocked(s.epochs):
+			kept = append(kept, s)
+		case s.quarantined:
+			// Leaves the replay set; the file stays.
+		default:
 			if err := j.fs.Remove(s.path); err != nil && !os.IsNotExist(err) {
-				kept = append(kept, s) // retry at the next purge
+				kept = append(kept, s) // retried at the next step
 				continue
 			}
 			j.ctr.segmentsPurged.Inc()
-			purged++
-			continue
+			dirty = true
 		}
-		kept = append(kept, s)
 	}
-	// Zero the tail entries the in-place filter dropped so they do not pin
-	// their epoch maps.
-	for i := len(kept); i < len(j.sealed); i++ {
-		j.sealed[i] = segment{}
-	}
+	// Zero the entries the in-place filter dropped so they do not pin their
+	// epoch maps.
+	clear(j.sealed[len(kept):])
 	j.sealed = kept
-	if purged == 0 {
+	if !dirty {
 		return nil
 	}
 	if err := j.syncDirLocked(); err != nil {
-		// The unlinks may not be durable; a crash can resurrect the purged
-		// segments, whose epochs the durable ANALYZED sidecar will skip at
-		// replay. Degrade so the operator sees the disk misbehaving.
-		j.degradeLocked(err)
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+		return j.failLocked(err)
 	}
 	return nil
 }
 
-// Replay feeds every surviving frame of an un-analyzed epoch to fn, oldest
+// allRetiredLocked reports whether every epoch of a segment is retired.
+// Caller holds j.mu.
+func (j *Journal) allRetiredLocked(epochs map[int]bool) bool {
+	for e := range epochs {
+		if !j.retiredLocked(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// SpanWatermark returns the newest span Reported recorded as keeping its epoch
+// as context, in this life or an earlier one, and whether there is one.
+func (j *Journal) SpanWatermark() (epoch int, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.span, j.span != math.MinInt
+}
+
+// Replay feeds every surviving frame of an un-retired epoch to fn, oldest
 // segment first (within a segment, append order — which is ingest order).
 // Quarantined segments are replayed with resynchronization: their cleanly
 // framed prefix and every CRC-verified frame beyond the corrupt gap. Point
@@ -991,15 +986,12 @@ func (j *Journal) Replay(fn func(transport.Message) error) error {
 		return ErrClosed
 	}
 	segs := append([]segment(nil), j.sealed...)
-	analyzed := make(map[int]bool, len(j.analyzed))
-	for e := range j.analyzed {
-		analyzed[e] = true
-	}
+	through, analyzed := j.through, maps.Clone(j.analyzed)
 	j.mu.Unlock()
 
 	replayed, skipped := 0, 0
 	deliver := func(m transport.Message) error {
-		if e, ok := epochOf(m); ok && analyzed[e] {
+		if e, ok := epochOf(m); ok && (e <= through || analyzed[e]) {
 			skipped++
 			return nil
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dcstream/internal/bitvec"
@@ -333,9 +334,10 @@ func FuzzSegmentScan(f *testing.F) {
 	})
 }
 
-// TestSpanWatermarkSurvivesReopen: SpanReported is durable, monotone, and
-// leaves the analyzed marks alone — the epoch of a reported span is still
-// replayed, because later spans need its frames.
+// TestSpanWatermarkSurvivesReopen: Reported's span mark and watermark are
+// durable and monotone, and the watermark retires only the span's start and
+// what is older — the later epochs of a reported span are still replayed,
+// because the spans ahead need their frames.
 func TestSpanWatermarkSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
@@ -350,13 +352,10 @@ func TestSpanWatermarkSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, e := range []int{2, 3, 2} {
-		if err := j.SpanReported(e); err != nil {
+	for _, span := range [][2]int{{0, 2}, {1, 3}, {0, 2}} {
+		if err := j.Reported(span[0], span[1]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.EpochAnalyzed(1); err != nil {
-		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -388,5 +387,58 @@ func TestSpanWatermarkSurvivesReopen(t *testing.T) {
 	}
 	if len(replayed) != 2 || replayed[0] != 2 || replayed[1] != 3 {
 		t.Fatalf("replayed epochs %v, want [2 3]: a span mark must not retire its epoch", replayed)
+	}
+}
+
+// TestOldSidecarFormatLoads: an ANALYZED sidecar written before the
+// watermark — bare epoch lines and "span E" lines only, as a node left it at
+// -slide 1 and -slide 3 over six epochs — loads unchanged: Replay feeds
+// exactly the frames of the epochs it does not mark, and the span mark
+// survives.
+func TestOldSidecarFormatLoads(t *testing.T) {
+	for _, tc := range []struct {
+		name, sidecar string
+		replayed      []int
+		span          int // 0: none
+	}{
+		{"slide=1", "1\n2\n3\n4\n5\n6\n", []int{7, 7}, 0},
+		{"slide=3", "span 1\nspan 2\nspan 3\n1\nspan 4\n2\nspan 5\n3\nspan 6\n4\n", []int{5, 5, 6, 6, 7, 7}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 1; e <= 7; e++ {
+				if err := j.Append(alignedMsg(1, e), alignedMsg(2, e)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, analyzedName), []byte(tc.sidecar), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			var replayed []int
+			for _, m := range collectReplay(t, j) {
+				replayed = append(replayed, m.(transport.AlignedDigest).Epoch)
+			}
+			if !reflect.DeepEqual(replayed, tc.replayed) {
+				t.Fatalf("replayed epochs %v, want %v", replayed, tc.replayed)
+			}
+			if s := j.Stats(); s.FramesSkipped != 14-len(tc.replayed) {
+				t.Fatalf("skipped %d frames, want %d", s.FramesSkipped, 14-len(tc.replayed))
+			}
+			if e, ok := j.SpanWatermark(); ok != (tc.span != 0) || ok && e != tc.span {
+				t.Fatalf("span watermark %d (present %v), want %d", e, ok, tc.span)
+			}
+		})
 	}
 }
