@@ -13,10 +13,13 @@
 //
 // With -journal <dir> every ingested digest is appended to a crash-safe
 // write-ahead log before analysis; after a crash (kill -9, OOM, panic) a
-// restart with the same -journal replays every un-analyzed epoch into the
-// center, so buffered windows survive the process. Epochs are marked in the
-// journal as they are analyzed and their segments deleted once fully
-// covered, bounding disk use to the in-flight windows. The log takes one
+// restart with the same -journal replays every un-retired epoch into the
+// center, so buffered windows survive the process. The journal records the
+// center's watermark: each report, in one durable step (one sidecar write and
+// fsync, at most one directory sync), retires its span's start and every
+// older epoch — a straggler counted late included — and deletes the segments
+// holding only retired epochs; a shed epoch's tombstone is delivered before
+// any watermark that covers it. The log takes one
 // write(2) per call — one call per UDP datagram or TCP frame, before its
 // digests reach the window — so a process crash loses nothing of a datagram
 // or frame already handled. The log is fsynced as a group commit — before
@@ -59,9 +62,10 @@
 // line carries the span (span_start/span_epochs/retired_epochs) and the
 // running p50/p99 of the ingest-to-analyze and finalize latency histograms.
 //
-// A flag value the daemon cannot run with — -subset 1, a negative -beta,
-// -max-epochs below -slide+1, a -window of 0 — is refused at start-up, naming
-// it, before the journal, the event log or any listener opens.
+// A flag value the daemon cannot run with — -subset 1, a negative -beta, an
+// explicit -d 0, -max-epochs below -slide+1, a -window of 0 — is refused at
+// start-up, naming it, before the journal, the event log or any listener
+// opens.
 //
 // This file is the flag set and nothing else: the daemon itself — both the
 // center role and, with -coordinator, the scatter/gather role — is
@@ -111,16 +115,9 @@ func main() {
 	flag.StringVar(&cfg.Coordinator, "coordinator", "", "with -shard-of: coordinator address to push report envelopes to; without: run as the coordinator, scattering over this comma-separated list of shard ingest addresses")
 	flag.Parse()
 
-	// A 0 on these flags would reach the center as "use the default" above,
-	// silently; the center refuses every other value out of range (Run).
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "subset", "er-threshold", "beta", "d", "max-wait":
-			if f.Value.String() == "0" {
-				log.Fatalf("-%s 0: must be positive", f.Name)
-			}
-		}
-	})
+	if err := center.RefuseZeroFlags(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 	switch *shedPolicy {
 	case "oldest":
 		c.Shedding = center.ShedOldest

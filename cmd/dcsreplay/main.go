@@ -41,6 +41,10 @@ func main() {
 		dExp      = flag.Int("d", 2, "unaligned expansion degree")
 	)
 	flag.Parse()
+	if err := center.RefuseZeroFlags(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "dcsreplay:", err)
+		os.Exit(2)
+	}
 	traces := flag.Args()
 	if len(traces) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: dcsreplay [flags] trace0.bin trace1.bin [...]")

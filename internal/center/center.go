@@ -19,6 +19,7 @@ package center
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"sort"
@@ -234,6 +235,24 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// RefuseZeroFlags is the command-line half of Validate, shared by dcsd and
+// dcsreplay: an error naming the first, in name order, of -subset,
+// -er-threshold, -beta, -d and -max-wait that fs was given explicitly as 0,
+// or nil. Those flags fill
+// fields whose zero means "use the default", so an explicit 0 would reach the
+// center as the default, silently.
+func RefuseZeroFlags(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "subset", "er-threshold", "beta", "d", "max-wait":
+			if err == nil && f.Value.String() == "0" {
+				err = fmt.Errorf("-%s 0: must be positive", f.Name)
+			}
+		}
+	})
+	return err
 }
 
 // AlignedOutcome is the aligned-case analysis of one window.

@@ -1,6 +1,7 @@
 package center
 
 import (
+	"flag"
 	"math"
 	"strings"
 	"testing"
@@ -100,6 +101,35 @@ func TestConfigValidateEdgeProbabilities(t *testing.T) {
 		}
 		if p := unaligned.PStarForEdgeProbability(p1, 100); p > 0 && p <= 1 {
 			t.Errorf("refused p1 %v has a p* %v", p1, p)
+		}
+	}
+}
+
+// TestRefuseZeroFlags: an explicit 0 on a flag whose field reads zero as the
+// default is refused, naming the flag; any other value, and a 0 left as a
+// flag's default, passes to Validate.
+func TestRefuseZeroFlags(t *testing.T) {
+	for _, row := range []struct {
+		args []string
+		want string // "" = no refusal
+	}{
+		{nil, ""},
+		{[]string{"-subset", "0"}, "-subset 0"},
+		{[]string{"-beta", "3", "-er-threshold", "0", "-d", "0"}, "-d 0"}, // first in name order
+		{[]string{"-d", "00"}, "-d 0"},
+		{[]string{"-max-wait", "0"}, "-max-wait 0"},
+		{[]string{"-beta", "-1", "-workers", "0"}, ""},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		for _, name := range []string{"subset", "er-threshold", "beta", "d", "max-wait", "workers"} {
+			fs.Int(name, 0, "")
+		}
+		if err := fs.Parse(row.args); err != nil {
+			t.Fatal(err)
+		}
+		err := RefuseZeroFlags(fs)
+		if row.want == "" && err != nil || row.want != "" && (err == nil || !strings.Contains(err.Error(), row.want)) {
+			t.Errorf("%v: refusal %v, want one naming %q", row.args, err, row.want)
 		}
 	}
 }
