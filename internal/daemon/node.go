@@ -57,7 +57,7 @@ func NewNode(cfg center.Config, logger *log.Logger) *Node {
 }
 
 // OpenJournal attaches the crash journal in dir and replays every
-// un-analyzed epoch it holds into the center, after telling the center which
+// un-retired epoch it holds into the center, after telling the center which
 // spans the previous life already reported: their epochs come back as
 // context for the spans ahead, not to be reported again. Call it before
 // serving: replayed digests must not interleave with live ones from

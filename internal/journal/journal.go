@@ -414,7 +414,7 @@ func (j *Journal) loadSegmentsLocked() error {
 		loaded[s.seq] = true
 	}
 	// Quarantined survivors from an earlier run: re-scan them (with resync)
-	// so their un-analyzed frames stay replayable across multiple crashes.
+	// so their un-retired frames stay replayable across multiple crashes.
 	// A missing quarantine directory just means nothing was ever moved.
 	qdir := filepath.Join(j.dir, quarantineDir)
 	qentries, err := j.fs.ReadDir(qdir)
