@@ -13,12 +13,12 @@ import (
 	"dcstream/internal/center"
 )
 
-// updateGolden rewrites testdata/analyzed_w*.txt and testdata/close_trace.txt
-// from whatever close policy and finish step the package holds. The files are
-// only ever regenerated from a checkout of the commit being pinned (see
-// .claude/skills/verify/SKILL.md); a change to the close policy or the finish
-// step that moves them is a bug.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/analyzed_w*.txt and testdata/close_trace.txt from this tree's node")
+// updateGolden rewrites testdata/analyzed_w*.txt, testdata/close_trace.txt
+// and testdata/metrics_families.txt from whatever close policy, finish step
+// and exposition the package holds. The files are only ever regenerated from
+// a checkout of the commit being pinned (see .claude/skills/verify/SKILL.md);
+// a change that moves them unintended is a bug.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata goldens from this tree's node")
 
 // checkGolden compares got with the golden file, or rewrites the file under
 // -update-golden.
