@@ -70,12 +70,16 @@ type spanSnapshot struct {
 func (c *Center) closeSpanLocked(epoch int) *spanSnapshot {
 	s := &spanSnapshot{epoch: epoch, start: epoch - c.cfg.WindowSlide + 1, meta: c.metaLocked(epoch, c.windows[epoch])}
 	reporters, excluded := map[int]bool{}, map[int]bool{}
-	for e := s.start; e <= epoch; e++ {
-		sw, ok := c.windows[e]
-		if !ok {
-			continue
+	// The buffered windows, not the span's width: WindowSlide may be far
+	// wider than anything buffered.
+	for e := range c.windows {
+		if e >= s.start && e <= epoch {
+			s.epochs = append(s.epochs, e)
 		}
-		s.epochs = append(s.epochs, e)
+	}
+	sort.Ints(s.epochs)
+	for _, e := range s.epochs {
+		sw := c.windows[e]
 		s.rejected += sw.rejected
 		if s.opened.IsZero() || sw.opened.Before(s.opened) {
 			s.opened = sw.opened

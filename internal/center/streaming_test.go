@@ -3,6 +3,7 @@ package center
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"dcstream/internal/aligned"
 	"dcstream/internal/bitvec"
@@ -412,5 +413,38 @@ func TestBudgetCountsAccumulatorBytes(t *testing.T) {
 	}
 	if got := ci.BufferedBytes(); got != 0 {
 		t.Fatalf("buffered %d after unaligned analyze, want 0: tracker bytes leaked", got)
+	}
+}
+
+// TestWideSlideCostsWhatIsBuffered: Validate admits any WindowSlide up to
+// 2³¹−1, and a span that wide buffers no more than the epochs that arrive, so
+// ingest and close must cost what is buffered, not the width of the span or
+// the tracker's reach. Two routers' unaligned digests over two epochs ingest
+// and drain at WindowSlide 2³⁰ in both analysis modes.
+func TestWideSlideCostsWhatIsBuffered(t *testing.T) {
+	for _, mode := range []AnalysisMode{AnalysisIncremental, AnalysisBatch} {
+		c := New(Config{SubsetSize: 64, Analysis: mode, WindowSlide: 1 << 30})
+		done := make(chan int)
+		go func() {
+			for e := 1; e <= 2; e++ {
+				c.Ingest(unalignedMsg(1, e), unalignedMsg(2, e))
+			}
+			reports := 0
+			for {
+				if _, _, err := c.CloseNext(CloseDrain); err != nil {
+					break
+				}
+				reports++
+			}
+			done <- reports
+		}()
+		select {
+		case n := <-done:
+			if n != 2 {
+				t.Fatalf("mode %d: drained %d reports, want 2", mode, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("mode %d: four digests at WindowSlide 2^30 did not ingest and drain in 10 s", mode)
+		}
 	}
 }

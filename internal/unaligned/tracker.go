@@ -160,7 +160,7 @@ func (t *Tracker) Add(epoch int, d *Digest) int64 {
 	// Intra-member group pairs: the induced graph correlates every pair of
 	// vertices, including two groups of the same router.
 	delta := m.bytes + t.correlate(m, m)
-	for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
+	for _, e := range t.epochsWithin(epoch) {
 		for _, oref := range t.byEpoch[e] {
 			if oref != ref {
 				delta += t.correlate(m, t.members[oref])
@@ -169,6 +169,20 @@ func (t *Tracker) Add(epoch int, d *Digest) int64 {
 	}
 	t.bytes += delta
 	return delta
+}
+
+// epochsWithin returns the epochs holding members within reach of epoch,
+// ascending. It walks the tracker's own epochs, not the reach: a reach may be
+// far wider than anything buffered.
+func (t *Tracker) epochsWithin(epoch int) []int {
+	var es []int
+	for e := range t.byEpoch {
+		if e > epoch-t.cfg.Reach && e < epoch+t.cfg.Reach {
+			es = append(es, e)
+		}
+	}
+	slices.Sort(es)
+	return es
 }
 
 // correlate computes and stores the surviving row evidence between two
@@ -240,7 +254,7 @@ func (t *Tracker) Remove(epoch, router int) int64 {
 	delete(t.members, ref)
 	// Add pairs a member only with itself and members within reach, ref
 	// among them while it is still listed.
-	for e := epoch - t.cfg.Reach + 1; e <= epoch+t.cfg.Reach-1; e++ {
+	for _, e := range t.epochsWithin(epoch) {
 		for _, oref := range t.byEpoch[e] {
 			key := trPairKey{a: ref, b: oref}.canonical()
 			if p, ok := t.pairs[key]; ok {
