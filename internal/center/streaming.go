@@ -2,6 +2,7 @@ package center
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -113,16 +114,26 @@ func (c *Center) closeSpanLocked(epoch int) *spanSnapshot {
 	return s
 }
 
-// RestoreSpanWatermark tells a fresh center that the spans ending at or below
-// epoch were reported by a previous life, before their still-buffered context
-// epochs are replayed into it: those epochs then feed the spans ahead and are
-// never reported a second time on less context than the first. Only spans
-// that keep their own epoch buffered (WindowSlide > 1) leave such a mark.
-func (c *Center) RestoreSpanWatermark(epoch int) {
+// RestoreRetired tells a fresh center, before a journal's replay, what a
+// previous life retired: every epoch at or below through, and each of marks
+// above it (shed or evicted), is closed, so a digest for one — a resend
+// reaching this life live — is late, as it was in that life, instead of
+// reopening an epoch already reported or given up; span is the newest span
+// reported with its epoch kept as context, whose still-buffered epochs are
+// then replayed to feed the spans ahead and never reported a second time on
+// less context than the first. math.MinInt stands for no watermark and no
+// span.
+func (c *Center) RestoreRetired(through int, marks []int, span int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.spanClosedValid || epoch > c.spanClosed {
-		c.spanClosed, c.spanClosedValid = epoch, true
+	for _, e := range marks {
+		c.evicted[e] = true
+	}
+	if through != math.MinInt {
+		c.raiseFloor(through)
+	}
+	if span != math.MinInt && (!c.spanClosedValid || span > c.spanClosed) {
+		c.spanClosed, c.spanClosedValid = span, true
 	}
 }
 

@@ -57,9 +57,10 @@ func NewNode(cfg center.Config, logger *log.Logger) *Node {
 }
 
 // OpenJournal attaches the crash journal in dir and replays every
-// un-retired epoch it holds into the center, after telling the center which
-// spans the previous life already reported: their epochs come back as
-// context for the spans ahead, not to be reported again. Call it before
+// un-retired epoch it holds into the center, after telling the center what
+// the previous life retired: those epochs stay closed, and the epochs of
+// spans it already reported come back as context for the spans ahead, not to
+// be reported again. Call it before
 // serving: replayed digests must not interleave with live ones from
 // collectors that reconnect immediately.
 func (n *Node) OpenJournal(dir string) error {
@@ -68,9 +69,7 @@ func (n *Node) OpenJournal(dir string) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	n.Journal = jr
-	if e, ok := jr.SpanWatermark(); ok {
-		n.Center.RestoreSpanWatermark(e)
-	}
+	n.Center.RestoreRetired(jr.Retired())
 	if err := jr.Replay(func(m transport.Message) error {
 		n.Center.Ingest(m)
 		return nil

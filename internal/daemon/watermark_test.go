@@ -118,3 +118,71 @@ func (fs noSyncFS) OpenAppend(name string) (journal.File, error) {
 type noSyncFile struct{ journal.File }
 
 func (noSyncFile) Sync() error { return nil }
+
+// TestRestartKeepsRetiredEpochsClosed: a restart hands the center the
+// journal's whole retired set — the watermark as its floor, a tombstone for
+// each epoch retired above it — so a resend that reaches the next life live
+// is as late as it was in the first. Reopening the epoch instead would report
+// it again, from whatever digests the resend brings.
+func TestRestartKeepsRetiredEpochsClosed(t *testing.T) {
+	probe := center.New(center.Config{})
+	probe.Ingest(dg(1, 1), dg(2, 1))
+	for _, tc := range []struct {
+		name  string
+		cfg   center.Config
+		life1 func(n *Node) ([]center.WindowReport, error)
+		want1 []string
+		late1 int64
+		want2 []string
+	}{
+		// Reported at -slide 1: epochs 1 and 2 are at or below the watermark.
+		{"reported", center.Config{SubsetSize: 64}, (*Node).Drain, []string{"1", "2"}, 1, []string{}},
+		// Epoch 1 is shed under the memory budget before anything is
+		// reported: a tombstone above the watermark.
+		{"shed above the watermark", center.Config{SubsetSize: 64, MemoryBudgetBytes: probe.BufferedBytes() * 3 / 2},
+			(*Node).Tick, []string{"1 shed"}, 1, []string{"2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			n := NewNode(tc.cfg, nil)
+			if err := n.OpenJournal(dir); err != nil {
+				t.Fatal(err)
+			}
+			n.HandleBatch(burst(1, 1, 2), from)
+			n.HandleBatch(burst(2, 1, 2), from)
+			reps, err := tc.life1(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := describeAll(reps); !reflect.DeepEqual(got, tc.want1) {
+				t.Fatalf("life one reported %v, want %v", got, tc.want1)
+			}
+			n.Handle(dg(1, 1), from)
+			if late := n.Center.Stats().LateDigests.Load(); late != tc.late1 {
+				t.Fatalf("life one counted the resend of epoch 1 %d late, want %d", late, tc.late1)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := tc.cfg
+			cfg.MemoryBudgetBytes = 0
+			two := NewNode(cfg, nil)
+			if err := two.OpenJournal(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer two.Close()
+			two.Handle(dg(1, 1), from)
+			reps, err = two.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := describeAll(reps); !reflect.DeepEqual(got, tc.want2) {
+				t.Fatalf("life two reported %v, want %v: the resend of epoch 1 reopened an epoch the first life retired", got, tc.want2)
+			}
+			if late := two.Center.Stats().LateDigests.Load(); late != 1 {
+				t.Fatalf("life two counted the resend %d late, want 1", late)
+			}
+		})
+	}
+}

@@ -61,6 +61,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -963,12 +964,19 @@ func (j *Journal) allRetiredLocked(epochs map[int]bool) bool {
 	return true
 }
 
-// SpanWatermark returns the newest span Reported recorded as keeping its epoch
-// as context, in this life or an earlier one, and whether there is one.
-func (j *Journal) SpanWatermark() (epoch int, ok bool) {
+// Retired returns the books, as this life or an earlier one left them, for a
+// restart to hand the center: every epoch at or below through is retired, and
+// so is each of marks, all above it, ascending; span is the newest span
+// Reported recorded as keeping its epoch as context. math.MinInt stands for
+// no watermark and no span.
+func (j *Journal) Retired() (through int, marks []int, span int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.span, j.span != math.MinInt
+	for e := range j.analyzed {
+		marks = append(marks, e)
+	}
+	slices.Sort(marks)
+	return j.through, marks, j.span
 }
 
 // Replay feeds every surviving frame of an un-retired epoch to fn, oldest

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -344,8 +345,8 @@ func TestSpanWatermarkSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := j.SpanWatermark(); ok {
-		t.Fatal("a fresh journal has a span watermark")
+	if through, marks, span := j.Retired(); through != math.MinInt || len(marks) != 0 || span != math.MinInt {
+		t.Fatalf("a fresh journal has books: through %d, marks %v, span %d", through, marks, span)
 	}
 	for e := 1; e <= 3; e++ {
 		if err := j.Append(transport.AlignedDigest{RouterID: 1, Epoch: e, Bitmap: bitvec.New(64)}); err != nil {
@@ -375,8 +376,8 @@ func TestSpanWatermarkSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if e, ok := j.SpanWatermark(); !ok || e != 3 {
-		t.Fatalf("watermark after reopen = %d (present %v), want 3", e, ok)
+	if through, marks, span := j.Retired(); through != 1 || len(marks) != 0 || span != 3 {
+		t.Fatalf("books after reopen: through %d, marks %v, span %d; want through 1, no marks, span 3", through, marks, span)
 	}
 	var replayed []int
 	if err := j.Replay(func(m transport.Message) error {
@@ -399,9 +400,9 @@ func TestOldSidecarFormatLoads(t *testing.T) {
 	for _, tc := range []struct {
 		name, sidecar string
 		replayed      []int
-		span          int // 0: none
+		span          int
 	}{
-		{"slide=1", "1\n2\n3\n4\n5\n6\n", []int{7, 7}, 0},
+		{"slide=1", "1\n2\n3\n4\n5\n6\n", []int{7, 7}, math.MinInt},
 		{"slide=3", "span 1\nspan 2\nspan 3\n1\nspan 4\n2\nspan 5\n3\nspan 6\n4\n", []int{5, 5, 6, 6, 7, 7}, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -436,8 +437,8 @@ func TestOldSidecarFormatLoads(t *testing.T) {
 			if s := j.Stats(); s.FramesSkipped != 14-len(tc.replayed) {
 				t.Fatalf("skipped %d frames, want %d", s.FramesSkipped, 14-len(tc.replayed))
 			}
-			if e, ok := j.SpanWatermark(); ok != (tc.span != 0) || ok && e != tc.span {
-				t.Fatalf("span watermark %d (present %v), want %d", e, ok, tc.span)
+			if _, _, span := j.Retired(); span != tc.span {
+				t.Fatalf("span watermark %d, want %d", span, tc.span)
 			}
 		})
 	}
