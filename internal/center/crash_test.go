@@ -151,8 +151,8 @@ func TestCrashRecoveryThroughChaosProxy(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s := jr2.Stats(); s.FramesReplayed < fleet*2 {
-		t.Fatalf("replayed only %d frames, want at least %d", s.FramesReplayed, fleet*2)
+	if n := jr2.Stats().FramesReplayed.Load(); n < fleet*2 {
+		t.Fatalf("replayed only %d frames, want at least %d", n, fleet*2)
 	}
 	for _, e := range []int{1, 2} {
 		rep, err := recovered.Analyze(e)

@@ -190,14 +190,13 @@ func TestChaosOverloadDegradedNeverWrong(t *testing.T) {
 	// Journal honesty: it degraded on the injected ENOSPC, absorbed the gap
 	// in UnjournaledFrames, and is re-armable now that the disk works.
 	if !jr.Degraded() {
-		if jr.Stats().Rearms == 0 {
+		if jr.Stats().Rearms.Load() == 0 {
 			t.Fatal("journal neither degraded-and-rearmed nor still degraded: the disk fault never landed")
 		}
 	} else if !jr.TryRearm() {
 		t.Fatalf("journal cannot re-arm on a healthy disk: %v", jr.DegradedCause())
 	}
-	js := jr.Stats()
-	if js.UnjournaledFrames == 0 {
+	if jr.Stats().UnjournaledFrames.Load() == 0 {
 		t.Fatal("ENOSPC mid-run left UnjournaledFrames at zero")
 	}
 

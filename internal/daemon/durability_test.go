@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
 	"math/rand"
 	"net/http"
@@ -186,6 +187,13 @@ func stored(c *center.Center) int {
 	return total
 }
 
+// journalBooks prints the journal counters the barrier tests check.
+func journalBooks(jr *journal.Journal) string {
+	s := jr.Stats()
+	return fmt.Sprintf("degraded=%v appended=%d unjournaled=%d unsynced=%d",
+		jr.Degraded(), s.FramesAppended.Load(), s.UnjournaledFrames.Load(), s.UnsyncedFrames.Load())
+}
+
 // recordingSender keeps the report envelopes a node pushes.
 type recordingSender struct{ envelopes []shard.Envelope }
 
@@ -234,14 +242,14 @@ func TestBarrierSyncFaultDegradesAndCounts(t *testing.T) {
 	if reps, err := n.Tick(); err != nil || len(reps) != 1 {
 		t.Fatalf("epoch 1: reports %v, err %v", describeAll(reps), err)
 	}
-	if s := n.Journal.Stats(); s.UnsyncedFrames != 0 || s.UnjournaledFrames != 0 {
-		t.Fatalf("after a good barrier: %+v", s)
+	if s := n.Journal.Stats(); s.UnsyncedFrames.Load() != 0 || s.UnjournaledFrames.Load() != 0 {
+		t.Fatalf("after a good barrier: %s", journalBooks(n.Journal))
 	}
 
 	// Epoch 2 completes; the barrier of its report hits EIO.
 	feed(2)
-	if s := n.Journal.Stats(); s.UnsyncedFrames != 3 {
-		t.Fatalf("three digests appended, %d unsynced", s.UnsyncedFrames)
+	if u := n.Journal.Stats().UnsyncedFrames.Load(); u != 3 {
+		t.Fatalf("three digests appended, %d unsynced", u)
 	}
 	eio := errors.New("input/output error")
 	fs.FailNext(fsfault.FaultSync, 1, eio)
@@ -253,8 +261,8 @@ func TestBarrierSyncFaultDegradesAndCounts(t *testing.T) {
 		t.Fatalf("the report of the failed barrier: %v, err %v — it must still go out", describeAll(reps), err)
 	}
 	s := n.Journal.Stats()
-	if !s.Degraded || s.UnjournaledFrames != 3 || s.FramesAppended != 6 || s.UnsyncedFrames != 0 {
-		t.Fatalf("after the failed barrier: %+v, want degraded with all 3 frames of the batch unjournaled", s)
+	if !n.Journal.Degraded() || s.UnjournaledFrames.Load() != 3 || s.FramesAppended.Load() != 6 || s.UnsyncedFrames.Load() != 0 {
+		t.Fatalf("after the failed barrier: %s, want degraded with all 3 frames of the batch unjournaled", journalBooks(n.Journal))
 	}
 	if cause := n.Journal.DegradedCause(); !errors.Is(cause, eio) {
 		t.Fatalf("degraded cause %v, want the sync fault", cause)
@@ -272,8 +280,8 @@ func TestBarrierSyncFaultDegradesAndCounts(t *testing.T) {
 	if reps, _ := n.Wake(); !reflect.DeepEqual(describeAll(reps), []string{"3"}) {
 		t.Fatalf("degraded wake reported %v", describeAll(reps))
 	}
-	if s := n.Journal.Stats(); s.UnjournaledFrames != 6 || s.FramesAppended != 6 {
-		t.Fatalf("while degraded: %+v, want 6 unjournaled (the batch and three absorbed)", s)
+	if s.UnjournaledFrames.Load() != 6 || s.FramesAppended.Load() != 6 {
+		t.Fatalf("while degraded: %s, want 6 unjournaled (the batch and three absorbed)", journalBooks(n.Journal))
 	}
 	if got := strings.Count(logs.String(), "journal DEGRADED"); got != 1 {
 		t.Fatalf("%d DEGRADED lines, want one:\n%s", got, logs.String())
@@ -290,8 +298,8 @@ func TestBarrierSyncFaultDegradesAndCounts(t *testing.T) {
 	if env := up.envelopes[len(up.envelopes)-1]; env.Report.Epoch != 4 || env.JournalDegraded {
 		t.Fatalf("envelope of report 4: %+v, want a healthy journal", env)
 	}
-	if s := n.Journal.Stats(); s.Degraded || s.UnjournaledFrames != 6 || s.FramesAppended != 9 || s.UnsyncedFrames != 0 {
-		t.Fatalf("after the re-arm: %+v", s)
+	if n.Journal.Degraded() || s.UnjournaledFrames.Load() != 6 || s.FramesAppended.Load() != 9 || s.UnsyncedFrames.Load() != 0 {
+		t.Fatalf("after the re-arm: %s", journalBooks(n.Journal))
 	}
 	if got := strings.Count(logs.String(), "journal re-armed"); got != 1 {
 		t.Fatalf("%d re-armed lines, want one:\n%s", got, logs.String())

@@ -40,7 +40,7 @@ func TestGeometryRestartReportsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer two.Close()
-	if n := two.Journal.Stats().FramesReplayed; n != 0 {
+	if n := two.Journal.Stats().FramesReplayed.Load(); n != 0 {
 		t.Fatalf("second life replayed %d frames of an analyzed epoch", n)
 	}
 	reps, err = two.Drain()

@@ -97,20 +97,20 @@ func newHTTPHandler(reg *metrics.Registry, c *center.Center, deps httpDeps) http
 		}
 		if c != nil {
 			h.BufferedBytes = c.BufferedBytes()
-			h.ShedEpochs = c.Stats().Snapshot().ShedEpochs
+			h.ShedEpochs = c.Stats().ShedEpochs.Load()
 		}
 		if deps.jr != nil {
 			js := deps.jr.Stats()
 			jh := &journalHealth{
-				Degraded:            js.Degraded,
-				UnjournaledFrames:   js.UnjournaledFrames,
-				SegmentsQuarantined: js.SegmentsQuarantined,
+				Degraded:            js.Degraded.Load() != 0,
+				UnjournaledFrames:   int(js.UnjournaledFrames.Load()),
+				SegmentsQuarantined: int(js.SegmentsQuarantined.Load()),
 			}
 			if cause := deps.jr.DegradedCause(); cause != nil {
 				jh.Cause = cause.Error()
 			}
 			h.Journal = jh
-			if js.Degraded {
+			if jh.Degraded {
 				h.Status = "degraded"
 			}
 		}

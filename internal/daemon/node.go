@@ -76,9 +76,9 @@ func (n *Node) OpenJournal(dir string) error {
 	}); err != nil {
 		return fmt.Errorf("journal replay: %w", err)
 	}
-	if s := jr.Stats(); s.FramesReplayed > 0 || s.TailsTruncated > 0 {
+	if s := jr.Stats(); s.FramesReplayed.Load() > 0 || s.TailsTruncated.Load() > 0 {
 		n.log.Printf("journal: recovered %d digests (%d already-analyzed skipped, %d torn tails truncated) from %s",
-			s.FramesReplayed, s.FramesSkipped, s.TailsTruncated, dir)
+			s.FramesReplayed.Load(), s.FramesSkipped.Load(), s.TailsTruncated.Load(), dir)
 	}
 	return nil
 }
@@ -121,7 +121,7 @@ func (n *Node) journaled(op string, err error) {
 		n.log.Printf("journal %s: %v", op, err)
 	case n.jrDegraded.CompareAndSwap(true, false):
 		n.log.Printf("journal re-armed: appends durable again (%d digests unjournaled while degraded)",
-			n.Journal.Stats().UnjournaledFrames)
+			n.Journal.Stats().UnjournaledFrames.Load())
 	}
 }
 

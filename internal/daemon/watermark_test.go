@@ -73,7 +73,7 @@ func TestJournalBooksBoundedByTheRing(t *testing.T) {
 					t.Fatal(err)
 				}
 				reported += len(reps)
-				if m := jr.Stats().Marks; len(reps) > 0 && m > cfg.MaxEpochs {
+				if m := jr.Marks(); len(reps) > 0 && m > cfg.MaxEpochs {
 					t.Fatalf("after the report of epoch %d the journal holds %d marks, more than the ring's %d epochs", e, m, cfg.MaxEpochs)
 				}
 			}

@@ -73,7 +73,7 @@ func TestDegradedAbsorbsAppendFaults(t *testing.T) {
 			t.Fatalf("absorbed append %d returned %v", i, err)
 		}
 	}
-	if got := j.Stats().UnjournaledFrames; got != 4 {
+	if got := j.Stats().UnjournaledFrames.Load(); got != 4 {
 		t.Fatalf("unjournaled frames = %d, want 4 (trigger + 3 absorbed)", got)
 	}
 
@@ -88,8 +88,8 @@ func TestDegradedAbsorbsAppendFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := j.Stats()
-	if s.Rearms != 1 || s.RearmAttempts < 1 {
-		t.Fatalf("rearms=%d attempts=%d, want 1 rearm", s.Rearms, s.RearmAttempts)
+	if s.Rearms.Load() != 1 || s.RearmAttempts.Load() < 1 {
+		t.Fatalf("rearms=%d attempts=%d, want 1 rearm", s.Rearms.Load(), s.RearmAttempts.Load())
 	}
 
 	// Crash and recover: the pre-fault and post-rearm frames replay; the
@@ -138,8 +138,8 @@ func TestDegradedAutoRearmOnBackoff(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if s := j.Stats(); s.Rearms != 1 || s.Degraded {
-		t.Fatalf("stats after auto-rearm: %+v", s)
+	if s := j.Stats(); s.Rearms.Load() != 1 || j.Degraded() {
+		t.Fatalf("after auto-rearm: rearms=%d degraded=%v", s.Rearms.Load(), j.Degraded())
 	}
 }
 
@@ -162,8 +162,8 @@ func TestDegradedRearmFailureKeepsBackoff(t *testing.T) {
 	if j.TryRearm() {
 		t.Fatal("TryRearm claimed success while OpenAppend was failing")
 	}
-	if s := j.Stats(); s.RearmAttempts != 1 || s.Rearms != 0 {
-		t.Fatalf("attempts=%d rearms=%d after failed re-arm", s.RearmAttempts, s.Rearms)
+	if s := j.Stats(); s.RearmAttempts.Load() != 1 || s.Rearms.Load() != 0 {
+		t.Fatalf("attempts=%d rearms=%d after failed re-arm", s.RearmAttempts.Load(), s.Rearms.Load())
 	}
 	if !j.TryRearm() {
 		t.Fatal("TryRearm failed after the fault cleared")
@@ -192,7 +192,7 @@ func TestAppendShortWriteReconcilesOffset(t *testing.T) {
 	if err := j.Append(degMsg(1, 1)); !errors.Is(err, journal.ErrDegraded) {
 		t.Fatalf("short write returned %v, want ErrDegraded", err)
 	}
-	if got := j.Stats().TailsTruncated; got != 1 {
+	if got := j.Stats().TailsTruncated.Load(); got != 1 {
 		t.Fatalf("tails truncated = %d, want 1 (the in-place reconcile)", got)
 	}
 	if !j.TryRearm() {
@@ -209,7 +209,7 @@ func TestAppendShortWriteReconcilesOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if got := j2.Stats().TailsTruncated; got != 0 {
+	if got := j2.Stats().TailsTruncated.Load(); got != 0 {
 		t.Fatalf("reopen truncated %d tails — failed append left a torn frame on disk", got)
 	}
 	got := replayAll(t, j2)
@@ -259,8 +259,8 @@ func TestMidSegmentCorruptionQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := j2.Stats()
-	if s.SegmentsQuarantined != 1 || s.FramesRescued != 2 {
-		t.Fatalf("quarantined=%d rescued=%d, want 1 segment and 2 frames", s.SegmentsQuarantined, s.FramesRescued)
+	if s.SegmentsQuarantined.Load() != 1 || s.FramesRescued.Load() != 2 {
+		t.Fatalf("quarantined=%d rescued=%d, want 1 segment and 2 frames", s.SegmentsQuarantined.Load(), s.FramesRescued.Load())
 	}
 	got := replayAll(t, j2)
 	if len(got) != 3 || got[0].RouterID != 0 || got[1].RouterID != 2 || got[2].RouterID != 3 {

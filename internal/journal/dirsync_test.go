@@ -58,7 +58,7 @@ func TestCrashDirSyncPoints(t *testing.T) {
 		t.Fatalf("EpochAnalyzed brought dir syncs to %d, want 2 (one for rotate and purge)", syncs)
 	}
 
-	if got := j.Stats().DirSyncs; got != syncs {
+	if got := j.Stats().DirSyncs.Load(); got != int64(syncs) {
 		t.Fatalf("Stats reports %d dir syncs, hook saw %d", got, syncs)
 	}
 

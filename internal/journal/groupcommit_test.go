@@ -64,8 +64,8 @@ func segment(t *testing.T, dir string) []byte {
 // was either appended or counted unjournaled, never both and never neither.
 func checkLedger(t *testing.T, j *journal.Journal, in int) {
 	t.Helper()
-	if s := j.Stats(); s.FramesAppended+s.UnjournaledFrames != in {
-		t.Fatalf("%d appended + %d unjournaled, want the %d frames handed in", s.FramesAppended, s.UnjournaledFrames, in)
+	if s := j.Stats(); int(s.FramesAppended.Load()+s.UnjournaledFrames.Load()) != in {
+		t.Fatalf("%d appended + %d unjournaled, want the %d frames handed in", s.FramesAppended.Load(), s.UnjournaledFrames.Load(), in)
 	}
 }
 
@@ -147,8 +147,9 @@ func TestTornBatchCountsTheWholeBatch(t *testing.T) {
 	if err := j.Append(degMsg(1, 1), degMsg(2, 1), degMsg(3, 1)); !errors.Is(err, journal.ErrDegraded) {
 		t.Fatalf("a torn batch returned %v, want ErrDegraded", err)
 	}
-	if s := j.Stats(); s.FramesAppended != 1 || s.UnjournaledFrames != 3 || s.TailsTruncated != 1 {
-		t.Fatalf("after the torn batch: %+v, want 1 appended, the batch's 3 unjournaled, 1 tail cut", s)
+	if s := j.Stats(); s.FramesAppended.Load() != 1 || s.UnjournaledFrames.Load() != 3 || s.TailsTruncated.Load() != 1 {
+		t.Fatalf("after the torn batch: %d appended, %d unjournaled, %d tails cut; want 1 appended, the batch's 3 unjournaled, 1 tail cut",
+			s.FramesAppended.Load(), s.UnjournaledFrames.Load(), s.TailsTruncated.Load())
 	}
 	checkLedger(t, j, 4)
 	if !bytes.Equal(segment(t, dir), before) {
@@ -164,7 +165,7 @@ func TestTornBatchCountsTheWholeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if got := reopened.Stats().TailsTruncated; got != 0 {
+	if got := reopened.Stats().TailsTruncated.Load(); got != 0 {
 		t.Fatalf("reopen truncated %d tails: the failed batch left a torn frame on disk", got)
 	}
 	if got := replayAll(t, reopened); len(got) != 1 || got[0].RouterID != 0 {
@@ -186,8 +187,9 @@ func TestEncoderRejectInBatch(t *testing.T) {
 	if w := fs.Ops(fsfault.FaultWrite) - writes; w != 1 {
 		t.Fatalf("the batch cost %d writes, want 1", w)
 	}
-	if s := j.Stats(); s.Degraded || s.FramesAppended != 2 || s.UnjournaledFrames != 1 {
-		t.Fatalf("after the rejected frame: %+v, want healthy with 2 appended and 1 unjournaled", s)
+	if s := j.Stats(); j.Degraded() || s.FramesAppended.Load() != 2 || s.UnjournaledFrames.Load() != 1 {
+		t.Fatalf("after the rejected frame: degraded %v, %d appended, %d unjournaled; want healthy with 2 appended and 1 unjournaled",
+			j.Degraded(), s.FramesAppended.Load(), s.UnjournaledFrames.Load())
 	}
 	checkLedger(t, j, 3)
 	if err := j.Append(nilBitmap); err == nil {
@@ -229,14 +231,16 @@ func TestSyncFaultCountsTheBatch(t *testing.T) {
 		t.Fatalf("failed Sync returned %v, want ErrDegraded wrapping the cause", err)
 	}
 	s := j.Stats()
-	if !s.Degraded || s.FramesAppended != 7 || s.UnjournaledFrames != 5 || s.UnsyncedFrames != 0 {
-		t.Fatalf("after the failed Sync: %+v, want degraded with the 5 frames of the batch unjournaled", s)
+	unjournaled := s.UnjournaledFrames.Load()
+	if !j.Degraded() || s.FramesAppended.Load() != 7 || unjournaled != 5 || s.UnsyncedFrames.Load() != 0 {
+		t.Fatalf("after the failed Sync: degraded %v, %d appended, %d unjournaled, %d unsynced; want degraded with the 5 frames of the batch unjournaled",
+			j.Degraded(), s.FramesAppended.Load(), unjournaled, s.UnsyncedFrames.Load())
 	}
 	if err := j.Sync(); !errors.Is(err, journal.ErrDegraded) {
 		t.Fatalf("Sync while degraded returned %v", err)
 	}
-	if lost := 7 - afterPowerCut(t, fs, dir); lost > s.UnjournaledFrames {
-		t.Fatalf("a power cut now loses %d frames, the books admit %d", lost, s.UnjournaledFrames)
+	if lost := 7 - afterPowerCut(t, fs, dir); int64(lost) > unjournaled {
+		t.Fatalf("a power cut now loses %d frames, the books admit %d", lost, unjournaled)
 	}
 }
 
@@ -280,8 +284,8 @@ func TestNoSegmentIsClosedDirty(t *testing.T) {
 		if err := j.Append(degMsg(2, 1)); !errors.Is(err, journal.ErrDegraded) {
 			t.Fatalf("append on a full disk returned %v", err)
 		}
-		if s := j.Stats(); s.UnsyncedFrames != 2 || s.UnjournaledFrames != 1 {
-			t.Fatalf("degraded with two good frames unsynced: %+v", s)
+		if s := j.Stats(); s.UnsyncedFrames.Load() != 2 || s.UnjournaledFrames.Load() != 1 {
+			t.Fatalf("degraded with two good frames unsynced: %d unsynced, %d unjournaled", s.UnsyncedFrames.Load(), s.UnjournaledFrames.Load())
 		}
 		if !j.TryRearm() {
 			t.Fatal("re-arm failed")
@@ -305,8 +309,9 @@ func TestNoSegmentIsClosedDirty(t *testing.T) {
 		if !j.TryRearm() {
 			t.Fatal("re-arm failed: the abandoned segment's sync fault is counted, not fatal")
 		}
-		if s := j.Stats(); s.UnjournaledFrames != 3 || s.UnsyncedFrames != 0 {
-			t.Fatalf("after abandoning a segment whose sync failed: %+v, want 3 unjournaled (the refused frame and the two unsynced)", s)
+		if s := j.Stats(); s.UnjournaledFrames.Load() != 3 || s.UnsyncedFrames.Load() != 0 {
+			t.Fatalf("after abandoning a segment whose sync failed: %d unjournaled, %d unsynced; want 3 unjournaled (the refused frame and the two unsynced)",
+				s.UnjournaledFrames.Load(), s.UnsyncedFrames.Load())
 		}
 	})
 }

@@ -126,26 +126,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats are the journal's lifetime counters, snapshotted by Stats().
+// Stats are the journal's lifetime counters. Each field is the instrument
+// RegisterMetrics exports, read live with Load: the zero value is ready, and
+// a Stats must not be copied after first use.
 type Stats struct {
 	// FramesAppended counts frames written to the active segment. Fault free,
 	// it and UnjournaledFrames sum to the frames handed to Append (bench's
 	// ledger checks that); a frame written whose Sync then failed is in both.
-	FramesAppended int
+	FramesAppended metrics.Counter
 	// FramesReplayed and FramesSkipped count Replay outcomes: fed to the
 	// callback vs dropped because their epoch was retired.
-	FramesReplayed, FramesSkipped int
+	FramesReplayed, FramesSkipped metrics.Counter
 	// TailsTruncated counts segments whose torn or corrupt tail was cut
 	// back to the last well-formed frame at Open.
-	TailsTruncated int
+	TailsTruncated metrics.Counter
 	// SegmentsPurged counts sealed segments deleted because every epoch
 	// they contained had been retired.
-	SegmentsPurged int
+	SegmentsPurged metrics.Counter
 	// DirSyncs counts fsyncs of the journal directory itself — one after
 	// every batch of segment create/delete operations and after the
 	// ANALYZED sidecar is first created, so directory entries are as
 	// durable as the file contents they point at.
-	DirSyncs int
+	DirSyncs metrics.Counter
 	// UnjournaledFrames counts digests that passed through ingest while the
 	// journal could not durably record them: every frame of the append that
 	// triggered a degradation or was absorbed while degraded, each frame the
@@ -153,44 +155,22 @@ type Stats struct {
 	// a Sync fails. This is the replay-honesty ledger — after a crash, at
 	// most this many frames are missing from the replayed state, and the
 	// operator knows it.
-	UnjournaledFrames int
+	UnjournaledFrames metrics.Counter
 	// RearmAttempts and Rearms count degraded-mode recovery tries and
 	// successes.
-	RearmAttempts, Rearms int
+	RearmAttempts, Rearms metrics.Counter
 	// SegmentsQuarantined counts segments moved to quarantine/ because
 	// corruption was found mid-segment (decodable frames existed beyond the
 	// corrupt gap) rather than at the tail.
-	SegmentsQuarantined int
+	SegmentsQuarantined metrics.Counter
 	// FramesRescued counts frames recovered from beyond a corrupt gap by
 	// the resynchronizing scan of a quarantined segment.
-	FramesRescued int
+	FramesRescued metrics.Counter
 	// UnsyncedFrames is how many appended frames the next Sync will make
 	// durable: the current exposure to an OS crash.
-	UnsyncedFrames int
-	// Degraded reports whether appends are currently suspended.
-	Degraded bool
-	// Marks is how many retired epochs the books mark one by one, above the
-	// watermark.
-	Marks int
-}
-
-// counters holds the journal's lifetime counts as registry-grade atomics so
-// RegisterMetrics can expose the live values without snapshotting under the
-// journal lock.
-type counters struct {
-	framesAppended      metrics.Counter
-	framesReplayed      metrics.Counter
-	framesSkipped       metrics.Counter
-	tailsTruncated      metrics.Counter
-	segmentsPurged      metrics.Counter
-	dirSyncs            metrics.Counter
-	unjournaled         metrics.Counter
-	rearmAttempts       metrics.Counter
-	rearms              metrics.Counter
-	segmentsQuarantined metrics.Counter
-	framesRescued       metrics.Counter
-	degraded            metrics.Gauge
-	unsynced            metrics.Gauge // frames written to the active segment since its last good fsync
+	UnsyncedFrames metrics.Gauge
+	// Degraded is 1 while appends are suspended, else 0 (Journal.Degraded).
+	Degraded metrics.Gauge
 }
 
 // fsyncDir makes a batch of directory-entry mutations (segment creates and
@@ -258,9 +238,9 @@ type Journal struct {
 	nextRetry     time.Time     // guarded by mu; earliest next re-arm attempt
 	retryWait     time.Duration // guarded by mu; current backoff step
 
-	// ctr, fsync and syncFrames are atomic; they are read by scrapes and
+	// stats, fsync and syncFrames are atomic; they are read by scrapes and
 	// RegisterMetrics gauges without taking mu.
-	ctr        counters
+	stats      Stats
 	fsync      metrics.Histogram
 	syncFrames metrics.Histogram // frames one active-segment fsync made durable
 }
@@ -327,7 +307,7 @@ func (j *Journal) syncDirLocked() error {
 	if err := j.fs.SyncDir(j.dir); err != nil {
 		return fmt.Errorf("journal: sync dir %s: %w", j.dir, err)
 	}
-	j.ctr.dirSyncs.Inc()
+	j.stats.DirSyncs.Inc()
 	return nil
 }
 
@@ -486,7 +466,7 @@ func (j *Journal) loadSegmentLocked(seq int, path string, quarantined bool) erro
 			if terr := j.fs.Truncate(path, int64(valid)); terr != nil {
 				return fmt.Errorf("journal: quarantine %s failed (%v) and truncate failed: %w", path, err, terr)
 			}
-			j.ctr.tailsTruncated.Inc()
+			j.stats.TailsTruncated.Inc()
 			if valid == 0 {
 				//dcslint:ignore errcrit best-effort cleanup of a frameless file; a survivor holds no replayable data and is re-tried next Open
 				j.fs.Remove(path)
@@ -495,15 +475,15 @@ func (j *Journal) loadSegmentLocked(seq int, path string, quarantined bool) erro
 			j.sealed = append(j.sealed, segment{seq: seq, path: path, epochs: epochs})
 			return nil
 		}
-		j.ctr.segmentsQuarantined.Inc()
-		j.ctr.framesRescued.Add(int64(rescued))
+		j.stats.SegmentsQuarantined.Inc()
+		j.stats.FramesRescued.Add(int64(rescued))
 		j.sealed = append(j.sealed, segment{seq: seq, path: qpath, epochs: epochs, quarantined: true})
 		return nil
 	case torn:
 		if err := j.fs.Truncate(path, int64(valid)); err != nil {
 			return fmt.Errorf("journal: truncate torn tail of %s: %w", path, err)
 		}
-		j.ctr.tailsTruncated.Inc()
+		j.stats.TailsTruncated.Inc()
 	}
 	if valid == 0 && rescued == 0 {
 		if quarantined {
@@ -617,7 +597,7 @@ func (j *Journal) Append(ms ...transport.Message) error {
 			j.rearmLocked()
 		}
 		if j.degraded {
-			j.ctr.unjournaled.Add(int64(len(ms)))
+			j.stats.UnjournaledFrames.Add(int64(len(ms)))
 			return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
 		}
 	}
@@ -628,7 +608,7 @@ func (j *Journal) Append(ms ...transport.Message) error {
 		if buf, err = transport.AppendFrame(buf, m); err != nil {
 			// The encoder rejected it, leaving buf as it was: the disk is
 			// fine, but ingest has a frame the log does not.
-			j.ctr.unjournaled.Inc()
+			j.stats.UnjournaledFrames.Inc()
 			if rejected == nil {
 				rejected = err
 			}
@@ -653,15 +633,15 @@ func (j *Journal) Append(ms ...transport.Message) error {
 		// do the same cut at the last whole frame.
 		if n > 0 {
 			if terr := j.fs.Truncate(j.segPath(j.activeSeq), j.activeOffset); terr == nil {
-				j.ctr.tailsTruncated.Inc()
+				j.stats.TailsTruncated.Inc()
 			}
 		}
-		j.ctr.unjournaled.Add(frames)
+		j.stats.UnjournaledFrames.Add(frames)
 		return j.failLocked(fmt.Errorf("append: %w", err))
 	}
 	j.activeOffset += int64(len(buf))
-	j.ctr.framesAppended.Add(frames)
-	j.ctr.unsynced.Add(frames)
+	j.stats.FramesAppended.Add(frames)
+	j.stats.UnsyncedFrames.Add(frames)
 	// A successful append is the all-clear that resets the re-arm backoff to
 	// its base for the next incident.
 	j.retryWait = 0
@@ -680,7 +660,7 @@ func (j *Journal) degradeLocked(cause error) {
 	j.degradedCause = cause
 	if !j.degraded {
 		j.degraded = true
-		j.ctr.degraded.Set(1)
+		j.stats.Degraded.Set(1)
 	}
 	if j.retryWait == 0 {
 		j.retryWait = j.opt.RetryInterval
@@ -696,7 +676,7 @@ func (j *Journal) degradeLocked(cause error) {
 // failure keeps the journal degraded and pushes the backoff. Caller holds
 // j.mu.
 func (j *Journal) rearmLocked() {
-	j.ctr.rearmAttempts.Inc()
+	j.stats.RearmAttempts.Inc()
 	if j.active != nil {
 		if err := j.flushLocked(); err != nil {
 			j.degradedCause = err // its frames are counted; the cause names the latest fault
@@ -728,7 +708,7 @@ func (j *Journal) rearmLocked() {
 		j.degradeLocked(fmt.Errorf("rearm: sync dir: %w", err))
 		return
 	}
-	j.ctr.dirSyncs.Inc()
+	j.stats.DirSyncs.Inc()
 	if j.analyzedF != nil {
 		//dcslint:ignore errcrit replacing a possibly-broken sidecar handle; every durable mark was already Synced at write time, so this close cannot lose one
 		j.analyzedF.Close()
@@ -738,8 +718,8 @@ func (j *Journal) rearmLocked() {
 	j.activeOffset = 0
 	j.degraded = false
 	j.degradedCause = nil
-	j.ctr.degraded.Set(0)
-	j.ctr.rearms.Inc()
+	j.stats.Degraded.Set(0)
+	j.stats.Rearms.Inc()
 }
 
 // sealLocked files the closed active segment among the sealed ones, if it
@@ -788,16 +768,16 @@ func (j *Journal) DegradedCause() error {
 // unknown, so they all count as unjournaled; the caller degrades the journal
 // or, when it is abandoning the segment anyway, goes on. Caller holds j.mu.
 func (j *Journal) flushLocked() error {
-	n := j.ctr.unsynced.Load()
+	n := j.stats.UnsyncedFrames.Load()
 	if n == 0 {
 		return nil
 	}
 	start := time.Now()
 	err := j.active.Sync()
 	j.fsync.Observe(time.Since(start).Seconds())
-	j.ctr.unsynced.Set(0)
+	j.stats.UnsyncedFrames.Set(0)
 	if err != nil {
-		j.ctr.unjournaled.Add(n)
+		j.stats.UnjournaledFrames.Add(n)
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	j.syncFrames.Observe(float64(n))
@@ -936,7 +916,7 @@ func (j *Journal) retireLocked() error {
 				kept = append(kept, s) // retried at the next step
 				continue
 			}
-			j.ctr.segmentsPurged.Inc()
+			j.stats.SegmentsPurged.Inc()
 			dirty = true
 		}
 	}
@@ -1021,8 +1001,8 @@ func (j *Journal) Replay(fn func(transport.Message) error) error {
 			}
 		}
 	}
-	j.ctr.framesReplayed.Add(int64(replayed))
-	j.ctr.framesSkipped.Add(int64(skipped))
+	j.stats.FramesReplayed.Add(int64(replayed))
+	j.stats.FramesSkipped.Add(int64(skipped))
 	return nil
 }
 
@@ -1034,27 +1014,15 @@ func (j *Journal) Segments() int {
 	return len(j.sealed)
 }
 
-// Stats returns a snapshot of the journal's counters.
-func (j *Journal) Stats() Stats {
+// Stats returns the journal's counters, live.
+func (j *Journal) Stats() *Stats { return &j.stats }
+
+// Marks is how many retired epochs the books mark one by one, above the
+// watermark.
+func (j *Journal) Marks() int {
 	j.mu.Lock()
-	marks := len(j.analyzed)
-	j.mu.Unlock()
-	return Stats{
-		FramesAppended:      int(j.ctr.framesAppended.Load()),
-		FramesReplayed:      int(j.ctr.framesReplayed.Load()),
-		FramesSkipped:       int(j.ctr.framesSkipped.Load()),
-		TailsTruncated:      int(j.ctr.tailsTruncated.Load()),
-		SegmentsPurged:      int(j.ctr.segmentsPurged.Load()),
-		DirSyncs:            int(j.ctr.dirSyncs.Load()),
-		UnjournaledFrames:   int(j.ctr.unjournaled.Load()),
-		RearmAttempts:       int(j.ctr.rearmAttempts.Load()),
-		Rearms:              int(j.ctr.rearms.Load()),
-		SegmentsQuarantined: int(j.ctr.segmentsQuarantined.Load()),
-		FramesRescued:       int(j.ctr.framesRescued.Load()),
-		UnsyncedFrames:      int(j.ctr.unsynced.Load()),
-		Degraded:            j.ctr.degraded.Load() != 0,
-		Marks:               marks,
-	}
+	defer j.mu.Unlock()
+	return len(j.analyzed)
 }
 
 // RegisterMetrics exposes the journal on a metrics registry: lifetime
@@ -1063,35 +1031,35 @@ func (j *Journal) Stats() Stats {
 // next restart would replay).
 func (j *Journal) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterCounter("dcs_journal_appends_total",
-		"digest frames appended to the active segment", &j.ctr.framesAppended)
+		"digest frames appended to the active segment", &j.stats.FramesAppended)
 	r.RegisterCounter("dcs_journal_frames_replayed_total",
-		"frames fed to the ingest callback by Replay", &j.ctr.framesReplayed)
+		"frames fed to the ingest callback by Replay", &j.stats.FramesReplayed)
 	r.RegisterCounter("dcs_journal_frames_skipped_total",
-		"replay frames skipped because their epoch was already analyzed", &j.ctr.framesSkipped)
+		"replay frames skipped because their epoch was already analyzed", &j.stats.FramesSkipped)
 	r.RegisterCounter("dcs_journal_tails_truncated_total",
-		"segments whose torn tail was cut back at Open or after a failed append", &j.ctr.tailsTruncated)
+		"segments whose torn tail was cut back at Open or after a failed append", &j.stats.TailsTruncated)
 	r.RegisterCounter("dcs_journal_segments_purged_total",
-		"sealed segments deleted with every epoch analyzed", &j.ctr.segmentsPurged)
+		"sealed segments deleted with every epoch analyzed", &j.stats.SegmentsPurged)
 	r.RegisterCounter("dcs_journal_dir_syncs_total",
-		"fsyncs of the journal directory (segment create/delete durability)", &j.ctr.dirSyncs)
+		"fsyncs of the journal directory (segment create/delete durability)", &j.stats.DirSyncs)
 	r.RegisterCounter("dcs_journal_unjournaled_total",
-		"digests ingested while degraded mode suspended appends (crash-replay shortfall)", &j.ctr.unjournaled)
+		"digests ingested while degraded mode suspended appends (crash-replay shortfall)", &j.stats.UnjournaledFrames)
 	r.RegisterCounter("dcs_journal_rearm_attempts_total",
-		"degraded-mode recovery attempts", &j.ctr.rearmAttempts)
+		"degraded-mode recovery attempts", &j.stats.RearmAttempts)
 	r.RegisterCounter("dcs_journal_rearms_total",
-		"successful degraded-mode recoveries", &j.ctr.rearms)
+		"successful degraded-mode recoveries", &j.stats.Rearms)
 	r.RegisterCounter("dcs_journal_segments_quarantined_total",
-		"segments moved to quarantine/ for mid-segment corruption", &j.ctr.segmentsQuarantined)
+		"segments moved to quarantine/ for mid-segment corruption", &j.stats.SegmentsQuarantined)
 	r.RegisterCounter("dcs_journal_frames_rescued_total",
-		"frames recovered beyond a corrupt gap by the resynchronizing scan", &j.ctr.framesRescued)
+		"frames recovered beyond a corrupt gap by the resynchronizing scan", &j.stats.FramesRescued)
 	r.RegisterGauge("dcs_journal_degraded",
-		"1 while a disk fault has appends suspended, else 0", &j.ctr.degraded)
+		"1 while a disk fault has appends suspended, else 0", &j.stats.Degraded)
 	r.RegisterHistogram("dcs_journal_fsync_seconds",
 		"latency of active-segment fsyncs", &j.fsync)
 	r.RegisterHistogram("dcs_journal_sync_frames",
 		"frames one active-segment fsync made durable (the group-commit batching factor)", &j.syncFrames)
 	r.RegisterGauge("dcs_journal_unsynced_frames",
-		"frames written to the active segment since its last good fsync (what an OS crash now would cost)", &j.ctr.unsynced)
+		"frames written to the active segment since its last good fsync (what an OS crash now would cost)", &j.stats.UnsyncedFrames)
 	r.GaugeFunc("dcs_journal_live_segments",
 		"sealed on-disk segments still holding un-analyzed epochs", func() float64 {
 			return float64(j.Segments())

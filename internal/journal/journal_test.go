@@ -142,7 +142,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if n := j2.Stats().TailsTruncated; n != 1 {
+	if n := j2.Stats().TailsTruncated.Load(); n != 1 {
 		t.Fatalf("tails truncated = %d, want 1", n)
 	}
 	got := collectReplay(t, j2)
@@ -155,7 +155,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	if n := j3.Stats().TailsTruncated; n != 0 {
+	if n := j3.Stats().TailsTruncated.Load(); n != 0 {
 		t.Fatalf("second open truncated again (%d) — truncation not persisted", n)
 	}
 }
@@ -195,8 +195,8 @@ func TestEpochAnalyzedRotatesAndPurges(t *testing.T) {
 	if len(got) != 2 || epochs[2] != 1 || epochs[3] != 1 {
 		t.Fatalf("replayed epochs %v, want one frame each for 2 and 3", epochs)
 	}
-	if s := j2.Stats(); s.FramesSkipped != 1 {
-		t.Fatalf("frames skipped = %d, want 1 (the analyzed epoch)", s.FramesSkipped)
+	if n := j2.Stats().FramesSkipped.Load(); n != 1 {
+		t.Fatalf("frames skipped = %d, want 1 (the analyzed epoch)", n)
 	}
 
 	// Analyzing 2 purges segment A (both its epochs done); analyzing 3
@@ -434,8 +434,8 @@ func TestOldSidecarFormatLoads(t *testing.T) {
 			if !reflect.DeepEqual(replayed, tc.replayed) {
 				t.Fatalf("replayed epochs %v, want %v", replayed, tc.replayed)
 			}
-			if s := j.Stats(); s.FramesSkipped != 14-len(tc.replayed) {
-				t.Fatalf("skipped %d frames, want %d", s.FramesSkipped, 14-len(tc.replayed))
+			if n := j.Stats().FramesSkipped.Load(); n != int64(14-len(tc.replayed)) {
+				t.Fatalf("skipped %d frames, want %d", n, 14-len(tc.replayed))
 			}
 			if _, _, span := j.Retired(); span != tc.span {
 				t.Fatalf("span watermark %d, want %d", span, tc.span)

@@ -39,7 +39,7 @@ func TestOneDurableStepPerReport(t *testing.T) {
 				if got != [3]int{1, 1, 1} {
 					t.Fatalf("report of span %d: %d sidecar writes, %d fsyncs, %d directory syncs; want one each", e, got[0], got[1], got[2])
 				}
-				purged = j.Stats().SegmentsPurged
+				purged = int(j.Stats().SegmentsPurged.Load())
 			}
 			// Every report sealed its epoch's segment; the last slide-1 of
 			// them are still context.
