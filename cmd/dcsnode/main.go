@@ -104,9 +104,9 @@ func main() {
 			}
 			// One transport ledger line at exit so a flaky run is diagnosable
 			// from the collector side alone, without scraping the center.
-			t := client.Stats().Snapshot()
+			t := client.Stats()
 			log.Printf("router %d: transport: frames out=%d resends=%d dropped=%d reconnects=%d",
-				*routerID, t.FramesOut, t.Resends, t.DroppedSends, t.Reconnects)
+				*routerID, t.FramesOut.Load(), t.Resends.Load(), t.DroppedSends.Load(), t.Reconnects.Load())
 		}()
 		send = client.Send
 	case "udp":
@@ -125,9 +125,9 @@ func main() {
 			if err := uc.Close(); err != nil {
 				log.Printf("router %d: udp close: %v", *routerID, err)
 			}
-			t := uc.Stats().Snapshot()
+			t := uc.Stats()
 			log.Printf("router %d: transport: datagrams out=%d frames out=%d dropped=%d",
-				*routerID, t.DatagramsOut, t.FramesOut, t.DroppedSends)
+				*routerID, t.DatagramsOut.Load(), t.FramesOut.Load(), t.DroppedSends.Load())
 		}()
 		send = uc.Send
 	default:

@@ -166,10 +166,10 @@ func main() {
 	}
 	fmt.Printf("(ground truth: routers 0..%d carried the object, in epoch %d only)\n", carriers-1, epochs)
 
-	snap := recovered.Center.Stats().Snapshot()
+	s := recovered.Center.Stats()
 	fmt.Printf("recovered-center counters: ingested=%d late=%d dup=%d dropped=%d analyzed=%d\n",
-		snap.DigestsIngested, snap.LateDigests, snap.DuplicateDigests, snap.DroppedDigests,
-		snap.EpochsAnalyzed)
+		s.DigestsIngested.Load(), s.LateDigests.Load(), s.DuplicateDigests.Load(), s.DroppedDigests.Load(),
+		s.EpochsAnalyzed.Load())
 
 	fmt.Println("\n--- /metrics exposition of the recovered deployment ---")
 	if _, err := reg.WriteTo(os.Stdout); err != nil {

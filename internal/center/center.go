@@ -155,9 +155,6 @@ type Config struct {
 	// what keeps it from also emitting those spans' verdicts, which would
 	// duplicate another shard's report. Nil owns every span.
 	OwnsSpan func(epoch int) bool
-	// Stats, when non-nil, receives the center's counters; several centers
-	// may share one. Nil allocates a private Stats.
-	Stats *Stats
 }
 
 func (c Config) withDefaults() Config {
@@ -404,7 +401,8 @@ func (w *window) reporters() map[int]bool {
 // from per-connection goroutines); Analyze atomically detaches one epoch's
 // window, so analysis never races later ingest.
 type Center struct {
-	cfg Config
+	cfg   Config
+	stats Stats // atomic; read without mu
 
 	mu      sync.Mutex
 	windows map[int]*window // guarded by mu
@@ -465,20 +463,16 @@ func New(cfg Config) *Center {
 		roster:  make(map[int]rosterRow),
 		wake:    make(chan struct{}, 1),
 	}
-	if c.cfg.Stats == nil {
-		c.cfg.Stats = new(Stats)
-	}
-	c.cfg.Stats.IngestToAnalyzeSeconds.SetBuckets(centerLatencyBuckets)
-	c.cfg.Stats.FinalizeSeconds.SetBuckets(centerLatencyBuckets)
+	c.stats.IngestToAnalyzeSeconds.SetBuckets(centerLatencyBuckets)
+	c.stats.FinalizeSeconds.SetBuckets(centerLatencyBuckets)
 	if c.cfg.Analysis == AnalysisIncremental {
 		c.trackers = map[geometry]*unaligned.Tracker{}
 	}
 	return c
 }
 
-// Stats returns the center's counters (the shared Stats when one was passed
-// in Config).
-func (c *Center) Stats() *Stats { return c.cfg.Stats }
+// Stats returns the center's counters, live.
+func (c *Center) Stats() *Stats { return &c.stats }
 
 // RegisterMetrics exposes the center on a metrics registry: every Stats
 // counter plus live gauges over the ring — buffered epochs, epochs the
@@ -486,7 +480,7 @@ func (c *Center) Stats() *Stats { return c.cfg.Stats }
 // gauges are computed at scrape time under the center's lock (scrapes are
 // cold; ingest never takes the registry's locks).
 func (c *Center) RegisterMetrics(r *metrics.Registry) {
-	c.cfg.Stats.Register(r)
+	c.stats.Register(r)
 	r.GaugeFunc("dcs_center_buffered_epochs",
 		"epoch windows currently buffered in the reorder ring", func() float64 {
 			c.mu.Lock()
@@ -534,7 +528,7 @@ func (c *Center) ingestLocked(m transport.Message) {
 	case transport.UnalignedDigest:
 		epoch, router, kind = d.Epoch, d.Digest.RouterID, kindUnaligned
 	default:
-		c.cfg.Stats.UnknownMessages.Add(1)
+		c.stats.UnknownMessages.Add(1)
 		return
 	}
 
@@ -542,7 +536,7 @@ func (c *Center) ingestLocked(m transport.Message) {
 		// Misrouted past the shard partition: counted and dropped whole, with
 		// no registry side effects — this shard's quorum must reason only
 		// about the traffic the coordinator actually routes to it.
-		c.cfg.Stats.MisroutedDigests.Add(1)
+		c.stats.MisroutedDigests.Add(1)
 		return
 	}
 	// Register first — a late digest still proves its router alive, and ring
@@ -552,7 +546,7 @@ func (c *Center) ingestLocked(m transport.Message) {
 	_, buffered := c.windows[epoch]
 	w := c.windowFor(epoch)
 	if w == nil {
-		c.cfg.Stats.LateDigests.Add(1)
+		c.stats.LateDigests.Add(1)
 		return
 	}
 	if !buffered {
@@ -602,7 +596,7 @@ func (c *Center) ingestLocked(m transport.Message) {
 		}
 	}
 	if dup {
-		c.cfg.Stats.DuplicateDigests.Add(1)
+		c.stats.DuplicateDigests.Add(1)
 	}
 	if !ok {
 		c.rejectLocked(w)
@@ -656,10 +650,10 @@ func (c *Center) ingestLocked(m transport.Message) {
 	// DroppedDigests (which drains the window's actual digest count) could
 	// never balance the ingest ledger.
 	if dup {
-		c.cfg.Stats.ReplacedDigests.Add(1)
+		c.stats.ReplacedDigests.Add(1)
 		return
 	}
-	c.cfg.Stats.DigestsIngested.Add(1)
+	c.stats.DigestsIngested.Add(1)
 	c.arrivedLocked(w, router, kind)
 }
 
@@ -668,7 +662,7 @@ func (c *Center) ingestLocked(m transport.Message) {
 // will analyze Degraded with the count on its report. Caller holds c.mu.
 func (c *Center) rejectLocked(w *window) {
 	w.rejected++
-	c.cfg.Stats.RejectedDigests.Add(1)
+	c.stats.RejectedDigests.Add(1)
 }
 
 // windowFor returns the window for epoch, opening (and possibly evicting)
@@ -707,8 +701,8 @@ func (c *Center) windowFor(epoch int) *window {
 		victim := c.victimLocked(epoch)
 		if !c.spanClosedValid || victim > c.spanClosed {
 			// Context at or below the watermark is in a report already.
-			c.cfg.Stats.DroppedDigests.Add(int64(c.windows[victim].digests()))
-			c.cfg.Stats.EpochsEvicted.Add(1)
+			c.stats.DroppedDigests.Add(int64(c.windows[victim].digests()))
+			c.stats.EpochsEvicted.Add(1)
 		}
 		c.releaseLocked(victim, c.windows[victim])
 		c.evictedEpochs = append(c.evictedEpochs, victim)
@@ -981,7 +975,7 @@ func (c *Center) CloseNext(trigger CloseCause) (WindowReport, CloseCause, error)
 	if err != nil {
 		return WindowReport{}, cause, err
 	}
-	c.cfg.Stats.Closed[cause].Inc()
+	c.stats.Closed[cause].Inc()
 	return c.analyzeSpan(snap), cause, nil
 }
 

@@ -65,7 +65,6 @@ func TestConfigValidate(t *testing.T) {
 			{Parallelism: math.MinInt},
 			{Parallelism: math.MaxInt},
 			{OwnsEpoch: func(int) bool { return false }, OwnsSpan: func(int) bool { return false }},
-			{Stats: new(Stats)},
 		} {
 			if err := cfg.Validate(); err != nil {
 				t.Errorf("%+v refused: %v", cfg, err)

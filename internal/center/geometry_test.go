@@ -212,7 +212,7 @@ func simulatedFleet(t testing.TB) geoFleet {
 type geoOutcome struct {
 	Reports []WindowReport
 	Err     string
-	Stats   Snapshot
+	Stats   map[string]int64
 }
 
 // drainGeometry feeds msgs into a fresh center and closes every span with
@@ -232,7 +232,7 @@ func drainGeometry(cfg Config, msgs []transport.Message) geoOutcome {
 		}
 		out.Reports = append(out.Reports, rep)
 	}
-	out.Stats = c.Stats().Snapshot()
+	out.Stats = counts(c.Stats())
 	return out
 }
 
@@ -338,8 +338,8 @@ func FuzzCenterIngest(f *testing.F) {
 					t.Fatalf("slide %d mode %d: %s", slide, mode, out.Err)
 				}
 				s := out.Stats
-				if n := s.DigestsIngested + s.LateDigests + s.ReplacedDigests + s.RejectedDigests +
-					s.UnknownMessages + s.MisroutedDigests; n != int64(len(msgs)) {
+				if n := s["DigestsIngested"] + s["LateDigests"] + s["ReplacedDigests"] + s["RejectedDigests"] +
+					s["UnknownMessages"] + s["MisroutedDigests"]; n != int64(len(msgs)) {
 					t.Fatalf("slide %d mode %d: ledger holds %d of %d messages: %+v", slide, mode, n, len(msgs), s)
 				}
 				outs = append(outs, out)

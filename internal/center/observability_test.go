@@ -29,9 +29,9 @@ func TestEvictionTombstoneBlocksReopen(t *testing.T) {
 	// (epoch 1, though older, is held by quorum).
 	c.Ingest(transport.AlignedDigest{RouterID: 1, Epoch: 3, Bitmap: smallBitmap(4)})
 
-	s := c.Stats().Snapshot()
-	if s.EpochsEvicted != 1 || s.DroppedDigests != 2 {
-		t.Fatalf("setup: evicted=%d dropped=%d, want the 2-digest epoch 2 evicted", s.EpochsEvicted, s.DroppedDigests)
+	s := c.Stats()
+	if s.EpochsEvicted.Load() != 1 || s.DroppedDigests.Load() != 2 {
+		t.Fatalf("setup: evicted=%d dropped=%d, want the 2-digest epoch 2 evicted", s.EpochsEvicted.Load(), s.DroppedDigests.Load())
 	}
 	if es := c.Epochs(); len(es) != 2 || es[0] != 1 || es[1] != 3 {
 		t.Fatalf("setup: buffered epochs %v, want [1 3]", es)
@@ -39,12 +39,11 @@ func TestEvictionTombstoneBlocksReopen(t *testing.T) {
 
 	// The straggler for the evicted epoch must be late, not a reopen.
 	c.Ingest(transport.AlignedDigest{RouterID: 2, Epoch: 2, Bitmap: smallBitmap(5)})
-	s = c.Stats().Snapshot()
-	if s.LateDigests != 1 {
-		t.Fatalf("straggler for evicted epoch 2 counted as late=%d, want 1", s.LateDigests)
+	if s.LateDigests.Load() != 1 {
+		t.Fatalf("straggler for evicted epoch 2 counted as late=%d, want 1", s.LateDigests.Load())
 	}
-	if s.DigestsIngested != 4 {
-		t.Fatalf("straggler was ingested (ingested=%d, want 4) — epoch 2 reopened", s.DigestsIngested)
+	if s.DigestsIngested.Load() != 4 {
+		t.Fatalf("straggler was ingested (ingested=%d, want 4) — epoch 2 reopened", s.DigestsIngested.Load())
 	}
 	if es := c.Epochs(); len(es) != 2 || es[0] != 1 || es[1] != 3 {
 		t.Fatalf("buffered epochs %v after straggler, want [1 3] (no reopened window)", es)
@@ -52,8 +51,8 @@ func TestEvictionTombstoneBlocksReopen(t *testing.T) {
 
 	// The held epoch below the tombstone must still accept its quorum.
 	c.Ingest(transport.AlignedDigest{RouterID: 2, Epoch: 1, Bitmap: smallBitmap(6)})
-	if s = c.Stats().Snapshot(); s.DigestsIngested != 5 || s.LateDigests != 1 {
-		t.Fatalf("held epoch 1 rejected router 2: ingested=%d late=%d", s.DigestsIngested, s.LateDigests)
+	if s.DigestsIngested.Load() != 5 || s.LateDigests.Load() != 1 {
+		t.Fatalf("held epoch 1 rejected router 2: ingested=%d late=%d", s.DigestsIngested.Load(), s.LateDigests.Load())
 	}
 	rep, err := c.Analyze(1)
 	if err != nil {
@@ -88,28 +87,27 @@ func TestDupKeepLastCounterLedger(t *testing.T) {
 	c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: newTestUnaligned(7)})
 	c.Ingest(transport.UnalignedDigest{Epoch: 1, Digest: newTestUnaligned(7)})
 
-	s := c.Stats().Snapshot()
-	if s.DigestsIngested != 2 || s.DuplicateDigests != 2 || s.ReplacedDigests != 2 {
+	s := c.Stats()
+	if s.DigestsIngested.Load() != 2 || s.DuplicateDigests.Load() != 2 || s.ReplacedDigests.Load() != 2 {
 		t.Fatalf("KeepLast counters ingested=%d dup=%d replaced=%d, want 2/2/2",
-			s.DigestsIngested, s.DuplicateDigests, s.ReplacedDigests)
+			s.DigestsIngested.Load(), s.DuplicateDigests.Load(), s.ReplacedDigests.Load())
 	}
 	c.mu.Lock()
 	held := c.windows[1].digests()
 	c.mu.Unlock()
-	if held != int(s.DigestsIngested) {
-		t.Fatalf("window holds %d digests but ingested says %d", held, s.DigestsIngested)
+	if held != int(s.DigestsIngested.Load()) {
+		t.Fatalf("window holds %d digests but ingested says %d", held, s.DigestsIngested.Load())
 	}
 
 	// Evicting the window must drain exactly what DigestsIngested filled.
 	c.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 2, Bitmap: smallBitmap(3)})
-	s = c.Stats().Snapshot()
-	if s.DroppedDigests != 2 {
-		t.Fatalf("eviction dropped %d digests from a 2-digest window", s.DroppedDigests)
+	if s.DroppedDigests.Load() != 2 {
+		t.Fatalf("eviction dropped %d digests from a 2-digest window", s.DroppedDigests.Load())
 	}
 	const sends = 5
-	if s.DigestsIngested+s.ReplacedDigests+s.LateDigests != sends {
+	if s.DigestsIngested.Load()+s.ReplacedDigests.Load()+s.LateDigests.Load() != sends {
 		t.Fatalf("ledger broken: ingested %d + replaced %d + late %d != %d sent",
-			s.DigestsIngested, s.ReplacedDigests, s.LateDigests, sends)
+			s.DigestsIngested.Load(), s.ReplacedDigests.Load(), s.LateDigests.Load(), sends)
 	}
 }
 
@@ -197,15 +195,15 @@ func TestMetricsScrapeUnderChaosIngest(t *testing.T) {
 	}
 
 	final := scrape()
-	s := c.Stats().Snapshot()
+	s := c.Stats()
 	for name, want := range map[string]int64{
-		"dcs_center_digests_ingested_total":  s.DigestsIngested,
-		"dcs_center_digests_late_total":      s.LateDigests,
-		"dcs_center_digests_duplicate_total": s.DuplicateDigests,
-		"dcs_center_digests_replaced_total":  s.ReplacedDigests,
-		"dcs_center_digests_dropped_total":   s.DroppedDigests,
-		"dcs_center_epochs_analyzed_total":   s.EpochsAnalyzed,
-		"dcs_center_epochs_evicted_total":    s.EpochsEvicted,
+		"dcs_center_digests_ingested_total":  s.DigestsIngested.Load(),
+		"dcs_center_digests_late_total":      s.LateDigests.Load(),
+		"dcs_center_digests_duplicate_total": s.DuplicateDigests.Load(),
+		"dcs_center_digests_replaced_total":  s.ReplacedDigests.Load(),
+		"dcs_center_digests_dropped_total":   s.DroppedDigests.Load(),
+		"dcs_center_epochs_analyzed_total":   s.EpochsAnalyzed.Load(),
+		"dcs_center_epochs_evicted_total":    s.EpochsEvicted.Load(),
 	} {
 		if final[name] != float64(want) {
 			t.Fatalf("final exposition %s = %v, snapshot says %d", name, final[name], want)

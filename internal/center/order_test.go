@@ -164,12 +164,12 @@ func TestEvictingReportedContextIsNotADrop(t *testing.T) {
 			for _, n := range sent {
 				total += n
 			}
-			s := c.Stats().Snapshot()
-			if got := reported + int(s.LateDigests+s.DroppedDigests); got != total {
-				t.Fatalf("sent %d != in reports %d + late %d + dropped %d", total, reported, s.LateDigests, s.DroppedDigests)
+			s := c.Stats()
+			if got := reported + int(s.LateDigests.Load()+s.DroppedDigests.Load()); got != total {
+				t.Fatalf("sent %d != in reports %d + late %d + dropped %d", total, reported, s.LateDigests.Load(), s.DroppedDigests.Load())
 			}
-			if s.EpochsEvicted != tc.evicted {
-				t.Fatalf("%d epochs counted evicted, want %d", s.EpochsEvicted, tc.evicted)
+			if s.EpochsEvicted.Load() != tc.evicted {
+				t.Fatalf("%d epochs counted evicted, want %d", s.EpochsEvicted.Load(), tc.evicted)
 			}
 		})
 	}

@@ -15,9 +15,9 @@ func TestOwnsEpochFilterCountsMisrouted(t *testing.T) {
 	c := New(Config{OwnsEpoch: func(e int) bool { return e%2 == 0 }})
 	c.Ingest(transport.AlignedDigest{RouterID: 1, Epoch: 3, Bitmap: smallBitmap(1)})
 	c.Ingest(transport.AlignedDigest{RouterID: 2, Epoch: 4, Bitmap: smallBitmap(2)})
-	s := c.Stats().Snapshot()
-	if s.MisroutedDigests != 1 || s.DigestsIngested != 1 {
-		t.Fatalf("misrouted=%d ingested=%d, want 1/1", s.MisroutedDigests, s.DigestsIngested)
+	s := c.Stats()
+	if s.MisroutedDigests.Load() != 1 || s.DigestsIngested.Load() != 1 {
+		t.Fatalf("misrouted=%d ingested=%d, want 1/1", s.MisroutedDigests.Load(), s.DigestsIngested.Load())
 	}
 	if got := c.Epochs(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("buffered epochs %v, want [4] (misrouted epoch must not open a window)", got)
@@ -82,17 +82,17 @@ func TestVictimOrderPinnedAcrossEvictionAndShed(t *testing.T) {
 		if got := c.Epochs(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 			t.Fatalf("buffered %v, want [1 3]: eviction must take the oldest NON-HELD epoch (2), not the held 1", got)
 		}
-		s := c.Stats().Snapshot()
-		if s.EpochsEvicted != 1 || s.DroppedDigests != 3 {
-			t.Fatalf("evicted=%d dropped=%d, want 1 epoch / 3 digests", s.EpochsEvicted, s.DroppedDigests)
+		s := c.Stats()
+		if s.EpochsEvicted.Load() != 1 || s.DroppedDigests.Load() != 3 {
+			t.Fatalf("evicted=%d dropped=%d, want 1 epoch / 3 digests", s.EpochsEvicted.Load(), s.DroppedDigests.Load())
 		}
 		a, u := c.Pending()
-		if int64(a+u)+s.DroppedDigests != s.DigestsIngested {
-			t.Fatalf("ledger broken: buffered %d + dropped %d != ingested %d", a+u, s.DroppedDigests, s.DigestsIngested)
+		if int64(a+u)+s.DroppedDigests.Load() != s.DigestsIngested.Load() {
+			t.Fatalf("ledger broken: buffered %d + dropped %d != ingested %d", a+u, s.DroppedDigests.Load(), s.DigestsIngested.Load())
 		}
 		// The mid-ring victim is tombstoned: a straggler cannot reopen it.
 		c.Ingest(transport.AlignedDigest{RouterID: 9, Epoch: 2, Bitmap: smallBitmap(99)})
-		if got := c.Stats().Snapshot().LateDigests; got != 1 {
+		if got := c.Stats().LateDigests.Load(); got != 1 {
 			t.Fatalf("straggler into evicted epoch: late=%d, want 1", got)
 		}
 	})
@@ -109,13 +109,13 @@ func TestVictimOrderPinnedAcrossEvictionAndShed(t *testing.T) {
 		if got := c.Epochs(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 			t.Fatalf("buffered %v, want [1 3]: shedding must take the oldest NON-HELD epoch (2), same victim as eviction", got)
 		}
-		s := c.Stats().Snapshot()
-		if s.ShedEpochs != 1 || s.ShedDigests != 3 {
-			t.Fatalf("shed epochs=%d digests=%d, want 1/3", s.ShedEpochs, s.ShedDigests)
+		s := c.Stats()
+		if s.ShedEpochs.Load() != 1 || s.ShedDigests.Load() != 3 {
+			t.Fatalf("shed epochs=%d digests=%d, want 1/3", s.ShedEpochs.Load(), s.ShedDigests.Load())
 		}
 		a, u := c.Pending()
-		if int64(a+u)+s.ShedDigests != s.DigestsIngested {
-			t.Fatalf("ledger broken: buffered %d + shed %d != ingested %d", a+u, s.ShedDigests, s.DigestsIngested)
+		if int64(a+u)+s.ShedDigests.Load() != s.DigestsIngested.Load() {
+			t.Fatalf("ledger broken: buffered %d + shed %d != ingested %d", a+u, s.ShedDigests.Load(), s.DigestsIngested.Load())
 		}
 		reps := c.TakeShedReports()
 		if len(reps) != 1 || reps[0].Epoch != 2 || !reps[0].Shed || reps[0].ShedDigests != 3 {
@@ -137,8 +137,8 @@ func TestVictimOrderPinnedAcrossEvictionAndShed(t *testing.T) {
 		// missing → also held.
 		c.Ingest(transport.AlignedDigest{RouterID: 2, Epoch: 2, Bitmap: smallBitmap(22)})
 		c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 3, Bitmap: smallBitmap(30)})
-		s := c.Stats().Snapshot()
-		if s.ShedEpochs == 0 {
+		s := c.Stats()
+		if s.ShedEpochs.Load() == 0 {
 			t.Fatal("nothing shed with every epoch held: budget must outrank the quorum gate")
 		}
 		if got := c.Epochs(); got[0] == 1 {

@@ -38,18 +38,18 @@ func TestEvictionRaceAndLedger(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := c.Stats().Snapshot()
-	if s.DigestsIngested+s.ReplacedDigests+s.LateDigests != totalSends {
+	s := c.Stats()
+	if s.DigestsIngested.Load()+s.ReplacedDigests.Load()+s.LateDigests.Load() != totalSends {
 		t.Fatalf("ledger broken: ingested %d + replaced %d + late %d != %d seen",
-			s.DigestsIngested, s.ReplacedDigests, s.LateDigests, totalSends)
+			s.DigestsIngested.Load(), s.ReplacedDigests.Load(), s.LateDigests.Load(), totalSends)
 	}
-	if s.EpochsEvicted == 0 {
+	if s.EpochsEvicted.Load() == 0 {
 		t.Fatal("eviction storm evicted nothing — the test lost its point")
 	}
 	if got := len(c.Epochs()); got > 2 {
 		t.Fatalf("ring holds %d epochs, cap is 2", got)
 	}
-	if s.DroppedDigests == 0 {
+	if s.DroppedDigests.Load() == 0 {
 		t.Fatal("evictions dropped no digests")
 	}
 }

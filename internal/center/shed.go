@@ -140,8 +140,8 @@ func (c *Center) shedLocked(victim int) {
 	} else {
 		c.evicted[victim] = true
 	}
-	c.cfg.Stats.ShedDigests.Add(int64(rep.ShedDigests))
-	c.cfg.Stats.ShedEpochs.Add(1)
+	c.stats.ShedDigests.Add(int64(rep.ShedDigests))
+	c.stats.ShedEpochs.Add(1)
 	if c.shedReports == nil {
 		c.shedReports = make(map[int]WindowReport)
 	}

@@ -30,23 +30,23 @@ func TestShedOldestUnderBudget(t *testing.T) {
 			c.Ingest(transport.AlignedDigest{RouterID: r, Epoch: epoch, Bitmap: smallBitmap(uint64(epoch*10 + r))})
 		}
 	}
-	s := c.Stats().Snapshot()
-	if s.ShedEpochs != 2 || s.ShedDigests != 2*perEpoch {
-		t.Fatalf("shed epochs=%d digests=%d, want 2 epochs / %d digests", s.ShedEpochs, s.ShedDigests, 2*perEpoch)
+	s := c.Stats()
+	if s.ShedEpochs.Load() != 2 || s.ShedDigests.Load() != 2*perEpoch {
+		t.Fatalf("shed epochs=%d digests=%d, want 2 epochs / %d digests", s.ShedEpochs.Load(), s.ShedDigests.Load(), 2*perEpoch)
 	}
-	if s.RejectedDigests != 0 {
-		t.Fatalf("ShedOldest rejected %d digests with sheddable epochs available", s.RejectedDigests)
+	if s.RejectedDigests.Load() != 0 {
+		t.Fatalf("ShedOldest rejected %d digests with sheddable epochs available", s.RejectedDigests.Load())
 	}
 	if got := c.BufferedBytes(); got > budget {
 		t.Fatalf("buffered %d bytes over the %d budget", got, budget)
 	}
 	// Ledger: everything ingested is buffered or shed; nothing vanished.
-	if s.DigestsIngested != 3*perEpoch {
-		t.Fatalf("ingested %d, want %d (admission happens before the ingested ledger)", s.DigestsIngested, 3*perEpoch)
+	if s.DigestsIngested.Load() != 3*perEpoch {
+		t.Fatalf("ingested %d, want %d (admission happens before the ingested ledger)", s.DigestsIngested.Load(), 3*perEpoch)
 	}
 	a, u := c.Pending()
-	if int64(a+u)+s.ShedDigests != s.DigestsIngested {
-		t.Fatalf("ledger broken: buffered %d + shed %d != ingested %d", a+u, s.ShedDigests, s.DigestsIngested)
+	if int64(a+u)+s.ShedDigests.Load() != s.DigestsIngested.Load() {
+		t.Fatalf("ledger broken: buffered %d + shed %d != ingested %d", a+u, s.ShedDigests.Load(), s.DigestsIngested.Load())
 	}
 
 	// The tombstone reports name the shed epochs, oldest first, with honest
@@ -70,7 +70,7 @@ func TestShedOldestUnderBudget(t *testing.T) {
 	// Shed epochs are tombstoned: a straggler for epoch 1 is late, never a
 	// silent reopen.
 	c.Ingest(transport.AlignedDigest{RouterID: 9, Epoch: 1, Bitmap: smallBitmap(99)})
-	if got := c.Stats().Snapshot().LateDigests; got != 1 {
+	if got := c.Stats().LateDigests.Load(); got != 1 {
 		t.Fatalf("straggler into a shed epoch: late=%d, want 1", got)
 	}
 	// The surviving epoch analyzes complete and un-degraded.
@@ -120,15 +120,15 @@ func TestRejectNewUnderBudget(t *testing.T) {
 	// are refused; nothing buffered is touched.
 	c.Ingest(transport.AlignedDigest{RouterID: 7, Epoch: 1, Bitmap: smallBitmap(7)})
 	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 2, Bitmap: smallBitmap(8)})
-	s := c.Stats().Snapshot()
-	if s.RejectedDigests != 2 || s.ShedEpochs != 0 || s.DigestsIngested != 3 {
-		t.Fatalf("rejected=%d shed=%d ingested=%d, want 2/0/3", s.RejectedDigests, s.ShedEpochs, s.DigestsIngested)
+	s := c.Stats()
+	if s.RejectedDigests.Load() != 2 || s.ShedEpochs.Load() != 0 || s.DigestsIngested.Load() != 3 {
+		t.Fatalf("rejected=%d shed=%d ingested=%d, want 2/0/3", s.RejectedDigests.Load(), s.ShedEpochs.Load(), s.DigestsIngested.Load())
 	}
 	// A same-size DupKeepLast resend costs no new bytes and is still
 	// admitted at the budget line.
 	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 1, Bitmap: smallBitmap(100)})
-	if s := c.Stats().Snapshot(); s.ReplacedDigests != 1 {
-		t.Fatalf("zero-delta replacement refused under RejectNew: %+v", s)
+	if s := c.Stats(); s.ReplacedDigests.Load() != 1 {
+		t.Fatalf("zero-delta replacement refused under RejectNew: %d replaced, %d rejected", s.ReplacedDigests.Load(), s.RejectedDigests.Load())
 	}
 
 	rep, err := c.Analyze(1)
@@ -184,9 +184,9 @@ func TestEvictionLoopBoundaries(t *testing.T) {
 			for e := 1; e <= 3; e++ {
 				c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: e, Bitmap: smallBitmap(uint64(e))})
 			}
-			s := c.Stats().Snapshot()
-			if got := c.Epochs(); len(got) != 1 || got[0] != 3 || s.EpochsEvicted != 2 {
-				t.Fatalf("ring of one: epochs %v, evicted %d", got, s.EpochsEvicted)
+			s := c.Stats()
+			if got := c.Epochs(); len(got) != 1 || got[0] != 3 || s.EpochsEvicted.Load() != 2 {
+				t.Fatalf("ring of one: epochs %v, evicted %d", got, s.EpochsEvicted.Load())
 			}
 		}},
 		{"shrink while quorum-held", func(t *testing.T) {

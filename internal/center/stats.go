@@ -143,31 +143,3 @@ func (s *Stats) Register(r *metrics.Registry) {
 	r.RegisterHistogram("dcs_center_finalize_seconds",
 		"wall time from span detach to report, the analyze-path cost", &s.FinalizeSeconds)
 }
-
-// Snapshot is a plain-int copy of Stats, safe to compare and print.
-type Snapshot struct {
-	DigestsIngested, LateDigests, DuplicateDigests, ReplacedDigests int64
-	DroppedDigests, UnknownMessages, MisroutedDigests               int64
-	ShedDigests, ShedEpochs, RejectedDigests                        int64
-	EpochsAnalyzed, EpochsEvicted, DegradedEpochs                   int64
-}
-
-// Snapshot reads every counter once (not a single atomic cut; fine for
-// monitoring).
-func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		DigestsIngested:  s.DigestsIngested.Load(),
-		LateDigests:      s.LateDigests.Load(),
-		DuplicateDigests: s.DuplicateDigests.Load(),
-		ReplacedDigests:  s.ReplacedDigests.Load(),
-		DroppedDigests:   s.DroppedDigests.Load(),
-		UnknownMessages:  s.UnknownMessages.Load(),
-		MisroutedDigests: s.MisroutedDigests.Load(),
-		ShedDigests:      s.ShedDigests.Load(),
-		ShedEpochs:       s.ShedEpochs.Load(),
-		RejectedDigests:  s.RejectedDigests.Load(),
-		EpochsAnalyzed:   s.EpochsAnalyzed.Load(),
-		EpochsEvicted:    s.EpochsEvicted.Load(),
-		DegradedEpochs:   s.DegradedEpochs.Load(),
-	}
-}

@@ -317,12 +317,12 @@ func (c *Center) analyzeSpan(s *spanSnapshot) WindowReport {
 	} else if s.unalignedCount >= 2 {
 		rep.Unaligned = c.analyzeUnaligned(s)
 	}
-	c.cfg.Stats.EpochsAnalyzed.Add(1)
+	c.stats.EpochsAnalyzed.Add(1)
 	if s.meta.degraded {
-		c.cfg.Stats.DegradedEpochs.Add(1)
+		c.stats.DegradedEpochs.Add(1)
 	}
-	c.cfg.Stats.IngestToAnalyzeSeconds.Observe(time.Since(s.opened).Seconds())
-	c.cfg.Stats.FinalizeSeconds.Observe(time.Since(start).Seconds())
+	c.stats.IngestToAnalyzeSeconds.Observe(time.Since(s.opened).Seconds())
+	c.stats.FinalizeSeconds.Observe(time.Since(start).Seconds())
 	return rep
 }
 

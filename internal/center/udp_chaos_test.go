@@ -113,14 +113,14 @@ func TestChaosUDPLossDegradedNeverWrong(t *testing.T) {
 		if proxy.Received() != sent {
 			return false
 		}
-		s := srv.Stats().Snapshot()
-		return s.DatagramsIn+s.DatagramsRejected == proxy.Forwarded()
+		s := srv.Stats()
+		return s.DatagramsIn.Load()+s.DatagramsRejected.Load() == proxy.Forwarded()
 	}
 	for !settled() {
 		if time.Now().After(deadline) {
-			s := srv.Stats().Snapshot()
-			t.Fatalf("pipeline never quiesced: proxy received %d/%d, forwarded %d, server %+v",
-				proxy.Received(), sent, proxy.Forwarded(), s)
+			s := srv.Stats()
+			t.Fatalf("pipeline never quiesced: proxy received %d/%d, forwarded %d, server accepted %d and rejected %d datagrams",
+				proxy.Received(), sent, proxy.Forwarded(), s.DatagramsIn.Load(), s.DatagramsRejected.Load())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -193,11 +193,11 @@ func TestChaosUDPLossDegradedNeverWrong(t *testing.T) {
 
 	// The transport's own books saw the chaos: sequence gaps were counted
 	// and the corrupted frames were rejected, not delivered.
-	s := srv.Stats().Snapshot()
-	if s.DatagramsLost == 0 {
+	s := srv.Stats()
+	if s.DatagramsLost.Load() == 0 {
 		t.Fatal("30% datagram drop left DatagramsLost at zero")
 	}
-	if s.DatagramsLate == 0 {
+	if s.DatagramsLate.Load() == 0 {
 		t.Fatal("duplication+reordering left DatagramsLate at zero")
 	}
 }

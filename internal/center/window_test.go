@@ -143,9 +143,9 @@ func TestEpochRingEviction(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("retained epochs %v, want [2 3]", got)
 	}
-	s := c.Stats().Snapshot()
-	if s.EpochsEvicted != 1 || s.DroppedDigests != 1 {
-		t.Fatalf("eviction counters: %+v", s)
+	s := c.Stats()
+	if s.EpochsEvicted.Load() != 1 || s.DroppedDigests.Load() != 1 {
+		t.Fatalf("eviction counters: evicted=%d dropped=%d, want 1 and 1", s.EpochsEvicted.Load(), s.DroppedDigests.Load())
 	}
 	// A newcomer older than the whole full ring is late.
 	c.Ingest(transport.AlignedDigest{RouterID: 0, Epoch: 1, Bitmap: smallBitmap(9)})
@@ -225,15 +225,15 @@ func TestIngestAnalyzeRace(t *testing.T) {
 	// Every message ended exactly one way at ingest: accepted as a new
 	// window entry, a keep-last replacement, or late. Dropped/evicted
 	// digests were accepted first, so the ledger must balance exactly.
-	s := c.Stats().Snapshot()
+	s := c.Stats()
 	total := int64(writers * perG * 2)
-	if s.DigestsIngested+s.ReplacedDigests+s.LateDigests != total {
+	if s.DigestsIngested.Load()+s.ReplacedDigests.Load()+s.LateDigests.Load() != total {
 		t.Fatalf("digest accounting hole: ingested=%d replaced=%d late=%d dup=%d dropped=%d total=%d",
-			s.DigestsIngested, s.ReplacedDigests, s.LateDigests, s.DuplicateDigests, s.DroppedDigests, total)
+			s.DigestsIngested.Load(), s.ReplacedDigests.Load(), s.LateDigests.Load(), s.DuplicateDigests.Load(), s.DroppedDigests.Load(), total)
 	}
 	// Replacements are exactly the keep-last duplicates.
-	if s.ReplacedDigests != s.DuplicateDigests {
-		t.Fatalf("keep-last replaced=%d != duplicates=%d", s.ReplacedDigests, s.DuplicateDigests)
+	if s.ReplacedDigests.Load() != s.DuplicateDigests.Load() {
+		t.Fatalf("keep-last replaced=%d != duplicates=%d", s.ReplacedDigests.Load(), s.DuplicateDigests.Load())
 	}
 }
 

@@ -86,7 +86,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		ccfg, dir := shardConfig(cfg.Center, part, i, cfg.JournalDir)
-		ccfg.Stats = nil // each shard keeps its own books
 		sh := &clusterShard{node: NewNode(ccfg, nil)}
 		sh.alive.Store(true)
 		cl.shards = append(cl.shards, sh)
@@ -173,7 +172,7 @@ func poll(timeout time.Duration, what string, done func() bool) error {
 
 // gathered counts every report frame the coordinator has filed, good or bad.
 func (cl *Cluster) gathered() int64 {
-	n := cl.co.Stats().BadReports
+	n := cl.co.Stats().BadReports.Load()
 	for _, h := range cl.co.Healths() {
 		n += h.Reports
 	}

@@ -150,7 +150,7 @@ func TestCloseTraceGolden(t *testing.T) {
 								cl[center.CloseComplete].Load(), cl[center.CloseSuperseded].Load(),
 								cl[center.CloseQuiescent].Load(), cl[center.CloseDrain].Load())
 						})
-						fmt.Fprintf(&out, " | %s\n", ledger(n.Center.Stats().Snapshot()))
+						fmt.Fprintf(&out, " | %s\n", ledger(n.Center.Stats()))
 					}
 				}
 			}
@@ -159,18 +159,18 @@ func TestCloseTraceGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "close_trace.txt"), out.Bytes())
 }
 
-// ledger prints a Stats snapshot's non-zero counters.
-func ledger(s center.Snapshot) string {
+// ledger prints a center's non-zero counters, but the per-rule close counts.
+func ledger(s *center.Stats) string {
 	var fs []string
 	for _, f := range []struct {
 		name string
 		v    int64
 	}{
-		{"ingested", s.DigestsIngested}, {"late", s.LateDigests}, {"dup", s.DuplicateDigests},
-		{"replaced", s.ReplacedDigests}, {"dropped", s.DroppedDigests}, {"unknown", s.UnknownMessages},
-		{"misrouted", s.MisroutedDigests}, {"shed", s.ShedDigests}, {"shed-epochs", s.ShedEpochs},
-		{"rejected", s.RejectedDigests}, {"analyzed", s.EpochsAnalyzed}, {"evicted", s.EpochsEvicted},
-		{"degraded", s.DegradedEpochs},
+		{"ingested", s.DigestsIngested.Load()}, {"late", s.LateDigests.Load()}, {"dup", s.DuplicateDigests.Load()},
+		{"replaced", s.ReplacedDigests.Load()}, {"dropped", s.DroppedDigests.Load()}, {"unknown", s.UnknownMessages.Load()},
+		{"misrouted", s.MisroutedDigests.Load()}, {"shed", s.ShedDigests.Load()}, {"shed-epochs", s.ShedEpochs.Load()},
+		{"rejected", s.RejectedDigests.Load()}, {"analyzed", s.EpochsAnalyzed.Load()}, {"evicted", s.EpochsEvicted.Load()},
+		{"degraded", s.DegradedEpochs.Load()},
 	} {
 		if f.v != 0 {
 			fs = append(fs, fmt.Sprintf("%s=%d", f.name, f.v))

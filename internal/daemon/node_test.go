@@ -441,9 +441,9 @@ func TestEvictionRetiresJournalFrames(t *testing.T) {
 			if got := spans(reps); !reflect.DeepEqual(got, tc.life1) {
 				t.Fatalf("first life reported %v, want %v", got, tc.life1)
 			}
-			s := n.Center.Stats().Snapshot()
-			if s.EpochsEvicted != tc.evicted || s.DroppedDigests != tc.dropped {
-				t.Fatalf("first life evicted=%d dropped=%d, want %d and %d", s.EpochsEvicted, s.DroppedDigests, tc.evicted, tc.dropped)
+			s := n.Center.Stats()
+			if s.EpochsEvicted.Load() != tc.evicted || s.DroppedDigests.Load() != tc.dropped {
+				t.Fatalf("first life evicted=%d dropped=%d, want %d and %d", s.EpochsEvicted.Load(), s.DroppedDigests.Load(), tc.evicted, tc.dropped)
 			}
 			if err := n.Close(); err != nil {
 				t.Fatal(err)

@@ -99,10 +99,10 @@ func TestSeededFleetsReportInOrder(t *testing.T) {
 								lost++
 							}
 						}
-						s := side.n.Center.Stats().Snapshot()
-						if int64(lost) > s.EpochsEvicted+s.ShedEpochs {
+						s := side.n.Center.Stats()
+						if int64(lost) > s.EpochsEvicted.Load()+s.ShedEpochs.Load() {
 							t.Fatalf("seed %d: the %s node reported %v: %d spans of epochs with digests never reported, %d evicted, %d shed",
-								seed, side.name, describeAll(side.reps), lost, s.EpochsEvicted, s.ShedEpochs)
+								seed, side.name, describeAll(side.reps), lost, s.EpochsEvicted.Load(), s.ShedEpochs.Load())
 						}
 					}
 				}

@@ -263,18 +263,18 @@ func centerRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, error) 
 		draining: "analyzing remaining epochs",
 		drain:    func() { n.Drain() },
 		stats: func(tcp *transport.Server, udp *transport.UDPServer) {
-			t, s := tcp.Stats().Snapshot(), n.Center.Stats().Snapshot()
+			t, s := tcp.Stats(), n.Center.Stats()
 			log.Printf("stats: frames in=%d bad=%d; conns accepted=%d reaped=%d; quarantined senders=%d drops=%d; digests ingested=%d late=%d dup=%d replaced=%d dropped=%d misrouted=%d shed=%d rejected=%d unknown=%d; epochs analyzed=%d degraded=%d evicted=%d shed=%d",
-				t.FramesIn, t.BadFrames, t.ConnsAccepted, t.ConnsReaped,
-				t.QuarantinedSenders, t.QuarantineDrops,
-				s.DigestsIngested, s.LateDigests, s.DuplicateDigests, s.ReplacedDigests, s.DroppedDigests, s.MisroutedDigests,
-				s.ShedDigests, s.RejectedDigests, s.UnknownMessages,
-				s.EpochsAnalyzed, s.DegradedEpochs, s.EpochsEvicted, s.ShedEpochs)
+				t.FramesIn.Load(), t.BadFrames.Load(), t.ConnsAccepted.Load(), t.ConnsReaped.Load(),
+				t.QuarantinedSenders.Load(), t.QuarantineDrops.Load(),
+				s.DigestsIngested.Load(), s.LateDigests.Load(), s.DuplicateDigests.Load(), s.ReplacedDigests.Load(), s.DroppedDigests.Load(), s.MisroutedDigests.Load(),
+				s.ShedDigests.Load(), s.RejectedDigests.Load(), s.UnknownMessages.Load(),
+				s.EpochsAnalyzed.Load(), s.DegradedEpochs.Load(), s.EpochsEvicted.Load(), s.ShedEpochs.Load())
 			if udp != nil {
-				u := udp.Stats().Snapshot()
+				u := udp.Stats()
 				log.Printf("stats: udp datagrams in=%d rejected=%d lost=%d late=%d; frames in=%d bad=%d",
-					u.DatagramsIn, u.DatagramsRejected, u.DatagramsLost, u.DatagramsLate,
-					u.FramesIn, u.BadFrames)
+					u.DatagramsIn.Load(), u.DatagramsRejected.Load(), u.DatagramsLost.Load(), u.DatagramsLate.Load(),
+					u.FramesIn.Load(), u.BadFrames.Load())
 			}
 		},
 		center: n.Center,
@@ -353,7 +353,7 @@ func coordinatorRole(cfg Config, reg *metrics.Registry, ev *eventLog) (*role, er
 		stats: func(*transport.Server, *transport.UDPServer) {
 			s := co.Stats()
 			log.Printf("coordinator: merged=%d synthesized=%d late-digests=%d dup-reports=%d bad-reports=%d unknown=%d",
-				s.Merged, s.Synthesized, s.LateDigests, s.DuplicateReports, s.BadReports, s.UnknownMessages)
+				s.Merged.Load(), s.Synthesized.Load(), s.LateDigests.Load(), s.DuplicateReports.Load(), s.BadReports.Load(), s.UnknownMessages.Load())
 			for _, h := range co.Healths() {
 				state := h.DegradedCause
 				if state == "" {

@@ -414,8 +414,8 @@ func TestCompletionEquivalentToTicks(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: the woken node reported %v, the tick-only node %v", seed, describeAll(got), describeAll(want))
 		}
-		if g, w := woken.Center.Stats().Snapshot(), ticked.Center.Stats().Snapshot(); g != w {
-			t.Fatalf("seed %d: ledgers differ:\n woken %+v\nticked %+v", seed, g, w)
+		if g, w := ledger(woken.Center.Stats()), ledger(ticked.Center.Stats()); g != w {
+			t.Fatalf("seed %d: ledgers differ:\n woken %s\nticked %s", seed, g, w)
 		}
 		if n := ticked.Center.Stats().Closed[center.CloseComplete].Load(); n != 0 {
 			t.Fatalf("seed %d: the tick-only node closed %d epochs on the completion path", seed, n)
@@ -482,9 +482,9 @@ func TestWakeRacesHandleAndTick(t *testing.T) {
 			t.Errorf("epoch %d reported %d times", e, reported[e])
 		}
 	}
-	s := n.Center.Stats().Snapshot()
-	if sent := int64(routers * epochs * 2); s.DigestsIngested+s.LateDigests != sent || s.DroppedDigests != 0 {
-		t.Fatalf("sent %d digests, ledger %+v", sent, s)
+	s := n.Center.Stats()
+	if sent := int64(routers * epochs * 2); s.DigestsIngested.Load()+s.LateDigests.Load() != sent || s.DroppedDigests.Load() != 0 {
+		t.Fatalf("sent %d digests, ledger %s", sent, ledger(s))
 	}
 	fast := n.Center.Stats().Closed[center.CloseComplete].Load()
 	if fast == 0 {

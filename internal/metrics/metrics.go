@@ -13,11 +13,10 @@
 // record without contending. Locks exist only at registration and scrape
 // time, both cold.
 //
-// The existing center.Stats / transport.Stats structs embed these Counter
-// values directly — their Add/Load API is identical to sync/atomic's — so
-// the structs are literally views over registry-grade metrics: registering
-// them costs nothing on the hot path and `dcsd -stats` keeps printing the
-// same numbers the scrape endpoint exports.
+// Each layer keeps its counts in exactly one place: these instruments, as
+// fields of its own stats struct, each attached to the registry once by a
+// Register* call. Every reader — the scrape, `dcsd -stats`, /healthz — Loads
+// that same instrument; nothing copies it.
 package metrics
 
 import (
@@ -91,8 +90,7 @@ type Histogram struct {
 
 // SetBuckets fixes the bucket upper bounds (ascending, in seconds). It must
 // run before the first Observe; once the histogram has initialized — by an
-// earlier SetBuckets or a first Observe — later calls are ignored, so a
-// shared Stats struct can be re-registered harmlessly.
+// earlier SetBuckets or a first Observe — later calls are ignored.
 func (h *Histogram) SetBuckets(bounds []float64) {
 	h.once.Do(func() { h.init(bounds) })
 }
@@ -254,39 +252,28 @@ func validName(name string) bool {
 	return true
 }
 
-// getOrAdd registers e, or returns the already-registered entry when the
-// name is taken by the same kind — the get-or-create path backing Counter,
-// Gauge, and Histogram. A kind conflict panics: registration happens at
-// process start-up, and a typo'd or colliding name is a programming error no
-// caller can meaningfully handle, so it fails loudly rather than silently
-// exporting garbage.
-func (r *Registry) getOrAdd(e *entry) *entry {
+// add registers e. Re-registering the same instance under its name is a
+// no-op — a stats struct may be wired up from more than one place. Anything
+// else on a taken name panics: another kind, or a *different* instance, with
+// which two subsystems would silently shadow each other's numbers. So does an
+// invalid name. Registration happens at process start-up, and a typo'd or
+// colliding name is a programming error no caller can meaningfully handle, so
+// it fails loudly rather than silently exporting garbage.
+func (r *Registry) add(e *entry) {
 	if !validName(e.name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", e.name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.entries[e.name]; ok {
-		if prev.kind != e.kind {
-			panic(fmt.Sprintf("metrics: %s re-registered as %s (was %s)", e.name, e.kind, prev.kind))
-		}
-		return prev
-	}
-	r.entries[e.name] = e
-	return e
-}
-
-// add is getOrAdd for caller-owned instances (the Register* path): it
-// additionally panics on an attempt to bind a *different* metric instance to
-// a taken name, because two subsystems would silently shadow each other's
-// numbers otherwise. Re-registering the same instance is a no-op — a shared
-// stats struct may be wired up from more than one place.
-func (r *Registry) add(e *entry) *entry {
-	prev := r.getOrAdd(e)
-	if prev != e && !prev.sameInstance(e) {
+	prev, ok := r.entries[e.name]
+	switch {
+	case !ok:
+		r.entries[e.name] = e
+	case prev.kind != e.kind:
+		panic(fmt.Sprintf("metrics: %s re-registered as %s (was %s)", e.name, e.kind, prev.kind))
+	case !prev.sameInstance(e):
 		panic(fmt.Sprintf("metrics: %s re-registered with a different %s instance", e.name, e.kind))
 	}
-	return prev
 }
 
 // sameInstance reports whether two same-kind entries point at the same
@@ -305,25 +292,13 @@ func (e *entry) sameInstance(o *entry) bool {
 	return false
 }
 
-// Counter registers (or returns the already-registered) counter under name.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.getOrAdd(&entry{name: name, help: help, kind: kindCounter, counter: new(Counter)}).counter
-}
-
-// RegisterCounter attaches an existing Counter — typically a field of a
-// stats struct — so the struct stays the single source of truth and the
-// scrape endpoint exports exactly the numbers the struct's snapshot prints.
+// RegisterCounter attaches a Counter — a field of the owning layer's stats
+// struct, the one place that count is kept — under name.
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
 	r.add(&entry{name: name, help: help, kind: kindCounter, counter: c})
 }
 
-// Gauge registers (or returns the already-registered) gauge under name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.getOrAdd(&entry{name: name, help: help, kind: kindGauge, gauge: new(Gauge)}).gauge
-}
-
-// RegisterGauge attaches an existing Gauge (a stats-struct field), with the
-// same single-source-of-truth contract as RegisterCounter.
+// RegisterGauge attaches a Gauge (a stats-struct field), as RegisterCounter.
 func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
 	r.add(&entry{name: name, help: help, kind: kindGauge, gauge: g})
 }
@@ -346,17 +321,8 @@ func InstanceName(ns string, instance int, name string) string {
 	return fmt.Sprintf("%s_%d_%s", ns, instance, name)
 }
 
-// Histogram registers a histogram with the given bucket upper bounds (nil
-// means DefBuckets). When the name is already registered, the existing
-// histogram is returned and buckets is ignored (bounds are fixed at first
-// initialization).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := new(Histogram)
-	h.SetBuckets(buckets)
-	return r.getOrAdd(&entry{name: name, help: help, kind: kindHistogram, hist: h}).hist
-}
-
-// RegisterHistogram attaches an existing Histogram (a stats-struct field).
+// RegisterHistogram attaches a Histogram (a stats-struct field), as
+// RegisterCounter.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.add(&entry{name: name, help: help, kind: kindHistogram, hist: h})
 }

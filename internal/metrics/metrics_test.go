@@ -110,10 +110,18 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_total", "a counter").Add(3)
-	r.Gauge("a_gauge", "a gauge").Set(-2)
+	var (
+		c Counter
+		g Gauge
+		h Histogram
+	)
+	r.RegisterCounter("b_total", "a counter", &c)
+	r.RegisterGauge("a_gauge", "a gauge", &g)
 	r.GaugeFunc("c_fn", "computed", func() float64 { return 1.5 })
-	h := r.Histogram("d_seconds", "latency", []float64{0.1, 1})
+	h.SetBuckets([]float64{0.1, 1})
+	r.RegisterHistogram("d_seconds", "latency", &h)
+	c.Add(3)
+	g.Set(-2)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(30)
@@ -188,35 +196,44 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	expectPanic("invalid name", func() { r.Counter("9bad", "") })
-	expectPanic("empty name", func() { r.Counter("", "") })
-	r.Counter("x_total", "")
-	expectPanic("kind conflict", func() { r.Gauge("x_total", "") })
+	expectPanic("invalid name", func() { r.RegisterCounter("9bad", "", new(Counter)) })
+	expectPanic("empty name", func() { r.RegisterCounter("", "", new(Counter)) })
+	r.RegisterCounter("x_total", "", new(Counter))
+	expectPanic("kind conflict", func() { r.RegisterGauge("x_total", "", new(Gauge)) })
 	expectPanic("instance conflict", func() {
 		r.RegisterCounter("x_total", "", new(Counter))
 	})
+	expectPanic("gauge func on a taken name", func() {
+		r.GaugeFunc("x_total", "", func() float64 { return 0 })
+	})
 }
 
-func TestRegistryGetOrCreateAndReregister(t *testing.T) {
+// TestRegistryReregisterSameInstance: attaching the same instance under its
+// name again is a no-op, and the exposition still shows it once.
+func TestRegistryReregisterSameInstance(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("x_total", "")
-	c2 := r.Counter("x_total", "")
-	if c1 != c2 {
-		t.Fatal("Counter did not return the existing instance")
+	var c Counter
+	r.RegisterCounter("x_total", "", &c)
+	r.RegisterCounter("x_total", "", &c)
+	c.Add(4)
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
 	}
-	// Re-registering the same instance is a no-op, not a collision.
-	r.RegisterCounter("x_total", "", c1)
-
-	var own Counter
-	r.RegisterCounter("y_total", "", &own)
-	if got := r.Counter("y_total", ""); got != &own {
-		t.Fatal("get-or-create did not find the attached instance")
+	parsed, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parsed) != 1 || parsed["x_total"] != 4 {
+		t.Fatalf("exposition %v, want x_total 4 alone", parsed)
 	}
 }
 
 func TestHandlerServesExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "things").Add(2)
+	var c Counter
+	r.RegisterCounter("x_total", "things", &c)
+	c.Add(2)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -258,7 +275,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteToSurfacesSinkError(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "a very long help string so the write fails midway").Add(1)
+	r.RegisterCounter("x_total", "a very long help string so the write fails midway", new(Counter))
 	if _, err := r.WriteTo(&failWriter{after: 10}); err == nil {
 		t.Fatal("WriteTo swallowed the sink error")
 	}

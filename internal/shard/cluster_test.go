@@ -273,7 +273,7 @@ func TestShardClusterKillOneShardChaos(t *testing.T) {
 	if !h.Dead || h.DegradedCause != "dead" {
 		t.Fatalf("dead shard health %+v, want Dead with cause %q", h, "dead")
 	}
-	if s := cl.Coordinator().Stats(); s.Synthesized != int64(synth) {
-		t.Fatalf("stats count %d synthesized, merge emitted %d", s.Synthesized, synth)
+	if s := cl.Coordinator().Stats(); s.Synthesized.Load() != int64(synth) {
+		t.Fatalf("stats count %d synthesized, merge emitted %d", s.Synthesized.Load(), synth)
 	}
 }

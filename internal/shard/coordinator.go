@@ -107,20 +107,22 @@ type gatheredReport struct {
 	report center.WindowReport
 }
 
-// Stats is a plain-int snapshot of the coordinator's own counters.
+// Stats are the coordinator's own counters, each the instrument
+// RegisterMetrics exports. The zero value is ready; a Stats must not be
+// copied after first use.
 type Stats struct {
 	// UnknownMessages counts routed messages of no known kind (dropped).
-	UnknownMessages int64
+	UnknownMessages metrics.Counter
 	// LateDigests counts digests for epochs the merge already emitted —
 	// forwarded nowhere, the shards would only count them late themselves.
-	LateDigests int64
+	LateDigests metrics.Counter
 	// BadReports counts report frames that failed to decode or named an
 	// out-of-range shard; DuplicateReports counts second-or-later reports
 	// for one epoch (resolved by center.BetterReport, never emitted twice).
-	BadReports, DuplicateReports int64
+	BadReports, DuplicateReports metrics.Counter
 	// Merged counts reports emitted by TakeMerged; Synthesized counts the
 	// subset fabricated for dead or expired owners.
-	Merged, Synthesized int64
+	Merged, Synthesized metrics.Counter
 }
 
 // Coordinator scatters digests across shards by the partition and gathers
@@ -149,9 +151,9 @@ type Coordinator struct {
 	emittedValid bool // guarded by mu
 	// maxRouted is the newest epoch ever routed — the fleet clock
 	// ExpireStale measures staleness against. guarded by mu
-	maxRouted      int   // guarded by mu
-	maxRoutedValid bool  // guarded by mu
-	stats          Stats // guarded by mu
+	maxRouted      int  // guarded by mu
+	maxRoutedValid bool // guarded by mu
+	stats          Stats
 
 	// wake is poked (never blocked on) when Gather files a report the merge
 	// might now emit. Immutable after New.
@@ -197,7 +199,7 @@ func (co *Coordinator) Route(m transport.Message) {
 		return
 	default:
 		co.mu.Lock()
-		co.stats.UnknownMessages++
+		co.stats.UnknownMessages.Inc()
 		co.mu.Unlock()
 		return
 	}
@@ -209,7 +211,7 @@ func (co *Coordinator) Route(m transport.Message) {
 	if co.emittedValid && epoch <= co.emitted {
 		// The merge already resolved this epoch; the owning shard would only
 		// count the digest late. Drop it here and say so.
-		co.stats.LateDigests++
+		co.stats.LateDigests.Inc()
 		co.mu.Unlock()
 		return
 	}
@@ -247,7 +249,7 @@ func (co *Coordinator) Gather(m transport.Report) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if err != nil || env.Shard < 0 || env.Shard >= len(co.health) {
-		co.stats.BadReports++
+		co.stats.BadReports.Inc()
 		return
 	}
 	h := &co.health[env.Shard]
@@ -259,11 +261,11 @@ func (co *Coordinator) Gather(m transport.Report) {
 		h.lastReportEpoch, h.hasReport = e, true
 	}
 	if co.emittedValid && e <= co.emitted {
-		co.stats.DuplicateReports++
+		co.stats.DuplicateReports.Inc()
 		return
 	}
 	if g, ok := co.gathered[e]; ok {
-		co.stats.DuplicateReports++
+		co.stats.DuplicateReports.Inc()
 		if !center.BetterReport(env.Report, g.report) {
 			return
 		}
@@ -355,7 +357,7 @@ func (co *Coordinator) TakeMerged() []MergedReport {
 			delete(co.gathered, e)
 			delete(co.pending, e)
 			co.emitted, co.emittedValid = e, true
-			co.stats.Merged++
+			co.stats.Merged.Inc()
 			continue
 		}
 		pe := co.pending[e]
@@ -365,8 +367,8 @@ func (co *Coordinator) TakeMerged() []MergedReport {
 		out = append(out, MergedReport{Shard: pe.owner, Synthesized: true, Report: co.synthLocked(e, pe)})
 		delete(co.pending, e)
 		co.emitted, co.emittedValid = e, true
-		co.stats.Merged++
-		co.stats.Synthesized++
+		co.stats.Merged.Inc()
+		co.stats.Synthesized.Inc()
 	}
 	return out
 }
@@ -413,18 +415,15 @@ func (co *Coordinator) Healths() []Health {
 	return out
 }
 
-// Stats returns a snapshot of the coordinator's counters.
-func (co *Coordinator) Stats() Stats {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.stats
-}
+// Stats returns the coordinator's counters, live.
+func (co *Coordinator) Stats() *Stats { return &co.stats }
 
 // RegisterMetrics exposes the coordinator under the dcs_shard_* namespace:
 // fleet-wide aggregates plus per-shard instance rows (the registry has no
-// labels, so instances live in the name — dcs_shard_0_reports_total). All
-// values are computed at scrape time under the coordinator's lock; scrapes
-// are cold, routing never takes registry locks.
+// labels, so instances live in the name — dcs_shard_0_reports_total). The
+// merge counters are the Stats instruments; the rest are computed at scrape
+// time under the coordinator's lock. Scrapes are cold, routing never takes
+// registry locks.
 func (co *Coordinator) RegisterMetrics(r *metrics.Registry) {
 	sum := func(f func(*healthState) float64) func() float64 {
 		return func() float64 {
@@ -452,21 +451,14 @@ func (co *Coordinator) RegisterMetrics(r *metrics.Registry) {
 			}
 			return 0
 		}))
-	stat := func(f func(*Stats) int64) func() float64 {
-		return func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			return float64(f(&co.stats))
-		}
-	}
-	r.GaugeFunc("dcs_shard_merged_total",
-		"reports emitted by the merge, synthesized included", stat(func(s *Stats) int64 { return s.Merged }))
-	r.GaugeFunc("dcs_shard_synthesized_total",
-		"degraded tombstones fabricated for dead or expired owners", stat(func(s *Stats) int64 { return s.Synthesized }))
-	r.GaugeFunc("dcs_shard_reports_bad_total",
-		"report frames that failed to decode or named a bad shard", stat(func(s *Stats) int64 { return s.BadReports }))
-	r.GaugeFunc("dcs_shard_reports_duplicate_total",
-		"second-or-later reports for one epoch", stat(func(s *Stats) int64 { return s.DuplicateReports }))
+	r.RegisterCounter("dcs_shard_merged_total",
+		"reports emitted by the merge, synthesized included", &co.stats.Merged)
+	r.RegisterCounter("dcs_shard_synthesized_total",
+		"degraded tombstones fabricated for dead or expired owners", &co.stats.Synthesized)
+	r.RegisterCounter("dcs_shard_reports_bad_total",
+		"report frames that failed to decode or named a bad shard", &co.stats.BadReports)
+	r.RegisterCounter("dcs_shard_reports_duplicate_total",
+		"second-or-later reports for one epoch", &co.stats.DuplicateReports)
 	r.GaugeFunc("dcs_shard_pending_epochs",
 		"routed epochs awaiting their owner's report", func() float64 {
 			co.mu.Lock()

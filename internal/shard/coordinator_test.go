@@ -89,7 +89,7 @@ func TestCoordinatorRouteFansOutBySpan(t *testing.T) {
 	if h1.DegradedCause != "send-errors" {
 		t.Fatalf("degraded cause %q, want send-errors", h1.DegradedCause)
 	}
-	if co.Stats().Synthesized != 0 {
+	if co.Stats().Synthesized.Load() != 0 {
 		t.Fatalf("send errors must not synthesize reports")
 	}
 }
@@ -129,8 +129,8 @@ func TestCoordinatorMergeShardOrderTotal(t *testing.T) {
 	if len(got) != 2 || got[0].Report.Epoch != 3 || got[1].Report.Epoch != 4 {
 		t.Fatalf("after gathering 3, merged %+v, want [3 4]", got)
 	}
-	if s := co.Stats(); s.Merged != 4 || s.Synthesized != 0 {
-		t.Fatalf("stats %+v, want 4 merged, 0 synthesized", s)
+	if s := co.Stats(); s.Merged.Load() != 4 || s.Synthesized.Load() != 0 {
+		t.Fatalf("%d merged, %d synthesized; want 4 merged, 0 synthesized", s.Merged.Load(), s.Synthesized.Load())
 	}
 }
 
@@ -234,8 +234,8 @@ func TestCoordinatorDuplicateAndBadReports(t *testing.T) {
 	co.Gather(transport.Report{Payload: []byte("not json")})
 	co.Gather(mkReport(t, 5, center.WindowReport{Epoch: 1}))
 	co.Gather(mkReport(t, -1, center.WindowReport{Epoch: 1}))
-	if s := co.Stats(); s.BadReports != 3 {
-		t.Fatalf("bad reports %d, want 3", s.BadReports)
+	if s := co.Stats(); s.BadReports.Load() != 3 {
+		t.Fatalf("bad reports %d, want 3", s.BadReports.Load())
 	}
 
 	co.Route(mkAligned(1, 2))
@@ -249,16 +249,16 @@ func TestCoordinatorDuplicateAndBadReports(t *testing.T) {
 	if len(got) != 1 || got[0].Report.Shed || got[0].Report.Routers != 3 {
 		t.Fatalf("merged %+v, want the full 3-router verdict", got)
 	}
-	if s := co.Stats(); s.DuplicateReports != 2 {
-		t.Fatalf("duplicate reports %d, want 2", s.DuplicateReports)
+	if s := co.Stats(); s.DuplicateReports.Load() != 2 {
+		t.Fatalf("duplicate reports %d, want 2", s.DuplicateReports.Load())
 	}
 
 	// Epoch 1 is emitted: a replayed report and a straggler digest for it
 	// count duplicate and late, and the merge stays drained.
 	co.Gather(mkReport(t, owner, center.WindowReport{Epoch: 1, Routers: 9}))
 	co.Route(mkAligned(1, 2))
-	if s := co.Stats(); s.DuplicateReports != 3 || s.LateDigests != 1 {
-		t.Fatalf("stats %+v, want 3 duplicates and 1 late digest", s)
+	if s := co.Stats(); s.DuplicateReports.Load() != 3 || s.LateDigests.Load() != 1 {
+		t.Fatalf("%d duplicates, %d late digests; want 3 duplicates and 1 late digest", s.DuplicateReports.Load(), s.LateDigests.Load())
 	}
 	if more := co.TakeMerged(); len(more) != 0 {
 		t.Fatalf("watermarked epoch re-emitted: %+v", more)
@@ -266,8 +266,8 @@ func TestCoordinatorDuplicateAndBadReports(t *testing.T) {
 
 	// Unknown message kinds are counted, not routed.
 	co.Route(nil)
-	if s := co.Stats(); s.UnknownMessages != 1 {
-		t.Fatalf("unknown messages %d, want 1", s.UnknownMessages)
+	if s := co.Stats(); s.UnknownMessages.Load() != 1 {
+		t.Fatalf("unknown messages %d, want 1", s.UnknownMessages.Load())
 	}
 }
 

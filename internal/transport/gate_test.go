@@ -185,7 +185,7 @@ func TestServerGateQuarantinesGarbageSender(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sender never quarantined; stats %+v", srv.Stats().Snapshot())
+			t.Fatalf("sender never quarantined; %d strikes, %d drops", srv.Stats().Strikes.Load(), srv.Stats().QuarantineDrops.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -239,14 +239,14 @@ func TestUDPServerGateRateLimit(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s := srv.Stats().Snapshot()
+		s := srv.Stats()
 		// Burst of 3 admitted, the rest refused (UDP is lossy, so only the
 		// quarantine sentence itself is a hard expectation).
-		if s.SendersQuarantined == 1 && s.DatagramsIn <= 3 && s.QuarantineDrops > 0 {
+		if s.SendersQuarantined.Load() == 1 && s.DatagramsIn.Load() <= 3 && s.QuarantineDrops.Load() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("flooder never quarantined; stats %+v", s)
+			t.Fatalf("flooder never quarantined; %d sentences, %d datagrams in, %d drops", s.SendersQuarantined.Load(), s.DatagramsIn.Load(), s.QuarantineDrops.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -517,12 +517,12 @@ func TestTornStreamIsNotABadFrame(t *testing.T) {
 	}
 
 	send(torn)
-	if s := cs.srv.Stats().Snapshot(); s.BadFrames != 0 || s.Strikes != 0 {
-		t.Fatalf("a connection that died mid-frame cost bad=%d strikes=%d, want 0/0", s.BadFrames, s.Strikes)
+	if s := cs.srv.Stats(); s.BadFrames.Load() != 0 || s.Strikes.Load() != 0 {
+		t.Fatalf("a connection that died mid-frame cost bad=%d strikes=%d, want 0/0", s.BadFrames.Load(), s.Strikes.Load())
 	}
 	send(append(append([]byte(nil), torn...), bytes.Repeat([]byte{0xAA}, len(frame)-len(torn))...))
-	if s := cs.srv.Stats().Snapshot(); s.BadFrames != 1 || s.Strikes != 1 {
-		t.Fatalf("a frame completed with garbage cost bad=%d strikes=%d, want 1/1", s.BadFrames, s.Strikes)
+	if s := cs.srv.Stats(); s.BadFrames.Load() != 1 || s.Strikes.Load() != 1 {
+		t.Fatalf("a frame completed with garbage cost bad=%d strikes=%d, want 1/1", s.BadFrames.Load(), s.Strikes.Load())
 	}
 	if n := cs.srv.Stats().FramesIn.Load(); n != 0 {
 		t.Fatalf("%d frames delivered from two connections that never sent a whole one", n)

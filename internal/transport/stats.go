@@ -4,7 +4,7 @@ import "dcstream/internal/metrics"
 
 // Stats counts transport-level events with atomic counters so the server's
 // per-connection goroutines and a ReconnectingClient's sender can bump them
-// without locks, and internal/daemon can snapshot them while traffic flows. The
+// without locks, and internal/daemon can read them while traffic flows. The
 // fields are registry-grade metrics (their Add/Load API matches
 // sync/atomic's), so Register can expose the same values on /metrics without
 // a second set of books.
@@ -154,46 +154,4 @@ func (s *Stats) Register(r *metrics.Registry, ns string) {
 		"malformed units charged against tracked senders by the gate", &s.Strikes)
 	r.RegisterCounter(ns+"_quarantine_paroles_total",
 		"quarantined senders released after their cool-down", &s.Paroles)
-}
-
-// Snapshot is a plain-int copy of Stats, safe to compare and print.
-type Snapshot struct {
-	FramesIn, FramesOut, BadFrames                      int64
-	ConnsAccepted, ConnsReaped                          int64
-	Reconnects, Resends, DroppedSends, AbandonedOnClose int64
-	DialAttempts                                        int64
-	DatagramsOut, DatagramsIn, DatagramsRejected        int64
-	DatagramsLost, DatagramsLate                        int64
-	PeerEvictions, SenderRestarts                       int64
-	SendersQuarantined, QuarantinedSenders              int64
-	QuarantineDrops, Strikes, Paroles                   int64
-}
-
-// Snapshot reads every counter once. Counters advance independently, so the
-// snapshot is not a single atomic cut — fine for monitoring.
-func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		FramesIn:           s.FramesIn.Load(),
-		FramesOut:          s.FramesOut.Load(),
-		BadFrames:          s.BadFrames.Load(),
-		ConnsAccepted:      s.ConnsAccepted.Load(),
-		ConnsReaped:        s.ConnsReaped.Load(),
-		Reconnects:         s.Reconnects.Load(),
-		Resends:            s.Resends.Load(),
-		DroppedSends:       s.DroppedSends.Load(),
-		AbandonedOnClose:   s.AbandonedOnClose.Load(),
-		DialAttempts:       s.DialAttempts.Load(),
-		DatagramsOut:       s.DatagramsOut.Load(),
-		DatagramsIn:        s.DatagramsIn.Load(),
-		DatagramsRejected:  s.DatagramsRejected.Load(),
-		DatagramsLost:      s.DatagramsLost.Load(),
-		DatagramsLate:      s.DatagramsLate.Load(),
-		PeerEvictions:      s.PeerEvictions.Load(),
-		SenderRestarts:     s.SenderRestarts.Load(),
-		SendersQuarantined: s.SendersQuarantined.Load(),
-		QuarantinedSenders: s.QuarantinedSenders.Load(),
-		QuarantineDrops:    s.QuarantineDrops.Load(),
-		Strikes:            s.Strikes.Load(),
-		Paroles:            s.Paroles.Load(),
-	}
 }

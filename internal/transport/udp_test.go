@@ -85,12 +85,13 @@ func TestUDPRoundTripBatchesFrames(t *testing.T) {
 
 	// The entire burst fits one datagram at this budget: batching must have
 	// produced exactly one send, not n.
-	cs, ss := c.Stats().Snapshot(), srv.Stats().Snapshot()
-	if cs.DatagramsOut != 1 || cs.FramesOut != n {
-		t.Fatalf("client sent %d datagrams / %d frames, want 1 / %d", cs.DatagramsOut, cs.FramesOut, n)
+	cs, ss := c.Stats(), srv.Stats()
+	if cs.DatagramsOut.Load() != 1 || cs.FramesOut.Load() != n {
+		t.Fatalf("client sent %d datagrams / %d frames, want 1 / %d", cs.DatagramsOut.Load(), cs.FramesOut.Load(), n)
 	}
-	if ss.DatagramsIn != 1 || ss.FramesIn != n || ss.DatagramsRejected != 0 {
-		t.Fatalf("server stats %+v, want one datagram with %d frames", ss, n)
+	if ss.DatagramsIn.Load() != 1 || ss.FramesIn.Load() != n || ss.DatagramsRejected.Load() != 0 {
+		t.Fatalf("server took %d datagrams (%d rejected) with %d frames, want one datagram with %d frames",
+			ss.DatagramsIn.Load(), ss.DatagramsRejected.Load(), ss.FramesIn.Load(), n)
 	}
 }
 
@@ -155,7 +156,7 @@ func TestUDPSendSplitsAtBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(got()) == 6 })
-	if out := c.Stats().Snapshot().DatagramsOut; out != 3 {
+	if out := c.Stats().DatagramsOut.Load(); out != 3 {
 		t.Fatalf("sent %d datagrams, want 3 (two 153-byte frames per 400-byte budget)", out)
 	}
 	// The frame that overflowed a datagram opens the next one, in order, and
@@ -172,7 +173,7 @@ func TestUDPSendSplitsAtBudget(t *testing.T) {
 			t.Fatalf("datagram %d carries routers %v, want [%d %d]", i, routers, 2*i, 2*i+1)
 		}
 	}
-	if lost := srv.Stats().Snapshot().DatagramsLost; lost != 0 {
+	if lost := srv.Stats().DatagramsLost.Load(); lost != 0 {
 		t.Fatalf("loopback delivery counted %d lost datagrams", lost)
 	}
 }
@@ -230,9 +231,9 @@ func TestUDPPrefilterRejectsGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats().Snapshot().DatagramsRejected == 5 })
-	s := srv.Stats().Snapshot()
-	if s.DatagramsIn != 0 || s.FramesIn != 0 || len(got()) != 0 {
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats().DatagramsRejected.Load() == 5 })
+	s := srv.Stats()
+	if s.DatagramsIn.Load() != 0 || s.FramesIn.Load() != 0 || len(got()) != 0 {
 		t.Fatalf("garbage reached past the prefilter: %+v, %d messages delivered", s, len(got()))
 	}
 }
@@ -263,10 +264,10 @@ func TestUDPCorruptFrameCountedBad(t *testing.T) {
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats().Snapshot().BadFrames == 1 })
-	s := srv.Stats().Snapshot()
-	if s.DatagramsIn != 1 || s.FramesIn != 1 {
-		t.Fatalf("stats %+v, want 1 datagram in, 1 clean frame", s)
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats().BadFrames.Load() == 1 })
+	s := srv.Stats()
+	if s.DatagramsIn.Load() != 1 || s.FramesIn.Load() != 1 {
+		t.Fatalf("%d datagrams, %d frames in, want 1 datagram in, 1 clean frame", s.DatagramsIn.Load(), s.FramesIn.Load())
 	}
 	msgs := got()
 	if len(msgs) != 1 || msgs[0].(AlignedDigest).RouterID != 1 {
@@ -334,14 +335,15 @@ func TestUDPBatchEndsAtCorruptFrame(t *testing.T) {
 	}
 	defer srv.Close()
 	writeUDP(t, srv.Addr(), datagram(t, 1, []int{1, 2, 3, 4, 5}, 3))
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats().Snapshot().BadFrames == 1 })
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats().BadFrames.Load() == 1 })
 	mu.Lock()
 	defer mu.Unlock()
 	if want := [][]int{{1, 2}}; !reflect.DeepEqual(batches, want) {
 		t.Fatalf("handler calls %v, want %v", batches, want)
 	}
-	if s := srv.Stats().Snapshot(); s.DatagramsIn != 1 || s.FramesIn != 2 || s.BadFrames != 1 || s.Strikes != 1 {
-		t.Fatalf("stats %+v, want 1 datagram, 2 frames in, 1 bad frame, 1 strike", s)
+	if s := srv.Stats(); s.DatagramsIn.Load() != 1 || s.FramesIn.Load() != 2 || s.BadFrames.Load() != 1 || s.Strikes.Load() != 1 {
+		t.Fatalf("%d datagrams, %d frames in, %d bad, %d strikes; want 1 datagram, 2 frames in, 1 bad frame, 1 strike",
+			s.DatagramsIn.Load(), s.FramesIn.Load(), s.BadFrames.Load(), s.Strikes.Load())
 	}
 }
 
@@ -421,15 +423,15 @@ func TestUDPSequenceAccounting(t *testing.T) {
 	send(1, 3) // one of them shows up late
 	send(1, 4) // duplicate
 	send(2, 3) // second sender first heard at 3: leading 1 and 2 lost
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats().Snapshot().DatagramsIn == 5 })
-	s := srv.Stats().Snapshot()
-	if s.DatagramsLost != 4 || s.DatagramsLate != 2 {
-		t.Fatalf("lost=%d late=%d, want lost=4 (2,3 from sender 1; 1,2 from sender 2) late=2", s.DatagramsLost, s.DatagramsLate)
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats().DatagramsIn.Load() == 5 })
+	s := srv.Stats()
+	if s.DatagramsLost.Load() != 4 || s.DatagramsLate.Load() != 2 {
+		t.Fatalf("lost=%d late=%d, want lost=4 (2,3 from sender 1; 1,2 from sender 2) late=2", s.DatagramsLost.Load(), s.DatagramsLate.Load())
 	}
 	// Late and duplicated frames are still delivered; the center's duplicate
 	// accounting is the place that resolves them.
-	if s.FramesIn != 5 {
-		t.Fatalf("FramesIn=%d, want 5 (late and duplicate frames delivered)", s.FramesIn)
+	if s.FramesIn.Load() != 5 {
+		t.Fatalf("FramesIn=%d, want 5 (late and duplicate frames delivered)", s.FramesIn.Load())
 	}
 }
 
@@ -458,14 +460,14 @@ func TestUDPPeerMapBoundedUnderSenderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return srv.Stats().Snapshot().DatagramsIn == churn })
+	waitFor(t, 5*time.Second, func() bool { return srv.Stats().DatagramsIn.Load() == churn })
 
 	if n := srv.trackedPeers(); n > maxPeers {
 		t.Fatalf("peers map holds %d entries after %d-sender churn, want <= %d", n, churn, maxPeers)
 	}
-	s := srv.Stats().Snapshot()
-	if want := int64(churn - maxPeers); s.PeerEvictions != want {
-		t.Fatalf("PeerEvictions=%d, want %d (every entry past the cap evicted and counted)", s.PeerEvictions, want)
+	s := srv.Stats()
+	if want := int64(churn - maxPeers); s.PeerEvictions.Load() != want {
+		t.Fatalf("PeerEvictions=%d, want %d (every entry past the cap evicted and counted)", s.PeerEvictions.Load(), want)
 	}
 }
 
@@ -499,7 +501,7 @@ func TestUDPPeerEvictionPolicy(t *testing.T) {
 	if oneAlive || !twoAlive {
 		t.Fatalf("LRU eviction took the wrong victim: sender1 alive=%v sender2 alive=%v", oneAlive, twoAlive)
 	}
-	if got := srv.Stats().Snapshot().PeerEvictions; got != 1 {
+	if got := srv.Stats().PeerEvictions.Load(); got != 1 {
 		t.Fatalf("PeerEvictions=%d after LRU eviction, want 1", got)
 	}
 
@@ -517,7 +519,7 @@ func TestUDPPeerEvictionPolicy(t *testing.T) {
 	if !fourAlive || !fiveAlive || n != 2 {
 		t.Fatalf("after idle sweep: %d peers, sender4 alive=%v sender5 alive=%v; want 2/true/true", n, fourAlive, fiveAlive)
 	}
-	if got := srv.Stats().Snapshot().PeerEvictions; got != 3 {
+	if got := srv.Stats().PeerEvictions.Load(); got != 3 {
 		t.Fatalf("PeerEvictions=%d after idle sweep, want 3 (1 LRU + 2 idle)", got)
 	}
 }
@@ -533,7 +535,7 @@ func TestUDPSenderRestartResetsMark(t *testing.T) {
 	srv.now = func() time.Time { return clock }
 
 	seen := func(sender uint32, seq uint64) { srv.accountSeq(DatagramHeader{Sender: sender, Seq: seq, Count: 1}) }
-	stats := func() Snapshot { return srv.Stats().Snapshot() }
+	s := srv.Stats()
 
 	// Ramp sender 1 well past restartSeqMax.
 	for seq := uint64(1); seq <= 200; seq++ {
@@ -541,22 +543,22 @@ func TestUDPSenderRestartResetsMark(t *testing.T) {
 	}
 	// A reordered duplicate with no quiet gap is late, not a restart.
 	seen(1, 3)
-	if s := stats(); s.DatagramsLate != 1 || s.SenderRestarts != 0 {
-		t.Fatalf("reorder without gap: late=%d restarts=%d, want 1/0", s.DatagramsLate, s.SenderRestarts)
+	if s.DatagramsLate.Load() != 1 || s.SenderRestarts.Load() != 0 {
+		t.Fatalf("reorder without gap: late=%d restarts=%d, want 1/0", s.DatagramsLate.Load(), s.SenderRestarts.Load())
 	}
 	// The same small seq after a quiet gap is a restart: mark resets, the
 	// renumbered stream counts fresh, leading losses chalked up like a first
 	// contact (seq 3 ⇒ 1 and 2 lost).
-	lostBefore := stats().DatagramsLost
+	lostBefore := s.DatagramsLost.Load()
 	clock = clock.Add(2 * time.Second)
 	seen(1, 3)
 	seen(1, 4)
 	seen(1, 5)
-	if s := stats(); s.SenderRestarts != 1 || s.DatagramsLate != 1 {
-		t.Fatalf("after restart: restarts=%d late=%d, want 1/1 (post-restart stream not late)", s.SenderRestarts, s.DatagramsLate)
+	if s.SenderRestarts.Load() != 1 || s.DatagramsLate.Load() != 1 {
+		t.Fatalf("after restart: restarts=%d late=%d, want 1/1 (post-restart stream not late)", s.SenderRestarts.Load(), s.DatagramsLate.Load())
 	}
-	if s := stats(); s.DatagramsLost != lostBefore+2 {
-		t.Fatalf("restart leading losses: lost=%d, want %d", s.DatagramsLost, lostBefore+2)
+	if s.DatagramsLost.Load() != lostBefore+2 {
+		t.Fatalf("restart leading losses: lost=%d, want %d", s.DatagramsLost.Load(), lostBefore+2)
 	}
 
 	// A young stream (mark within restartSeqMax of the arrival) never reads
@@ -564,8 +566,8 @@ func TestUDPSenderRestartResetsMark(t *testing.T) {
 	seen(2, 40)
 	clock = clock.Add(time.Minute)
 	seen(2, 2)
-	if s := stats(); s.SenderRestarts != 1 || s.DatagramsLate != 2 {
-		t.Fatalf("young stream: restarts=%d late=%d, want 1/2", s.SenderRestarts, s.DatagramsLate)
+	if s.SenderRestarts.Load() != 1 || s.DatagramsLate.Load() != 2 {
+		t.Fatalf("young stream: restarts=%d late=%d, want 1/2", s.SenderRestarts.Load(), s.DatagramsLate.Load())
 	}
 }
 
@@ -610,12 +612,12 @@ func TestUDPClientRestartMidEpochKeepsLateHonest(t *testing.T) {
 	push(c2, 2, 40)
 	waitFor(t, 5*time.Second, func() bool { return len(got()) == 120 })
 
-	s := srv.Stats().Snapshot()
-	if s.SenderRestarts != 1 {
-		t.Fatalf("SenderRestarts=%d, want 1", s.SenderRestarts)
+	s := srv.Stats()
+	if s.SenderRestarts.Load() != 1 {
+		t.Fatalf("SenderRestarts=%d, want 1", s.SenderRestarts.Load())
 	}
-	if s.DatagramsLate != 0 {
-		t.Fatalf("DatagramsLate=%d after restart, want 0 (post-restart stream miscounted as late)", s.DatagramsLate)
+	if s.DatagramsLate.Load() != 0 {
+		t.Fatalf("DatagramsLate=%d after restart, want 0 (post-restart stream miscounted as late)", s.DatagramsLate.Load())
 	}
 }
 
