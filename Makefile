@@ -115,14 +115,16 @@ chaos:
 # decoder, held to an exact decode → encode → decode round trip. The sixth
 # feeds what ReadFrame admits into a batch and an incremental center and
 # drains both: no analysis error, identical reports, a balanced ledger.
-# Native Go fuzzing only supports one target per invocation.
+# Native Go fuzzing only supports one target per invocation. Each new input
+# is minimized for at most 1 s (the default is 60 s, long enough to stall a
+# short run on a whole-fleet input); a crasher is still reported, less shrunk.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport
-	$(GO) test -run '^$$' -fuzz FuzzReadDatagram -fuzztime $(FUZZTIME) ./internal/transport
-	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime $(FUZZTIME) ./internal/journal
-	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) ./internal/traceio
-	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) ./internal/shard
-	$(GO) test -run '^$$' -fuzz FuzzCenterIngest -fuzztime $(FUZZTIME) ./internal/center
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzReadDatagram -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/traceio
+	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzCenterIngest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/center
 
 # Lines of Go per package (non-test, test) and the totals outside and inside
 # bench/: the numbers ROADMAP's "Size:" line and the CHANGES.md ledgers quote.

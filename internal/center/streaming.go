@@ -115,14 +115,13 @@ func (c *Center) closeSpanLocked(epoch int) *spanSnapshot {
 }
 
 // RestoreRetired tells a fresh center, before a journal's replay, what a
-// previous life retired: every epoch at or below through, and each of marks
-// above it (shed or evicted), is closed, so a digest for one — a resend
-// reaching this life live — is late, as it was in that life, instead of
-// reopening an epoch already reported or given up; span is the newest span
-// reported with its epoch kept as context, whose still-buffered epochs are
-// then replayed to feed the spans ahead and never reported a second time on
-// less context than the first. math.MinInt stands for no watermark and no
-// span.
+// previous life retired. Every epoch at or below through, and each of marks
+// (shed or evicted, above it), is closed: a resend reaching this life live is
+// late, as it was in that life, instead of reopening an epoch already
+// reported or given up. span is the newest span reported with its epoch kept
+// as context; the replay brings its still-buffered epochs back to feed the
+// spans ahead, never to be reported again on less context than the first.
+// math.MinInt stands for no watermark and no span.
 func (c *Center) RestoreRetired(through int, marks []int, span int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

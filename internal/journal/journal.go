@@ -233,8 +233,9 @@ type Journal struct {
 	analyzedF File         // guarded by mu
 	closed    bool         // guarded by mu
 
-	degraded      bool          // guarded by mu
-	degradedCause error         // guarded by mu; first or latest fault
+	// degradedCause is the first or latest fault while degraded, nil while
+	// healthy. guarded by mu
+	degradedCause error
 	nextRetry     time.Time     // guarded by mu; earliest next re-arm attempt
 	retryWait     time.Duration // guarded by mu; current backoff step
 
@@ -592,11 +593,11 @@ func (j *Journal) Append(ms ...transport.Message) error {
 	if j.closed {
 		return ErrClosed
 	}
-	if j.degraded {
+	if j.degradedCause != nil {
 		if time.Now().After(j.nextRetry) {
 			j.rearmLocked()
 		}
-		if j.degraded {
+		if j.degradedCause != nil {
 			j.stats.UnjournaledFrames.Add(int64(len(ms)))
 			return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
 		}
@@ -658,10 +659,7 @@ func (j *Journal) Append(ms ...transport.Message) error {
 // exponential backoff. Caller holds j.mu.
 func (j *Journal) degradeLocked(cause error) {
 	j.degradedCause = cause
-	if !j.degraded {
-		j.degraded = true
-		j.stats.Degraded.Set(1)
-	}
+	j.stats.Degraded.Set(1)
 	if j.retryWait == 0 {
 		j.retryWait = j.opt.RetryInterval
 	} else if j.retryWait < 64*j.opt.RetryInterval {
@@ -716,7 +714,6 @@ func (j *Journal) rearmLocked() {
 	j.analyzedF = sf
 	j.active = f
 	j.activeOffset = 0
-	j.degraded = false
 	j.degradedCause = nil
 	j.stats.Degraded.Set(0)
 	j.stats.Rearms.Inc()
@@ -742,17 +739,17 @@ func (j *Journal) TryRearm() bool {
 	if j.closed {
 		return false
 	}
-	if j.degraded {
+	if j.degradedCause != nil {
 		j.rearmLocked()
 	}
-	return !j.degraded
+	return j.degradedCause == nil
 }
 
 // Degraded reports whether appends are currently suspended by a disk fault.
 func (j *Journal) Degraded() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.degraded
+	return j.degradedCause != nil
 }
 
 // DegradedCause returns the fault that degraded the journal, or nil when
@@ -790,7 +787,7 @@ func (j *Journal) syncLocked() error {
 	if err := j.flushLocked(); err != nil {
 		j.degradeLocked(err)
 	}
-	if j.degraded {
+	if j.degradedCause != nil {
 		return fmt.Errorf("%w: %w", ErrDegraded, j.degradedCause)
 	}
 	return nil
@@ -888,7 +885,7 @@ func (j *Journal) failLocked(err error) error {
 // holds j.mu.
 func (j *Journal) retireLocked() error {
 	dirty := false
-	if !j.degraded && len(j.activeEpochs) > 0 {
+	if j.degradedCause == nil && len(j.activeEpochs) > 0 {
 		// A segment is never closed dirty: a sealed segment's frames would
 		// otherwise wait on a writeback no barrier covers.
 		if err := j.flushLocked(); err != nil {
