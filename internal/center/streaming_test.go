@@ -381,9 +381,9 @@ func TestBudgetCountsAccumulatorBytes(t *testing.T) {
 	for _, m := range epochMsgs(2) {
 		c.Ingest(m)
 	}
-	snap := c.Stats()
-	if snap.ShedEpochs.Load() != 1 || snap.ShedDigests.Load() != 4 {
-		t.Fatalf("shed %d epochs / %d digests, want 1/4", snap.ShedEpochs.Load(), snap.ShedDigests.Load())
+	books := c.Stats()
+	if books.ShedEpochs.Load() != 1 || books.ShedDigests.Load() != 4 {
+		t.Fatalf("shed %d epochs / %d digests, want 1/4", books.ShedEpochs.Load(), books.ShedDigests.Load())
 	}
 	if got := c.BufferedBytes(); got > budget {
 		t.Fatalf("buffered %d exceeds budget %d after shedding", got, budget)
@@ -393,8 +393,8 @@ func TestBudgetCountsAccumulatorBytes(t *testing.T) {
 			got, incOne)
 	}
 	a, u := c.Pending()
-	if int64(a+u)+snap.ShedDigests.Load() != snap.DigestsIngested.Load() {
-		t.Fatalf("ledger broken: buffered %d + shed %d != ingested %d", a+u, snap.ShedDigests.Load(), snap.DigestsIngested.Load())
+	if int64(a+u)+books.ShedDigests.Load() != books.DigestsIngested.Load() {
+		t.Fatalf("ledger broken: buffered %d + shed %d != ingested %d", a+u, books.ShedDigests.Load(), books.DigestsIngested.Load())
 	}
 	reps := c.TakeShedReports()
 	if len(reps) != 1 || !reps[0].Shed || reps[0].Epoch != 1 || reps[0].ShedDigests != 4 {

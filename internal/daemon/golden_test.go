@@ -16,8 +16,8 @@ import (
 // updateGolden rewrites testdata/analyzed_w*.txt, testdata/close_trace.txt
 // and testdata/metrics_families.txt from whatever close policy, finish step
 // and exposition the package holds. The files are only ever regenerated from
-// a checkout of the commit being pinned (see .claude/skills/verify/SKILL.md);
-// a change that moves them unintended is a bug.
+// a checkout of the commit being pinned; a change that moves one it did not
+// mean to is a bug.
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata goldens from this tree's node")
 
 // checkGolden compares got with the golden file, or rewrites the file under
